@@ -1,8 +1,9 @@
 """Command-line entry points.
 
 Subcommands: simulate, evaluate, sigma-scan, rank-scan, phase1,
-markov-gap, compare.  Global flags --config/--seed/--out-dir/--threads
-apply to every subcommand.
+markov-gap, compare.  Global flags --config/--seed/--out-dir apply to
+every subcommand and may go before or after it.  Each pipeline reads
+dt and the baseline gains from the config wherever it uses them.
 """
 
 from __future__ import annotations
@@ -22,22 +23,34 @@ def _float_list(text: str) -> list[float]:
     return [float(x) for x in text.split(",") if x.strip()]
 
 
+_GLOBAL_FLAGS = (
+    ("--config", {"default": None, "help": "key = value config file"}),
+    ("--seed", {"type": int, "default": 42}),
+    ("--out-dir", {"default": ".", "help": "output directory"}),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="memctrl",
                                  description=__doc__.splitlines()[0])
-    ap.add_argument("--config", default=None, help="key = value config file")
-    ap.add_argument("--seed", type=int, default=42)
-    ap.add_argument("--out-dir", default=".", help="output directory")
-    ap.add_argument("--threads", type=int, default=1)
+    # the subcommands repeat the global flags; their copies default to
+    # SUPPRESS so they never overwrite a value given before the subcommand
+    common = argparse.ArgumentParser(add_help=False)
+    for flag, kw in _GLOBAL_FLAGS:
+        ap.add_argument(flag, **kw)
+        common.add_argument(flag, **dict(kw, default=argparse.SUPPRESS))
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("simulate", help="one baseline rollout to CSV")
+    def add(name, help):
+        return sub.add_parser(name, help=help, parents=[common])
+
+    p = add("simulate", "one baseline rollout to CSV")
     p.add_argument("--tau-z", type=float, default=None)
     p.add_argument("--shielded", action="store_true",
                    help="apply the admissibility projection")
     p.add_argument("--out", default="trajectory.csv")
 
-    p = sub.add_parser("evaluate", help="payload sweep to a result JSON")
+    p = add("evaluate", "payload sweep to a result JSON")
     p.add_argument("--tau-z", type=float, default=None)
     p.add_argument("--architecture", default="baseline-ct")
     p.add_argument("--rollouts", type=int, default=20)
@@ -46,12 +59,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--payload-csv", action="store_true",
                    help="also write per-payload rows for plotting")
 
-    p = sub.add_parser("sigma-scan", help="sigma_z^2 closed form vs Monte Carlo")
+    p = add("sigma-scan", "sigma_z^2 closed form vs Monte Carlo")
     p.add_argument("--tau-z-list", type=_float_list, default=[0.5, 1.0, 2.0])
     p.add_argument("--n-traj", type=int, default=2000)
     p.add_argument("--out", default="sigma_scan.csv")
 
-    p = sub.add_parser("rank-scan", help="effective rank of the temporal operator")
+    p = add("rank-scan", "effective rank of the temporal operator")
     p.add_argument("--tau-z-list", type=_float_list, default=[1, 2, 3, 4, 5])
     p.add_argument("--window", type=int, default=20)
     p.add_argument("--n-samples", type=int, default=2048)
@@ -59,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also write each W x W operator as CSV")
     p.add_argument("--out", default="rank_scan.csv")
 
-    p = sub.add_parser("phase1", help="head-count search per memory horizon")
+    p = add("phase1", "head-count search per memory horizon")
     p.add_argument("--tau-z-list", type=_float_list, default=[1, 2, 3, 4, 5])
     p.add_argument("--window", type=int, default=20)
     p.add_argument("--n-samples", type=int, default=2048)
@@ -70,12 +83,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="include the full iteration log in the JSON")
     p.add_argument("--out", default="phase1.json")
 
-    p = sub.add_parser("markov-gap", help="oracle vs Markovian vs windowed excess")
+    p = add("markov-gap", "Markovian vs windowed excess")
     p.add_argument("--tau-z-list", type=_float_list, default=[0.5, 1.0, 2.0])
     p.add_argument("--n-traj", type=int, default=512)
     p.add_argument("--out", default="markov_gap.csv")
 
-    p = sub.add_parser("compare", help="group result files and run the tests")
+    p = add("compare", "group result files and run the tests")
     p.add_argument("files", nargs="+")
     p.add_argument("--metric", default="delta_percent")
     p.add_argument("--group-key", default="architecture")
@@ -103,8 +116,6 @@ def cmd_simulate(args, cfg) -> int:
     traj.write_csv(out)
     report = {"rmse": traj.rmse(), "diverged": traj.diverged}
     if args.shielded:
-        form = shield.design_lyapunov_form(plant, cfg.reference.position(0.0),
-                                           alpha=cfg.alpha)
         report.update(shield.shield_report(traj, form, ctrl))
     print(json.dumps(report))
     print(f"wrote {out}")
@@ -117,7 +128,6 @@ def cmd_evaluate(args, cfg) -> int:
                              horizon=cfg.reference.horizon, seed=args.seed)
     res = runner.evaluate_baseline(cfg.reference, cfg.plant, fric, sweep,
                                    payload_mode=args.payload_mode,
-                                   threads=args.threads,
                                    gains=cfg.baseline_gains())
     res.architecture = args.architecture
     out = Path(args.out_dir) / res.filename()
@@ -134,7 +144,8 @@ def cmd_sigma_scan(args, cfg) -> int:
     rows = []
     for tz in args.tau_z_list:
         est = memory_analysis.sigma_z_broadband(
-            tz, cfg.friction.lambda_z, n_traj=args.n_traj, seed=args.seed)
+            tz, cfg.friction.lambda_z, n_traj=args.n_traj, dt=cfg.dt,
+            seed=args.seed)
         rows.append((tz, est.closed_form, est.monte_carlo))
         print(f"tau_z={tz:g}: closed_form={est.closed_form:.6g} "
               f"monte_carlo={est.monte_carlo:.6g}")
@@ -153,7 +164,7 @@ def cmd_rank_scan(args, cfg) -> int:
         g = memory_analysis.gradient_samples_closed_loop(
             tz, cfg.reference, cfg.plant, cfg.friction,
             window=args.window, n_samples=args.n_samples, dt=cfg.dt,
-            seed=args.seed)
+            seed=args.seed, gains=cfg.baseline_gains())
         op = memory_analysis.build_residual_operator(g, tau_z=tz)
         if args.save_operators:
             op.write_csv(Path(args.out_dir) / f"operator_tz{tz:g}s.csv")
@@ -177,7 +188,7 @@ def cmd_phase1(args, cfg) -> int:
         g = memory_analysis.gradient_samples_closed_loop(
             tz, cfg.reference, cfg.plant, cfg.friction,
             window=config.window, n_samples=config.n_samples, dt=cfg.dt,
-            seed=args.seed)
+            seed=args.seed, gains=cfg.baseline_gains())
         op = memory_analysis.build_residual_operator(g, tau_z=tz)
         res = incrt.run_phase1(op, config)
         rec = {"tau_z": tz, "K_star": res.k_star,
@@ -202,7 +213,8 @@ def cmd_markov_gap(args, cfg) -> int:
     for tz in args.tau_z_list:
         r = markov_gap.markov_gap_experiment(tz, cfg.reference, cfg.plant,
                                              cfg.friction, n_traj=args.n_traj,
-                                             seed=args.seed, dt=cfg.dt)
+                                             seed=args.seed, dt=cfg.dt,
+                                             gains=cfg.baseline_gains())
         cf = memory_analysis.sigma_z_closed_form(
             tz, cfg.friction.lambda_z, 1.0, lambda u: 0.0)
         rows.append((tz, r.sigma2_hat, cf, r.excess_markov,

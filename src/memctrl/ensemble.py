@@ -331,11 +331,3 @@ class BaselineEnsembleSim:
         return BatchRollout(t=out_t, q=out["q"], qd=out["qd"], z=out["z"],
                             q_ref=out["qr"], qd_ref=out["qdr"],
                             payload=self.payload, alive=alive, dt=dt)
-
-
-def run_baseline_ensemble(batch: int, ref: ReferenceSpec, params: PlantParams,
-                          fric: FrictionParams, seed: int, dt: float = 0.01,
-                          horizon: float = 5.0,
-                          task: TaskDistribution | None = None) -> BatchRollout:
-    sim = BaselineEnsembleSim(batch, ref, params, fric, seed, task)
-    return sim.run(horizon, dt)

@@ -21,118 +21,26 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .memory_analysis import TemporalResidualOperator
+from .memory_analysis import TemporalResidualOperator, effective_rank
 
 
-class NoConvergence(RuntimeError):
-    """Eigensolver iteration cap reached without meeting tolerance."""
+def leading_eigvec(M: np.ndarray) -> tuple[np.ndarray, float]:
+    """Dominant eigenpair (unit vector, eigenvalue) of a symmetric matrix.
 
-
-def effective_rank_or_zero(M: np.ndarray) -> float:
-    """Stable rank with the convention r_eff(0) := 0."""
-    fro2 = float(np.sum(M * M))
-    if fro2 == 0.0:
-        return 0.0
-    tr = float(np.trace(M))
-    return tr * tr / fro2
-
-
-def leading_eigvec(M: np.ndarray, tol: float = 1e-10,
-                   max_iter: int = 5000) -> tuple[np.ndarray, float]:
-    """Dominant eigenpair of a symmetric PSD matrix by power iteration.
-
-    Deterministic dense random start (fixed seed) so deflated null
-    directions cannot trap the residual test; Rayleigh-quotient
-    residual as the stopping criterion; a Rayleigh-quotient polish
-    accelerates near-converged iterates.  Raises NoConvergence at the
-    iteration cap.
+    A dense eigendecomposition of the symmetrised W x W operator; the
+    sign of the vector is arbitrary, and nothing downstream depends on it.
     """
     M = np.asarray(M, dtype=float)
-    n = M.shape[0]
-    scale = float(np.linalg.norm(M, "fro"))
-    v0 = np.zeros(n)
-    v0[0] = 1.0
-    if scale == 0.0:
-        return v0, 0.0
-    v = np.random.default_rng(1234).standard_normal(n)
-    v /= np.linalg.norm(v)
-    lam = float(v @ M @ v)
-    for it in range(max_iter):
-        w = M @ v
-        nw = float(np.linalg.norm(w))
-        if nw <= 1e-300 * scale:
-            # iterate fell into the null space; the matrix is ~zero there
-            return v, 0.0
-        v = w / nw
-        lam = float(v @ M @ v)
-        res = float(np.linalg.norm(M @ v - lam * v))
-        if res <= max(tol, 1e-9) * scale:
-            break
-        if it >= 20 and it % 10 == 0 and res <= 1e-3 * scale:
-            # Rayleigh polish: one shift-invert step squeezes slow
-            # convergence between close eigenvalues
-            try:
-                y = np.linalg.solve(M - (lam + 1e-12 * scale) * np.eye(n), v)
-                y_norm = float(np.linalg.norm(y))
-                if np.isfinite(y_norm) and y_norm > 0.0:
-                    v = y / y_norm
-                    lam = float(v @ M @ v)
-                    if float(np.linalg.norm(M @ v - lam * v)) <= max(tol, 1e-9) * scale:
-                        break
-            except np.linalg.LinAlgError:
-                pass
-    else:
-        raise NoConvergence("power iteration hit the cap before the residual test")
-    if lam < 0.0 and abs(lam) <= 1e-8 * scale:
-        lam = 0.0
-    return v, lam
-
-
-def jacobi_eigh(M: np.ndarray, tol: float = 1e-12,
-                max_sweeps: int = 100) -> tuple[np.ndarray, np.ndarray]:
-    """Full symmetric eigendecomposition by cyclic Jacobi rotations.
-
-    Returns (eigenvalues descending, eigenvectors as columns).  Slow
-    but dependency-free; used as the oracle against the power-iteration
-    path.
-    """
-    A = np.array(M, dtype=float)
-    n = A.shape[0]
-    V = np.eye(n)
-    scale = float(np.linalg.norm(A, "fro")) or 1.0
-    for _ in range(max_sweeps):
-        off = np.sqrt(max(np.sum(A * A) - np.sum(np.diag(A) ** 2), 0.0))
-        if off <= tol * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                if abs(A[p, q]) <= 1e-300:
-                    continue
-                theta = 0.5 * (A[q, q] - A[p, p]) / A[p, q]
-                if abs(theta) > 1e154:   # theta^2 would overflow
-                    t = 0.5 / theta
-                elif theta == 0.0:
-                    t = 1.0
-                else:
-                    t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                J = np.eye(n)
-                J[p, p] = J[q, q] = c
-                J[p, q] = s
-                J[q, p] = -s
-                A = J.T @ A @ J
-                V = V @ J
-    idx = np.argsort(np.diag(A))[::-1]
-    return np.diag(A)[idx], V[:, idx]
+    evals, evecs = np.linalg.eigh(0.5 * (M + M.T))
+    return evecs[:, -1], float(evals[-1])
 
 
 def growth_signal(R: np.ndarray, candidate: np.ndarray) -> float:
     """Effective-rank reduction from deflating the candidate's Rayleigh mass.
 
-    A deflation that exhausts the residual to roundoff counts as
-    reaching the zero matrix (r_eff 0), so rank-one exhaustion yields a
-    full-unit signal.
+    A deflation that exhausts the residual to roundoff removes all of
+    its effective rank, so rank-one exhaustion yields a full-unit signal.
+    R itself must be nonzero (effective_rank raises ZeroMatrix).
     """
     u = np.asarray(candidate, dtype=float)
     nrm = np.linalg.norm(u)
@@ -142,8 +50,8 @@ def growth_signal(R: np.ndarray, candidate: np.ndarray) -> float:
     deflated = R - mass * np.outer(u, u)
     before = float(np.linalg.norm(R, "fro"))
     if float(np.linalg.norm(deflated, "fro")) <= 1e-12 * before:
-        return effective_rank_or_zero(R)
-    return effective_rank_or_zero(R) - effective_rank_or_zero(deflated)
+        return effective_rank(R)
+    return effective_rank(R) - effective_rank(deflated)
 
 
 @dataclass
@@ -280,7 +188,8 @@ def run_phase1(operator: TemporalResidualOperator | np.ndarray,
     """Grow/prune/gate loop until the head count is homeostatically stable.
 
     Deterministic for a fixed operator.  Hits of the iteration cap
-    return converged=False rather than raising.
+    return converged=False rather than raising.  The zero operator (no
+    memory signal) raises ZeroMatrix, as effective_rank does.
     """
     config = config or Phase1Config()
     config.validate()
@@ -292,8 +201,9 @@ def run_phase1(operator: TemporalResidualOperator | np.ndarray,
         tau_z = float("nan")
     A = 0.5 * (A + A.T)
     W = A.shape[0]
+    r_eff = effective_rank(A)
 
-    u1, lam1 = leading_eigvec(A)
+    u1, _ = leading_eigvec(A)
     dirs = DirectionSet()
     dirs.add(u1, max(float(u1 @ A @ u1), 0.0))
     R = dirs.deflate_from(A)
@@ -313,7 +223,7 @@ def run_phase1(operator: TemporalResidualOperator | np.ndarray,
             g = 0.0
         else:
             cand, _ = leading_eigvec(R)
-            g = growth_signal(R, cand / np.linalg.norm(cand))
+            g = growth_signal(R, cand)
         try:
             scores = prune_scores(dirs.reconstruct(R), dirs.directions)
             min_score = float(scores.min())
@@ -342,7 +252,7 @@ def run_phase1(operator: TemporalResidualOperator | np.ndarray,
             break
 
     return Phase1Result(k_star=len(dirs),
-                        effective_rank_final=effective_rank_or_zero(A),
+                        effective_rank_final=r_eff,
                         iterations=log, converged=converged, tau_z=tau_z)
 
 

@@ -29,7 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import FrictionParams, PlantParams, ReferenceSpec
-from .ensemble import BaselineEnsembleSim, TaskDistribution, run_baseline_ensemble
+from .controller import ControllerParams
+from .ensemble import BaselineEnsembleSim, TaskDistribution
 
 
 class InsufficientHistory(ValueError):
@@ -57,54 +58,6 @@ def history_gradient_analytic(tau_z: float, window: int, dt: float,
     return lambda_z * np.exp(-lags / tau_z)
 
 
-def replay_linear_memory(qd_samples: np.ndarray, dt: float, tau_z: float,
-                         lambda_z: float, z0: float | np.ndarray = 0.0) -> np.ndarray:
-    """Exact per-step propagation of the linear memory on sampled velocity.
-
-    z_{n+1} = exp(-dt/tau_z) (z_n + lambda_z dt qd_n): the discrete
-    convolution whose per-sample sensitivity at lag k*dt is exactly
-    lambda_z dt exp(-k dt / tau_z), matching the analytic gradient
-    after the 1/dt normalisation used by history_gradient_fd.
-    """
-    qd_samples = np.asarray(qd_samples, dtype=float)
-    decay = np.exp(-dt / tau_z)
-    z = np.broadcast_to(np.asarray(z0, dtype=float),
-                        qd_samples.shape[1:]).copy()
-    for n in range(qd_samples.shape[0]):
-        z = decay * (z + lambda_z * dt * qd_samples[n])
-    return z
-
-
-def history_gradient_fd(qd_history: np.ndarray, window: int, dt: float,
-                        fric: FrictionParams, eps: float = 1e-4) -> np.ndarray:
-    """Central finite difference of z(t) wrt each lagged velocity sample.
-
-    qd_history holds the driving velocity samples most-recent-last; the
-    last `window` entries are the perturbed lags.  Normalised per unit
-    velocity and unit time so the linear memory reproduces
-    history_gradient_analytic to roundoff.
-    """
-    qd_history = np.asarray(qd_history, dtype=float)
-    if eps <= 0.0:
-        raise ValueError("perturbation size must be positive")
-    if qd_history.shape[0] < window:
-        raise InsufficientHistory(
-            f"need at least {window} samples, got {qd_history.shape[0]}")
-    n = qd_history.shape[0]
-    grad = np.empty(window)
-    for k in range(1, window + 1):
-        for sign in (1.0, -1.0):
-            pert = qd_history.copy()
-            pert[n - k] += sign * eps
-            zf = replay_linear_memory(pert, dt, fric.tau_z, fric.lambda_z)
-            if sign > 0:
-                hi = zf
-            else:
-                lo = zf
-        grad[k - 1] = (hi - lo) / (2.0 * eps * dt)
-    return grad
-
-
 @dataclass(frozen=True)
 class TemporalResidualOperator:
     """W x W auto-covariance of history-gradient samples."""
@@ -126,14 +79,6 @@ class TemporalResidualOperator:
                   f"n_samples={self.n_samples}, mode={self.mode}")
         np.savetxt(path, self.matrix, delimiter=",", header=header)
 
-    @staticmethod
-    def read_csv(path, tau_z: float = float("nan"),
-                 mode: str = "closed-loop-gradient"
-                 ) -> "TemporalResidualOperator":
-        M = np.loadtxt(path, delimiter=",")
-        return TemporalResidualOperator(matrix=M, n_samples=0, tau_z=tau_z,
-                                        mode=mode)
-
 
 def build_residual_operator(samples: np.ndarray, tau_z: float = float("nan"),
                             mode: str = "closed-loop-gradient"
@@ -148,21 +93,14 @@ def build_residual_operator(samples: np.ndarray, tau_z: float = float("nan"),
                                     tau_z=tau_z, mode=mode)
 
 
-def merge_residual_operators(a: TemporalResidualOperator,
-                             b: TemporalResidualOperator
-                             ) -> TemporalResidualOperator:
-    """Sample-weighted merge of partial operators (associative, so shards
-    built in parallel can combine in any order up to roundoff)."""
-    if a.matrix.shape != b.matrix.shape:
-        raise ValueError("operators must share the window size")
-    n = a.n_samples + b.n_samples
-    M = (a.n_samples * a.matrix + b.n_samples * b.matrix) / n
-    return TemporalResidualOperator(matrix=0.5 * (M + M.T), n_samples=n,
-                                    tau_z=a.tau_z, mode=a.mode)
-
-
 def effective_rank(M: np.ndarray) -> float:
-    """Stable rank tr(M)^2 / ||M||_F^2 of a nonzero symmetric PSD matrix."""
+    """Stable rank tr(M)^2 / ||M||_F^2 of a nonzero symmetric PSD matrix.
+
+    Undefined for the zero matrix, which raises ZeroMatrix: an operator
+    built from identically zero gradients (lambda_z = 0) carries no
+    memory signal, so rank-scan and phase1 both stop with this error
+    rather than print a rank.
+    """
     M = np.asarray(M, dtype=float)
     fro2 = float(np.sum(M * M))
     if fro2 == 0.0:
@@ -356,7 +294,8 @@ def gradient_samples_closed_loop(tau_z: float, ref: ReferenceSpec,
                                  window: int = 20, n_samples: int = 2048,
                                  dt: float = 0.01, seed: int = 0,
                                  horizon: float = 3.0,
-                                 task: TaskDistribution | None = None
+                                 task: TaskDistribution | None = None,
+                                 gains: ControllerParams | None = None
                                  ) -> np.ndarray:
     """Exact history gradients through the closed-loop plant.
 
@@ -375,13 +314,13 @@ def gradient_samples_closed_loop(tau_z: float, ref: ReferenceSpec,
     the stored trajectory; the two joints' sweeps run side by side.
     Both joints contribute, so n_samples/2 trajectories are simulated;
     samples of members that blew up, or that are not finite, are
-    dropped.
+    dropped.  gains are the baseline's (fixed_gain_baseline() if None).
     """
     if task is None:
         task = TaskDistribution(friction_log_sd=0.2)
     fric = fric.with_tau_z(tau_z)
     batch = max(1, int(np.ceil(n_samples / 2)))
-    sim = BaselineEnsembleSim(batch, ref, params, fric, seed, task)
+    sim = BaselineEnsembleSim(batch, ref, params, fric, seed, task, gains)
     roll = sim.run(horizon, dt)
     n_end = roll.n_steps
     n0 = n_end - window
@@ -415,9 +354,8 @@ def sigma_z_plant(tau_z: float, ref: ReferenceSpec, params: PlantParams,
     conditional spread to be meaningful.
     """
     task = task or TaskDistribution(slow_reference=True)
-    roll = run_baseline_ensemble(n_traj, ref, params,
-                                 fric.with_tau_z(tau_z), seed,
-                                 dt=dt, horizon=horizon, task=task)
+    roll = BaselineEnsembleSim(n_traj, ref, params, fric.with_tau_z(tau_z),
+                               seed, task).run(horizon, dt)
     if sample_times is None:
         sample_times = np.arange(2.0, horizon + 1e-9, 0.25)
     idx = np.round(np.asarray(sample_times) / dt).astype(int)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -115,8 +114,7 @@ def evaluate_controller(make_controller, ref: ReferenceSpec,
                         sweep: SweepSpec | None = None,
                         architecture: str = "baseline-ct",
                         param_count: int = 0,
-                        baseline_rmse: float | None = None,
-                        threads: int = 1) -> RunResult:
+                        baseline_rmse: float | None = None) -> RunResult:
     """Payload sweep of a controller factory.
 
     make_controller(plant_with_payload, fric) -> rollout controller.
@@ -127,29 +125,20 @@ def evaluate_controller(make_controller, ref: ReferenceSpec,
     """
     sweep = sweep or SweepSpec()
 
-    def one_payload(ip_payload):
-        ip, payload = ip_payload
+    points, n_diverged = [], 0
+    for ip, payload in enumerate(sweep.payloads):
         plant = params.with_payload(payload)
-        rmses, diverged = [], 0
+        rmses = []
         for ir in range(sweep.rollouts_per_payload):
             ctrl = make_controller(plant, fric)
             traj = rollout(ctrl, ref, plant, fric,
                            seed=sweep.rollout_seed(ip, ir),
                            dt=sweep.dt, horizon=sweep.horizon)
             rmses.append(traj.rmse())
-            diverged += int(traj.diverged)
+            n_diverged += int(traj.diverged)
         rmses = np.asarray(rmses)
-        return PayloadPoint(payload=payload, rmse=float(rmses.mean()),
-                            sd=float(rmses.std(ddof=1))), diverged
-
-    jobs = list(enumerate(sweep.payloads))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one_payload, jobs))
-    else:
-        results = [one_payload(j) for j in jobs]
-    points = [r[0] for r in results]
-    n_diverged = sum(r[1] for r in results)
+        points.append(PayloadPoint(payload=payload, rmse=float(rmses.mean()),
+                                   sd=float(rmses.std(ddof=1))))
 
     rmse_mean = float(np.mean([p.rmse for p in points]))
     base = rmse_mean if baseline_rmse is None else float(baseline_rmse)
@@ -163,15 +152,13 @@ def evaluate_controller(make_controller, ref: ReferenceSpec,
 
 def evaluate_baseline(ref: ReferenceSpec, params: PlantParams,
                       fric: FrictionParams, sweep: SweepSpec | None = None,
-                      payload_mode: str = "nominal", threads: int = 1,
-                      gains=None) -> RunResult:
+                      payload_mode: str = "nominal", gains=None) -> RunResult:
     def make(plant, fr):
         return BaselineController(plant, fr, gains=gains,
                                   payload_mode=payload_mode)
 
     return evaluate_controller(make, ref, params, fric, sweep,
-                               architecture="baseline-ct", param_count=0,
-                               threads=threads)
+                               architecture="baseline-ct", param_count=0)
 
 
 def failure_mode_flag(result: RunResult,

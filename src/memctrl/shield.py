@@ -47,10 +47,6 @@ class LyapunovForm:
         object.__setattr__(self, "lam_nominal",
                            np.asarray(self.lam_nominal, dtype=float))
 
-    @property
-    def gradient_lipschitz(self) -> float:
-        return float(np.linalg.eigvalsh(self.P)[-1])
-
     def validate(self) -> None:
         if not np.allclose(self.P, self.P.T, atol=1e-12):
             raise ValueError("P must be symmetric")
@@ -134,7 +130,7 @@ def lyapunov_rate(x: ExtendedState, theta: ControllerParams, form: LyapunovForm,
 class HalfspaceCoeffs:
     """State-frozen affine form of the decrease condition.
 
-    kd . a1 + lam . a2 + eta . b + (a0 + b0) <= c  iff
+    kd . a1 + lam . a2 + eta . b + a0 <= c  iff
     Vdot(x; theta) + alpha V(x) <= 0.
     """
 
@@ -142,7 +138,6 @@ class HalfspaceCoeffs:
     a2: np.ndarray    # (2,)
     b: np.ndarray     # (DIM_ETA,)
     a0: float
-    b0: float
     c: float
 
     def stacked(self) -> np.ndarray:
@@ -151,7 +146,7 @@ class HalfspaceCoeffs:
     def evaluate(self, theta: ControllerParams) -> float:
         """Signed slack; admissible iff <= 0."""
         return float(theta.kd @ self.a1 + theta.lam @ self.a2
-                     + theta.eta @ self.b + self.a0 + self.b0 - self.c)
+                     + theta.eta @ self.b + self.a0 - self.c)
 
 
 def halfspace_coeffs(x: ExtendedState, form: LyapunovForm, params: PlantParams,
@@ -171,7 +166,7 @@ def halfspace_coeffs(x: ExtendedState, form: LyapunovForm, params: PlantParams,
     b = -Phi.T @ b_vec
     a0 = -float(b_vec @ tau0)
     c = -form.alpha * lyapunov_value(x, form) - drift
-    return HalfspaceCoeffs(a1=a1, a2=a2, b=b, a0=a0, b0=0.0, c=c)
+    return HalfspaceCoeffs(a1=a1, a2=a2, b=b, a0=a0, c=c)
 
 
 def is_admissible(x: ExtendedState, theta: ControllerParams, form: LyapunovForm,
@@ -233,7 +228,7 @@ def project_admissible(x: ExtendedState, theta_raw: ControllerParams,
     """
     coeffs = halfspace_coeffs(x, form, params, fric, z, model)
     a = coeffs.stacked()
-    rhs = coeffs.c - coeffs.a0 - coeffs.b0
+    rhs = coeffs.c - coeffs.a0
     v = project_halfspace_box(theta_raw.as_vector(), a, rhs,
                               box.lower_vector(), box.upper_vector())
     return ControllerParams.from_vector(v)
@@ -295,7 +290,7 @@ class ShieldedController:
 
     def __init__(self, source, form: LyapunovForm, box: ParamBox,
                  params: PlantParams, fric: FrictionParams,
-                 use_true_state: bool = True, on_empty: str = "best_effort"):
+                 on_empty: str = "best_effort"):
         if on_empty not in ("best_effort", "raise"):
             raise ValueError(f"unknown on_empty policy {on_empty!r}")
         self.source = source
@@ -303,7 +298,6 @@ class ShieldedController:
         self.box = box
         self.params = params
         self.fric = fric
-        self.use_true_state = use_true_state
         self.on_empty = on_empty
         self.assumption_violations = 0
 
@@ -311,15 +305,15 @@ class ShieldedController:
         x = ExtendedState.from_tracking(state.q, state.qd, ref_point,
                                         self.form.lam_nominal)
         proposal = self.source(t, x)
-        z = state.z if self.use_true_state else None
         try:
             theta = project_admissible(x, proposal, self.form, self.box,
-                                       self.params, self.fric, z=z)
+                                       self.params, self.fric, z=state.z)
         except EmptyAdmissibleSet:
             if self.on_empty == "raise":
                 raise
             self.assumption_violations += 1
-            coeffs = halfspace_coeffs(x, self.form, self.params, self.fric, z=z)
+            coeffs = halfspace_coeffs(x, self.form, self.params, self.fric,
+                                      z=state.z)
             a = coeffs.stacked()
             v = np.where(a > 0.0, self.box.lower_vector(),
                          self.box.upper_vector())

@@ -298,8 +298,7 @@ def test_criterion_09_baseline_insensitivity(cfg):
     rmses = {}
     for tz in (1.0, 2.0, 5.0):
         res = runner.evaluate_baseline(cfg.reference, cfg.plant,
-                                       cfg.friction.with_tau_z(tz), sweep,
-                                       threads=4)
+                                       cfg.friction.with_tau_z(tz), sweep)
         rmses[tz] = res.rmse_mean
     spread = (max(rmses.values()) - min(rmses.values())) / min(rmses.values())
     ok = spread < 0.02

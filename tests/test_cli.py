@@ -1,8 +1,14 @@
+import csv
 import json
 
+import numpy as np
 import pytest
 
+from memctrl import incrt, markov_gap, shield
+from memctrl import memory_analysis as ma
 from memctrl.cli import main
+from memctrl.config import load_config
+from memctrl.dynamics import rollout
 
 
 def run_cli(args):
@@ -80,6 +86,34 @@ class TestCLI:
                       "simulate", "--out", "t.csv"])
         assert rc == 0
 
+    def test_global_flags_either_side_of_subcommand(self, tmp_path):
+        cfg_file = tmp_path / "c.cfg"
+        cfg_file.write_text("baseline_kd = 25\n")
+        phase1 = ["phase1", "--tau-z-list", "1.0", "--window", "8",
+                  "--n-samples", "32"]
+        flags = {d: ["--config", str(cfg_file), "--seed", "5",
+                     "--out-dir", str(tmp_path / d)] for d in ("pre", "post")}
+        assert run_cli(flags["pre"] + phase1) == 0
+        assert run_cli(phase1 + flags["post"]) == 0
+        assert run_cli(["--out-dir", str(tmp_path / "dflt")] + phase1) == 0
+        out = {d: (tmp_path / d / "phase1.json").read_text()
+               for d in ("pre", "post", "dflt")}
+        assert out["pre"] == out["post"]
+        assert out["pre"] != out["dflt"]
+
+    def test_zero_memory_operator_same_error(self, tmp_path):
+        # lambda_z = 0 makes every history gradient exactly zero
+        cfg_file = tmp_path / "z.cfg"
+        cfg_file.write_text("lambda_z = 0\n")
+        errors = []
+        for cmd in ("rank-scan", "phase1"):
+            with pytest.raises(ma.ZeroMatrix) as exc:
+                run_cli(["--config", str(cfg_file), "--out-dir", str(tmp_path),
+                         cmd, "--tau-z-list", "1.0", "--window", "8",
+                         "--n-samples", "32"])
+            errors.append(str(exc.value))
+        assert errors[0] == errors[1]
+
     def test_bad_config_key_rejected(self, tmp_path):
         cfg_file = tmp_path / "bad.cfg"
         cfg_file.write_text("not_a_key = 1\n")
@@ -102,3 +136,80 @@ class TestConfigBaseline:
                       "--n-samples", "16", "--save-operators"])
         assert rc == 0
         assert (tmp_path / "operator_tz1s.csv").exists()
+
+    def test_ensemble_pipelines_use_config_gains(self, tmp_path):
+        cfg_file = tmp_path / "g.cfg"
+        cfg_file.write_text("baseline_kd = 20\nbaseline_lam = 3\n")
+        cfg = load_config(cfg_file)
+        gains = cfg.baseline_gains()
+        small = ["--tau-z-list", "1.0", "--window", "8", "--n-samples", "32"]
+        gap = ["markov-gap", "--tau-z-list", "0.5", "--n-traj", "256"]
+        for d, head in (("cfg", ["--config", str(cfg_file)]), ("dflt", [])):
+            head = head + ["--out-dir", str(tmp_path / d)]
+            assert run_cli(head + ["rank-scan", "--save-operators"] + small) == 0
+            assert run_cli(head + ["phase1"] + small) == 0
+            assert run_cli(head + gap) == 0
+
+        def read(d):
+            op = np.loadtxt(tmp_path / d / "operator_tz1s.csv", delimiter=",")
+            rec = json.loads((tmp_path / d / "phase1.json").read_text())[0]
+            with open(tmp_path / d / "markov_gap.csv", newline="") as fh:
+                row = [float(x) for x in list(csv.reader(fh))[1]]
+            return op, rec, row
+
+        op, rec, row = read("cfg")
+        op_d, rec_d, row_d = read("dflt")
+        g = ma.gradient_samples_closed_loop(1.0, cfg.reference, cfg.plant,
+                                            cfg.friction, window=8,
+                                            n_samples=32, dt=cfg.dt, seed=42,
+                                            gains=gains)
+        direct = ma.build_residual_operator(g, tau_z=1.0)
+        assert np.array_equal(op, direct.matrix)
+        assert not np.allclose(op, op_d)
+        res = incrt.run_phase1(direct, incrt.Phase1Config(window=8,
+                                                          n_samples=32))
+        assert (rec["K_star"], rec["r_eff"], rec["iterations"]) == \
+            (res.k_star, res.effective_rank_final, res.n_iterations)
+        assert rec["r_eff"] != rec_d["r_eff"]
+        r = markov_gap.markov_gap_experiment(0.5, cfg.reference, cfg.plant,
+                                             cfg.friction, n_traj=256,
+                                             seed=42, dt=cfg.dt, gains=gains)
+        pinned = [r.sigma2_hat, r.excess_markov, r.excess_windowed,
+                  r.lower_bound]
+        assert [row[1], *row[3:]] == pinned
+        assert [row_d[1], *row_d[3:]] != pinned
+
+    def test_sigma_scan_uses_config_dt(self, tmp_path):
+        cfg_file = tmp_path / "dt.cfg"
+        cfg_file.write_text("dt = 0.005\n")
+        rc = run_cli(["--config", str(cfg_file), "--out-dir", str(tmp_path),
+                      "sigma-scan", "--tau-z-list", "1", "--n-traj", "400"])
+        assert rc == 0
+        with open(tmp_path / "sigma_scan.csv", newline="") as fh:
+            row = list(csv.DictReader(fh))[0]
+        # lambda_z^2 dt tau_z / 2 = 16 * 0.005 * 1 / 2
+        assert float(row["closed_form"]) == pytest.approx(0.04, rel=1e-12)
+
+    def test_shielded_report_checks_enforced_certificate(self, tmp_path, capsys):
+        # with baseline_kd alone both certificates happen to peak at
+        # t = 0 on this trajectory; the lam change separates them
+        cfg_file = tmp_path / "kd.cfg"
+        cfg_file.write_text("baseline_kd = 20\nbaseline_lam = 3\n")
+        rc = run_cli(["--config", str(cfg_file), "--out-dir", str(tmp_path),
+                      "simulate", "--shielded"])
+        assert rc == 0
+        report = json.loads(capsys.readouterr().out.splitlines()[0])
+        cfg = load_config(cfg_file)
+        base = cfg.baseline_gains()
+        q0 = cfg.reference.position(0.0)
+        enforced = shield.design_lyapunov_form(cfg.plant, q0, baseline=base,
+                                               alpha=cfg.alpha)
+        ctrl = shield.ShieldedController(lambda t, x: base, enforced, cfg.box,
+                                         cfg.plant, cfg.friction)
+        traj = rollout(ctrl, cfg.reference, cfg.plant, cfg.friction, seed=42,
+                       dt=cfg.dt)
+        ratio = shield.verify_exponential_decay(traj, enforced).max_ratio
+        assert report["max_decay_ratio"] == ratio
+        # the default-gain certificate reads this trajectory differently
+        other = shield.design_lyapunov_form(cfg.plant, q0, alpha=cfg.alpha)
+        assert shield.verify_exponential_decay(traj, other).max_ratio != ratio

@@ -98,13 +98,6 @@ class TestEvaluate:
         r2.write_json(p2)
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_threaded_matches_serial(self, cfg, small_sweep):
-        r1 = evaluate_baseline(cfg.reference, cfg.plant, cfg.friction,
-                               small_sweep, threads=1)
-        r2 = evaluate_baseline(cfg.reference, cfg.plant, cfg.friction,
-                               small_sweep, threads=4)
-        assert r1 == r2
-
 
 class TestPayloadCSV:
     def test_export_for_plotting(self, tmp_path):
