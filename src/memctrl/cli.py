@@ -3,7 +3,9 @@
 Subcommands: simulate, evaluate, sigma-scan, rank-scan, phase1,
 markov-gap, compare.  Global flags --config/--seed/--out-dir apply to
 every subcommand and may go before or after it.  Each pipeline reads
-dt and the baseline gains from the config wherever it uses them.
+dt and the baseline gains from the config wherever it uses them.  A
+ValueError or one of memctrl's own errors ends the run with one line on
+stderr and exit status 1; any other exception keeps its traceback.
 """
 
 from __future__ import annotations
@@ -17,6 +19,13 @@ from pathlib import Path
 from . import incrt, markov_gap, memory_analysis, runner, shield, stats
 from .config import load_config
 from .controller import BaselineController
+from .dynamics import DivergenceError
+
+# errors a run reports in one line: ValueError, which memctrl's input
+# errors subclass, and memctrl's own RuntimeErrors
+_RUN_ERRORS = (ValueError, DivergenceError, shield.EmptyAdmissibleSet,
+               memory_analysis.InsufficientSamples, markov_gap.SingularDesign,
+               incrt.ZeroResidual)
 
 
 def _float_list(text: str) -> list[float]:
@@ -278,9 +287,13 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    cfg = load_config(args.config)
-    Path(args.out_dir).mkdir(parents=True, exist_ok=True)
-    return _COMMANDS[args.command](args, cfg)
+    try:
+        cfg = load_config(args.config)
+        Path(args.out_dir).mkdir(parents=True, exist_ok=True)
+        return _COMMANDS[args.command](args, cfg)
+    except _RUN_ERRORS as exc:
+        print(f"memctrl: error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

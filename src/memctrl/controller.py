@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import (FrictionParams, PlantParams, PlantState, RefPoint,
-                       coriolis_matrix, gravity_vector, mass_matrix)
+                       inverse_dynamics)
 
 DIM_ETA = 6
 SIGN_SMOOTHING = 0.02  # rad/s, tanh width of the smoothed sign feature
@@ -144,16 +144,12 @@ def computed_torque(x: ExtendedState, gains: ControllerParams,
     """Slotine-Li computed torque at the model `params` (payload estimate).
 
     The K_d feedback acts on the sliding surface stored in x, so the
-    output is affine in (kd, lam, eta) jointly for a frozen x.
+    output is affine in (kd, lam, eta) jointly for a frozen x.  Broadcasts
+    over leading axes of x; fric = None leaves out the feed-forward.
     """
-    M = mass_matrix(x.q, params)
-    C = coriolis_matrix(x.q, x.qd, params)
-    G = gravity_vector(x.q, params)
     qd_r = x.qd_ref + gains.lam * x.e
     qdd_r = x.qdd_ref + gains.lam * x.ed
-    tau = (np.einsum("...ij,...j->...i", M, qdd_r)
-           + np.einsum("...ij,...j->...i", C, qd_r)
-           + G + gains.kd * x.s)
+    tau = inverse_dynamics(x.q, x.qd, qd_r, qdd_r, params) + gains.kd * x.s
     if fric is not None:
         tau = tau + feedforward(x.q, x.qd, gains.eta, fric)
     return tau

@@ -31,6 +31,9 @@ class DivergenceError(RuntimeError):
 class PlantParams:
     """Link and payload constants of the two-link arm.
 
+    `payload` may hold a (B,) array, one value per ensemble member; the
+    plant algebra below broadcasts it over the batch.
+
     Defaults are sized so that the fixed-gain baseline (K_d = 30) is
     comfortably inside the RK4 stability region at dt = 10 ms: the
     worst-case closed-loop rate max_q eig(M^-1 K_d) * dt is ~1.3
@@ -64,7 +67,11 @@ class PlantParams:
 
 @dataclass(frozen=True)
 class FrictionParams:
-    """Stribeck friction constants plus the memory-state dynamics."""
+    """Stribeck friction constants plus the memory-state dynamics.
+
+    f_c, f_smax, v_s and sigma may hold (B, 1) arrays, one row per
+    ensemble member, which broadcast against (B, 2) velocities.
+    """
 
     f_c: float = 2.0        # N m, Coulomb level
     f_smax: float = 3.5     # N m, static peak
@@ -149,38 +156,44 @@ class PlantState:
     z: np.ndarray        # N m, friction memory
     t: float = 0.0       # s
 
-    def is_finite(self) -> bool:
-        return bool(np.all(np.isfinite(self.q)) and np.all(np.isfinite(self.qd))
-                    and np.all(np.isfinite(self.z)))
-
-    def max_abs(self) -> float:
-        return float(max(np.max(np.abs(self.q)), np.max(np.abs(self.qd)),
-                         np.max(np.abs(self.z))))
-
 
 BLOWUP_BOUND = 1.0e3
 
 
 def _payload_terms(params: PlantParams):
+    """Payload-dependent constants (a, b, d, g w1, g w2) of M, C and G.
+
+    M = [[a + 2b cos q2, d + b cos q2], [d + b cos q2, d]], C scales with
+    b sin q2, and G = (g w1 cos q1 + g w2 cos(q1 + q2), g w2 cos(q1 + q2)).
+    """
     p = params.payload
     a = (params.i1 + params.i2 + params.m1 * params.lc1 ** 2
          + params.m2 * (params.l1 ** 2 + params.lc2 ** 2)
          + p * (params.l1 ** 2 + params.l2 ** 2))
     b = params.m2 * params.l1 * params.lc2 + p * params.l1 * params.l2
     d = params.i2 + params.m2 * params.lc2 ** 2 + p * params.l2 ** 2
-    return a, b, d
+    gw1 = (params.m1 * params.lc1 + (params.m2 + p) * params.l1) * params.gravity
+    gw2 = (params.m2 * params.lc2 + p * params.l2) * params.gravity
+    return a, b, d, gw1, gw2
+
+
+def _arm_terms(q, terms):
+    """Per-entry M11, M12, M22, the Coriolis scale h = b sin q2, G1 and G2."""
+    a, b, d, gw1, gw2 = terms
+    c2 = np.cos(q[..., 1])
+    G2 = gw2 * np.cos(q[..., 0] + q[..., 1])
+    return (a + 2.0 * b * c2, d + b * c2, d, b * np.sin(q[..., 1]),
+            gw1 * np.cos(q[..., 0]) + G2, G2)
 
 
 def mass_matrix(q: np.ndarray, params: PlantParams) -> np.ndarray:
     """Symmetric positive-definite inertia matrix M(q, payload)."""
     q = np.asarray(q, dtype=float)
-    a, b, d = _payload_terms(params)
-    c2 = np.cos(q[..., 1])
+    M11, M12, M22, _, _, _ = _arm_terms(q, _payload_terms(params))
     M = np.empty(q.shape[:-1] + (2, 2))
-    M[..., 0, 0] = a + 2.0 * b * c2
-    M[..., 0, 1] = d + b * c2
-    M[..., 1, 0] = M[..., 0, 1]
-    M[..., 1, 1] = d
+    M[..., 0, 0] = M11
+    M[..., 0, 1] = M[..., 1, 0] = M12
+    M[..., 1, 1] = M22
     return M
 
 
@@ -188,8 +201,7 @@ def coriolis_matrix(q: np.ndarray, qd: np.ndarray, params: PlantParams) -> np.nd
     """Christoffel-form C(q, qd); Mdot - 2C is skew along trajectories."""
     q = np.asarray(q, dtype=float)
     qd = np.asarray(qd, dtype=float)
-    _, b, _ = _payload_terms(params)
-    h = b * np.sin(q[..., 1])
+    h = _arm_terms(q, _payload_terms(params))[3]
     C = np.empty(q.shape[:-1] + (2, 2))
     C[..., 0, 0] = -h * qd[..., 1]
     C[..., 0, 1] = -h * (qd[..., 0] + qd[..., 1])
@@ -201,24 +213,13 @@ def coriolis_matrix(q: np.ndarray, qd: np.ndarray, params: PlantParams) -> np.nd
 def gravity_vector(q: np.ndarray, params: PlantParams) -> np.ndarray:
     """Gradient of potential energy wrt q; angles measured from horizontal."""
     q = np.asarray(q, dtype=float)
-    p = params.payload
-    g = params.gravity
-    w1 = params.m1 * params.lc1 + (params.m2 + p) * params.l1
-    w2 = params.m2 * params.lc2 + p * params.l2
-    c1 = np.cos(q[..., 0])
-    c12 = np.cos(q[..., 0] + q[..., 1])
-    g1 = w1 * g * c1 + w2 * g * c12
-    g2 = w2 * g * c12
-    return np.stack([g1, g2], axis=-1)
+    return np.stack(_arm_terms(q, _payload_terms(params))[4:], axis=-1)
 
 
 def potential_energy(q: np.ndarray, params: PlantParams) -> np.ndarray:
     q = np.asarray(q, dtype=float)
-    p = params.payload
-    g = params.gravity
-    w1 = params.m1 * params.lc1 + (params.m2 + p) * params.l1
-    w2 = params.m2 * params.lc2 + p * params.l2
-    return g * (w1 * np.sin(q[..., 0]) + w2 * np.sin(q[..., 0] + q[..., 1]))
+    _, _, _, gw1, gw2 = _payload_terms(params)
+    return gw1 * np.sin(q[..., 0]) + gw2 * np.sin(q[..., 0] + q[..., 1])
 
 
 def kinetic_energy(q: np.ndarray, qd: np.ndarray, params: PlantParams) -> np.ndarray:
@@ -245,60 +246,67 @@ def memory_derivative(qd: np.ndarray, z: np.ndarray, fric: FrictionParams) -> np
     return -z / fric.tau_z + fric.lambda_z * qd
 
 
-def solve_2x2(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve M x = rhs for stacked 2x2 systems via the closed-form inverse."""
-    det = M[..., 0, 0] * M[..., 1, 1] - M[..., 0, 1] * M[..., 1, 0]
-    x0 = (M[..., 1, 1] * rhs[..., 0] - M[..., 0, 1] * rhs[..., 1]) / det
-    x1 = (-M[..., 1, 0] * rhs[..., 0] + M[..., 0, 0] * rhs[..., 1]) / det
-    return np.stack([x0, x1], axis=-1)
+def inverse_dynamics(q, qd, qd_r, qdd_r, params: PlantParams) -> np.ndarray:
+    """M(q) qdd_r + C(q, qd) qd_r + G(q), written out per entry."""
+    M11, M12, M22, h, G1, G2 = _arm_terms(q, _payload_terms(params))
+    v1, v2 = qd[..., 0], qd[..., 1]
+    return np.stack([M11 * qdd_r[..., 0] + M12 * qdd_r[..., 1]
+                     - h * v2 * qd_r[..., 0] - h * (v1 + v2) * qd_r[..., 1] + G1,
+                     M12 * qdd_r[..., 0] + M22 * qdd_r[..., 1]
+                     + h * v1 * qd_r[..., 0] + G2], axis=-1)
 
 
-def acceleration(q, qd, z, tau, params: PlantParams, fric: FrictionParams) -> np.ndarray:
-    """qdd = M^-1 (tau - C qd - G - F)."""
-    tau = np.asarray(tau, dtype=float)
-    M = mass_matrix(q, params)
-    C = coriolis_matrix(q, qd, params)
-    G = gravity_vector(q, params)
+def _derivatives(q, qd, z, tau, terms, fric: FrictionParams):
+    """(qd, qdd, zd) with qdd = M^-1 (tau - C qd - G - F); terms = _payload_terms."""
+    M11, M12, M22, h, G1, G2 = _arm_terms(q, terms)
     F = stribeck_force(qd, z, fric)
-    rhs = tau - np.einsum("...ij,...j->...i", C, np.asarray(qd, dtype=float)) - G - F
-    return solve_2x2(M, rhs)
-
-
-def _derivatives(q, qd, z, tau, params, fric):
-    return qd, acceleration(q, qd, z, tau, params, fric), memory_derivative(qd, z, fric)
+    v1, v2 = qd[..., 0], qd[..., 1]
+    r1 = tau[..., 0] + h * v2 * v1 + h * (v1 + v2) * v2 - G1 - F[..., 0]
+    r2 = tau[..., 1] - h * v1 * v1 - G2 - F[..., 1]
+    det = M11 * M22 - M12 * M12
+    qdd = np.stack([(M22 * r1 - M12 * r2) / det, (-M12 * r1 + M11 * r2) / det],
+                   axis=-1)
+    return qd, qdd, memory_derivative(qd, z, fric)
 
 
 def rk4_increment(q, qd, z, tau, dt: float, params: PlantParams, fric: FrictionParams):
-    """One classical RK4 step of the coupled (q, qd, z) system, torque held."""
-    k1 = _derivatives(q, qd, z, tau, params, fric)
+    """One classical RK4 step of the coupled (q, qd, z) system, torque held.
+
+    Broadcasts over leading axes, including per-member params and fric.
+    """
+    terms = _payload_terms(params)   # once per step, not per stage
+    k1 = _derivatives(q, qd, z, tau, terms, fric)
     k2 = _derivatives(q + 0.5 * dt * k1[0], qd + 0.5 * dt * k1[1],
-                      z + 0.5 * dt * k1[2], tau, params, fric)
+                      z + 0.5 * dt * k1[2], tau, terms, fric)
     k3 = _derivatives(q + 0.5 * dt * k2[0], qd + 0.5 * dt * k2[1],
-                      z + 0.5 * dt * k2[2], tau, params, fric)
+                      z + 0.5 * dt * k2[2], tau, terms, fric)
     k4 = _derivatives(q + dt * k3[0], qd + dt * k3[1], z + dt * k3[2],
-                      tau, params, fric)
+                      tau, terms, fric)
     qn = q + dt / 6.0 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
     qdn = qd + dt / 6.0 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
     zn = z + dt / 6.0 * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
     return qn, qdn, zn
 
 
+def within_bound(q, qd, z) -> np.ndarray:
+    """Per member: every entry finite and of magnitude below BLOWUP_BOUND."""
+    return np.all((np.abs(q) < BLOWUP_BOUND) & (np.abs(qd) < BLOWUP_BOUND)
+                  & (np.abs(z) < BLOWUP_BOUND), axis=-1)
+
+
 def step_rk4(state: PlantState, torque: np.ndarray, dt: float,
-             params: PlantParams, fric: FrictionParams,
-             blowup_bound: float = BLOWUP_BOUND) -> PlantState:
+             params: PlantParams, fric: FrictionParams) -> PlantState:
     """Advance the full state by one zero-order-hold RK4 step.
 
-    Raises DivergenceError when the post-step state leaves the blow-up
-    bound or turns non-finite.
+    Raises DivergenceError when the post-step state fails within_bound.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     qn, qdn, zn = rk4_increment(state.q, state.qd, state.z,
                                 np.asarray(torque, dtype=float), dt, params, fric)
-    new = PlantState(q=qn, qd=qdn, z=zn, t=state.t + dt)
-    if not new.is_finite() or new.max_abs() > blowup_bound:
-        raise DivergenceError(f"state exceeded blow-up bound at t={new.t:.3f}")
-    return new
+    if not within_bound(qn, qdn, zn):
+        raise DivergenceError(f"state exceeded blow-up bound at t={state.t + dt:.3f}")
+    return PlantState(q=qn, qd=qdn, z=zn, t=state.t + dt)
 
 
 @dataclass(frozen=True)
@@ -374,7 +382,7 @@ class RefPoint:
 def rollout(controller, ref: ReferenceSpec, params: PlantParams,
             fric: FrictionParams, seed: int, dt: float = 0.01,
             horizon: float | None = None, reset: ResetSpec | None = None,
-            phase_offset=None, blowup_bound: float = BLOWUP_BOUND) -> Trajectory:
+            phase_offset=None) -> Trajectory:
     """Run the closed loop for horizon/dt steps with a seeded reset.
 
     controller is any callable (t, state, ref_point) -> ControlDecision
@@ -416,7 +424,7 @@ def rollout(controller, ref: ReferenceSpec, params: PlantParams,
         altered[k] = dec.shield_altered
         pdist[k] = dec.projection_distance
         try:
-            state = step_rk4(state, dec.tau, dt, params, fric, blowup_bound)
+            state = step_rk4(state, dec.tau, dt, params, fric)
         except DivergenceError:
             diverged = True
             n_states = k + 1

@@ -2,21 +2,26 @@
 
 The dynamics routines broadcast over leading axes, so an ensemble of B
 tracking tasks integrates as one (B, 2)-shaped rollout under the
-batched fixed-gain controller.  Used wherever thousands of rollouts
-are needed: the sigma_z scans, the temporal-operator sampler and the
-Markov-gap experiment.  The scalar rollout in memctrl.dynamics stays
-the reference implementation; a regression test pins the two paths to
-each other.
+batched fixed-gain controller.  The plant and the torque are those of
+memctrl.dynamics and memctrl.controller, with per-member payloads and
+friction constants held as arrays in PlantParams and FrictionParams;
+only the hand-derived step Jacobian is written here.  Used wherever
+thousands of rollouts are needed: the sigma_z scans, the
+temporal-operator sampler and the Markov-gap experiment.  Regression
+tests pin each member to a scalar rollout under its own parameters.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .controller import ControllerParams, fixed_gain_baseline
-from .dynamics import BLOWUP_BOUND, FrictionParams, PlantParams, ReferenceSpec
+from .controller import (ControllerParams, ExtendedState, computed_torque,
+                         fixed_gain_baseline)
+from .dynamics import (FrictionParams, PlantParams, ReferenceSpec, RefPoint,
+                       _arm_terms, _derivatives, _payload_terms,
+                       rk4_increment, within_bound)
 
 
 @dataclass(frozen=True)
@@ -113,8 +118,6 @@ class BaselineEnsembleSim:
         rng = np.random.default_rng(seed)
         self.rng = rng
         self.batch = batch
-        self.params = params
-        self.fric = fric
         self.gains = gains if gains is not None else fixed_gain_baseline()
 
         phase = (rng.uniform(0.0, 2.0 * np.pi, (batch, 2))
@@ -128,67 +131,34 @@ class BaselineEnsembleSim:
             mult = np.ones((batch, 4))
         fr = np.array([fric.f_c, fric.f_smax, fric.v_s, fric.sigma]) * mult
         fr[:, 1] = np.maximum(fr[:, 1], fr[:, 0])  # static peak >= Coulomb
-        self.fric_arr = fr
+        self.fric = replace(fric, f_c=fr[:, 0:1], f_smax=fr[:, 1:2],
+                            v_s=fr[:, 2:3], sigma=fr[:, 3:4])
+        self.plant = replace(params, payload=self.payload)
+        self.model = params.with_payload(0.0)   # payload-free controller model
         self.reference = BatchReference(ref, phase, task.slow_reference, rng)
         self.q0 = ref.position(0.0, phase) + rng.uniform(
             -task.q_jitter, task.q_jitter, (batch, 2))
 
-        pl = self.payload
-        p = params
-        self._a = (p.i1 + p.i2 + p.m1 * p.lc1 ** 2
-                   + p.m2 * (p.l1 ** 2 + p.lc2 ** 2)
-                   + pl * (p.l1 ** 2 + p.l2 ** 2))
-        self._b = p.m2 * p.l1 * p.lc2 + pl * p.l1 * p.l2
-        self._d = p.i2 + p.m2 * p.lc2 ** 2 + pl * p.l2 ** 2
-        self._w1 = p.m1 * p.lc1 + (p.m2 + pl) * p.l1
-        self._w2 = p.m2 * p.lc2 + pl * p.l2
-        # payload-free controller model
-        self._an = p.i1 + p.i2 + p.m1 * p.lc1 ** 2 + p.m2 * (p.l1 ** 2 + p.lc2 ** 2)
-        self._bn = p.m2 * p.l1 * p.lc2
-        self._dn = p.i2 + p.m2 * p.lc2 ** 2
-        self._w1n = p.m1 * p.lc1 + p.m2 * p.l1
-        self._w2n = p.m2 * p.lc2
-
     def torque(self, t: float, q: np.ndarray, qd: np.ndarray) -> np.ndarray:
-        g = self.gains
-        q_d = self.reference.position(t)
-        qd_d = self.reference.velocity(t)
-        qdd_d = self.reference.acceleration(t)
-        e = q_d - q
-        ed = qd_d - qd
-        s = ed + g.lam * e
-        qd_r = qd_d + g.lam * e
-        qdd_r = qdd_d + g.lam * ed
-        c2 = np.cos(q[..., 1]); s2 = np.sin(q[..., 1])
-        M11 = self._an + 2.0 * self._bn * c2
-        M12 = self._dn + self._bn * c2
-        h = self._bn * s2
-        tau1 = (M11 * qdd_r[..., 0] + M12 * qdd_r[..., 1]
-                - h * qd[..., 1] * qd_r[..., 0]
-                - h * (qd[..., 0] + qd[..., 1]) * qd_r[..., 1])
-        tau2 = (M12 * qdd_r[..., 0] + self._dn * qdd_r[..., 1]
-                + h * qd[..., 0] * qd_r[..., 0])
-        gacc = self.params.gravity
-        c1 = np.cos(q[..., 0]); c12 = np.cos(q[..., 0] + q[..., 1])
-        tau1 = tau1 + gacc * (self._w1n * c1 + self._w2n * c12) + g.kd[0] * s[..., 0]
-        tau2 = tau2 + gacc * self._w2n * c12 + g.kd[1] * s[..., 1]
-        return np.stack([tau1, tau2], axis=-1)
+        r = self.reference
+        ref = RefPoint(q=r.position(t), qd=r.velocity(t), qdd=r.acceleration(t))
+        x = ExtendedState.from_tracking(q, qd, ref, self.gains.lam)
+        return computed_torque(x, self.gains, self.model)
 
     def _torque_jacobian(self, t: float, q: np.ndarray, qd: np.ndarray) -> np.ndarray:
         """d torque / d (q, qd, z) of the baseline law, shape (B, 2, 6)."""
         g = self.gains
+        terms = _payload_terms(self.model)
+        _, b, _, gw1, gw2 = terms
+        M11, M12, M22, h, _, _ = _arm_terms(q, terms)
+        dh = b * np.cos(q[..., 1])   # dh/dq2
         e = self.reference.position(t) - q
         ed = self.reference.velocity(t) - qd
         qd_r = self.reference.velocity(t) + g.lam * e
         qdd_r = self.reference.acceleration(t) + g.lam * ed
-        c2 = np.cos(q[..., 1]); s2 = np.sin(q[..., 1])
-        M11 = self._an + 2.0 * self._bn * c2
-        M12 = self._dn + self._bn * c2
-        h = self._bn * s2
-        dh = self._bn * c2   # dh/dq2
         v1, v2 = qd[..., 0], qd[..., 1]
-        gs12 = self.params.gravity * self._w2n * np.sin(q[..., 0] + q[..., 1])
-        gs1 = self.params.gravity * self._w1n * np.sin(q[..., 0])
+        gs12 = gw2 * np.sin(q[..., 0] + q[..., 1])
+        gs1 = gw1 * np.sin(q[..., 0])
         (lam1, lam2), (kd1, kd2) = g.lam, g.kd
         T = np.zeros(q.shape[:-1] + (2, 6))
         T[..., 0, 0] = h * v2 * lam1 - gs1 - gs12 - kd1 * lam1
@@ -200,50 +170,26 @@ class BaselineEnsembleSim:
         T[..., 1, 0] = -h * v1 * lam1 - gs12
         T[..., 1, 1] = -h * qdd_r[..., 0] + dh * v1 * qd_r[..., 0] - gs12 - kd2 * lam2
         T[..., 1, 2] = -M12 * lam1 + h * qd_r[..., 0]
-        T[..., 1, 3] = -self._dn * lam2 - kd2
+        T[..., 1, 3] = -M22 * lam2 - kd2
         return T
 
-    def _rhs(self, q, qd, z, tau):
-        f_c, f_smax, v_s, sigma = (self.fric_arr[:, i] for i in range(4))
-        c2 = np.cos(q[..., 1]); s2 = np.sin(q[..., 1])
-        M11 = self._a + 2.0 * self._b * c2
-        M12 = self._d + self._b * c2
-        M22 = self._d
-        h = self._b * s2
-        env = f_c[:, None] + (f_smax - f_c)[:, None] * np.exp(
-            -((qd / v_s[:, None]) ** 2))
-        F = env * np.sign(qd) + sigma[:, None] * qd + z
-        gacc = self.params.gravity
-        c1 = np.cos(q[..., 0]); c12 = np.cos(q[..., 0] + q[..., 1])
-        G1 = gacc * (self._w1 * c1 + self._w2 * c12)
-        G2 = gacc * self._w2 * c12
-        r1 = (tau[..., 0] + h * qd[..., 1] * qd[..., 0]
-              + h * (qd[..., 0] + qd[..., 1]) * qd[..., 1] - G1 - F[..., 0])
-        r2 = tau[..., 1] - h * qd[..., 0] * qd[..., 0] - G2 - F[..., 1]
-        det = M11 * M22 - M12 * M12
-        qdd1 = (M22 * r1 - M12 * r2) / det
-        qdd2 = (-M12 * r1 + M11 * r2) / det
-        zd = -z / self.fric.tau_z + self.fric.lambda_z * qd
-        return qd, np.stack([qdd1, qdd2], axis=-1), zd
-
-    def _rhs_jacobian(self, q, qd, qdd):
-        """d _rhs / d (q, qd, z, tau), shape (B, 6, 8), where _rhs gave qdd.
+    def _rhs_jacobian(self, q, qd, qdd, terms):
+        """d (qd, qdd, zd) / d (q, qd, z, tau), shape (B, 6, 8), at the stage
+        whose acceleration is qdd; terms = _payload_terms(self.plant).
 
         The derivative of sign(qd) is taken as 0: the Coulomb/Stribeck
         jump at qd = 0 contributes no sensitivity.
         """
-        f_c, f_smax, v_s, sigma = (self.fric_arr[:, i, None] for i in range(4))
-        c2 = np.cos(q[..., 1]); s2 = np.sin(q[..., 1])
-        M11 = self._a + 2.0 * self._b * c2
-        M12 = self._d + self._b * c2
-        M22 = self._d
-        h = self._b * s2
-        dh = self._b * c2   # dh/dq2
+        _, b, _, gw1, gw2 = terms
+        M11, M12, M22, h, _, _ = _arm_terms(q, terms)
+        dh = b * np.cos(q[..., 1])   # dh/dq2
+        fric = self.fric
+        f_c, f_smax, v_s, sigma = fric.f_c, fric.f_smax, fric.v_s, fric.sigma
         v1, v2 = qd[..., 0], qd[..., 1]
         u = qd / v_s
         dF = (f_smax - f_c) * np.exp(-u * u) * (-2.0 * u / v_s) * np.sign(qd) + sigma
-        gs12 = self.params.gravity * self._w2 * np.sin(q[..., 0] + q[..., 1])
-        gs1 = self.params.gravity * self._w1 * np.sin(q[..., 0])
+        gs12 = gw2 * np.sin(q[..., 0] + q[..., 1])
+        gs1 = gw1 * np.sin(q[..., 0])
         # d r / d (q1, q2, qd1, qd2), with the dM/dq2 qdd term folded in
         dr = np.empty(q.shape[:-1] + (2, 4))
         dr[..., 0, 0] = gs1 + gs12
@@ -266,8 +212,8 @@ class BaselineEnsembleSim:
         J[..., 2:4, 0:4] = Minv @ dr
         J[..., 2:4, 4:6] = -Minv
         J[..., 2:4, 6:8] = Minv
-        J[..., 4:6, 2:4] = self.fric.lambda_z * eye
-        J[..., 4:6, 4:6] = -eye / self.fric.tau_z
+        J[..., 4:6, 2:4] = fric.lambda_z * eye
+        J[..., 4:6, 4:6] = -eye / fric.tau_z
         return J
 
     def step_jacobian(self, t: float, q, qd, z, dt: float) -> np.ndarray:
@@ -279,29 +225,21 @@ class BaselineEnsembleSim:
         """
         tau = self.torque(t, q, qd)
         T = self._torque_jacobian(t, q, qd)
+        terms = _payload_terms(self.plant)
         eye = np.eye(6)
         k, K, acc = (0.0, 0.0, 0.0), 0.0, 0.0   # previous stage slope, its Jacobian
         for c, w in ((0.0, 1.0), (0.5, 2.0), (0.5, 2.0), (1.0, 1.0)):
             stage = (q + c * dt * k[0], qd + c * dt * k[1], z + c * dt * k[2])
-            k = self._rhs(*stage, tau)
-            Jf = self._rhs_jacobian(stage[0], stage[1], k[1])
+            k = _derivatives(*stage, tau, terms, self.fric)
+            Jf = self._rhs_jacobian(stage[0], stage[1], k[1], terms)
             K = Jf[..., :6] @ (eye + c * dt * K) + Jf[..., 6:] @ T
             acc = acc + w * K
         return eye + dt / 6.0 * acc
 
     def step(self, t: float, q, qd, z, dt: float):
         """One zero-order-hold RK4 step of the whole batch."""
-        tau = self.torque(t, q, qd)
-        k1 = self._rhs(q, qd, z, tau)
-        k2 = self._rhs(q + 0.5 * dt * k1[0], qd + 0.5 * dt * k1[1],
-                       z + 0.5 * dt * k1[2], tau)
-        k3 = self._rhs(q + 0.5 * dt * k2[0], qd + 0.5 * dt * k2[1],
-                       z + 0.5 * dt * k2[2], tau)
-        k4 = self._rhs(q + dt * k3[0], qd + dt * k3[1], z + dt * k3[2], tau)
-        qn = q + dt / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        qdn = qd + dt / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-        zn = z + dt / 6.0 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
-        return qn, qdn, zn
+        return rk4_increment(q, qd, z, self.torque(t, q, qd), dt,
+                             self.plant, self.fric)
 
     def run(self, horizon: float, dt: float) -> BatchRollout:
         n = round(horizon / dt)
@@ -318,13 +256,7 @@ class BaselineEnsembleSim:
                 if k == n:
                     break
                 qn, qdn, zn = self.step(k * dt, q, qd, z, dt)
-                bad = ~(np.all(np.isfinite(qn), axis=-1)
-                        & np.all(np.isfinite(qdn), axis=-1)
-                        & np.all(np.isfinite(zn), axis=-1)
-                        & (np.max(np.abs(qn), axis=-1) < BLOWUP_BOUND)
-                        & (np.max(np.abs(qdn), axis=-1) < BLOWUP_BOUND)
-                        & (np.max(np.abs(zn), axis=-1) < BLOWUP_BOUND))
-                alive = alive & ~bad
+                alive = alive & within_bound(qn, qdn, zn)
                 q = np.where(alive[:, None], qn, q)
                 qd = np.where(alive[:, None], qdn, qd)
                 z = np.where(alive[:, None], zn, z)

@@ -4,7 +4,8 @@ At a frozen extended state the decrease condition Vdot + alpha V <= 0
 is a single affine inequality in (K_d, Lam, eta), because the torque
 law is jointly affine there (see memctrl.controller).  The admissible
 set is therefore box-intersect-half-space, and the runtime projection
-onto it is an exact one-multiplier KKT problem solved by bisection.
+onto it is a one-multiplier KKT problem solved exactly at the
+breakpoints of its piecewise-linear constraint value.
 
 The certificate is evaluated along the true closed loop: the rate uses
 the plant's actual payload and memory state z.  The simulator knows
@@ -27,6 +28,11 @@ from .dynamics import (FrictionParams, PlantParams, PlantState, RefPoint,
 
 class EmptyAdmissibleSet(RuntimeError):
     """No box point satisfies the decrease half-space at this state."""
+
+
+# roundoff margin of the projection's feasibility and emptiness tests: a
+# projected point, whose a.v equals rhs up to roundoff, projects to itself
+ROUNDOFF = 1e-12
 
 
 @dataclass(frozen=True)
@@ -178,43 +184,36 @@ def is_admissible(x: ExtendedState, theta: ControllerParams, form: LyapunovForm,
 
 
 def project_halfspace_box(theta_raw: np.ndarray, a: np.ndarray, rhs: float,
-                          lower: np.ndarray, upper: np.ndarray,
-                          tol: float = 1e-12, max_iter: int = 200) -> np.ndarray:
+                          lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
     """Euclidean projection onto {l <= v <= u} intersect {a.v <= rhs}.
 
-    Single-constraint KKT: v(mu) = clip(theta_raw - mu a); a.v(mu) is
-    continuous, piecewise linear, non-increasing in mu, so bisection on
-    the multiplier is exact up to tolerance.
+    Single-constraint KKT: v(mu) = clip(theta_raw - mu a) for the least
+    mu >= 0 with a.v(mu) <= rhs.  a.v(mu) is continuous, piecewise linear
+    and non-increasing in mu, with kinks where a component reaches a
+    bound, so mu is exact: evaluate a.v at the sorted kinks and solve
+    the linear piece that reaches rhs (the breakpoint solve of the
+    continuous quadratic knapsack; Kiwiel 2008, Math. Programming 112).
     """
     v0 = np.clip(theta_raw, lower, upper)
-    if a @ v0 <= rhs + tol:
+    if a @ v0 <= rhs + ROUNDOFF:
         return v0
     box_min = float(np.minimum(a * lower, a * upper).sum())
-    if box_min > rhs + tol:
+    if box_min > rhs + ROUNDOFF:
         raise EmptyAdmissibleSet(
             f"half-space unreachable inside the box (min {box_min:.3g} > {rhs:.3g})")
-    # box_min can sit inside (rhs, rhs+tol]; bisect against a reachable target
-    target = max(rhs, min(box_min + tol, rhs + tol))
-
-    def value(mu):
-        return a @ np.clip(theta_raw - mu * a, lower, upper)
-
-    lo, hi = 0.0, 1.0
-    for _ in range(400):
-        if value(hi) <= target:
-            break
-        hi *= 2.0
-    else:
-        raise EmptyAdmissibleSet("multiplier search failed to bracket")
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        if value(mid) > target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-16 * max(1.0, hi):
-            break
-    return np.clip(theta_raw - hi * a, lower, upper)
+    nz = a != 0.0
+    kinks = np.concatenate([[0.0], (theta_raw[nz] - lower[nz]) / a[nz],
+                            (theta_raw[nz] - upper[nz]) / a[nz]])
+    mu = np.sort(kinks[kinks >= 0.0])
+    val = np.clip(theta_raw - mu[:, None] * a, lower, upper) @ a
+    # the last kink attains the box minimum; rhs may sit just below it
+    target = max(rhs, val[-1])
+    j = int(np.argmax(val <= target))
+    if j == 0:   # val[0] matches a @ v0 only up to roundoff
+        return v0
+    frac = (val[j - 1] - target) / (val[j - 1] - val[j])
+    return np.clip(theta_raw - (mu[j - 1] + frac * (mu[j] - mu[j - 1])) * a,
+                   lower, upper)
 
 
 def project_admissible(x: ExtendedState, theta_raw: ControllerParams,
@@ -283,22 +282,17 @@ class ShieldedController:
 
     The non-emptiness assumption can fail on isolated states where the
     uncancellable memory disturbance outweighs the feedback authority
-    at small sliding error.  on_empty='best_effort' then applies the
-    box point with the steepest available decrease and counts the
-    violation; on_empty='raise' propagates EmptyAdmissibleSet.
+    at small sliding error.  The controller then applies the box point
+    with the steepest available decrease and counts the violation.
     """
 
     def __init__(self, source, form: LyapunovForm, box: ParamBox,
-                 params: PlantParams, fric: FrictionParams,
-                 on_empty: str = "best_effort"):
-        if on_empty not in ("best_effort", "raise"):
-            raise ValueError(f"unknown on_empty policy {on_empty!r}")
+                 params: PlantParams, fric: FrictionParams):
         self.source = source
         self.form = form
         self.box = box
         self.params = params
         self.fric = fric
-        self.on_empty = on_empty
         self.assumption_violations = 0
 
     def __call__(self, t: float, state: PlantState, ref_point: RefPoint) -> ControlDecision:
@@ -309,8 +303,6 @@ class ShieldedController:
             theta = project_admissible(x, proposal, self.form, self.box,
                                        self.params, self.fric, z=state.z)
         except EmptyAdmissibleSet:
-            if self.on_empty == "raise":
-                raise
             self.assumption_violations += 1
             coeffs = halfspace_coeffs(x, self.form, self.params, self.fric,
                                       z=state.z)

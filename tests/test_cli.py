@@ -101,24 +101,32 @@ class TestCLI:
         assert out["pre"] == out["post"]
         assert out["pre"] != out["dflt"]
 
-    def test_zero_memory_operator_same_error(self, tmp_path):
+    def test_zero_memory_operator_same_error(self, tmp_path, capsys):
         # lambda_z = 0 makes every history gradient exactly zero
         cfg_file = tmp_path / "z.cfg"
         cfg_file.write_text("lambda_z = 0\n")
         errors = []
         for cmd in ("rank-scan", "phase1"):
-            with pytest.raises(ma.ZeroMatrix) as exc:
-                run_cli(["--config", str(cfg_file), "--out-dir", str(tmp_path),
-                         cmd, "--tau-z-list", "1.0", "--window", "8",
-                         "--n-samples", "32"])
-            errors.append(str(exc.value))
+            rc = run_cli(["--config", str(cfg_file), "--out-dir", str(tmp_path),
+                          cmd, "--tau-z-list", "1.0", "--window", "8",
+                          "--n-samples", "32"])
+            assert rc == 1
+            errors.append(capsys.readouterr().err)
         assert errors[0] == errors[1]
+        assert errors[0].startswith("memctrl: error: ")
+        assert errors[0].count("\n") == 1
 
-    def test_bad_config_key_rejected(self, tmp_path):
+    def test_bad_config_key_rejected(self, tmp_path, capsys):
         cfg_file = tmp_path / "bad.cfg"
         cfg_file.write_text("not_a_key = 1\n")
-        with pytest.raises(ValueError):
-            run_cli(["--config", str(cfg_file), "simulate"])
+        errors = []
+        for cmd in ("simulate", "phase1"):
+            assert run_cli(["--config", str(cfg_file), cmd]) == 1
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("memctrl: error: ")
+        assert "not_a_key" in errors[0]
+        assert errors[0].count("\n") == 1
 
 
 class TestConfigBaseline:

@@ -283,3 +283,28 @@ class TestEnsembleConsistency:
                      horizon=1.5, reset=dynamics.ResetSpec(q_jitter=0.0))
         assert np.max(np.abs(roll.q[:, 0, :] - tr.q)) < 1e-12
         assert np.max(np.abs(roll.z[:, 0, :] - tr.z)) < 1e-12
+
+    def test_per_member_params_match_scalar(self, cfg):
+        # distinct payloads and perturbed friction constants per member go
+        # through the same plant and torque code as a scalar rollout
+        import dataclasses
+
+        from memctrl import ensemble
+
+        task = ensemble.TaskDistribution(randomize_phase=False,
+                                         friction_log_sd=0.2, q_jitter=0.0)
+        sim = ensemble.BaselineEnsembleSim(3, cfg.reference, cfg.plant,
+                                           cfg.friction, seed=4, task=task)
+        roll = sim.run(1.5, 0.01)
+        assert np.unique(sim.payload).size == 3
+        for i in range(3):
+            plant = cfg.plant.with_payload(sim.payload[i])
+            fric = dataclasses.replace(
+                cfg.friction, **{k: float(getattr(sim.fric, k)[i, 0])
+                                 for k in ("f_c", "f_smax", "v_s", "sigma")})
+            assert fric.f_c != cfg.friction.f_c
+            ctrl = BaselineController(plant, fric)
+            tr = rollout(ctrl, cfg.reference, plant, fric, seed=0, horizon=1.5,
+                         reset=dynamics.ResetSpec(q_jitter=0.0))
+            assert np.max(np.abs(roll.q[:, i, :] - tr.q)) < 1e-12
+            assert np.max(np.abs(roll.z[:, i, :] - tr.z)) < 1e-12

@@ -259,12 +259,75 @@ class TestProjection:
                     <= np.linalg.norm(r1 - r2) + 1e-9)
 
 
-def _shielded_rollout(cfg, form, seed=42, source=None, on_empty="best_effort"):
+def _assert_kkt(theta, a, rhs, lo, hi, v):
+    """v = clip(theta - mu a) for some mu >= 0, and a.v = rhs when mu > 0."""
+    assert np.all(v >= lo) and np.all(v <= hi)
+    if a @ np.clip(theta, lo, hi) <= rhs + shield.ROUNDOFF:
+        assert np.array_equal(v, np.clip(theta, lo, hi))
+        return
+    nz = a != 0.0
+    free = nz & (v > lo) & (v < hi)
+    if free.any():
+        mu = float(np.median((theta - v)[free] / a[free]))
+    else:   # a vertex: any mu past the last kink
+        mu = float(np.max(np.maximum((theta - lo)[nz] / a[nz],
+                                     (theta - hi)[nz] / a[nz])))
+    assert mu >= 0.0
+    assert np.allclose(np.clip(theta - mu * a, lo, hi), v, rtol=0.0, atol=1e-12)
+    box_min = float(np.minimum(a * lo, a * hi).sum())
+    assert abs(a @ v - max(rhs, box_min)) <= 1e-12 * max(1.0, abs(rhs))
+
+
+class TestProjectionExact:
+    def test_kkt_on_random_instances(self, rng):
+        lo, hi = -np.ones(6), np.ones(6)
+        active = 0
+        for _ in range(1000):
+            a = rng.normal(size=6)
+            rhs = float(rng.uniform(-1.0, 1.0))
+            if float(np.minimum(a * lo, a * hi).sum()) > rhs:
+                continue
+            theta = rng.uniform(-2.0, 2.0, 6)
+            v = project_halfspace_box(theta, a, rhs, lo, hi)
+            _assert_kkt(theta, a, rhs, lo, hi, v)
+            active += bool(a @ np.clip(theta, lo, hi) > rhs)
+        assert active > 100
+
+    def test_zero_coefficients(self, rng):
+        lo, hi = -np.ones(6), np.ones(6)
+        a = np.array([1.0, 0.0, -2.0, 0.0, 0.5, 0.0])
+        for _ in range(200):
+            theta = rng.uniform(-2.0, 2.0, 6)
+            rhs = float(rng.uniform(-3.0, 0.0))
+            v = project_halfspace_box(theta, a, rhs, lo, hi)
+            _assert_kkt(theta, a, rhs, lo, hi, v)
+            assert np.array_equal(v[a == 0.0], np.clip(theta, lo, hi)[a == 0.0])
+
+    def test_rhs_at_box_minimum_gives_vertex(self, rng):
+        lo, hi = np.zeros(5), np.array([1.0, 2.0, 0.5, 1.0, 3.0])
+        a = np.array([0.7, -1.3, 0.0, 2.1, -0.4])
+        rhs = float(np.minimum(a * lo, a * hi).sum())
+        for _ in range(50):
+            theta = rng.uniform(-1.0, 4.0, 5)
+            v = project_halfspace_box(theta, a, rhs, lo, hi)
+            vertex = np.where(a > 0.0, lo, np.where(a < 0.0, hi,
+                                                    np.clip(theta, lo, hi)))
+            assert np.allclose(v, vertex, rtol=0.0, atol=1e-12)
+
+    def test_point_within_roundoff_of_face_unchanged(self, rng):
+        lo, hi = -np.ones(6), np.ones(6)
+        for _ in range(100):
+            a = rng.normal(size=6)
+            p = rng.uniform(-0.9, 0.9, 6)
+            rhs = float(a @ p) - 1e-13
+            assert np.array_equal(project_halfspace_box(p, a, rhs, lo, hi), p)
+
+
+def _shielded_rollout(cfg, form, seed=42, source=None):
     box = ParamBox()
     base = fixed_gain_baseline()
     src = source if source is not None else (lambda t, x: base)
-    ctrl = shield.ShieldedController(src, form, box, cfg.plant, cfg.friction,
-                                     on_empty=on_empty)
+    ctrl = shield.ShieldedController(src, form, box, cfg.plant, cfg.friction)
     traj = rollout(ctrl, cfg.reference, cfg.plant, cfg.friction, seed=seed)
     return traj, ctrl
 
