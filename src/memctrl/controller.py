@@ -13,7 +13,7 @@ the structure the admissibility half-space in memctrl.shield relies on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -194,6 +194,8 @@ class BaselineController:
 
     payload_mode: 'nominal' ignores the payload (estimate 0), 'true'
     uses the plant's value, 'noisy' applies multiplicative noise to it.
+    The plant's payload may be a (B,) array, one value per member of a
+    batched rollout; 'noisy' draws one noise factor for all members.
     """
 
     def __init__(self, params: PlantParams, fric: FrictionParams,
@@ -211,8 +213,8 @@ class BaselineController:
         else:
             rng = np.random.default_rng(noise_seed)
             p_hat = params.payload * (1.0 + noise_rel * rng.standard_normal())
-            p_hat = min(max(p_hat, 0.0), params.payload_max)
-            self.model = params.with_payload(p_hat)
+            self.model = replace(params, payload=np.clip(p_hat, 0.0,
+                                                         params.payload_max))
 
     def __call__(self, t: float, state: PlantState, ref_point: RefPoint) -> ControlDecision:
         x = ExtendedState.from_tracking(state.q, state.qd, ref_point,

@@ -31,8 +31,9 @@ class DivergenceError(RuntimeError):
 class PlantParams:
     """Link and payload constants of the two-link arm.
 
-    `payload` may hold a (B,) array, one value per ensemble member; the
-    plant algebra below broadcasts it over the batch.
+    `payload` may hold a (B,) array, one value per member of an
+    ensemble or a batched rollout; the plant algebra below broadcasts
+    it over the batch.
 
     Defaults are sized so that the fixed-gain baseline (K_d = 30) is
     comfortably inside the RK4 stability region at dt = 10 ms: the
@@ -149,9 +150,12 @@ class ReferenceSpec:
 
 @dataclass
 class PlantState:
-    """Full Markov state of the simulated system."""
+    """Full Markov state of the simulated system.
 
-    q: np.ndarray        # rad, shape (2,)
+    The arrays have shape (2,), or (B, 2) for a batch of B members.
+    """
+
+    q: np.ndarray        # rad
     qd: np.ndarray       # rad/s
     z: np.ndarray        # N m, friction memory
     t: float = 0.0       # s
@@ -298,13 +302,18 @@ def step_rk4(state: PlantState, torque: np.ndarray, dt: float,
              params: PlantParams, fric: FrictionParams) -> PlantState:
     """Advance the full state by one zero-order-hold RK4 step.
 
-    Raises DivergenceError when the post-step state fails within_bound.
+    Broadcasts over a leading member axis of the state.  Raises
+    DivergenceError when no member of the post-step state is
+    within_bound; for a single state, when that state fails it.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     qn, qdn, zn = rk4_increment(state.q, state.qd, state.z,
                                 np.asarray(torque, dtype=float), dt, params, fric)
-    if not within_bound(qn, qdn, zn):
+    ok = within_bound(qn, qdn, zn)
+    # a single state's np.bool is tested directly; np.any on it adds
+    # several microseconds to every scalar step
+    if not (ok.any() if ok.ndim else ok):
         raise DivergenceError(f"state exceeded blow-up bound at t={state.t + dt:.3f}")
     return PlantState(q=qn, qd=qdn, z=zn, t=state.t + dt)
 
@@ -380,65 +389,93 @@ class RefPoint:
 
 
 def rollout(controller, ref: ReferenceSpec, params: PlantParams,
-            fric: FrictionParams, seed: int, dt: float = 0.01,
+            fric: FrictionParams, seed, dt: float = 0.01,
             horizon: float | None = None, reset: ResetSpec | None = None,
-            phase_offset=None) -> Trajectory:
+            phase_offset=None) -> Trajectory | list[Trajectory]:
     """Run the closed loop for horizon/dt steps with a seeded reset.
 
     controller is any callable (t, state, ref_point) -> ControlDecision
     (see memctrl.controller).  Deterministic for a fixed seed.  On
     divergence the record is truncated and flagged rather than raised.
+
+    seed may also be a sequence of B seeds.  The B members, each reset
+    from its own seed, then advance together: the state carries a
+    leading member axis, params and fric may hold per-member arrays,
+    and the controller is called once per step for the whole batch.  A
+    member that leaves within_bound is held from then on.  The call
+    then returns one Trajectory per member, each cut at that member's
+    own divergence step exactly as the record of an int seed is.
     """
     horizon = ref.horizon if horizon is None else horizon
     n = round(horizon / dt)
     if abs(n * dt - horizon) > 1e-9:
         raise ValueError("horizon must be an integral number of steps")
     reset = reset or ResetSpec()
-    rng = np.random.default_rng(seed)
-    state = reset.sample(ref, rng, phase_offset)
-
-    t = np.empty(n + 1)
-    q = np.empty((n + 1, 2)); qd = np.empty((n + 1, 2)); z = np.empty((n + 1, 2))
-    q_r = np.empty((n + 1, 2)); qd_r = np.empty((n + 1, 2))
-    tau = np.zeros((n, 2))
-    kd = np.zeros((n, 2)); lam = np.zeros((n, 2))
-    eta_log = np.zeros((n, 6))
-    altered = np.zeros(n, dtype=bool)
-    pdist = np.zeros(n)
-    diverged = False
-    n_states = n + 1   # recorded states; shrinks on divergence
-    n_taus = n
-
-    for k in range(n):
-        t[k] = k * dt
-        q[k], qd[k], z[k] = state.q, state.qd, state.z
-        q_r[k] = ref.position(t[k], phase_offset)
-        qd_r[k] = ref.velocity(t[k], phase_offset)
-        ref_point = RefPoint(q=q_r[k], qd=qd_r[k],
-                             qdd=ref.acceleration(t[k], phase_offset))
-        dec = controller(t[k], state, ref_point)
-        tau[k] = dec.tau
-        kd[k], lam[k] = dec.params.kd, dec.params.lam
-        n_eta = min(dec.params.eta.shape[0], eta_log.shape[1])
-        eta_log[k, :n_eta] = dec.params.eta[:n_eta]
-        altered[k] = dec.shield_altered
-        pdist[k] = dec.projection_distance
-        try:
-            state = step_rk4(state, dec.tau, dt, params, fric)
-        except DivergenceError:
-            diverged = True
-            n_states = k + 1
-            n_taus = k + 1
-            break
+    batched = not isinstance(seed, (int, np.integer))
+    seeds = list(seed) if batched else [seed]
+    starts = [reset.sample(ref, np.random.default_rng(s), phase_offset)
+              for s in seeds]
+    if batched:
+        state = PlantState(q=np.stack([s.q for s in starts]),
+                           qd=np.stack([s.qd for s in starts]),
+                           z=np.stack([s.z for s in starts]))
     else:
-        t[n] = n * dt
-        q[n], qd[n], z[n] = state.q, state.qd, state.z
-        q_r[n] = ref.position(t[n], phase_offset)
-        qd_r[n] = ref.velocity(t[n], phase_offset)
+        state = starts[0]
+    members = state.q.shape[:-1]   # () for an int seed
 
-    s, u = slice(0, n_states), slice(0, n_taus)
-    return Trajectory(t=t[s], q=q[s], qd=qd[s], z=z[s], q_ref=q_r[s],
-                      qd_ref=qd_r[s], tau=tau[u], kd=kd[u], lam=lam[u],
-                      eta=eta_log[u], shield_altered=altered[u],
-                      projection_distance=pdist[u], diverged=diverged,
-                      seed=seed, dt=dt)
+    t = np.arange(n + 1) * dt
+    q, qd, z = (np.empty((n + 1, *members, 2)) for _ in range(3))
+    q_r = np.empty((n + 1, 2)); qd_r = np.empty((n + 1, 2))
+    tau, kd, lam = (np.zeros((n, *members, 2)) for _ in range(3))
+    eta_log = np.zeros((n, *members, 6))
+    altered = np.zeros((n, *members), dtype=bool)
+    pdist = np.zeros((n, *members))
+    alive = np.ones(members, dtype=bool)
+    n_states = np.full(members, n + 1)   # recorded states; cut on divergence
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n):
+            q[k], qd[k], z[k] = state.q, state.qd, state.z
+            q_r[k] = ref.position(t[k], phase_offset)
+            qd_r[k] = ref.velocity(t[k], phase_offset)
+            ref_point = RefPoint(q=q_r[k], qd=qd_r[k],
+                                 qdd=ref.acceleration(t[k], phase_offset))
+            dec = controller(t[k], state, ref_point)
+            tau[k] = dec.tau
+            kd[k], lam[k] = dec.params.kd, dec.params.lam
+            n_eta = min(dec.params.eta.shape[-1], eta_log.shape[-1])
+            eta_log[k, ..., :n_eta] = dec.params.eta[..., :n_eta]
+            altered[k] = dec.shield_altered
+            pdist[k] = dec.projection_distance
+            try:
+                new = step_rk4(state, dec.tau, dt, params, fric)
+            except DivergenceError:
+                n_states[alive] = k + 1
+                break
+            if batched:
+                ok = alive & within_bound(new.q, new.qd, new.z)
+                if not ok.all():
+                    n_states[alive & ~ok] = k + 1
+                    alive = ok
+                    if not alive.any():
+                        break
+                    keep = alive[:, None]
+                    new = PlantState(q=np.where(keep, new.q, state.q),
+                                     qd=np.where(keep, new.qd, state.qd),
+                                     z=np.where(keep, new.z, state.z), t=new.t)
+            state = new
+        else:
+            q[n], qd[n], z[n] = state.q, state.qd, state.z
+            q_r[n] = ref.position(t[n], phase_offset)
+            qd_r[n] = ref.velocity(t[n], phase_offset)
+
+    trajs = []
+    for i, s in zip(np.ndindex(members), seeds):
+        cut = int(n_states[i])
+        xs, us = (slice(0, cut), *i), (slice(0, min(cut, n)), *i)
+        trajs.append(Trajectory(
+            t=t[:cut], q=q[xs], qd=qd[xs], z=z[xs], q_ref=q_r[:cut],
+            qd_ref=qd_r[:cut], tau=tau[us], kd=kd[us], lam=lam[us],
+            eta=eta_log[us], shield_altered=altered[us],
+            projection_distance=pdist[us], diverged=cut <= n, seed=s, dt=dt))
+    return trajs if batched else trajs[0]

@@ -139,23 +139,26 @@ class BaselineEnsembleSim:
         self.q0 = ref.position(0.0, phase) + rng.uniform(
             -task.q_jitter, task.q_jitter, (batch, 2))
 
-    def torque(self, t: float, q: np.ndarray, qd: np.ndarray) -> np.ndarray:
+    def reference_at(self, t: float) -> RefPoint:
+        """The batch reference at time t, evaluated once for a step."""
         r = self.reference
-        ref = RefPoint(q=r.position(t), qd=r.velocity(t), qdd=r.acceleration(t))
+        return RefPoint(q=r.position(t), qd=r.velocity(t), qdd=r.acceleration(t))
+
+    def torque(self, ref: RefPoint, q: np.ndarray, qd: np.ndarray) -> np.ndarray:
         x = ExtendedState.from_tracking(q, qd, ref, self.gains.lam)
         return computed_torque(x, self.gains, self.model)
 
-    def _torque_jacobian(self, t: float, q: np.ndarray, qd: np.ndarray) -> np.ndarray:
+    def _torque_jacobian(self, ref: RefPoint, q: np.ndarray, qd: np.ndarray) -> np.ndarray:
         """d torque / d (q, qd, z) of the baseline law, shape (B, 2, 6)."""
         g = self.gains
         terms = _payload_terms(self.model)
         _, b, _, gw1, gw2 = terms
         M11, M12, M22, h, _, _ = _arm_terms(q, terms)
         dh = b * np.cos(q[..., 1])   # dh/dq2
-        e = self.reference.position(t) - q
-        ed = self.reference.velocity(t) - qd
-        qd_r = self.reference.velocity(t) + g.lam * e
-        qdd_r = self.reference.acceleration(t) + g.lam * ed
+        e = ref.q - q
+        ed = ref.qd - qd
+        qd_r = ref.qd + g.lam * e
+        qdd_r = ref.qdd + g.lam * ed
         v1, v2 = qd[..., 0], qd[..., 1]
         gs12 = gw2 * np.sin(q[..., 0] + q[..., 1])
         gs1 = gw1 * np.sin(q[..., 0])
@@ -223,8 +226,9 @@ class BaselineEnsembleSim:
         torque's dependence on the state it is held from; d sign/d qd
         is taken as 0.
         """
-        tau = self.torque(t, q, qd)
-        T = self._torque_jacobian(t, q, qd)
+        ref = self.reference_at(t)
+        tau = self.torque(ref, q, qd)
+        T = self._torque_jacobian(ref, q, qd)
         terms = _payload_terms(self.plant)
         eye = np.eye(6)
         k, K, acc = (0.0, 0.0, 0.0), 0.0, 0.0   # previous stage slope, its Jacobian
@@ -236,9 +240,9 @@ class BaselineEnsembleSim:
             acc = acc + w * K
         return eye + dt / 6.0 * acc
 
-    def step(self, t: float, q, qd, z, dt: float):
-        """One zero-order-hold RK4 step of the whole batch."""
-        return rk4_increment(q, qd, z, self.torque(t, q, qd), dt,
+    def step(self, ref: RefPoint, q, qd, z, dt: float):
+        """One zero-order-hold RK4 step of the whole batch from reference ref."""
+        return rk4_increment(q, qd, z, self.torque(ref, q, qd), dt,
                              self.plant, self.fric)
 
     def run(self, horizon: float, dt: float) -> BatchRollout:
@@ -250,12 +254,12 @@ class BaselineEnsembleSim:
         out = {k: np.empty((n + 1, B, 2)) for k in ("q", "qd", "z", "qr", "qdr")}
         with np.errstate(over="ignore", invalid="ignore"):
             for k in range(n + 1):
+                ref = self.reference_at(k * dt)
                 out["q"][k], out["qd"][k], out["z"][k] = q, qd, z
-                out["qr"][k] = self.reference.position(k * dt)
-                out["qdr"][k] = self.reference.velocity(k * dt)
+                out["qr"][k], out["qdr"][k] = ref.q, ref.qd
                 if k == n:
                     break
-                qn, qdn, zn = self.step(k * dt, q, qd, z, dt)
+                qn, qdn, zn = self.step(ref, q, qd, z, dt)
                 alive = alive & within_bound(qn, qdn, zn)
                 q = np.where(alive[:, None], qn, q)
                 qd = np.where(alive[:, None], qdn, qd)

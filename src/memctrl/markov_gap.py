@@ -161,11 +161,6 @@ def windowed_reconstructor_fit(qd_windows: np.ndarray, z: np.ndarray,
                                  fit_residual=float(np.sqrt(np.mean(resid ** 2))))
 
 
-def excess_cost(theta: np.ndarray, z: np.ndarray, cost: QuadCostSpec) -> float:
-    """Mean l(theta, z) - l(theta*(z), z) over samples; >= 0 by convexity."""
-    return float(np.mean(cost.loss(theta, z)))  # l(theta*, z) = 0 exactly
-
-
 def excess_cost_per_sample(theta: np.ndarray, z: np.ndarray,
                            cost: QuadCostSpec) -> np.ndarray:
     return cost.loss(theta, z)

@@ -340,27 +340,3 @@ def gradient_samples_closed_loop(tau_z: float, ref: ReferenceSpec,
     g = grads.reshape(2 * batch, window)[:n_samples]
     ok = np.all(np.isfinite(g), axis=1) & np.repeat(roll.alive, 2)[:g.shape[0]]
     return g[ok]
-
-
-def sigma_z_plant(tau_z: float, ref: ReferenceSpec, params: PlantParams,
-                  fric: FrictionParams, n_traj: int = 512, seed: int = 0,
-                  horizon: float = 5.0, dt: float = 0.01, n_bins: int = 12,
-                  joint: int = 0, task: TaskDistribution | None = None,
-                  sample_times: np.ndarray | None = None) -> float:
-    """Binned conditional variance of z on closed-loop tracking rollouts.
-
-    Conditioning is on (q_j, qd_j) of one joint with the other joint
-    marginalised; the task distribution must randomise phases for the
-    conditional spread to be meaningful.
-    """
-    task = task or TaskDistribution(slow_reference=True)
-    roll = BaselineEnsembleSim(n_traj, ref, params, fric.with_tau_z(tau_z),
-                               seed, task).run(horizon, dt)
-    if sample_times is None:
-        sample_times = np.arange(2.0, horizon + 1e-9, 0.25)
-    idx = np.round(np.asarray(sample_times) / dt).astype(int)
-    ok = roll.alive
-    pos = roll.q[idx][:, ok, joint].ravel()
-    vel = roll.qd[idx][:, ok, joint].ravel()
-    mem = roll.z[idx][:, ok, joint].ravel()
-    return binned_conditional_variance(pos, vel, mem, n_bins=n_bins)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -103,6 +103,12 @@ class SweepSpec:
     horizon: float = 5.0
     seed: int = 42
 
+    def __post_init__(self):
+        # a between-rollout sd needs two rollouts per payload
+        if self.rollouts_per_payload < 2:
+            raise ValueError(f"rollouts_per_payload must be at least 2, "
+                             f"got {self.rollouts_per_payload}")
+
     def rollout_seed(self, payload_index: int, rollout_index: int) -> int:
         # deterministic, collision-free reset seeds inside one evaluation
         return (self.seed * 100003 + payload_index * 1009
@@ -117,28 +123,27 @@ def evaluate_controller(make_controller, ref: ReferenceSpec,
                         baseline_rmse: float | None = None) -> RunResult:
     """Payload sweep of a controller factory.
 
-    make_controller(plant_with_payload, fric) -> rollout controller.
-    Diverged rollouts keep their truncated RMSE and are counted in
-    flags rather than dropped.  When baseline_rmse is None the
-    controller is treated as its own baseline (delta_percent = 0
-    against itself uses the mean over the sweep).
+    make_controller(plant, fric) -> rollout controller, where plant
+    holds one payload per rollout as a (n_payloads * rollouts,) array.
+    All rollouts run as the members of one batched rollout, each reset
+    from its own SweepSpec.rollout_seed.  Diverged rollouts keep their
+    truncated RMSE and are counted in flags rather than dropped.  When
+    baseline_rmse is None the controller is treated as its own baseline
+    (delta_percent = 0 against itself uses the mean over the sweep).
     """
     sweep = sweep or SweepSpec()
-
-    points, n_diverged = [], 0
-    for ip, payload in enumerate(sweep.payloads):
-        plant = params.with_payload(payload)
-        rmses = []
-        for ir in range(sweep.rollouts_per_payload):
-            ctrl = make_controller(plant, fric)
-            traj = rollout(ctrl, ref, plant, fric,
-                           seed=sweep.rollout_seed(ip, ir),
-                           dt=sweep.dt, horizon=sweep.horizon)
-            rmses.append(traj.rmse())
-            n_diverged += int(traj.diverged)
-        rmses = np.asarray(rmses)
-        points.append(PayloadPoint(payload=payload, rmse=float(rmses.mean()),
-                                   sd=float(rmses.std(ddof=1))))
+    n_roll = sweep.rollouts_per_payload
+    plant = replace(params, payload=np.repeat(np.asarray(sweep.payloads,
+                                                         dtype=float), n_roll))
+    seeds = [sweep.rollout_seed(ip, ir) for ip in range(len(sweep.payloads))
+             for ir in range(n_roll)]
+    trajs = rollout(make_controller(plant, fric), ref, plant, fric, seed=seeds,
+                    dt=sweep.dt, horizon=sweep.horizon)
+    rmses = np.array([tr.rmse() for tr in trajs]).reshape(-1, n_roll)
+    n_diverged = sum(tr.diverged for tr in trajs)
+    points = [PayloadPoint(payload=payload, rmse=float(r.mean()),
+                           sd=float(r.std(ddof=1)))
+              for payload, r in zip(sweep.payloads, rmses)]
 
     rmse_mean = float(np.mean([p.rmse for p in points]))
     base = rmse_mean if baseline_rmse is None else float(baseline_rmse)
@@ -147,7 +152,7 @@ def evaluate_controller(make_controller, ref: ReferenceSpec,
                      tau_z=fric.tau_z, seed=sweep.seed, baseline_rmse=base,
                      payload_rmse=points, delta_percent=delta,
                      flags={"diverged_rollouts": n_diverged,
-                            "total_rollouts": len(points) * sweep.rollouts_per_payload})
+                            "total_rollouts": len(trajs)})
 
 
 def evaluate_baseline(ref: ReferenceSpec, params: PlantParams,

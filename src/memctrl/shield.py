@@ -175,14 +175,6 @@ def halfspace_coeffs(x: ExtendedState, form: LyapunovForm, params: PlantParams,
     return HalfspaceCoeffs(a1=a1, a2=a2, b=b, a0=a0, c=c)
 
 
-def is_admissible(x: ExtendedState, theta: ControllerParams, form: LyapunovForm,
-                  params: PlantParams, fric: FrictionParams,
-                  z: np.ndarray | None = None,
-                  model: PlantParams | None = None, tol: float = 1e-9) -> bool:
-    coeffs = halfspace_coeffs(x, form, params, fric, z, model)
-    return coeffs.evaluate(theta) <= tol
-
-
 def project_halfspace_box(theta_raw: np.ndarray, a: np.ndarray, rhs: float,
                           lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
     """Euclidean projection onto {l <= v <= u} intersect {a.v <= rhs}.

@@ -128,6 +128,19 @@ class TestCLI:
         assert "not_a_key" in errors[0]
         assert errors[0].count("\n") == 1
 
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_evaluate_rejects_fewer_than_two_rollouts(self, tmp_path, capsys, n):
+        # one rollout per payload has no between-rollout sd (it was NaN in
+        # the JSON); none gave rmse_mean = nan classified as healthy
+        rc = run_cli(["--out-dir", str(tmp_path), "evaluate",
+                      "--rollouts", str(n)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("memctrl: error: ")
+        assert "rollouts_per_payload" in err
+        assert err.count("\n") == 1
+        assert not list(tmp_path.glob("*.json"))
+
 
 class TestConfigBaseline:
     def test_baseline_gains_configurable(self, tmp_path):

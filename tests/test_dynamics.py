@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from memctrl import dynamics
+from memctrl import dynamics, runner
 from memctrl.controller import BaselineController, ControllerParams
 from memctrl.dynamics import (FrictionParams, PlantParams, PlantState,
                               ReferenceSpec, coriolis_matrix, gravity_vector,
@@ -266,6 +268,45 @@ class TestRollout:
         header = path.read_text().splitlines()[0]
         assert header == "t,q1,q2,qd1,qd2,z1,z2,qd1_ref,qd2_ref,tau1,tau2"
         assert len(path.read_text().splitlines()) == traj.t.size + 1
+
+    @staticmethod
+    def _batch_and_scalar(cfg, payloads, seeds, gains=None, horizon=None):
+        plant = dataclasses.replace(cfg.plant, payload=np.asarray(payloads))
+        batch = rollout(BaselineController(plant, cfg.friction, gains=gains),
+                        cfg.reference, plant, cfg.friction, seed=seeds,
+                        horizon=horizon)
+        scalar = []
+        for p, s in zip(payloads, seeds):
+            member = cfg.plant.with_payload(p)
+            ctrl = BaselineController(member, cfg.friction, gains=gains)
+            scalar.append(rollout(ctrl, cfg.reference, member, cfg.friction,
+                                  seed=s, horizon=horizon))
+        return batch, scalar
+
+    def test_batched_equals_scalar_bitwise(self, cfg):
+        payloads = np.repeat(runner.PAYLOAD_GRID, 2)
+        seeds = [7, 8] * len(runner.PAYLOAD_GRID)
+        batch, scalar = self._batch_and_scalar(cfg, payloads, seeds)
+        assert len(batch) == len(seeds)
+        for b, s in zip(batch, scalar):
+            assert not b.diverged and b.seed == s.seed
+            for field in ("t", "q", "qd", "z", "q_ref", "qd_ref", "tau"):
+                assert np.array_equal(getattr(b, field), getattr(s, field))
+
+    def test_batched_cuts_each_member_at_its_divergence(self, cfg):
+        # at kd = 100 the light payloads leave the bound at different
+        # steps while the heavy ones track to the end
+        gains = ControllerParams(kd=np.full(2, 100.0), lam=np.full(2, 5.0),
+                                 eta=np.zeros(6))
+        payloads = np.repeat(runner.PAYLOAD_GRID, 2)
+        batch, scalar = self._batch_and_scalar(cfg, payloads, range(10),
+                                               gains=gains, horizon=2.0)
+        for b, s in zip(batch, scalar):
+            assert b.n_steps == s.n_steps
+            assert b.diverged == s.diverged
+            assert b.rmse() == s.rmse()
+        assert len({b.n_steps for b in batch if b.diverged}) > 1
+        assert not all(b.diverged for b in batch)
 
 
 class TestEnsembleConsistency:

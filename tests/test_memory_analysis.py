@@ -217,7 +217,8 @@ class TestClosedLoopSampler:
                                 for a in (roll.q, roll.qd, roll.z))
                     qd[:, j] += sign * eps
                     for m in range(n_end - k, n_end):
-                        q, qd, z = sim.step(m * dt, q, qd, z, dt)
+                        ref = sim.reference_at(m * dt)
+                        q, qd, z = sim.step(ref, q, qd, z, dt)
                     zf.append(z[:, j])
                 fd[:, j, k - 1] = (zf[0] - zf[1]) / (2.0 * eps * dt)
         fd = fd.reshape(n, W)
@@ -258,14 +259,3 @@ class TestOperatorCSV:
         back = np.loadtxt(path, delimiter=",")
         assert np.allclose(back, op.matrix, atol=1e-12)
 
-
-class TestSigmaZPlant:
-    def test_memory_scale_ordering_and_determinism(self, cfg):
-        lo = ma.sigma_z_plant(0.05, cfg.reference, cfg.plant, cfg.friction,
-                              n_traj=160, seed=6, horizon=4.0)
-        hi = ma.sigma_z_plant(1.0, cfg.reference, cfg.plant, cfg.friction,
-                              n_traj=160, seed=6, horizon=4.0)
-        hi2 = ma.sigma_z_plant(1.0, cfg.reference, cfg.plant, cfg.friction,
-                               n_traj=160, seed=6, horizon=4.0)
-        assert 0.0 < lo < hi
-        assert hi == hi2

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from memctrl import runner
+from memctrl.controller import BaselineController, ControllerParams
+from memctrl.dynamics import rollout
 from memctrl.runner import (PayloadPoint, RunResult, SweepSpec,
                             evaluate_baseline, failure_mode_flag)
 
@@ -97,6 +99,37 @@ class TestEvaluate:
         r1.write_json(p1)
         r2.write_json(p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("mode,kd", [("nominal", 30.0), ("true", 30.0),
+                                         ("noisy", 30.0), ("nominal", 100.0)])
+    def test_matches_per_rollout_loop(self, cfg, mode, kd):
+        # reference: one scalar rollout per (payload, rollout) pair, as
+        # the sweep ran before it became one batched rollout; kd = 100
+        # makes some rollouts diverge
+        sweep = SweepSpec(rollouts_per_payload=3, horizon=2.0, seed=42)
+        gains = ControllerParams(kd=np.full(2, kd), lam=np.full(2, 5.0),
+                                 eta=np.zeros(6))
+        res = evaluate_baseline(cfg.reference, cfg.plant, cfg.friction, sweep,
+                                payload_mode=mode, gains=gains)
+        points, n_diverged = [], 0
+        for ip, payload in enumerate(sweep.payloads):
+            plant = cfg.plant.with_payload(payload)
+            rmses = []
+            for ir in range(sweep.rollouts_per_payload):
+                ctrl = BaselineController(plant, cfg.friction, gains=gains,
+                                          payload_mode=mode)
+                traj = rollout(ctrl, cfg.reference, plant, cfg.friction,
+                               seed=sweep.rollout_seed(ip, ir), dt=sweep.dt,
+                               horizon=sweep.horizon)
+                rmses.append(traj.rmse())
+                n_diverged += int(traj.diverged)
+            rmses = np.asarray(rmses)
+            points.append((payload, float(rmses.mean()),
+                           float(rmses.std(ddof=1))))
+        assert [(p.payload, p.rmse, p.sd) for p in res.payload_rmse] == points
+        assert res.flags == {"diverged_rollouts": n_diverged,
+                             "total_rollouts": 5 * sweep.rollouts_per_payload}
+        assert (n_diverged > 0) == (kd == 100.0)
 
 
 class TestPayloadCSV:

@@ -6,7 +6,7 @@ from memctrl.controller import (DIM_ETA, ControllerParams, ExtendedState,
                                 ParamBox, fixed_gain_baseline)
 from memctrl.dynamics import RefPoint, Trajectory, rollout, step_rk4, PlantState
 from memctrl.shield import (EmptyAdmissibleSet, design_lyapunov_form,
-                            halfspace_coeffs, is_admissible, lyapunov_rate,
+                            halfspace_coeffs, lyapunov_rate,
                             lyapunov_value, project_admissible,
                             project_halfspace_box, shield_activation_fraction,
                             verify_exponential_decay)
@@ -156,8 +156,9 @@ class TestIsAdmissible:
             z = rng.uniform(-1.0, 1.0, 2)
             rate = lyapunov_rate(x, theta, form, cfg.plant, cfg.friction, z)
             ok = rate + form.alpha * lyapunov_value(x, form) <= 1e-9
-            assert is_admissible(x, theta, form, cfg.plant, cfg.friction,
-                                 z) == ok
+            slack = halfspace_coeffs(x, form, cfg.plant, cfg.friction,
+                                     z).evaluate(theta)
+            assert (slack <= 1e-9) == ok
             hits += ok
         assert 0 < hits < 200   # both branches exercised
 
@@ -170,8 +171,8 @@ class TestIsAdmissible:
             rate = lyapunov_rate(x, theta, form0, cfg.plant, cfg.friction,
                                  np.zeros(2))
             if rate < -1e-9:
-                assert is_admissible(x, theta, form0, cfg.plant, cfg.friction,
-                                     np.zeros(2))
+                assert halfspace_coeffs(x, form0, cfg.plant, cfg.friction,
+                                        np.zeros(2)).evaluate(theta) <= 1e-9
 
     def test_huge_alpha_empties_box(self, cfg, rng):
         form_hard = design_lyapunov_form(cfg.plant, cfg.reference.position(0.0),
@@ -184,8 +185,8 @@ class TestIsAdmissible:
         for _ in range(64):
             mask = corners_rng.integers(0, 2, lo.size).astype(bool)
             theta = ControllerParams.from_vector(np.where(mask, hi, lo))
-            assert not is_admissible(x, theta, form_hard, cfg.plant,
-                                     cfg.friction)
+            assert halfspace_coeffs(x, form_hard, cfg.plant,
+                                    cfg.friction).evaluate(theta) > 1e-9
         with pytest.raises(EmptyAdmissibleSet):
             project_admissible(x, fixed_gain_baseline(), form_hard, box,
                                cfg.plant, cfg.friction)
@@ -199,7 +200,8 @@ class TestProjection:
             x = random_extended_state(rng, form)
             theta = random_theta(rng, box)
             z = rng.uniform(-1.0, 1.0, 2)
-            if not is_admissible(x, theta, form, cfg.plant, cfg.friction, z):
+            if halfspace_coeffs(x, form, cfg.plant, cfg.friction,
+                                z).evaluate(theta) > 1e-9:
                 continue
             out = project_admissible(x, theta, form, box, cfg.plant,
                                      cfg.friction, z)
