@@ -70,8 +70,11 @@ class PlantParams:
 class FrictionParams:
     """Stribeck friction constants plus the memory-state dynamics.
 
-    f_c, f_smax, v_s and sigma may hold (B, 1) arrays, one row per
-    ensemble member, which broadcast against (B, 2) velocities.
+    f_c, f_smax, v_s and sigma may hold per-member arrays, one row per
+    ensemble member.  BaselineEnsembleSim stores them at (B, 2), each
+    member's value repeated for both joints, so the friction law runs on
+    operands of the velocities' own shape; (B, 1) arrays still broadcast
+    against (B, 2) velocities and give the same values.
     """
 
     f_c: float = 2.0        # N m, Coulomb level
@@ -254,10 +257,13 @@ def inverse_dynamics(q, qd, qd_r, qdd_r, params: PlantParams) -> np.ndarray:
     """M(q) qdd_r + C(q, qd) qd_r + G(q), written out per entry."""
     M11, M12, M22, h, G1, G2 = _arm_terms(q, _payload_terms(params))
     v1, v2 = qd[..., 0], qd[..., 1]
-    return np.stack([M11 * qdd_r[..., 0] + M12 * qdd_r[..., 1]
-                     - h * v2 * qd_r[..., 0] - h * (v1 + v2) * qd_r[..., 1] + G1,
-                     M12 * qdd_r[..., 0] + M22 * qdd_r[..., 1]
-                     + h * v1 * qd_r[..., 0] + G2], axis=-1)
+    tau1 = (M11 * qdd_r[..., 0] + M12 * qdd_r[..., 1]
+            - h * v2 * qd_r[..., 0] - h * (v1 + v2) * qd_r[..., 1] + G1)
+    # both entries broadcast to tau1's shape
+    tau = np.empty(np.shape(tau1) + (2,))
+    tau[..., 0] = tau1
+    tau[..., 1] = M12 * qdd_r[..., 0] + M22 * qdd_r[..., 1] + h * v1 * qd_r[..., 0] + G2
+    return tau
 
 
 def _derivatives(q, qd, z, tau, terms, fric: FrictionParams):
@@ -268,8 +274,10 @@ def _derivatives(q, qd, z, tau, terms, fric: FrictionParams):
     r1 = tau[..., 0] + h * v2 * v1 + h * (v1 + v2) * v2 - G1 - F[..., 0]
     r2 = tau[..., 1] - h * v1 * v1 - G2 - F[..., 1]
     det = M11 * M22 - M12 * M12
-    qdd = np.stack([(M22 * r1 - M12 * r2) / det, (-M12 * r1 + M11 * r2) / det],
-                   axis=-1)
+    qdd1 = (M22 * r1 - M12 * r2) / det
+    qdd = np.empty(np.shape(qdd1) + (2,))
+    qdd[..., 0] = qdd1
+    qdd[..., 1] = (-M12 * r1 + M11 * r2) / det
     return qd, qdd, memory_derivative(qd, z, fric)
 
 

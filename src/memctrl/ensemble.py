@@ -5,7 +5,12 @@ tracking tasks integrates as one (B, 2)-shaped rollout under the
 batched fixed-gain controller.  The plant and the torque are those of
 memctrl.dynamics and memctrl.controller, with per-member payloads and
 friction constants held as arrays in PlantParams and FrictionParams;
-only the hand-derived step Jacobian is written here.  Used wherever
+only the hand-derived step Jacobian is written here.  The friction
+constants, the gains and the reference constants are stored at (B, 2),
+the state's shape: a (B, 1) or (2,) operand makes numpy run B inner
+loops of length 2, several times slower per operation at B = 512.
+Each step evaluates the reference once, with one sin and one cos, and
+the record keeps the state only.  Used wherever
 thousands of rollouts are needed: the sigma_z scans, the
 temporal-operator sampler and the Markov-gap experiment.  Regression
 tests pin each member to a scalar rollout under its own parameters.
@@ -47,40 +52,48 @@ SLOW_AMPLITUDE = (0.25, 0.15)   # rad
 
 
 class BatchReference:
-    """Reference evaluated for a whole batch, with optional slow tones."""
+    """Reference of a whole batch, with optional slow tones.
+
+    Every constant is held at (B, 2), the shape of the state, so no
+    operation of `at` broadcasts a batch against a per-joint pair.  The
+    products are formed in ReferenceSpec's order, so `at` returns
+    ReferenceSpec.position/velocity/acceleration (plus the slow tones)
+    bit for bit.
+    """
 
     def __init__(self, ref: ReferenceSpec, phase: np.ndarray, slow: bool,
                  rng: np.random.Generator | None = None):
-        self.ref = ref
+        shape = phase.shape
+        self.amp = amp = np.full(shape, ref.amplitude)
+        self.omega = omega = np.full(shape, ref.omega)
+        self.spec_phase = np.full(shape, ref.phase)
         self.phase = phase
+        self.amp_omega = amp * omega
+        self.neg_amp_omega2 = -amp * omega * omega
         self.slow = slow
         if slow:
             if rng is None:
                 raise ValueError("slow tones need an rng for their phases")
-            B = phase.shape[0]
-            self.slow_phase = rng.uniform(0.0, 2.0 * np.pi, (B, 2))
-            self.slow_omega = 2.0 * np.pi / np.array(SLOW_PERIODS)
-            self.slow_amp = np.array(SLOW_AMPLITUDE)
+            self.slow_phase = rng.uniform(0.0, 2.0 * np.pi, shape)
+            self.slow_omega = np.full(shape, 2.0 * np.pi / np.array(SLOW_PERIODS))
+            self.slow_amp = slow_amp = np.full(shape, SLOW_AMPLITUDE)
+            self.slow_amp_omega = slow_amp * self.slow_omega
+            self.slow_amp_omega2 = slow_amp * self.slow_omega ** 2
 
-    def position(self, t):
-        q = self.ref.position(t, self.phase)
+    def at(self, t: float) -> RefPoint:
+        """Position, velocity and acceleration at time t: one sin, one cos."""
+        th = self.omega * t + self.spec_phase + self.phase
+        sin = np.sin(th)
+        q = self.amp * sin
+        qd = self.amp_omega * np.cos(th)
+        qdd = self.neg_amp_omega2 * sin
         if self.slow:
-            q = q + self.slow_amp * np.sin(self.slow_omega * t + self.slow_phase)
-        return q
-
-    def velocity(self, t):
-        v = self.ref.velocity(t, self.phase)
-        if self.slow:
-            v = v + self.slow_amp * self.slow_omega * np.cos(
-                self.slow_omega * t + self.slow_phase)
-        return v
-
-    def acceleration(self, t):
-        a = self.ref.acceleration(t, self.phase)
-        if self.slow:
-            a = a - self.slow_amp * self.slow_omega ** 2 * np.sin(
-                self.slow_omega * t + self.slow_phase)
-        return a
+            th = self.slow_omega * t + self.slow_phase
+            sin = np.sin(th)
+            q += self.slow_amp * sin
+            qd += self.slow_amp_omega * np.cos(th)
+            qdd -= self.slow_amp_omega2 * sin
+        return RefPoint(q=q, qd=qd, qdd=qdd)
 
 
 @dataclass
@@ -91,8 +104,6 @@ class BatchRollout:
     q: np.ndarray       # (n+1, B, 2)
     qd: np.ndarray      # (n+1, B, 2)
     z: np.ndarray       # (n+1, B, 2)
-    q_ref: np.ndarray   # (n+1, B, 2)
-    qd_ref: np.ndarray  # (n+1, B, 2)
     payload: np.ndarray  # (B,)
     alive: np.ndarray   # (B,) bool, False once a member blew up
     dt: float
@@ -131,8 +142,12 @@ class BaselineEnsembleSim:
             mult = np.ones((batch, 4))
         fr = np.array([fric.f_c, fric.f_smax, fric.v_s, fric.sigma]) * mult
         fr[:, 1] = np.maximum(fr[:, 1], fr[:, 0])  # static peak >= Coulomb
-        self.fric = replace(fric, f_c=fr[:, 0:1], f_smax=fr[:, 1:2],
-                            v_s=fr[:, 2:3], sigma=fr[:, 3:4])
+        # per-member constants and gains at (B, 2), the state's shape
+        self.fric = replace(fric, **{k: np.full((batch, 2), fr[:, i:i + 1])
+                                     for i, k in enumerate(("f_c", "f_smax",
+                                                            "v_s", "sigma"))})
+        self.gains = replace(self.gains, kd=np.full((batch, 2), self.gains.kd),
+                             lam=np.full((batch, 2), self.gains.lam))
         self.plant = replace(params, payload=self.payload)
         self.model = params.with_payload(0.0)   # payload-free controller model
         self.reference = BatchReference(ref, phase, task.slow_reference, rng)
@@ -141,8 +156,7 @@ class BaselineEnsembleSim:
 
     def reference_at(self, t: float) -> RefPoint:
         """The batch reference at time t, evaluated once for a step."""
-        r = self.reference
-        return RefPoint(q=r.position(t), qd=r.velocity(t), qdd=r.acceleration(t))
+        return self.reference.at(t)
 
     def torque(self, ref: RefPoint, q: np.ndarray, qd: np.ndarray) -> np.ndarray:
         x = ExtendedState.from_tracking(q, qd, ref, self.gains.lam)
@@ -162,7 +176,8 @@ class BaselineEnsembleSim:
         v1, v2 = qd[..., 0], qd[..., 1]
         gs12 = gw2 * np.sin(q[..., 0] + q[..., 1])
         gs1 = gw1 * np.sin(q[..., 0])
-        (lam1, lam2), (kd1, kd2) = g.lam, g.kd
+        # the gains are (B, 2): the joint is the last axis, not the first
+        lam1, lam2, kd1, kd2 = g.lam[..., 0], g.lam[..., 1], g.kd[..., 0], g.kd[..., 1]
         T = np.zeros(q.shape[:-1] + (2, 6))
         T[..., 0, 0] = h * v2 * lam1 - gs1 - gs12 - kd1 * lam1
         T[..., 0, 1] = (-h * (2.0 * qdd_r[..., 0] + qdd_r[..., 1])
@@ -251,19 +266,20 @@ class BaselineEnsembleSim:
         q = self.q0.copy(); qd = np.zeros((B, 2)); z = np.zeros((B, 2))
         alive = np.ones(B, dtype=bool)
         out_t = np.arange(n + 1) * dt
-        out = {k: np.empty((n + 1, B, 2)) for k in ("q", "qd", "z", "qr", "qdr")}
+        out_q, out_qd, out_z = (np.empty((n + 1, B, 2)) for _ in range(3))
         with np.errstate(over="ignore", invalid="ignore"):
             for k in range(n + 1):
-                ref = self.reference_at(k * dt)
-                out["q"][k], out["qd"][k], out["z"][k] = q, qd, z
-                out["qr"][k], out["qdr"][k] = ref.q, ref.qd
+                out_q[k], out_qd[k], out_z[k] = q, qd, z
                 if k == n:
                     break
-                qn, qdn, zn = self.step(ref, q, qd, z, dt)
-                alive = alive & within_bound(qn, qdn, zn)
-                q = np.where(alive[:, None], qn, q)
-                qd = np.where(alive[:, None], qdn, qd)
-                z = np.where(alive[:, None], zn, z)
-        return BatchRollout(t=out_t, q=out["q"], qd=out["qd"], z=out["z"],
-                            q_ref=out["qr"], qd_ref=out["qdr"],
+                qn, qdn, zn = self.step(self.reference_at(k * dt), q, qd, z, dt)
+                alive &= within_bound(qn, qdn, zn)
+                if alive.all():
+                    q, qd, z = qn, qdn, zn
+                else:   # hold the members that blew up
+                    keep = alive[:, None]
+                    q = np.where(keep, qn, q)
+                    qd = np.where(keep, qdn, qd)
+                    z = np.where(keep, zn, z)
+        return BatchRollout(t=out_t, q=out_q, qd=out_qd, z=out_z,
                             payload=self.payload, alive=alive, dt=dt)

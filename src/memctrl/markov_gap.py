@@ -226,25 +226,22 @@ def markov_gap_experiment(tau_z: float, ref: ReferenceSpec, params: PlantParams,
     if ok.size < 8:
         raise InsufficientSamples("too few surviving trajectories")
 
-    pos = roll.q[idx][:, ok, joint]       # (T, B)
-    vel = roll.qd[idx][:, ok, joint]
-    mem = roll.z[idx][:, ok, joint]
-    lag_idx = idx[:, None] - np.arange(1, window + 1)[None, :]
-    wins = roll.qd[lag_idx][:, :, ok, joint]       # (T, W, B)
-    wins = np.moveaxis(wins, 1, 2)                 # (T, B, W)
+    lag_idx = idx[:, None] - np.arange(1, window + 1)[None, :]   # (T, W)
+    half = ok.size // 2
+    fit_b, ev_b = ok[:half], ok[half:]
 
-    n_ok = ok.size
-    half = n_ok // 2
-    fit_b, ev_b = np.arange(half), np.arange(half, n_ok)
+    def at_samples(arr, members):
+        """arr at each sample time and member, time-major, shape (T * n,)."""
+        return arr[idx[:, None], members[None, :], joint].ravel()
 
-    def flat(arr, cols):
-        return arr[:, cols].reshape(-1, *arr.shape[3:]) if arr.ndim > 2 else \
-            arr[:, cols].ravel()
+    def lag_windows(members):
+        """Rows of lagged velocities in at_samples' order, shape (T * n, W)."""
+        return roll.qd[lag_idx[:, None, :], members[None, :, None],
+                       joint].reshape(-1, window)
 
-    pos_f, vel_f, mem_f = flat(pos, fit_b), flat(vel, fit_b), flat(mem, fit_b)
-    wins_f = wins[:, fit_b].reshape(-1, window)
-    pos_e, vel_e, mem_e = flat(pos, ev_b), flat(vel, ev_b), flat(mem, ev_b)
-    wins_e = wins[:, ev_b].reshape(-1, window)
+    pos_f, vel_f, mem_f = (at_samples(a, fit_b) for a in (roll.q, roll.qd, roll.z))
+    pos_e, vel_e, mem_e = (at_samples(a, ev_b) for a in (roll.q, roll.qd, roll.z))
+    wins_f, wins_e = lag_windows(fit_b), lag_windows(ev_b)
     traj_e = np.tile(ev_b, idx.size)
 
     binning = StateBinning.fit(pos_f, vel_f, n_bins)

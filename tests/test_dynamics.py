@@ -349,3 +349,72 @@ class TestEnsembleConsistency:
                          reset=dynamics.ResetSpec(q_jitter=0.0))
             assert np.max(np.abs(roll.q[:, i, :] - tr.q)) < 1e-12
             assert np.max(np.abs(roll.z[:, i, :] - tr.z)) < 1e-12
+
+    @pytest.mark.parametrize("slow", [False, True])
+    def test_reference_equals_reference_spec_bitwise(self, cfg, slow):
+        # the batch reference holds its constants at (B, 2) and shares one
+        # sin between position and acceleration; the values must stay
+        # those of ReferenceSpec plus the slow tones written term by term
+        from memctrl import ensemble
+
+        ref = dataclasses.replace(cfg.reference, phase=(0.3, -1.1))
+        sim = ensemble.BaselineEnsembleSim(
+            5, ref, cfg.plant, cfg.friction, seed=2,
+            task=ensemble.TaskDistribution(slow_reference=slow))
+        phase = sim.reference.phase
+        amp = np.array(ensemble.SLOW_AMPLITUDE)
+        om = 2.0 * np.pi / np.array(ensemble.SLOW_PERIODS)
+        for t in (0.0, 0.01, 0.37, 2.5, 12.49):
+            q = ref.position(t, phase)
+            qd = ref.velocity(t, phase)
+            qdd = ref.acceleration(t, phase)
+            if slow:
+                th = om * t + sim.reference.slow_phase
+                q = q + amp * np.sin(th)
+                qd = qd + amp * om * np.cos(th)
+                qdd = qdd - amp * om ** 2 * np.sin(th)
+            got = sim.reference_at(t)
+            assert got.q.shape == (5, 2)
+            assert np.array_equal(got.q, q)
+            assert np.array_equal(got.qd, qd)
+            assert np.array_equal(got.qdd, qdd)
+
+    def test_step_jacobian_pinned_with_per_joint_gains(self, cfg):
+        # the gains are widened to (B, 2); at B = 2 unpacking them by the
+        # first axis would take members for joints without an error.
+        # Distinct per-joint gains make such a mix-up change the values.
+        from memctrl import ensemble
+
+        gains = ControllerParams(kd=np.array([30.0, 24.0]),
+                                 lam=np.array([5.0, 7.0]), eta=np.zeros(6))
+        task = ensemble.TaskDistribution(friction_log_sd=0.2,
+                                         slow_reference=True)
+        sim = ensemble.BaselineEnsembleSim(2, cfg.reference, cfg.plant,
+                                           cfg.friction, seed=3, task=task,
+                                           gains=gains)
+        roll = sim.run(0.5, 0.01)
+        J = sim.step_jacobian(0.3, roll.q[30], roll.qd[30], roll.z[30], 0.01)
+        assert np.array_equal(J, STEP_JACOBIAN_PIN)
+
+
+# BaselineEnsembleSim.step_jacobian of
+# test_step_jacobian_pinned_with_per_joint_gains, recorded before the
+# gains and friction constants were widened to (B, 2)
+STEP_JACOBIAN_PIN = np.array([
+    [
+        [0.9965777815650326, 0.008966735167939981, 0.009009479057867394, 0.0013737586286169995, -2.2278038829973453e-05, 5.354327782370507e-05],
+        [0.008268011195248426, 0.9721031229624201, 0.001839919660932157, 0.005404618113454518, 5.3485456760464934e-05, -0.00016646264475653398],
+        [-0.6781334428287785, 1.7735297205235385, 0.8033358818814612, 0.27144865274567415, -0.004407149219036348, 0.010570391012260361],
+        [1.6339852832566872, -5.517671217356017, 0.36371084685911503, 0.09124224901108458, 0.010552930039745485, -0.03286230941364506],
+        [-0.013643158775425183, 0.035747056058200735, 0.03585180067243271, 0.005476658920363057, 0.9899610194265669, 0.00021345661284886714],
+        [0.032961459752475025, -0.11121452779464665, 0.007335072814736333, 0.021480582734366663, 0.0002132259136704411, 0.9893862107282813],
+    ],
+    [
+        [0.9971072332877838, 0.006439803256096302, 0.009124309181971452, 0.0009404909010405144, -1.7912564079216005e-05, 3.919875194897023e-05],
+        [0.006403105691387185, 0.9812950422860282, 0.0015745096049035357, 0.007044549667272466, 3.895723858036468e-05, -0.00011264127054820964],
+        [-0.5756019779285269, 1.2828242521528688, 0.8255747854736609, 0.1874650812419057, -0.0035609764923581182, 0.0077954536514346015],
+        [1.2709587790796382, -3.72092048503767, 0.31228112412537984, 0.4113786243208105, 0.0077229060370847475, -0.02237045243193449],
+        [-0.011532491105081201, 0.025673378877415963, 0.036309573066022706, 0.0037494321263701123, 0.9899784224676756, 0.00015627211517672685],
+        [0.025526930648826225, -0.07457034976823254, 0.006277007976336087, 0.02801825845989703, 0.00015530849303762933, 0.9896007722427712],
+    ],
+])

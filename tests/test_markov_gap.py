@@ -180,6 +180,22 @@ class TestExperiment:
         se = np.hypot(res[0.1].excess_markov_se, res[5.0].excess_markov_se)
         assert ex[5.0] - ex[0.1] >= 3.0 * se
 
+    def test_outputs_pinned(self, cfg):
+        # recorded before the ensemble step was widened to (B, 2)
+        # operands and the lag windows were gathered per half; every
+        # field must come out bit for bit.  n_bins and the dense sample
+        # times keep enough samples per cell at 64 trajectories.
+        res = mg.markov_gap_experiment(0.5, cfg.reference, cfg.plant,
+                                       cfg.friction, n_traj=64, n_bins=6,
+                                       sample_times=np.arange(2.5, 5.0, 0.05))
+        assert res == mg.MarkovGapResult(
+            tau_z=0.5, sigma2_hat=0.11387589637645046,
+            excess_markov=0.06793442632445963,
+            excess_markov_se=0.005185260303242043,
+            excess_windowed=4.237074992006868e-06,
+            excess_windowed_se=5.419759964511063e-07,
+            lower_bound=0.05693794818822523, window=250, n_eval=1600)
+
     def test_partial_window_sits_between(self, cfg):
         full = mg.markov_gap_experiment(0.5, cfg.reference, cfg.plant,
                                         cfg.friction, n_traj=256, seed=11)
