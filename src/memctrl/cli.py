@@ -119,7 +119,7 @@ def cmd_simulate(args, cfg) -> int:
         ctrl = shield.ShieldedController(lambda t, x: base, form, cfg.box,
                                          plant, fric)
     else:
-        ctrl = BaselineController(plant, fric, gains=base)
+        ctrl = BaselineController(plant, gains=base)
     traj = rollout(ctrl, cfg.reference, plant, fric, seed=args.seed, dt=cfg.dt)
     out = Path(args.out_dir) / args.out
     traj.write_csv(out)

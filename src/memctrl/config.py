@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .controller import ParamBox
+from .controller import BASELINE_KD, BASELINE_LAM, ParamBox, fixed_gain_baseline
 from .dynamics import FrictionParams, PlantParams, ReferenceSpec
 
 _PLANT_KEYS = {"m1", "m2", "l1", "l2", "lc1", "lc2", "i1", "i2", "gravity",
@@ -34,16 +34,11 @@ class Config:
     box: ParamBox
     dt: float = 0.01
     alpha: float = 0.5
-    baseline_kd: float = 30.0
-    baseline_lam: float = 5.0
+    baseline_kd: float = BASELINE_KD
+    baseline_lam: float = BASELINE_LAM
 
     def baseline_gains(self):
-        import numpy as np
-
-        from .controller import DIM_ETA, ControllerParams
-        return ControllerParams(kd=np.full(2, self.baseline_kd),
-                                lam=np.full(2, self.baseline_lam),
-                                eta=np.zeros(DIM_ETA))
+        return fixed_gain_baseline(self.baseline_kd, self.baseline_lam)
 
     def validate(self) -> None:
         self.plant.validate()

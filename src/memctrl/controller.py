@@ -48,11 +48,6 @@ class ParamBox:
         return np.concatenate([np.full(2, self.kd_max), np.full(2, self.lam_max),
                                np.full(DIM_ETA, self.eta_max)])
 
-    def contains(self, params: "ControllerParams", tol: float = 1e-9) -> bool:
-        v = params.as_vector()
-        return bool(np.all(v >= self.lower_vector() - tol)
-                    and np.all(v <= self.upper_vector() + tol))
-
     def clip(self, params: "ControllerParams") -> "ControllerParams":
         v = np.clip(params.as_vector(), self.lower_vector(), self.upper_vector())
         return ControllerParams.from_vector(v)
@@ -173,9 +168,14 @@ def squash(raw: np.ndarray, box: ParamBox) -> ControllerParams:
     return ControllerParams(kd=kd, lam=lam, eta=eta)
 
 
-def fixed_gain_baseline() -> ControllerParams:
-    """The no-meta-controller reference: K_d = 30, Lam = 5, eta = 0."""
-    return ControllerParams(kd=np.full(2, 30.0), lam=np.full(2, 5.0),
+BASELINE_KD = 30.0   # published fixed-gain baseline
+BASELINE_LAM = 5.0
+
+
+def fixed_gain_baseline(kd: float = BASELINE_KD,
+                        lam: float = BASELINE_LAM) -> ControllerParams:
+    """The no-meta-controller reference: K_d = 30, Lam = 5 unless given, eta = 0."""
+    return ControllerParams(kd=np.full(2, kd), lam=np.full(2, lam),
                             eta=np.zeros(DIM_ETA))
 
 
@@ -192,18 +192,18 @@ class ControlDecision:
 class BaselineController:
     """Fixed-gain computed torque, optionally with a payload estimate mode.
 
-    payload_mode: 'nominal' ignores the payload (estimate 0), 'true'
-    uses the plant's value, 'noisy' applies multiplicative noise to it.
-    The plant's payload may be a (B,) array, one value per member of a
-    batched rollout; 'noisy' draws one noise factor for all members.
+    No feed-forward: the baseline's eta is 0.  payload_mode: 'nominal'
+    ignores the payload (estimate 0), 'true' uses the plant's value,
+    'noisy' applies multiplicative noise to it.  The payload may be (B,)
+    and the gains (B, 2), one row per member of a batch; 'noisy' draws
+    one noise factor for all members.
     """
 
-    def __init__(self, params: PlantParams, fric: FrictionParams,
+    def __init__(self, params: PlantParams,
                  gains: ControllerParams | None = None,
                  payload_mode: str = "nominal", noise_rel: float = 0.05,
                  noise_seed: int = 0):
         self.gains = gains if gains is not None else fixed_gain_baseline()
-        self.fric = fric
         if payload_mode not in ("nominal", "true", "noisy"):
             raise ValueError(f"unknown payload_mode {payload_mode!r}")
         if payload_mode == "nominal":
@@ -216,8 +216,10 @@ class BaselineController:
             self.model = replace(params, payload=np.clip(p_hat, 0.0,
                                                          params.payload_max))
 
+    def torque(self, q, qd, ref_point: RefPoint) -> np.ndarray:
+        x = ExtendedState.from_tracking(q, qd, ref_point, self.gains.lam)
+        return computed_torque(x, self.gains, self.model)
+
     def __call__(self, t: float, state: PlantState, ref_point: RefPoint) -> ControlDecision:
-        x = ExtendedState.from_tracking(state.q, state.qd, ref_point,
-                                        self.gains.lam)
-        tau = computed_torque(x, self.gains, self.model, self.fric)
-        return ControlDecision(tau=tau, params=self.gains)
+        return ControlDecision(tau=self.torque(state.q, state.qd, ref_point),
+                               params=self.gains)

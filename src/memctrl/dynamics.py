@@ -94,11 +94,6 @@ class FrictionParams:
         if self.tau_z <= 0.0:
             raise ValueError("tau_z must be positive")
 
-    @property
-    def memory_horizon(self) -> float:
-        # For this memory model the horizon equals the decay constant.
-        return self.tau_z
-
     def with_tau_z(self, tau_z: float) -> "FrictionParams":
         return replace(self, tau_z=float(tau_z))
 
@@ -326,6 +321,44 @@ def step_rk4(state: PlantState, torque: np.ndarray, dt: float,
     return PlantState(q=qn, qd=qdn, z=zn, t=state.t + dt)
 
 
+def closed_loop(state: PlantState, n: int, step):
+    """Record q, qd, z over n steps of step(k, state) -> PlantState.
+
+    A member whose next state fails within_bound is held at its last
+    state from then on; a step that raises DivergenceError fails every
+    member still running.  The loop stops when no member is left, and
+    the rows after the stop repeat the held states.  Returns the
+    (n + 1, *members, 2) records of q, qd and z and each member's count
+    of recorded states up to its divergence (n + 1 if it never left).
+    """
+    members = state.q.shape[:-1]   # () for a single state
+    q, qd, z = (np.empty((n + 1, *members, 2)) for _ in range(3))
+    alive = np.ones(members, dtype=bool)
+    n_states = np.full(members, n + 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n):
+            q[k], qd[k], z[k] = state.q, state.qd, state.z
+            try:
+                new = step(k, state)
+                ok = alive & within_bound(new.q, new.qd, new.z)
+            except DivergenceError:
+                ok = np.zeros(members, dtype=bool)
+            if not ok.all():
+                n_states[alive & ~ok] = k + 1
+                alive = ok
+                if not alive.any():
+                    break
+                keep = alive[..., None]
+                new = PlantState(q=np.where(keep, new.q, state.q),
+                                 qd=np.where(keep, new.qd, state.qd),
+                                 z=np.where(keep, new.z, state.z), t=new.t)
+            state = new
+        else:
+            k = n
+    q[k:], qd[k:], z[k:] = state.q, state.qd, state.z
+    return q, qd, z, n_states
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """Record of one rollout on the control grid; immutable after creation."""
@@ -409,10 +442,10 @@ def rollout(controller, ref: ReferenceSpec, params: PlantParams,
     seed may also be a sequence of B seeds.  The B members, each reset
     from its own seed, then advance together: the state carries a
     leading member axis, params and fric may hold per-member arrays,
-    and the controller is called once per step for the whole batch.  A
-    member that leaves within_bound is held from then on.  The call
-    then returns one Trajectory per member, each cut at that member's
-    own divergence step exactly as the record of an int seed is.
+    and the controller is called once per step for the whole batch.
+    closed_loop holds a member that leaves within_bound.  The call then
+    returns one Trajectory per member, each cut at that member's own
+    divergence step exactly as the record of an int seed is.
     """
     horizon = ref.horizon if horizon is None else horizon
     n = round(horizon / dt)
@@ -432,50 +465,29 @@ def rollout(controller, ref: ReferenceSpec, params: PlantParams,
     members = state.q.shape[:-1]   # () for an int seed
 
     t = np.arange(n + 1) * dt
-    q, qd, z = (np.empty((n + 1, *members, 2)) for _ in range(3))
     q_r = np.empty((n + 1, 2)); qd_r = np.empty((n + 1, 2))
     tau, kd, lam = (np.zeros((n, *members, 2)) for _ in range(3))
     eta_log = np.zeros((n, *members, 6))
     altered = np.zeros((n, *members), dtype=bool)
     pdist = np.zeros((n, *members))
-    alive = np.ones(members, dtype=bool)
-    n_states = np.full(members, n + 1)   # recorded states; cut on divergence
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n):
-            q[k], qd[k], z[k] = state.q, state.qd, state.z
-            q_r[k] = ref.position(t[k], phase_offset)
-            qd_r[k] = ref.velocity(t[k], phase_offset)
-            ref_point = RefPoint(q=q_r[k], qd=qd_r[k],
-                                 qdd=ref.acceleration(t[k], phase_offset))
-            dec = controller(t[k], state, ref_point)
-            tau[k] = dec.tau
-            kd[k], lam[k] = dec.params.kd, dec.params.lam
-            n_eta = min(dec.params.eta.shape[-1], eta_log.shape[-1])
-            eta_log[k, ..., :n_eta] = dec.params.eta[..., :n_eta]
-            altered[k] = dec.shield_altered
-            pdist[k] = dec.projection_distance
-            try:
-                new = step_rk4(state, dec.tau, dt, params, fric)
-            except DivergenceError:
-                n_states[alive] = k + 1
-                break
-            if batched:
-                ok = alive & within_bound(new.q, new.qd, new.z)
-                if not ok.all():
-                    n_states[alive & ~ok] = k + 1
-                    alive = ok
-                    if not alive.any():
-                        break
-                    keep = alive[:, None]
-                    new = PlantState(q=np.where(keep, new.q, state.q),
-                                     qd=np.where(keep, new.qd, state.qd),
-                                     z=np.where(keep, new.z, state.z), t=new.t)
-            state = new
-        else:
-            q[n], qd[n], z[n] = state.q, state.qd, state.z
-            q_r[n] = ref.position(t[n], phase_offset)
-            qd_r[n] = ref.velocity(t[n], phase_offset)
+    def step(k, state):
+        q_r[k] = ref.position(t[k], phase_offset)
+        qd_r[k] = ref.velocity(t[k], phase_offset)
+        ref_point = RefPoint(q=q_r[k], qd=qd_r[k],
+                             qdd=ref.acceleration(t[k], phase_offset))
+        dec = controller(t[k], state, ref_point)
+        tau[k] = dec.tau
+        kd[k], lam[k] = dec.params.kd, dec.params.lam
+        n_eta = min(dec.params.eta.shape[-1], eta_log.shape[-1])
+        eta_log[k, ..., :n_eta] = dec.params.eta[..., :n_eta]
+        altered[k] = dec.shield_altered
+        pdist[k] = dec.projection_distance
+        return step_rk4(state, dec.tau, dt, params, fric)
+
+    q, qd, z, n_states = closed_loop(state, n, step)
+    q_r[n] = ref.position(t[n], phase_offset)
+    qd_r[n] = ref.velocity(t[n], phase_offset)
 
     trajs = []
     for i, s in zip(np.ndindex(members), seeds):

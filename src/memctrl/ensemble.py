@@ -1,17 +1,18 @@
 """Batched closed-loop simulation for the analysis pipelines.
 
 The dynamics routines broadcast over leading axes, so an ensemble of B
-tracking tasks integrates as one (B, 2)-shaped rollout under the
-batched fixed-gain controller.  The plant and the torque are those of
-memctrl.dynamics and memctrl.controller, with per-member payloads and
-friction constants held as arrays in PlantParams and FrictionParams;
-only the hand-derived step Jacobian is written here.  The friction
-constants, the gains and the reference constants are stored at (B, 2),
-the state's shape: a (B, 1) or (2,) operand makes numpy run B inner
-loops of length 2, several times slower per operation at B = 512.
-Each step evaluates the reference once, with one sin and one cos, and
-the record keeps the state only.  Used wherever
-thousands of rollouts are needed: the sigma_z scans, the
+tracking tasks integrates as one (B, 2)-shaped rollout.  The plant, the
+loop and the torque are those of memctrl.dynamics (rk4_increment,
+closed_loop) and memctrl.controller (BaselineController, payload-free,
+gains at (B, 2)), with per-member payloads and friction constants held
+as arrays in PlantParams and FrictionParams; only the task
+distribution, the batch reference and the hand-derived step Jacobian
+are written here.  The friction constants, the gains and the reference
+constants are stored at (B, 2), the state's shape: a (B, 1) or (2,)
+operand makes numpy run B inner loops of length 2, several times
+slower per operation at B = 512.  Each step evaluates the reference
+once, with one sin and one cos, and the record keeps the state only.
+Used wherever thousands of rollouts are needed: the sigma_z scans, the
 temporal-operator sampler and the Markov-gap experiment.  Regression
 tests pin each member to a scalar rollout under its own parameters.
 """
@@ -22,11 +23,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .controller import (ControllerParams, ExtendedState, computed_torque,
+from .controller import (BaselineController, ControllerParams,
                          fixed_gain_baseline)
-from .dynamics import (FrictionParams, PlantParams, ReferenceSpec, RefPoint,
-                       _arm_terms, _derivatives, _payload_terms,
-                       rk4_increment, within_bound)
+from .dynamics import (FrictionParams, PlantParams, PlantState, ReferenceSpec,
+                       RefPoint, _arm_terms, _derivatives, _payload_terms,
+                       closed_loop, rk4_increment)
 
 
 @dataclass(frozen=True)
@@ -117,7 +118,8 @@ class BaselineEnsembleSim:
     """Batch of plants under the fixed-gain baseline, steppable from any state.
 
     Per-member payload and (optionally perturbed) friction constants;
-    the controller model is payload-free as in the evaluation protocol.
+    the torque is a BaselineController whose model is payload-free, as
+    in the evaluation protocol.
     """
 
     def __init__(self, batch: int, ref: ReferenceSpec, params: PlantParams,
@@ -125,11 +127,9 @@ class BaselineEnsembleSim:
                  task: TaskDistribution | None = None,
                  gains: ControllerParams | None = None):
         task = task or TaskDistribution()
-        self.task = task
         rng = np.random.default_rng(seed)
-        self.rng = rng
         self.batch = batch
-        self.gains = gains if gains is not None else fixed_gain_baseline()
+        gains = gains if gains is not None else fixed_gain_baseline()
 
         phase = (rng.uniform(0.0, 2.0 * np.pi, (batch, 2))
                  if task.randomize_phase else np.zeros((batch, 2)))
@@ -146,10 +146,10 @@ class BaselineEnsembleSim:
         self.fric = replace(fric, **{k: np.full((batch, 2), fr[:, i:i + 1])
                                      for i, k in enumerate(("f_c", "f_smax",
                                                             "v_s", "sigma"))})
-        self.gains = replace(self.gains, kd=np.full((batch, 2), self.gains.kd),
-                             lam=np.full((batch, 2), self.gains.lam))
+        self.controller = BaselineController(params, replace(
+            gains, kd=np.full((batch, 2), gains.kd),
+            lam=np.full((batch, 2), gains.lam)))   # payload-free model
         self.plant = replace(params, payload=self.payload)
-        self.model = params.with_payload(0.0)   # payload-free controller model
         self.reference = BatchReference(ref, phase, task.slow_reference, rng)
         self.q0 = ref.position(0.0, phase) + rng.uniform(
             -task.q_jitter, task.q_jitter, (batch, 2))
@@ -158,14 +158,10 @@ class BaselineEnsembleSim:
         """The batch reference at time t, evaluated once for a step."""
         return self.reference.at(t)
 
-    def torque(self, ref: RefPoint, q: np.ndarray, qd: np.ndarray) -> np.ndarray:
-        x = ExtendedState.from_tracking(q, qd, ref, self.gains.lam)
-        return computed_torque(x, self.gains, self.model)
-
     def _torque_jacobian(self, ref: RefPoint, q: np.ndarray, qd: np.ndarray) -> np.ndarray:
         """d torque / d (q, qd, z) of the baseline law, shape (B, 2, 6)."""
-        g = self.gains
-        terms = _payload_terms(self.model)
+        g = self.controller.gains
+        terms = _payload_terms(self.controller.model)
         _, b, _, gw1, gw2 = terms
         M11, M12, M22, h, _, _ = _arm_terms(q, terms)
         dh = b * np.cos(q[..., 1])   # dh/dq2
@@ -242,7 +238,7 @@ class BaselineEnsembleSim:
         is taken as 0.
         """
         ref = self.reference_at(t)
-        tau = self.torque(ref, q, qd)
+        tau = self.controller.torque(q, qd, ref)
         T = self._torque_jacobian(ref, q, qd)
         terms = _payload_terms(self.plant)
         eye = np.eye(6)
@@ -257,29 +253,16 @@ class BaselineEnsembleSim:
 
     def step(self, ref: RefPoint, q, qd, z, dt: float):
         """One zero-order-hold RK4 step of the whole batch from reference ref."""
-        return rk4_increment(q, qd, z, self.torque(ref, q, qd), dt,
+        return rk4_increment(q, qd, z, self.controller.torque(q, qd, ref), dt,
                              self.plant, self.fric)
 
     def run(self, horizon: float, dt: float) -> BatchRollout:
+        """closed_loop of `step` from the batch's reset states."""
         n = round(horizon / dt)
-        B = self.batch
-        q = self.q0.copy(); qd = np.zeros((B, 2)); z = np.zeros((B, 2))
-        alive = np.ones(B, dtype=bool)
-        out_t = np.arange(n + 1) * dt
-        out_q, out_qd, out_z = (np.empty((n + 1, B, 2)) for _ in range(3))
-        with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(n + 1):
-                out_q[k], out_qd[k], out_z[k] = q, qd, z
-                if k == n:
-                    break
-                qn, qdn, zn = self.step(self.reference_at(k * dt), q, qd, z, dt)
-                alive &= within_bound(qn, qdn, zn)
-                if alive.all():
-                    q, qd, z = qn, qdn, zn
-                else:   # hold the members that blew up
-                    keep = alive[:, None]
-                    q = np.where(keep, qn, q)
-                    qd = np.where(keep, qdn, qd)
-                    z = np.where(keep, zn, z)
-        return BatchRollout(t=out_t, q=out_q, qd=out_qd, z=out_z,
-                            payload=self.payload, alive=alive, dt=dt)
+        zero = np.zeros((self.batch, 2))
+        q, qd, z, n_states = closed_loop(
+            PlantState(q=self.q0, qd=zero, z=zero), n,
+            lambda k, s: PlantState(*self.step(self.reference_at(k * dt),
+                                               s.q, s.qd, s.z, dt)))
+        return BatchRollout(t=np.arange(n + 1) * dt, q=q, qd=qd, z=z,
+                            payload=self.payload, alive=n_states > n, dt=dt)

@@ -26,6 +26,8 @@ from .ensemble import BaselineEnsembleSim, TaskDistribution
 from .memory_analysis import (InsufficientSamples, StateBinning,
                               binned_conditional_variance)
 
+MIN_FIT_SAMPLES = 1000   # markovian_policy_fit's default floor
+
 
 class SingularDesign(RuntimeError):
     """Regression design without enough excitation to identify weights."""
@@ -98,7 +100,7 @@ class MarkovianPolicy:
 
 def markovian_policy_fit(pos: np.ndarray, vel: np.ndarray, z: np.ndarray,
                          cost: QuadCostSpec, n_bins: int = 12,
-                         min_samples: int = 1000,
+                         min_samples: int = MIN_FIT_SAMPLES,
                          binning: StateBinning | None = None) -> MarkovianPolicy:
     """Conditional-mean estimator of the pointwise optimum on a state grid."""
     cost.validate()
@@ -229,6 +231,11 @@ def markov_gap_experiment(tau_z: float, ref: ReferenceSpec, params: PlantParams,
     lag_idx = idx[:, None] - np.arange(1, window + 1)[None, :]   # (T, W)
     half = ok.size // 2
     fit_b, ev_b = ok[:half], ok[half:]
+    n_fit = half * idx.size
+    if n_fit < MIN_FIT_SAMPLES:
+        raise InsufficientSamples(
+            f"n_traj={n_traj} gives {n_fit} fit samples ({half} surviving trajectories"
+            f" x {idx.size} sample times); the fit needs {MIN_FIT_SAMPLES}")
 
     def at_samples(arr, members):
         """arr at each sample time and member, time-major, shape (T * n,)."""

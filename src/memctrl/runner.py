@@ -159,8 +159,7 @@ def evaluate_baseline(ref: ReferenceSpec, params: PlantParams,
                       fric: FrictionParams, sweep: SweepSpec | None = None,
                       payload_mode: str = "nominal", gains=None) -> RunResult:
     def make(plant, fr):
-        return BaselineController(plant, fr, gains=gains,
-                                  payload_mode=payload_mode)
+        return BaselineController(plant, gains=gains, payload_mode=payload_mode)
 
     return evaluate_controller(make, ref, params, fric, sweep,
                                architecture="baseline-ct", param_count=0)

@@ -141,6 +141,18 @@ class TestCLI:
         assert err.count("\n") == 1
         assert not list(tmp_path.glob("*.json"))
 
+    @pytest.mark.parametrize("n", [64, 150])
+    def test_markov_gap_names_n_traj_when_too_few(self, tmp_path, capsys, n):
+        # at the default sample grid, 64 trajectories once failed in the
+        # state binning and 150 in the policy fit, neither naming n_traj
+        rc = run_cli(["--out-dir", str(tmp_path), "markov-gap",
+                      "--tau-z-list", "0.5", "--n-traj", str(n)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("memctrl: error: ")
+        assert f"n_traj={n}" in err
+        assert err.count("\n") == 1
+
 
 class TestConfigBaseline:
     def test_baseline_gains_configurable(self, tmp_path):

@@ -132,8 +132,8 @@ class TestSquash:
     @given(st.lists(st.floats(-1e6, 1e6), min_size=10, max_size=10))
     def test_total_and_inside_box(self, raw):
         box = ParamBox()
-        p = squash(np.array(raw), box)
-        assert box.contains(p)
+        v = squash(np.array(raw), box).as_vector()
+        assert np.all(v >= box.lower_vector()) and np.all(v <= box.upper_vector())
 
     @settings(max_examples=100, deadline=None)
     @given(st.floats(-30, 30), st.floats(1e-6, 5.0))
@@ -166,16 +166,16 @@ class TestBaseline:
         rmses = []
         for tz in (1.0, 5.0):
             fric = cfg.friction.with_tau_z(tz)
-            ctrl = BaselineController(cfg.plant, fric)
+            ctrl = BaselineController(cfg.plant)
             rmses.append(rollout(ctrl, cfg.reference, cfg.plant, fric,
                                  seed=42).rmse())
         assert abs(rmses[0] - rmses[1]) / rmses[0] < 0.02
 
     def test_payload_modes(self, cfg):
         plant = cfg.plant.with_payload(1.0)
-        nom = BaselineController(plant, cfg.friction, payload_mode="nominal")
-        tru = BaselineController(plant, cfg.friction, payload_mode="true")
-        noisy = BaselineController(plant, cfg.friction, payload_mode="noisy",
+        nom = BaselineController(plant, payload_mode="nominal")
+        tru = BaselineController(plant, payload_mode="true")
+        noisy = BaselineController(plant, payload_mode="noisy",
                                    noise_seed=5)
         assert nom.model.payload == 0.0
         assert tru.model.payload == 1.0

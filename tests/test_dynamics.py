@@ -147,9 +147,6 @@ class TestMemoryState:
             z = z + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         assert z[0] == pytest.approx(np.exp(-1.0), abs=1e-3)
 
-    def test_horizon_equals_tau(self):
-        assert FrictionParams(tau_z=2.5).memory_horizon == 2.5
-
 
 def _quiet_friction():
     return FrictionParams(f_c=0.0, f_smax=0.0, v_s=0.1, sigma=0.0,
@@ -235,7 +232,7 @@ class TestReferenceSpec:
 
 class TestRollout:
     def test_bitwise_determinism(self, cfg):
-        ctrl = BaselineController(cfg.plant, cfg.friction)
+        ctrl = BaselineController(cfg.plant)
         a = rollout(ctrl, cfg.reference, cfg.plant, cfg.friction, seed=7)
         b = rollout(ctrl, cfg.reference, cfg.plant, cfg.friction, seed=7)
         assert np.array_equal(a.q, b.q)
@@ -243,7 +240,7 @@ class TestRollout:
         assert np.array_equal(a.z, b.z)
 
     def test_baseline_tracks_finitely(self, cfg):
-        ctrl = BaselineController(cfg.plant, cfg.friction.with_tau_z(1.0))
+        ctrl = BaselineController(cfg.plant)
         traj = rollout(ctrl, cfg.reference, cfg.plant,
                        cfg.friction.with_tau_z(1.0), seed=42)
         assert not traj.diverged
@@ -254,13 +251,13 @@ class TestRollout:
     def test_absurd_gains_diverge(self, cfg):
         gains = ControllerParams(kd=np.full(2, 4.0e4), lam=np.full(2, 5.0),
                                  eta=np.zeros(6))
-        ctrl = BaselineController(cfg.plant, cfg.friction, gains=gains)
+        ctrl = BaselineController(cfg.plant, gains=gains)
         traj = rollout(ctrl, cfg.reference, cfg.plant, cfg.friction, seed=3)
         assert traj.diverged
         assert traj.n_steps < 500
 
     def test_csv_export_schema(self, cfg, tmp_path):
-        ctrl = BaselineController(cfg.plant, cfg.friction)
+        ctrl = BaselineController(cfg.plant)
         traj = rollout(ctrl, cfg.reference, cfg.plant, cfg.friction, seed=1,
                        horizon=0.5)
         path = tmp_path / "traj.csv"
@@ -272,13 +269,13 @@ class TestRollout:
     @staticmethod
     def _batch_and_scalar(cfg, payloads, seeds, gains=None, horizon=None):
         plant = dataclasses.replace(cfg.plant, payload=np.asarray(payloads))
-        batch = rollout(BaselineController(plant, cfg.friction, gains=gains),
+        batch = rollout(BaselineController(plant, gains=gains),
                         cfg.reference, plant, cfg.friction, seed=seeds,
                         horizon=horizon)
         scalar = []
         for p, s in zip(payloads, seeds):
             member = cfg.plant.with_payload(p)
-            ctrl = BaselineController(member, cfg.friction, gains=gains)
+            ctrl = BaselineController(member, gains=gains)
             scalar.append(rollout(ctrl, cfg.reference, member, cfg.friction,
                                   seed=s, horizon=horizon))
         return batch, scalar
@@ -319,7 +316,7 @@ class TestEnsembleConsistency:
         sim = ensemble.BaselineEnsembleSim(2, cfg.reference, plant,
                                            cfg.friction, seed=1, task=task)
         roll = sim.run(1.5, 0.01)
-        ctrl = BaselineController(plant, cfg.friction)
+        ctrl = BaselineController(plant)
         tr = rollout(ctrl, cfg.reference, plant, cfg.friction, seed=0,
                      horizon=1.5, reset=dynamics.ResetSpec(q_jitter=0.0))
         assert np.max(np.abs(roll.q[:, 0, :] - tr.q)) < 1e-12
@@ -344,7 +341,7 @@ class TestEnsembleConsistency:
                 cfg.friction, **{k: float(getattr(sim.fric, k)[i, 0])
                                  for k in ("f_c", "f_smax", "v_s", "sigma")})
             assert fric.f_c != cfg.friction.f_c
-            ctrl = BaselineController(plant, fric)
+            ctrl = BaselineController(plant)
             tr = rollout(ctrl, cfg.reference, plant, fric, seed=0, horizon=1.5,
                          reset=dynamics.ResetSpec(q_jitter=0.0))
             assert np.max(np.abs(roll.q[:, i, :] - tr.q)) < 1e-12
@@ -378,6 +375,25 @@ class TestEnsembleConsistency:
             assert np.array_equal(got.q, q)
             assert np.array_equal(got.qd, qd)
             assert np.array_equal(got.qdd, qdd)
+
+    @pytest.mark.parametrize("case", ["some", "all"])
+    def test_run_holds_diverged_members_pinned(self, cfg, case):
+        # kd = 200 drives the RK4 step out of its stability region within
+        # a few steps.  "some": member 1 diverges and is held while member
+        # 0 runs on; "all": both diverge, the loop stops, and the rows
+        # after the stop repeat the held states.
+        from memctrl import ensemble
+
+        kd = {"some": [[30.0, 30.0], [200.0, 200.0]], "all": [200.0, 200.0]}[case]
+        gains = ControllerParams(kd=np.array(kd), lam=np.full(2, 5.0),
+                                 eta=np.zeros(6))
+        sim = ensemble.BaselineEnsembleSim(2, cfg.reference, cfg.plant,
+                                           cfg.friction, seed=0, gains=gains)
+        roll = sim.run(0.1, 0.01)
+        pin = HOLD_PINS[case]
+        assert np.array_equal(roll.alive, pin["alive"])
+        for name in ("q", "qd", "z"):
+            assert np.array_equal(getattr(roll, name), pin[name]), name
 
     def test_step_jacobian_pinned_with_per_joint_gains(self, cfg):
         # the gains are widened to (B, 2); at B = 2 unpacking them by the
@@ -418,3 +434,92 @@ STEP_JACOBIAN_PIN = np.array([
         [0.025526930648826225, -0.07457034976823254, 0.006277007976336087, 0.02801825845989703, 0.00015530849303762933, 0.9896007722427712],
     ],
 ])
+
+
+# BaselineEnsembleSim.run of test_run_holds_diverged_members_pinned,
+# recorded when the ensemble kept its own step loop and stepped on
+# after every member had diverged
+HOLD_SOME_Q = np.array([
+    [[-0.3577753349536201, 0.34358384367030803], [0.13602992708249179, 0.11811237991806733]],
+    [[-0.3580804936707262, 0.343670848257808], [0.14043752861722575, 0.11009916568512525]],
+    [[-0.3587599828185387, 0.34339293439362206], [0.13350401565702527, 0.1372648361334122]],
+    [[-0.35995079913946465, 0.34325114703228765], [0.19482973212284307, -0.004829354525651031]],
+    [[-0.36150790736236443, 0.34298671524324], [-0.03982483777344892, 0.6172558927715867]],
+    [[-0.36332624241788486, 0.3424513712144715], [0.5706432201478482, -0.8810177678102927]],
+    [[-0.36527370216681326, 0.3414146351937503], [0.5706432201478482, -0.8810177678102927]],
+    [[-0.36727775311180505, 0.3397962867051468], [0.5706432201478482, -0.8810177678102927]],
+    [[-0.36929958720242695, 0.33760113209422266], [0.5706432201478482, -0.8810177678102927]],
+    [[-0.37131975066837136, 0.3348826046932539], [0.5706432201478482, -0.8810177678102927]],
+    [[-0.37331935002830635, 0.3316936235199807], [0.5706432201478482, -0.8810177678102927]],
+])
+HOLD_SOME_QD = np.array([
+    [[0.0, 0.0], [0.0, 0.0]],
+    [[-0.054597807787656674, 0.0012080270043949323], [0.874232450553395, -1.5844302600799964]],
+    [[-0.09032760199965666, -0.03263951195019637], [-2.219909395840897, 6.9150179929152795]],
+    [[-0.13840813611013483, -0.021066368442264526], [14.482812526677748, -35.32878332649635]],
+    [[-0.1730691251937721, -0.031722544911102865], [-48.75359136662439, 128.68069362147696]],
+    [[-0.19027758970211953, -0.07620403293103119], [269.1526783267554, -672.5491960815734]],
+    [[-0.19859798143366497, -0.13277125188281103], [269.1526783267554, -672.5491960815734]],
+    [[-0.20169210984544292, -0.1922576718175422], [269.1526783267554, -672.5491960815734]],
+    [[-0.20242938687653703, -0.24739311634220923], [269.1526783267554, -672.5491960815734]],
+    [[-0.20152203763314958, -0.29649174910623216], [269.1526783267554, -672.5491960815734]],
+    [[-0.1983770310653459, -0.3413204087432423], [269.1526783267554, -672.5491960815734]],
+])
+HOLD_SOME_Z = np.array([
+    [[0.0, 0.0], [0.0, 0.0]],
+    [[-0.0012173883119449456, 0.0003491092443647285], [0.017571400702967695, -0.03194532246748196]],
+    [[-0.003909952814151873, -0.0007640707913619453], [-0.01030145279396133, 0.07677446828687592]],
+    [[-0.008612495374689767, -0.0013195397695737296], [0.23444487449676066, -0.49095893566026383]],
+    [[-0.014725344009348659, -0.002359218452788284], [-0.7035931679845531, 1.9944657416879363]],
+    [[-0.021816491186532474, -0.004467919721551859], [1.7428199618656808, -4.013470945182316]],
+    [[-0.029350707479598486, -0.008551620979919967], [1.7428199618656808, -4.013470945182316]],
+    [[-0.037035018436471306, -0.014909647240191103], [1.7428199618656808, -4.013470945182316]],
+    [[-0.044713570417630244, -0.023499989151970914], [1.7428199618656808, -4.013470945182316]],
+    [[-0.05230901704508695, -0.03408771067645771], [1.7428199618656808, -4.013470945182316]],
+    [[-0.0597469675186583, -0.0464423768870721], [1.7428199618656808, -4.013470945182316]],
+])
+HOLD_ALL_Q = np.array([
+    [[-0.3577753349536201, 0.34358384367030803], [0.13602992708249179, 0.11811237991806733]],
+    [[-0.3599579349176242, 0.346535279902226], [0.14043752861722575, 0.11009916568512525]],
+    [[-0.35967471146369007, 0.3380855538362725], [0.13350401565702527, 0.1372648361334122]],
+    [[-0.3773136248324539, 0.3719903734574923], [0.19482973212284307, -0.004829354525651031]],
+    [[-0.3277255521705842, 0.22821026010013645], [-0.03982483777344892, 0.6172558927715867]],
+    [[-0.5483467008031899, 0.7890996580443553], [0.5706432201478482, -0.8810177678102927]],
+    [[-0.08682563195726517, -0.39208006632511594], [0.5706432201478482, -0.8810177678102927]],
+    [[-0.08682563195726517, -0.39208006632511594], [0.5706432201478482, -0.8810177678102927]],
+    [[-0.08682563195726517, -0.39208006632511594], [0.5706432201478482, -0.8810177678102927]],
+    [[-0.08682563195726517, -0.39208006632511594], [0.5706432201478482, -0.8810177678102927]],
+    [[-0.08682563195726517, -0.39208006632511594], [0.5706432201478482, -0.8810177678102927]],
+])
+HOLD_ALL_QD = np.array([
+    [[0.0, 0.0], [0.0, 0.0]],
+    [[-0.4310976404552889, 0.5764999049460459], [0.874232450553395, -1.5844302600799964]],
+    [[0.4786387200550349, -2.2424479950327116], [-2.219909395840897, 6.9150179929152795]],
+    [[-3.928277282519297, 8.82155739352573], [14.482812526677748, -35.32878332649635]],
+    [[14.57144638550453, -39.385874560077404], [-48.75359136662439, 128.68069362147696]],
+    [[-47.887059802975465, 124.43734462982567], [269.1526783267554, -672.5491960815734]],
+    [[294.8364076221291, -727.0836313434141], [269.1526783267554, -672.5491960815734]],
+    [[294.8364076221291, -727.0836313434141], [269.1526783267554, -672.5491960815734]],
+    [[294.8364076221291, -727.0836313434141], [269.1526783267554, -672.5491960815734]],
+    [[294.8364076221291, -727.0836313434141], [269.1526783267554, -672.5491960815734]],
+    [[294.8364076221291, -727.0836313434141], [269.1526783267554, -672.5491960815734]],
+])
+HOLD_ALL_Z = np.array([
+    [[0.0, 0.0], [0.0, 0.0]],
+    [[-0.008701041836258215, 0.011765659873695223], [0.017571400702967695, -0.03194532246748196]],
+    [[-0.0074573249397730185, -0.0220747029573424], [-0.01030145279396133, 0.07677446828687592]],
+    [[-0.07773225679276656, 0.11345251113254676], [0.23444487449676066, -0.49095893566026383]],
+    [[0.12103112627494801, -0.46156323083823103], [-0.7035931679845531, 1.9944657416879363]],
+    [[-0.7595901230951335, 1.7789598048450816], [1.7428199618656808, -4.013470945182316]],
+    [[1.094237228859424, -2.964253979192467], [1.7428199618656808, -4.013470945182316]],
+    [[1.094237228859424, -2.964253979192467], [1.7428199618656808, -4.013470945182316]],
+    [[1.094237228859424, -2.964253979192467], [1.7428199618656808, -4.013470945182316]],
+    [[1.094237228859424, -2.964253979192467], [1.7428199618656808, -4.013470945182316]],
+    [[1.094237228859424, -2.964253979192467], [1.7428199618656808, -4.013470945182316]],
+])
+HOLD_PINS = {
+    "some": {"alive": [True, False], "q": HOLD_SOME_Q, "qd": HOLD_SOME_QD,
+             "z": HOLD_SOME_Z},
+    "all": {"alive": [False, False], "q": HOLD_ALL_Q, "qd": HOLD_ALL_QD,
+            "z": HOLD_ALL_Z},
+}

@@ -116,8 +116,7 @@ class TestEvaluate:
             plant = cfg.plant.with_payload(payload)
             rmses = []
             for ir in range(sweep.rollouts_per_payload):
-                ctrl = BaselineController(plant, cfg.friction, gains=gains,
-                                          payload_mode=mode)
+                ctrl = BaselineController(plant, gains=gains, payload_mode=mode)
                 traj = rollout(ctrl, cfg.reference, plant, cfg.friction,
                                seed=sweep.rollout_seed(ip, ir), dt=sweep.dt,
                                horizon=sweep.horizon)

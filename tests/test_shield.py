@@ -391,7 +391,7 @@ class TestDecayAndActivation:
         from memctrl.controller import BaselineController
         weak = ControllerParams(kd=np.full(2, 0.5), lam=np.full(2, 0.3),
                                 eta=np.zeros(DIM_ETA))
-        ctrl = BaselineController(cfg.plant, cfg.friction, gains=weak)
+        ctrl = BaselineController(cfg.plant, gains=weak)
         traj = rollout(ctrl, cfg.reference, cfg.plant, cfg.friction, seed=42)
         rep = verify_exponential_decay(traj, form, alpha=0.5, tolerance=0.05)
         assert not rep.passed
