@@ -23,9 +23,8 @@ from .dynamics import DivergenceError
 
 # errors a run reports in one line: ValueError, which memctrl's input
 # errors subclass, and memctrl's own RuntimeErrors
-_RUN_ERRORS = (ValueError, DivergenceError, shield.EmptyAdmissibleSet,
-               memory_analysis.InsufficientSamples, markov_gap.SingularDesign,
-               incrt.ZeroResidual)
+_RUN_ERRORS = (ValueError, DivergenceError, memory_analysis.InsufficientSamples,
+               markov_gap.SingularDesign, incrt.ZeroResidual)
 
 
 def _float_list(text: str) -> list[float]:

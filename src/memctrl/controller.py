@@ -94,8 +94,6 @@ class ExtendedState:
     @staticmethod
     def from_tracking(q, qd, ref_point: RefPoint,
                       lam_nominal: np.ndarray) -> "ExtendedState":
-        q = np.asarray(q, dtype=float)
-        qd = np.asarray(qd, dtype=float)
         e = ref_point.q - q
         ed = ref_point.qd - qd
         s = ed + np.asarray(lam_nominal, dtype=float) * e

@@ -235,16 +235,16 @@ def total_energy(q, qd, params: PlantParams):
 
 
 def stribeck_force(qd: np.ndarray, z: np.ndarray, fric: FrictionParams) -> np.ndarray:
-    """Per-joint friction torque; sign(0) = 0 so the force is single-valued at rest."""
-    qd = np.asarray(qd, dtype=float)
-    z = np.asarray(z, dtype=float)
+    """Per-joint friction torque; sign(0) = 0 so the force is single-valued at rest.
+
+    Complex-safe: the sign reads the real part, so a complex step sees
+    d sign/d qd = 0.
+    """
     env = fric.f_c + (fric.f_smax - fric.f_c) * np.exp(-((qd / fric.v_s) ** 2))
-    return env * np.sign(qd) + fric.sigma * qd + z
+    return env * np.sign(np.real(qd)) + fric.sigma * qd + z
 
 
 def memory_derivative(qd: np.ndarray, z: np.ndarray, fric: FrictionParams) -> np.ndarray:
-    qd = np.asarray(qd, dtype=float)
-    z = np.asarray(z, dtype=float)
     return -z / fric.tau_z + fric.lambda_z * qd
 
 
@@ -255,7 +255,7 @@ def inverse_dynamics(q, qd, qd_r, qdd_r, params: PlantParams) -> np.ndarray:
     tau1 = (M11 * qdd_r[..., 0] + M12 * qdd_r[..., 1]
             - h * v2 * qd_r[..., 0] - h * (v1 + v2) * qd_r[..., 1] + G1)
     # both entries broadcast to tau1's shape
-    tau = np.empty(np.shape(tau1) + (2,))
+    tau = np.empty(np.shape(tau1) + (2,), dtype=tau1.dtype)
     tau[..., 0] = tau1
     tau[..., 1] = M12 * qdd_r[..., 0] + M22 * qdd_r[..., 1] + h * v1 * qd_r[..., 0] + G2
     return tau
@@ -270,7 +270,7 @@ def _derivatives(q, qd, z, tau, terms, fric: FrictionParams):
     r2 = tau[..., 1] - h * v1 * v1 - G2 - F[..., 1]
     det = M11 * M22 - M12 * M12
     qdd1 = (M22 * r1 - M12 * r2) / det
-    qdd = np.empty(np.shape(qdd1) + (2,))
+    qdd = np.empty(np.shape(qdd1) + (2,), dtype=qdd1.dtype)
     qdd[..., 0] = qdd1
     qdd[..., 1] = (-M12 * r1 + M11 * r2) / det
     return qd, qdd, memory_derivative(qd, z, fric)
@@ -370,9 +370,6 @@ class Trajectory:
     q_ref: np.ndarray        # (n+1, 2)
     qd_ref: np.ndarray       # (n+1, 2)
     tau: np.ndarray          # (n, 2), torque applied over [t_k, t_k+1)
-    kd: np.ndarray           # (n, 2) applied controller gains
-    lam: np.ndarray          # (n, 2)
-    eta: np.ndarray          # (n, n_eta)
     shield_altered: np.ndarray      # (n,) bool
     projection_distance: np.ndarray  # (n,)
     diverged: bool = False
@@ -413,9 +410,8 @@ class ResetSpec:
 
     q_jitter: float = 0.1    # rad, uniform half-width around q_d(0)
 
-    def sample(self, ref: ReferenceSpec, rng: np.random.Generator,
-               phase_offset=None) -> PlantState:
-        q0 = ref.position(0.0, phase_offset) + rng.uniform(
+    def sample(self, ref: ReferenceSpec, rng: np.random.Generator) -> PlantState:
+        q0 = ref.position(0.0) + rng.uniform(
             -self.q_jitter, self.q_jitter, 2)
         return PlantState(q=q0, qd=np.zeros(2), z=np.zeros(2), t=0.0)
 
@@ -431,8 +427,8 @@ class RefPoint:
 
 def rollout(controller, ref: ReferenceSpec, params: PlantParams,
             fric: FrictionParams, seed, dt: float = 0.01,
-            horizon: float | None = None, reset: ResetSpec | None = None,
-            phase_offset=None) -> Trajectory | list[Trajectory]:
+            horizon: float | None = None, reset: ResetSpec | None = None
+            ) -> Trajectory | list[Trajectory]:
     """Run the closed loop for horizon/dt steps with a seeded reset.
 
     controller is any callable (t, state, ref_point) -> ControlDecision
@@ -454,8 +450,7 @@ def rollout(controller, ref: ReferenceSpec, params: PlantParams,
     reset = reset or ResetSpec()
     batched = not isinstance(seed, (int, np.integer))
     seeds = list(seed) if batched else [seed]
-    starts = [reset.sample(ref, np.random.default_rng(s), phase_offset)
-              for s in seeds]
+    starts = [reset.sample(ref, np.random.default_rng(s)) for s in seeds]
     if batched:
         state = PlantState(q=np.stack([s.q for s in starts]),
                            qd=np.stack([s.qd for s in starts]),
@@ -466,28 +461,23 @@ def rollout(controller, ref: ReferenceSpec, params: PlantParams,
 
     t = np.arange(n + 1) * dt
     q_r = np.empty((n + 1, 2)); qd_r = np.empty((n + 1, 2))
-    tau, kd, lam = (np.zeros((n, *members, 2)) for _ in range(3))
-    eta_log = np.zeros((n, *members, 6))
+    tau = np.zeros((n, *members, 2))
     altered = np.zeros((n, *members), dtype=bool)
     pdist = np.zeros((n, *members))
 
     def step(k, state):
-        q_r[k] = ref.position(t[k], phase_offset)
-        qd_r[k] = ref.velocity(t[k], phase_offset)
-        ref_point = RefPoint(q=q_r[k], qd=qd_r[k],
-                             qdd=ref.acceleration(t[k], phase_offset))
+        q_r[k] = ref.position(t[k])
+        qd_r[k] = ref.velocity(t[k])
+        ref_point = RefPoint(q=q_r[k], qd=qd_r[k], qdd=ref.acceleration(t[k]))
         dec = controller(t[k], state, ref_point)
         tau[k] = dec.tau
-        kd[k], lam[k] = dec.params.kd, dec.params.lam
-        n_eta = min(dec.params.eta.shape[-1], eta_log.shape[-1])
-        eta_log[k, ..., :n_eta] = dec.params.eta[..., :n_eta]
         altered[k] = dec.shield_altered
         pdist[k] = dec.projection_distance
         return step_rk4(state, dec.tau, dt, params, fric)
 
     q, qd, z, n_states = closed_loop(state, n, step)
-    q_r[n] = ref.position(t[n], phase_offset)
-    qd_r[n] = ref.velocity(t[n], phase_offset)
+    q_r[n] = ref.position(t[n])
+    qd_r[n] = ref.velocity(t[n])
 
     trajs = []
     for i, s in zip(np.ndindex(members), seeds):
@@ -495,7 +485,6 @@ def rollout(controller, ref: ReferenceSpec, params: PlantParams,
         xs, us = (slice(0, cut), *i), (slice(0, min(cut, n)), *i)
         trajs.append(Trajectory(
             t=t[:cut], q=q[xs], qd=qd[xs], z=z[xs], q_ref=q_r[:cut],
-            qd_ref=qd_r[:cut], tau=tau[us], kd=kd[us], lam=lam[us],
-            eta=eta_log[us], shield_altered=altered[us],
+            qd_ref=qd_r[:cut], tau=tau[us], shield_altered=altered[us],
             projection_distance=pdist[us], diverged=cut <= n, seed=s, dt=dt))
     return trajs if batched else trajs[0]

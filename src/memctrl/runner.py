@@ -20,6 +20,8 @@ from .dynamics import FrictionParams, PlantParams, ReferenceSpec, rollout
 PAYLOAD_GRID = (0.0, 0.375, 0.75, 1.125, 1.5)
 COLLAPSE_THRESHOLD = 0.02   # rad, per-payload RMSE range below which a
                             # run counts as payload-invariant
+SEED_STRIDE = 1009          # reset-seed step between payloads, and so the
+                            # most rollouts per payload with distinct seeds
 
 
 @dataclass
@@ -108,10 +110,15 @@ class SweepSpec:
         if self.rollouts_per_payload < 2:
             raise ValueError(f"rollouts_per_payload must be at least 2, "
                              f"got {self.rollouts_per_payload}")
+        # beyond the stride, rollout SEED_STRIDE of one payload would reuse
+        # rollout 0 of the next payload's reset seed
+        if self.rollouts_per_payload > SEED_STRIDE:
+            raise ValueError(f"rollouts_per_payload must be at most "
+                             f"{SEED_STRIDE}, got {self.rollouts_per_payload}")
 
     def rollout_seed(self, payload_index: int, rollout_index: int) -> int:
-        # deterministic, collision-free reset seeds inside one evaluation
-        return (self.seed * 100003 + payload_index * 1009
+        # deterministic reset seeds, distinct inside one evaluation
+        return (self.seed * 100003 + payload_index * SEED_STRIDE
                 + rollout_index) % (2 ** 31 - 1)
 
 

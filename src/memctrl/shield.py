@@ -5,7 +5,9 @@ is a single affine inequality in (K_d, Lam, eta), because the torque
 law is jointly affine there (see memctrl.controller).  The admissible
 set is therefore box-intersect-half-space, and the runtime projection
 onto it is a one-multiplier KKT problem solved exactly at the
-breakpoints of its piecewise-linear constraint value.
+breakpoints of its piecewise-linear constraint value.  Where the
+half-space misses the box, the projection returns the box point of
+steepest decrease with a flag, and the shield counts the event.
 
 The certificate is evaluated along the true closed loop: the rate uses
 the plant's actual payload and memory state z.  The simulator knows
@@ -24,10 +26,6 @@ from .controller import (ControlDecision, ControllerParams, ExtendedState,
 from .dynamics import (FrictionParams, PlantParams, PlantState, RefPoint,
                        Trajectory, coriolis_matrix, gravity_vector,
                        mass_matrix, stribeck_force)
-
-
-class EmptyAdmissibleSet(RuntimeError):
-    """No box point satisfies the decrease half-space at this state."""
 
 
 # roundoff margin of the projection's feasibility and emptiness tests: a
@@ -103,7 +101,7 @@ def lyapunov_value(x: ExtendedState, form: LyapunovForm) -> float:
 
 def _rate_pieces(x: ExtendedState, form: LyapunovForm, params: PlantParams,
                  fric: FrictionParams, z: np.ndarray):
-    """Shared terms of Vdot: gradient split and the theta-free drift."""
+    """Shared terms of Vdot: gradient split, the theta-free drift, M, C, G."""
     y = np.concatenate([x.e, x.ed])
     Py = form.P @ y
     g1, w = Py[:2], Py[2:]
@@ -113,70 +111,45 @@ def _rate_pieces(x: ExtendedState, form: LyapunovForm, params: PlantParams,
     G = gravity_vector(x.q, params)
     F = stribeck_force(x.qd, z, fric)
     drift = float(g1 @ x.ed + w @ x.qdd_ref + b_vec @ (C @ x.qd + G + F))
-    return b_vec, drift
+    return b_vec, drift, M, C, G
 
 
 def lyapunov_rate(x: ExtendedState, theta: ControllerParams, form: LyapunovForm,
                   params: PlantParams, fric: FrictionParams,
-                  z: np.ndarray | None = None,
-                  model: PlantParams | None = None) -> float:
+                  z: np.ndarray | None = None) -> float:
     """Vdot along the closed loop with torque from the CT law at theta.
 
-    params is the true plant; model is the controller's payload model
-    (defaults to the true plant).  z defaults to zero memory.
+    params is the true plant, also the controller's model.  z defaults
+    to zero memory.
     """
     z = np.zeros(2) if z is None else np.asarray(z, dtype=float)
-    model = params if model is None else model
-    b_vec, drift = _rate_pieces(x, form, params, fric, z)
-    tau = computed_torque(x, theta, model, fric)
+    b_vec, drift, _, _, _ = _rate_pieces(x, form, params, fric, z)
+    tau = computed_torque(x, theta, params, fric)
     return drift - float(b_vec @ tau)
 
 
-@dataclass(frozen=True)
-class HalfspaceCoeffs:
-    """State-frozen affine form of the decrease condition.
-
-    kd . a1 + lam . a2 + eta . b + a0 <= c  iff
-    Vdot(x; theta) + alpha V(x) <= 0.
-    """
-
-    a1: np.ndarray    # (2,)
-    a2: np.ndarray    # (2,)
-    b: np.ndarray     # (DIM_ETA,)
-    a0: float
-    c: float
-
-    def stacked(self) -> np.ndarray:
-        return np.concatenate([self.a1, self.a2, self.b])
-
-    def evaluate(self, theta: ControllerParams) -> float:
-        """Signed slack; admissible iff <= 0."""
-        return float(theta.kd @ self.a1 + theta.lam @ self.a2
-                     + theta.eta @ self.b + self.a0 - self.c)
-
-
 def halfspace_coeffs(x: ExtendedState, form: LyapunovForm, params: PlantParams,
-                     fric: FrictionParams, z: np.ndarray | None = None,
-                     model: PlantParams | None = None) -> HalfspaceCoeffs:
-    """Exact affine coefficients of Vdot(x; theta) + alpha V(x) <= 0."""
+                     fric: FrictionParams, z: np.ndarray | None = None
+                     ) -> tuple[np.ndarray, float]:
+    """Exact (a, rhs) with a . theta <= rhs  iff  Vdot(x; theta) + alpha V(x) <= 0.
+
+    theta is ControllerParams.as_vector() = (K_d, Lam, eta).
+    """
     z = np.zeros(2) if z is None else np.asarray(z, dtype=float)
-    model = params if model is None else model
-    b_vec, drift = _rate_pieces(x, form, params, fric, z)
-    Mh = mass_matrix(x.q, model)
-    Ch = coriolis_matrix(x.q, x.qd, model)
-    Gh = gravity_vector(x.q, model)
+    b_vec, drift, M, C, G = _rate_pieces(x, form, params, fric, z)
     Phi = feature_matrix(x.q, x.qd, fric.v_s)
-    tau0 = Mh @ x.qdd_ref + Ch @ x.qd_ref + Gh
-    a1 = -x.s * b_vec
-    a2 = -(x.ed * (Mh @ b_vec) + x.e * (Ch.T @ b_vec))
-    b = -Phi.T @ b_vec
+    tau0 = M @ x.qdd_ref + C @ x.qd_ref + G
+    a = np.concatenate([-x.s * b_vec,
+                        -(x.ed * (M @ b_vec) + x.e * (C.T @ b_vec)),
+                        -Phi.T @ b_vec])
     a0 = -float(b_vec @ tau0)
     c = -form.alpha * lyapunov_value(x, form) - drift
-    return HalfspaceCoeffs(a1=a1, a2=a2, b=b, a0=a0, c=c)
+    return a, c - a0
 
 
 def project_halfspace_box(theta_raw: np.ndarray, a: np.ndarray, rhs: float,
-                          lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+                          lower: np.ndarray, upper: np.ndarray
+                          ) -> tuple[np.ndarray, bool]:
     """Euclidean projection onto {l <= v <= u} intersect {a.v <= rhs}.
 
     Single-constraint KKT: v(mu) = clip(theta_raw - mu a) for the least
@@ -185,14 +158,16 @@ def project_halfspace_box(theta_raw: np.ndarray, a: np.ndarray, rhs: float,
     bound, so mu is exact: evaluate a.v at the sorted kinks and solve
     the linear piece that reaches rhs (the breakpoint solve of the
     continuous quadratic knapsack; Kiwiel 2008, Math. Programming 112).
+
+    Returns (v, empty).  empty is True when the half-space misses the
+    box; v is then the box point that minimises a.v, lower where a > 0
+    and upper elsewhere.
     """
     v0 = np.clip(theta_raw, lower, upper)
     if a @ v0 <= rhs + ROUNDOFF:
-        return v0
-    box_min = float(np.minimum(a * lower, a * upper).sum())
-    if box_min > rhs + ROUNDOFF:
-        raise EmptyAdmissibleSet(
-            f"half-space unreachable inside the box (min {box_min:.3g} > {rhs:.3g})")
+        return v0, False
+    if float(np.minimum(a * lower, a * upper).sum()) > rhs + ROUNDOFF:
+        return np.where(a > 0.0, lower, upper), True
     nz = a != 0.0
     kinks = np.concatenate([[0.0], (theta_raw[nz] - lower[nz]) / a[nz],
                             (theta_raw[nz] - upper[nz]) / a[nz]])
@@ -202,27 +177,26 @@ def project_halfspace_box(theta_raw: np.ndarray, a: np.ndarray, rhs: float,
     target = max(rhs, val[-1])
     j = int(np.argmax(val <= target))
     if j == 0:   # val[0] matches a @ v0 only up to roundoff
-        return v0
+        return v0, False
     frac = (val[j - 1] - target) / (val[j - 1] - val[j])
     return np.clip(theta_raw - (mu[j - 1] + frac * (mu[j] - mu[j - 1])) * a,
-                   lower, upper)
+                   lower, upper), False
 
 
 def project_admissible(x: ExtendedState, theta_raw: ControllerParams,
                        form: LyapunovForm, box: ParamBox, params: PlantParams,
-                       fric: FrictionParams, z: np.ndarray | None = None,
-                       model: PlantParams | None = None) -> ControllerParams:
+                       fric: FrictionParams, z: np.ndarray | None = None
+                       ) -> tuple[ControllerParams, bool]:
     """Project a proposal onto box intersect decrease-half-space.
 
-    Returns theta_raw unchanged when already feasible; raises
-    EmptyAdmissibleSet when the state admits no feasible gain choice.
+    Returns (theta, empty).  theta is theta_raw unchanged when already
+    feasible.  empty is True when the state admits no feasible gain
+    choice; theta is then the box point of steepest decrease.
     """
-    coeffs = halfspace_coeffs(x, form, params, fric, z, model)
-    a = coeffs.stacked()
-    rhs = coeffs.c - coeffs.a0
-    v = project_halfspace_box(theta_raw.as_vector(), a, rhs,
-                              box.lower_vector(), box.upper_vector())
-    return ControllerParams.from_vector(v)
+    a, rhs = halfspace_coeffs(x, form, params, fric, z)
+    v, empty = project_halfspace_box(theta_raw.as_vector(), a, rhs,
+                                     box.lower_vector(), box.upper_vector())
+    return ControllerParams.from_vector(v), empty
 
 
 @dataclass
@@ -274,8 +248,10 @@ class ShieldedController:
 
     The non-emptiness assumption can fail on isolated states where the
     uncancellable memory disturbance outweighs the feedback authority
-    at small sliding error.  The controller then applies the box point
-    with the steepest available decrease and counts the violation.
+    at small sliding error.  The projection then flags the state and
+    returns the box point with the steepest available decrease; the
+    controller applies it and counts the violation.  One half-space is
+    built per step.
     """
 
     def __init__(self, source, form: LyapunovForm, box: ParamBox,
@@ -291,17 +267,9 @@ class ShieldedController:
         x = ExtendedState.from_tracking(state.q, state.qd, ref_point,
                                         self.form.lam_nominal)
         proposal = self.source(t, x)
-        try:
-            theta = project_admissible(x, proposal, self.form, self.box,
-                                       self.params, self.fric, z=state.z)
-        except EmptyAdmissibleSet:
-            self.assumption_violations += 1
-            coeffs = halfspace_coeffs(x, self.form, self.params, self.fric,
-                                      z=state.z)
-            a = coeffs.stacked()
-            v = np.where(a > 0.0, self.box.lower_vector(),
-                         self.box.upper_vector())
-            theta = ControllerParams.from_vector(v)
+        theta, empty = project_admissible(x, proposal, self.form, self.box,
+                                          self.params, self.fric, z=state.z)
+        self.assumption_violations += empty
         dist = float(np.linalg.norm(theta.as_vector() - proposal.as_vector()))
         tau = computed_torque(x, theta, self.params, self.fric)
         return ControlDecision(tau=tau, params=theta,

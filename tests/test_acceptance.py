@@ -159,12 +159,12 @@ def test_criterion_07_shield_suite(cfg):
         if float(np.minimum(a * lo, a * hi).sum()) > rhs:
             continue
         r1, r2 = rng.uniform(-2, 2, 6), rng.uniform(-2, 2, 6)
-        p1 = shield.project_halfspace_box(r1, a, rhs, lo, hi)
-        p2 = shield.project_halfspace_box(r2, a, rhs, lo, hi)
+        p1, _ = shield.project_halfspace_box(r1, a, rhs, lo, hi)
+        p2, _ = shield.project_halfspace_box(r2, a, rhs, lo, hi)
         feas &= bool(np.all(p1 >= lo - 1e-9) and np.all(p1 <= hi + 1e-9)
                      and p1 @ a <= rhs + 1e-9)
         idem &= bool(np.allclose(
-            shield.project_halfspace_box(p1, a, rhs, lo, hi), p1, atol=1e-9))
+            shield.project_halfspace_box(p1, a, rhs, lo, hi)[0], p1, atol=1e-9))
         nonexp &= bool(np.linalg.norm(p1 - p2) <= np.linalg.norm(r1 - r2) + 1e-9)
     # brute-force oracle agreement in a reduced 4-dim instance
     axes = [np.linspace(0.0, 1.0, 20)] * 4
@@ -177,7 +177,7 @@ def test_criterion_07_shield_suite(cfg):
         if pts.size == 0:
             continue
         raw = rng.uniform(-0.5, 1.5, 4)
-        out = shield.project_halfspace_box(raw, a, rhs, np.zeros(4), np.ones(4))
+        out, _ = shield.project_halfspace_box(raw, a, rhs, np.zeros(4), np.ones(4))
         best = pts[np.argmin(np.sum((pts - raw) ** 2, axis=1))]
         # value-form agreement: the projection is feasible, no farther
         # than any grid point, and the grid optimum is at most one cell
@@ -212,14 +212,12 @@ def test_criterion_07_shield_suite(cfg):
             from memctrl.controller import ExtendedState
             x = ExtendedState.from_tracking(state.q, state.qd, ref_point,
                                             form.lam_nominal)
-            try:
-                theta = shield.project_admissible(x, dec.params, form, box,
-                                                  cfg.plant, cfg.friction,
-                                                  z=state.z)
-                self.altered.append(
-                    not np.array_equal(theta.as_vector(), dec.params.as_vector()))
-            except shield.EmptyAdmissibleSet:
-                self.altered.append(False)
+            theta, empty = shield.project_admissible(x, dec.params, form, box,
+                                                     cfg.plant, cfg.friction,
+                                                     z=state.z)
+            # an empty set re-applies the fallback vertex pre already chose
+            self.altered.append(not empty and not np.array_equal(
+                theta.as_vector(), dec.params.as_vector()))
             return dec
 
     refilter = Refiltered()

@@ -141,6 +141,23 @@ class TestCLI:
         assert err.count("\n") == 1
         assert not list(tmp_path.glob("*.json"))
 
+    def test_evaluate_rejects_colliding_reset_seeds(self, tmp_path, capsys,
+                                                    monkeypatch):
+        from memctrl import runner
+
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated before the sweep was checked")
+
+        monkeypatch.setattr(runner, "rollout", no_simulation)
+        rc = run_cli(["--out-dir", str(tmp_path), "evaluate",
+                      "--rollouts", "1010"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("memctrl: error: ")
+        assert "at most 1009" in err
+        assert err.count("\n") == 1
+        assert not list(tmp_path.glob("*.json"))
+
     @pytest.mark.parametrize("n", [64, 150])
     def test_markov_gap_names_n_traj_when_too_few(self, tmp_path, capsys, n):
         # at the default sample grid, 64 trajectories once failed in the

@@ -412,6 +412,30 @@ class TestEnsembleConsistency:
         J = sim.step_jacobian(0.3, roll.q[30], roll.qd[30], roll.z[30], 0.01)
         assert np.array_equal(J, STEP_JACOBIAN_PIN)
 
+    def test_step_jacobian_matches_complex_step(self, cfg):
+        # the complex step differentiates the forward step itself, exact
+        # to roundoff (Squire & Trapp 1998).  The friction law's sign reads
+        # the real part, so it gives d sign/d qd = 0 as the hand Jacobian
+        # does, and the default law with its Stribeck jump can be checked;
+        # the central-difference test needs f_c = f_smax = 0.
+        from memctrl import ensemble
+
+        task = ensemble.TaskDistribution(friction_log_sd=0.2,
+                                         slow_reference=True)
+        sim = ensemble.BaselineEnsembleSim(4, cfg.reference, cfg.plant,
+                                           cfg.friction, seed=3, task=task)
+        dt, h = 0.01, 1e-30
+        roll = sim.run(1.0, dt)
+        for k in (10, 50, 90):
+            x = np.concatenate([roll.q[k], roll.qd[k], roll.z[k]], axis=-1)
+            # (6, B, 6): the leading axis perturbs one state entry each
+            xc = x + 1j * h * np.eye(6)[:, None, :]
+            out = sim.step(sim.reference_at(k * dt), xc[..., 0:2],
+                           xc[..., 2:4], xc[..., 4:6], dt)
+            J_cs = np.moveaxis(np.concatenate(out, axis=-1).imag / h, 0, -1)
+            J = sim.step_jacobian(k * dt, roll.q[k], roll.qd[k], roll.z[k], dt)
+            assert np.max(np.abs(J_cs - J)) <= 1e-12 * np.max(np.abs(J))
+
 
 # BaselineEnsembleSim.step_jacobian of
 # test_step_jacobian_pinned_with_per_joint_gains, recorded before the

@@ -76,6 +76,20 @@ def small_sweep():
     return SweepSpec(rollouts_per_payload=3, seed=42)
 
 
+class TestSweepSpec:
+    def test_rollouts_above_seed_stride_rejected(self):
+        # with 1010 rollouts, rollout 1009 of one payload and rollout 0
+        # of the next would share a reset seed
+        with pytest.raises(ValueError, match="at most 1009"):
+            SweepSpec(rollouts_per_payload=1010)
+
+    def test_reset_seeds_distinct_at_the_limit(self):
+        sweep = SweepSpec(rollouts_per_payload=1009)
+        seeds = {sweep.rollout_seed(ip, ir) for ip in range(len(sweep.payloads))
+                 for ir in range(sweep.rollouts_per_payload)}
+        assert len(seeds) == len(sweep.payloads) * 1009
+
+
 class TestEvaluate:
     def test_self_comparison_is_zero(self, cfg, small_sweep):
         res = evaluate_baseline(cfg.reference, cfg.plant, cfg.friction,

@@ -1,3 +1,6 @@
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -5,9 +8,8 @@ from memctrl import shield
 from memctrl.controller import (DIM_ETA, ControllerParams, ExtendedState,
                                 ParamBox, fixed_gain_baseline)
 from memctrl.dynamics import RefPoint, Trajectory, rollout, step_rk4, PlantState
-from memctrl.shield import (EmptyAdmissibleSet, design_lyapunov_form,
-                            halfspace_coeffs, lyapunov_rate,
-                            lyapunov_value, project_admissible,
+from memctrl.shield import (design_lyapunov_form, halfspace_coeffs,
+                            lyapunov_rate, lyapunov_value, project_admissible,
                             project_halfspace_box, shield_activation_fraction,
                             verify_exponential_decay)
 
@@ -116,10 +118,10 @@ class TestHalfspace:
             theta = random_theta(rng, box)
             z = rng.uniform(-2.0, 2.0, 2)
             plant = cfg.plant.with_payload(rng.uniform(0.0, 1.5))
-            co = halfspace_coeffs(x, form, plant, cfg.friction, z)
+            a, rhs = halfspace_coeffs(x, form, plant, cfg.friction, z)
             direct = (lyapunov_rate(x, theta, form, plant, cfg.friction, z)
                       + form.alpha * lyapunov_value(x, form))
-            worst = max(worst, abs(direct - co.evaluate(theta)))
+            worst = max(worst, abs(direct - (a @ theta.as_vector() - rhs)))
         assert worst < 1e-9
 
     def test_huge_damping_admissible_when_sliding(self, cfg, form, rng):
@@ -128,10 +130,10 @@ class TestHalfspace:
             if np.linalg.norm(x.s) < 1e-2:
                 continue
             z = rng.uniform(-1.0, 1.0, 2)
-            co = halfspace_coeffs(x, form, cfg.plant, cfg.friction, z)
+            a, rhs = halfspace_coeffs(x, form, cfg.plant, cfg.friction, z)
             theta = ControllerParams(kd=np.full(2, 1e6), lam=np.full(2, 5.0),
                                      eta=np.zeros(DIM_ETA))
-            assert co.evaluate(theta) < 0.0
+            assert a @ theta.as_vector() - rhs < 0.0
 
     def test_damping_coefficients_vanish_on_surface(self, cfg, form, rng):
         # s = 0: the K_d feedback enters Vdot only through s
@@ -142,8 +144,8 @@ class TestHalfspace:
                        qdd=rng.uniform(-1, 1, 2))
         x = ExtendedState.from_tracking(q, qd, ref, form.lam_nominal)
         assert np.allclose(x.s, 0.0, atol=1e-14)
-        co = halfspace_coeffs(x, form, cfg.plant, cfg.friction)
-        assert np.allclose(co.a1, 0.0, atol=1e-14)
+        a, _ = halfspace_coeffs(x, form, cfg.plant, cfg.friction)
+        assert np.allclose(a[:2], 0.0, atol=1e-14)
 
 
 class TestIsAdmissible:
@@ -156,8 +158,8 @@ class TestIsAdmissible:
             z = rng.uniform(-1.0, 1.0, 2)
             rate = lyapunov_rate(x, theta, form, cfg.plant, cfg.friction, z)
             ok = rate + form.alpha * lyapunov_value(x, form) <= 1e-9
-            slack = halfspace_coeffs(x, form, cfg.plant, cfg.friction,
-                                     z).evaluate(theta)
+            a, rhs = halfspace_coeffs(x, form, cfg.plant, cfg.friction, z)
+            slack = a @ theta.as_vector() - rhs
             assert (slack <= 1e-9) == ok
             hits += ok
         assert 0 < hits < 200   # both branches exercised
@@ -171,8 +173,9 @@ class TestIsAdmissible:
             rate = lyapunov_rate(x, theta, form0, cfg.plant, cfg.friction,
                                  np.zeros(2))
             if rate < -1e-9:
-                assert halfspace_coeffs(x, form0, cfg.plant, cfg.friction,
-                                        np.zeros(2)).evaluate(theta) <= 1e-9
+                a, rhs = halfspace_coeffs(x, form0, cfg.plant, cfg.friction,
+                                          np.zeros(2))
+                assert a @ theta.as_vector() - rhs <= 1e-9
 
     def test_huge_alpha_empties_box(self, cfg, rng):
         form_hard = design_lyapunov_form(cfg.plant, cfg.reference.position(0.0),
@@ -181,15 +184,16 @@ class TestIsAdmissible:
         x = random_extended_state(np.random.default_rng(3), form_hard)
         assert lyapunov_value(x, form_hard) > 1e-4
         lo, hi = box.lower_vector(), box.upper_vector()
+        a, rhs = halfspace_coeffs(x, form_hard, cfg.plant, cfg.friction)
         corners_rng = np.random.default_rng(11)
         for _ in range(64):
             mask = corners_rng.integers(0, 2, lo.size).astype(bool)
-            theta = ControllerParams.from_vector(np.where(mask, hi, lo))
-            assert halfspace_coeffs(x, form_hard, cfg.plant,
-                                    cfg.friction).evaluate(theta) > 1e-9
-        with pytest.raises(EmptyAdmissibleSet):
-            project_admissible(x, fixed_gain_baseline(), form_hard, box,
-                               cfg.plant, cfg.friction)
+            assert a @ np.where(mask, hi, lo) - rhs > 1e-9
+        theta, empty = project_admissible(x, fixed_gain_baseline(), form_hard,
+                                          box, cfg.plant, cfg.friction)
+        # the flagged fallback is the vertex of steepest decrease
+        assert empty
+        assert np.array_equal(theta.as_vector(), np.where(a > 0.0, lo, hi))
 
 
 class TestProjection:
@@ -200,11 +204,12 @@ class TestProjection:
             x = random_extended_state(rng, form)
             theta = random_theta(rng, box)
             z = rng.uniform(-1.0, 1.0, 2)
-            if halfspace_coeffs(x, form, cfg.plant, cfg.friction,
-                                z).evaluate(theta) > 1e-9:
+            a, rhs = halfspace_coeffs(x, form, cfg.plant, cfg.friction, z)
+            if a @ theta.as_vector() - rhs > 1e-9:
                 continue
-            out = project_admissible(x, theta, form, box, cfg.plant,
-                                     cfg.friction, z)
+            out, empty = project_admissible(x, theta, form, box, cfg.plant,
+                                            cfg.friction, z)
+            assert not empty
             assert np.array_equal(out.as_vector(), theta.as_vector())
             done += 1
         assert done > 10
@@ -215,7 +220,7 @@ class TestProjection:
         hi = np.ones(4)
         a = np.array([1.0, 0.0, 0.0, 0.0])
         raw = np.array([1.7, -0.3, 0.5, 2.0])
-        out = project_halfspace_box(raw, a, rhs=10.0, lower=lo, upper=hi)
+        out, _ = project_halfspace_box(raw, a, rhs=10.0, lower=lo, upper=hi)
         assert np.allclose(out, np.clip(raw, lo, hi))
 
     def test_matches_brute_force_grid(self, rng):
@@ -230,7 +235,7 @@ class TestProjection:
             if feas.size == 0:
                 continue
             raw = rng.uniform(-0.5, 1.5, 4)
-            out = project_halfspace_box(raw, a, rhs, np.zeros(4), np.ones(4))
+            out, _ = project_halfspace_box(raw, a, rhs, np.zeros(4), np.ones(4))
             assert out @ a <= rhs + 1e-9
             best = feas[np.argmin(np.sum((feas - raw) ** 2, axis=1))]
             resolution = np.sqrt(4) * (1.0 / 19.0)
@@ -250,12 +255,12 @@ class TestProjection:
                 continue
             r1 = rng.uniform(-2.0, 2.0, 6)
             r2 = rng.uniform(-2.0, 2.0, 6)
-            p1 = project_halfspace_box(r1, a, rhs, lo, hi)
-            p2 = project_halfspace_box(r2, a, rhs, lo, hi)
+            p1, _ = project_halfspace_box(r1, a, rhs, lo, hi)
+            p2, _ = project_halfspace_box(r2, a, rhs, lo, hi)
             for p in (p1, p2):
                 assert np.all(p >= lo - 1e-9) and np.all(p <= hi + 1e-9)
                 assert p @ a <= rhs + 1e-9
-            again = project_halfspace_box(p1, a, rhs, lo, hi)
+            again, _ = project_halfspace_box(p1, a, rhs, lo, hi)
             assert np.allclose(again, p1, atol=1e-9)
             assert (np.linalg.norm(p1 - p2)
                     <= np.linalg.norm(r1 - r2) + 1e-9)
@@ -290,7 +295,7 @@ class TestProjectionExact:
             if float(np.minimum(a * lo, a * hi).sum()) > rhs:
                 continue
             theta = rng.uniform(-2.0, 2.0, 6)
-            v = project_halfspace_box(theta, a, rhs, lo, hi)
+            v, _ = project_halfspace_box(theta, a, rhs, lo, hi)
             _assert_kkt(theta, a, rhs, lo, hi, v)
             active += bool(a @ np.clip(theta, lo, hi) > rhs)
         assert active > 100
@@ -301,7 +306,7 @@ class TestProjectionExact:
         for _ in range(200):
             theta = rng.uniform(-2.0, 2.0, 6)
             rhs = float(rng.uniform(-3.0, 0.0))
-            v = project_halfspace_box(theta, a, rhs, lo, hi)
+            v, _ = project_halfspace_box(theta, a, rhs, lo, hi)
             _assert_kkt(theta, a, rhs, lo, hi, v)
             assert np.array_equal(v[a == 0.0], np.clip(theta, lo, hi)[a == 0.0])
 
@@ -311,7 +316,7 @@ class TestProjectionExact:
         rhs = float(np.minimum(a * lo, a * hi).sum())
         for _ in range(50):
             theta = rng.uniform(-1.0, 4.0, 5)
-            v = project_halfspace_box(theta, a, rhs, lo, hi)
+            v, _ = project_halfspace_box(theta, a, rhs, lo, hi)
             vertex = np.where(a > 0.0, lo, np.where(a < 0.0, hi,
                                                     np.clip(theta, lo, hi)))
             assert np.allclose(v, vertex, rtol=0.0, atol=1e-12)
@@ -322,7 +327,7 @@ class TestProjectionExact:
             a = rng.normal(size=6)
             p = rng.uniform(-0.9, 0.9, 6)
             rhs = float(a @ p) - 1e-13
-            assert np.array_equal(project_halfspace_box(p, a, rhs, lo, hi), p)
+            assert np.array_equal(project_halfspace_box(p, a, rhs, lo, hi)[0], p)
 
 
 def _shielded_rollout(cfg, form, seed=42, source=None):
@@ -347,8 +352,6 @@ class TestDecayAndActivation:
         # multiplicative form only holds above the floor where the
         # zero-order-hold error is small relative to V; run without the
         # uncancellable memory disturbance and floor at 1% of V(0).
-        import dataclasses
-
         fric = dataclasses.replace(cfg.friction, lambda_z=0.0)
         box = ParamBox()
         base = fixed_gain_baseline()
@@ -372,8 +375,7 @@ class TestDecayAndActivation:
         e = 0.1 * np.exp(-t)[:, None] * np.ones(2)
         traj = Trajectory(t=t, q=-e, qd=np.zeros((11, 2)), z=np.zeros((11, 2)),
                           q_ref=np.zeros((11, 2)), qd_ref=np.zeros((11, 2)),
-                          tau=np.zeros((10, 2)), kd=np.zeros((10, 2)),
-                          lam=np.zeros((10, 2)), eta=np.zeros((10, 6)),
+                          tau=np.zeros((10, 2)),
                           shield_altered=np.zeros(10, dtype=bool),
                           projection_distance=np.zeros(10))
         assert verify_exponential_decay(traj, form, alpha=0.0).passed
@@ -381,8 +383,6 @@ class TestDecayAndActivation:
         traj_bad = Trajectory(t=t, q=-e_bad, qd=np.zeros((11, 2)),
                               z=np.zeros((11, 2)), q_ref=np.zeros((11, 2)),
                               qd_ref=np.zeros((11, 2)), tau=np.zeros((10, 2)),
-                              kd=np.zeros((10, 2)), lam=np.zeros((10, 2)),
-                              eta=np.zeros((10, 6)),
                               shield_altered=np.zeros(10, dtype=bool),
                               projection_distance=np.zeros(10))
         assert not verify_exponential_decay(traj_bad, form, alpha=0.0).passed
@@ -420,14 +420,12 @@ class TestDecayAndActivation:
                 dec = inner(t, state, ref_point)
                 x = ExtendedState.from_tracking(state.q, state.qd, ref_point,
                                                 form.lam_nominal)
-                try:
-                    theta2 = project_admissible(x, dec.params, form, box,
-                                                cfg.plant, cfg.friction,
-                                                z=state.z)
-                    moved = not np.array_equal(theta2.as_vector(),
-                                               dec.params.as_vector())
-                except EmptyAdmissibleSet:
-                    moved = False   # inner already applied best effort
+                theta2, empty = project_admissible(x, dec.params, form, box,
+                                                   cfg.plant, cfg.friction,
+                                                   z=state.z)
+                # an empty set: inner already applied best effort
+                moved = not empty and not np.array_equal(
+                    theta2.as_vector(), dec.params.as_vector())
                 self.outer_altered.append(moved)
                 return dec
 
@@ -442,8 +440,6 @@ class TestDecayAndActivation:
         base = dict(t=t, q=np.zeros((11, 2)), qd=np.zeros((11, 2)),
                     z=np.zeros((11, 2)), q_ref=np.zeros((11, 2)),
                     qd_ref=np.zeros((11, 2)), tau=np.zeros((10, 2)),
-                    kd=np.zeros((10, 2)), lam=np.zeros((10, 2)),
-                    eta=np.zeros((10, 6)),
                     projection_distance=np.zeros(10))
         all_on = Trajectory(shield_altered=np.ones(10, dtype=bool), **base)
         all_off = Trajectory(shield_altered=np.zeros(10, dtype=bool), **base)
@@ -470,3 +466,32 @@ class TestDecayAndActivation:
         order = np.argsort(dists)
         assert np.all(np.diff(np.array(fracs)[order]) >= -1e-9)
         assert fracs[order[-1]] >= fracs[order[0]]
+
+
+# tau, q and projection_distance of TestFallback's rollout, recorded
+# when the controller caught the empty set and rebuilt the half-space
+FALLBACK_PIN = Path(__file__).parent / "data" / "shield_fallback_seed5.npz"
+
+
+class TestFallback:
+    def test_fallback_rollout_pinned_one_halfspace_per_step(self, cfg, form,
+                                                            monkeypatch):
+        # seed 5 over 2 s meets one state whose half-space misses the box
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return halfspace_coeffs(*args, **kwargs)
+
+        monkeypatch.setattr(shield, "halfspace_coeffs", counted)
+        ref = dataclasses.replace(cfg.reference, horizon=2.0)
+        box = ParamBox()
+        base = fixed_gain_baseline()
+        ctrl = shield.ShieldedController(lambda t, x: base, form, box,
+                                         cfg.plant, cfg.friction)
+        traj = rollout(ctrl, ref, cfg.plant, cfg.friction, seed=5)
+        assert ctrl.assumption_violations == 1
+        assert len(calls) == traj.n_steps
+        pin = np.load(FALLBACK_PIN)
+        for name in ("tau", "q", "projection_distance"):
+            assert np.array_equal(getattr(traj, name), pin[name]), name
