@@ -3,9 +3,11 @@
 Subcommands: simulate, evaluate, sigma-scan, rank-scan, phase1,
 markov-gap, compare.  Global flags --config/--seed/--out-dir apply to
 every subcommand and may go before or after it.  Each pipeline reads
-dt and the baseline gains from the config wherever it uses them.  A
-ValueError or one of memctrl's own errors ends the run with one line on
-stderr and exit status 1; any other exception keeps its traceback.
+dt and the baseline gains from the config wherever it uses them.  An
+invalid input (a ValueError) or one of memctrl's own analysis errors
+ends the run with one line on stderr and exit status 1; any other
+exception keeps its traceback.  A diverged rollout is no error:
+simulate and evaluate report it.
 """
 
 from __future__ import annotations
@@ -19,11 +21,11 @@ from pathlib import Path
 from . import incrt, markov_gap, memory_analysis, runner, shield, stats
 from .config import load_config
 from .controller import BaselineController
-from .dynamics import DivergenceError
+from .dynamics import BatchReference
 
 # errors a run reports in one line: ValueError, which memctrl's input
 # errors subclass, and memctrl's own RuntimeErrors
-_RUN_ERRORS = (ValueError, DivergenceError, memory_analysis.InsufficientSamples,
+_RUN_ERRORS = (ValueError, memory_analysis.InsufficientSamples,
                markov_gap.SingularDesign, incrt.ZeroResidual)
 
 
@@ -113,8 +115,9 @@ def cmd_simulate(args, cfg) -> int:
     plant = cfg.plant
     base = cfg.baseline_gains()
     if args.shielded:
-        form = shield.design_lyapunov_form(plant, cfg.reference.position(0.0),
-                                           baseline=base, alpha=cfg.alpha)
+        form = shield.design_lyapunov_form(
+            plant, BatchReference(cfg.reference).at(0.0).q, baseline=base,
+            alpha=cfg.alpha)
         ctrl = shield.ShieldedController(lambda t, x: base, form, cfg.box,
                                          plant, fric)
     else:

@@ -45,7 +45,7 @@ class Config:
         self.friction.validate()
         self.reference.validate()
         self.box.validate()
-        if self.dt <= 0.0:
+        if not self.dt > 0.0:
             raise ValueError("dt must be positive")
 
 

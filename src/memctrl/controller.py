@@ -37,7 +37,7 @@ class ParamBox:
     def validate(self) -> None:
         if not (self.kd_min < self.kd_max and self.lam_min < self.lam_max):
             raise ValueError("box bounds must satisfy lower < upper")
-        if self.eta_max <= 0.0:
+        if not self.eta_max > 0.0:
             raise ValueError("eta_max must be positive")
 
     def lower_vector(self) -> np.ndarray:
@@ -47,10 +47,6 @@ class ParamBox:
     def upper_vector(self) -> np.ndarray:
         return np.concatenate([np.full(2, self.kd_max), np.full(2, self.lam_max),
                                np.full(DIM_ETA, self.eta_max)])
-
-    def clip(self, params: "ControllerParams") -> "ControllerParams":
-        v = np.clip(params.as_vector(), self.lower_vector(), self.upper_vector())
-        return ControllerParams.from_vector(v)
 
 
 @dataclass(frozen=True)

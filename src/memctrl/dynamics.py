@@ -12,7 +12,9 @@ with a payload point mass p at the end effector and per-joint friction
 
 All algebra routines broadcast over leading axes: q of shape (..., 2)
 gives M of shape (..., 2, 2), so the same code drives single rollouts
-and batched ensembles.
+and batched ensembles.  Both loops share one step path: BatchReference
+is the one evaluator of the reference, and closed_loop is the one place
+that checks the blow-up bound.
 """
 
 from __future__ import annotations
@@ -21,10 +23,6 @@ import csv
 from dataclasses import dataclass, replace
 
 import numpy as np
-
-
-class DivergenceError(RuntimeError):
-    """State left the configured blow-up bound during integration."""
 
 
 @dataclass(frozen=True)
@@ -56,7 +54,7 @@ class PlantParams:
 
     def validate(self) -> None:
         for name in ("m1", "m2", "l1", "l2", "lc1", "lc2", "i1", "i2"):
-            if getattr(self, name) <= 0.0:
+            if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be strictly positive")
         if not 0.0 <= self.payload <= self.payload_max:
             raise ValueError(
@@ -87,20 +85,25 @@ class FrictionParams:
     def validate(self) -> None:
         if not (self.f_smax >= self.f_c >= 0.0):
             raise ValueError("need f_smax >= f_c >= 0")
-        if self.v_s <= 0.0:
+        if not self.v_s > 0.0:
             raise ValueError("v_s must be positive")
-        if self.sigma < 0.0:
+        if not self.sigma >= 0.0:
             raise ValueError("sigma must be non-negative")
-        if self.tau_z <= 0.0:
-            raise ValueError("tau_z must be positive")
+        if not self.tau_z > 0.0:
+            raise ValueError(f"tau_z must be positive, got {self.tau_z}")
 
     def with_tau_z(self, tau_z: float) -> "FrictionParams":
-        return replace(self, tau_z=float(tau_z))
+        out = replace(self, tau_z=float(tau_z))
+        out.validate()
+        return out
 
 
 @dataclass(frozen=True)
 class ReferenceSpec:
-    """Per-joint sinusoidal reference q_d(t) = A sin(w t + phase)."""
+    """Per-joint sinusoidal reference q_d(t) = A sin(w t + phase).
+
+    The data only; BatchReference evaluates it.
+    """
 
     amplitude: tuple[float, float] = (0.5, 0.3)     # rad
     omega: tuple[float, float] = (2.0 * np.pi / 1.7, 2.0 * np.pi / 2.3)
@@ -108,9 +111,9 @@ class ReferenceSpec:
     horizon: float = 5.0                            # s
 
     def validate(self) -> None:
-        if self.horizon <= 0.0:
+        if not self.horizon > 0.0:
             raise ValueError("horizon must be positive")
-        if min(self.omega) <= 0.0:
+        if not min(self.omega) > 0.0:
             raise ValueError("omega must be positive")
         if self.common_period() <= self.horizon:
             raise ValueError(
@@ -126,24 +129,66 @@ class ReferenceSpec:
                 return k * t1
         return np.inf
 
-    def position(self, t, phase_offset=None):
-        th = self._theta(t, phase_offset)
-        return np.asarray(self.amplitude) * np.sin(th)
 
-    def velocity(self, t, phase_offset=None):
-        th = self._theta(t, phase_offset)
-        return np.asarray(self.amplitude) * np.asarray(self.omega) * np.cos(th)
+@dataclass
+class RefPoint:
+    """Reference sample handed to the controller at one control step."""
 
-    def acceleration(self, t, phase_offset=None):
-        th = self._theta(t, phase_offset)
-        om = np.asarray(self.omega)
-        return -np.asarray(self.amplitude) * om * om * np.sin(th)
+    q: np.ndarray
+    qd: np.ndarray
+    qdd: np.ndarray
 
-    def _theta(self, t, phase_offset):
-        th = np.asarray(self.omega) * np.asarray(t)[..., None] + np.asarray(self.phase)
-        if phase_offset is not None:
-            th = th + phase_offset
-        return th
+
+# slow excitation tones of BatchReference (TaskDistribution.slow_reference)
+SLOW_PERIODS = (7.0, 9.5)       # s
+SLOW_AMPLITUDE = (0.25, 0.15)   # rad
+
+
+class BatchReference:
+    """The one evaluator of a ReferenceSpec, with optional slow tones.
+
+    q_d(t) = A sin(w t + spec phase + phase) per joint, plus, when slow,
+    two tones of SLOW_PERIODS and SLOW_AMPLITUDE at random phases drawn
+    from rng.  phase sets the shape: (2,) by default for a rollout, or
+    (B, 2) for a batch.  Every constant is held at that shape, the
+    state's, so no operation of `at` broadcasts a batch against a
+    per-joint pair.
+    """
+
+    def __init__(self, ref: ReferenceSpec, phase: np.ndarray | None = None,
+                 slow: bool = False, rng: np.random.Generator | None = None):
+        phase = np.zeros(2) if phase is None else phase
+        shape = phase.shape
+        self.amp = amp = np.full(shape, ref.amplitude)
+        self.omega = omega = np.full(shape, ref.omega)
+        self.spec_phase = np.full(shape, ref.phase)
+        self.phase = phase
+        self.amp_omega = amp * omega
+        self.neg_amp_omega2 = -amp * omega * omega
+        self.slow = slow
+        if slow:
+            if rng is None:
+                raise ValueError("slow tones need an rng for their phases")
+            self.slow_phase = rng.uniform(0.0, 2.0 * np.pi, shape)
+            self.slow_omega = np.full(shape, 2.0 * np.pi / np.array(SLOW_PERIODS))
+            self.slow_amp = slow_amp = np.full(shape, SLOW_AMPLITUDE)
+            self.slow_amp_omega = slow_amp * self.slow_omega
+            self.slow_amp_omega2 = slow_amp * self.slow_omega ** 2
+
+    def at(self, t: float) -> RefPoint:
+        """Position, velocity and acceleration at time t: one sin, one cos."""
+        th = self.omega * t + self.spec_phase + self.phase
+        sin = np.sin(th)
+        q = self.amp * sin
+        qd = self.amp_omega * np.cos(th)
+        qdd = self.neg_amp_omega2 * sin
+        if self.slow:
+            th = self.slow_omega * t + self.slow_phase
+            sin = np.sin(th)
+            q += self.slow_amp * sin
+            qd += self.slow_amp_omega * np.cos(th)
+            qdd -= self.slow_amp_omega2 * sin
+        return RefPoint(q=q, qd=qd, qdd=qdd)
 
 
 @dataclass
@@ -156,7 +201,6 @@ class PlantState:
     q: np.ndarray        # rad
     qd: np.ndarray       # rad/s
     z: np.ndarray        # N m, friction memory
-    t: float = 0.0       # s
 
 
 BLOWUP_BOUND = 1.0e3
@@ -305,31 +349,25 @@ def step_rk4(state: PlantState, torque: np.ndarray, dt: float,
              params: PlantParams, fric: FrictionParams) -> PlantState:
     """Advance the full state by one zero-order-hold RK4 step.
 
-    Broadcasts over a leading member axis of the state.  Raises
-    DivergenceError when no member of the post-step state is
-    within_bound; for a single state, when that state fails it.
+    Broadcasts over a leading member axis of the state.  The step does
+    not check the blow-up bound: closed_loop does, once per step.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    qn, qdn, zn = rk4_increment(state.q, state.qd, state.z,
-                                np.asarray(torque, dtype=float), dt, params, fric)
-    ok = within_bound(qn, qdn, zn)
-    # a single state's np.bool is tested directly; np.any on it adds
-    # several microseconds to every scalar step
-    if not (ok.any() if ok.ndim else ok):
-        raise DivergenceError(f"state exceeded blow-up bound at t={state.t + dt:.3f}")
-    return PlantState(q=qn, qd=qdn, z=zn, t=state.t + dt)
+    return PlantState(*rk4_increment(state.q, state.qd, state.z,
+                                     np.asarray(torque, dtype=float), dt,
+                                     params, fric))
 
 
 def closed_loop(state: PlantState, n: int, step):
     """Record q, qd, z over n steps of step(k, state) -> PlantState.
 
-    A member whose next state fails within_bound is held at its last
-    state from then on; a step that raises DivergenceError fails every
-    member still running.  The loop stops when no member is left, and
-    the rows after the stop repeat the held states.  Returns the
-    (n + 1, *members, 2) records of q, qd and z and each member's count
-    of recorded states up to its divergence (n + 1 if it never left).
+    The one divergence check of the simulator: a member whose next state
+    fails within_bound is held at its last state from then on.  The
+    loop stops when no member is left, and the rows after the stop
+    repeat the held states.  Returns the (n + 1, *members, 2) records of
+    q, qd and z and each member's count of recorded states up to its
+    divergence (n + 1 if it never left).
     """
     members = state.q.shape[:-1]   # () for a single state
     q, qd, z = (np.empty((n + 1, *members, 2)) for _ in range(3))
@@ -338,11 +376,8 @@ def closed_loop(state: PlantState, n: int, step):
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n):
             q[k], qd[k], z[k] = state.q, state.qd, state.z
-            try:
-                new = step(k, state)
-                ok = alive & within_bound(new.q, new.qd, new.z)
-            except DivergenceError:
-                ok = np.zeros(members, dtype=bool)
+            new = step(k, state)
+            ok = alive & within_bound(new.q, new.qd, new.z)
             if not ok.all():
                 n_states[alive & ~ok] = k + 1
                 alive = ok
@@ -351,7 +386,7 @@ def closed_loop(state: PlantState, n: int, step):
                 keep = alive[..., None]
                 new = PlantState(q=np.where(keep, new.q, state.q),
                                  qd=np.where(keep, new.qd, state.qd),
-                                 z=np.where(keep, new.z, state.z), t=new.t)
+                                 z=np.where(keep, new.z, state.z))
             state = new
         else:
             k = n
@@ -394,8 +429,11 @@ class Trajectory:
             w.writerow(["t", "q1", "q2", "qd1", "qd2", "z1", "z2",
                         "qd1_ref", "qd2_ref", "tau1", "tau2"])
             n = self.n_steps
+            # the last row repeats the last torque; a record with no
+            # steps has none to repeat
+            last = self.tau[-1] if n else np.full(2, np.nan)
             for k in range(n + 1):
-                tau = self.tau[k] if k < n else self.tau[-1]
+                tau = self.tau[k] if k < n else last
                 w.writerow([f"{self.t[k]:.6f}",
                             *(f"{v:.9g}" for v in self.q[k]),
                             *(f"{v:.9g}" for v in self.qd[k]),
@@ -410,19 +448,11 @@ class ResetSpec:
 
     q_jitter: float = 0.1    # rad, uniform half-width around q_d(0)
 
-    def sample(self, ref: ReferenceSpec, rng: np.random.Generator) -> PlantState:
-        q0 = ref.position(0.0) + rng.uniform(
+    def sample(self, reference: BatchReference,
+               rng: np.random.Generator) -> PlantState:
+        q0 = reference.at(0.0).q + rng.uniform(
             -self.q_jitter, self.q_jitter, 2)
-        return PlantState(q=q0, qd=np.zeros(2), z=np.zeros(2), t=0.0)
-
-
-@dataclass
-class RefPoint:
-    """Reference sample handed to the controller at one control step."""
-
-    q: np.ndarray
-    qd: np.ndarray
-    qdd: np.ndarray
+        return PlantState(q=q0, qd=np.zeros(2), z=np.zeros(2))
 
 
 def rollout(controller, ref: ReferenceSpec, params: PlantParams,
@@ -432,8 +462,11 @@ def rollout(controller, ref: ReferenceSpec, params: PlantParams,
     """Run the closed loop for horizon/dt steps with a seeded reset.
 
     controller is any callable (t, state, ref_point) -> ControlDecision
-    (see memctrl.controller).  Deterministic for a fixed seed.  On
-    divergence the record is truncated and flagged rather than raised.
+    (see memctrl.controller).  Deterministic for a fixed seed.  Each
+    step evaluates the reference once, through one BatchReference, and
+    closed_loop checks the blow-up bound.  On divergence the record is
+    truncated and flagged rather than raised: it keeps the states up to
+    the last one within bound and the torques applied between them.
 
     seed may also be a sequence of B seeds.  The B members, each reset
     from its own seed, then advance together: the state carries a
@@ -448,9 +481,10 @@ def rollout(controller, ref: ReferenceSpec, params: PlantParams,
     if abs(n * dt - horizon) > 1e-9:
         raise ValueError("horizon must be an integral number of steps")
     reset = reset or ResetSpec()
+    reference = BatchReference(ref)
     batched = not isinstance(seed, (int, np.integer))
     seeds = list(seed) if batched else [seed]
-    starts = [reset.sample(ref, np.random.default_rng(s)) for s in seeds]
+    starts = [reset.sample(reference, np.random.default_rng(s)) for s in seeds]
     if batched:
         state = PlantState(q=np.stack([s.q for s in starts]),
                            qd=np.stack([s.qd for s in starts]),
@@ -466,9 +500,8 @@ def rollout(controller, ref: ReferenceSpec, params: PlantParams,
     pdist = np.zeros((n, *members))
 
     def step(k, state):
-        q_r[k] = ref.position(t[k])
-        qd_r[k] = ref.velocity(t[k])
-        ref_point = RefPoint(q=q_r[k], qd=qd_r[k], qdd=ref.acceleration(t[k]))
+        ref_point = reference.at(t[k])
+        q_r[k], qd_r[k] = ref_point.q, ref_point.qd
         dec = controller(t[k], state, ref_point)
         tau[k] = dec.tau
         altered[k] = dec.shield_altered
@@ -476,13 +509,13 @@ def rollout(controller, ref: ReferenceSpec, params: PlantParams,
         return step_rk4(state, dec.tau, dt, params, fric)
 
     q, qd, z, n_states = closed_loop(state, n, step)
-    q_r[n] = ref.position(t[n])
-    qd_r[n] = ref.velocity(t[n])
+    end = reference.at(t[n])
+    q_r[n], qd_r[n] = end.q, end.qd
 
     trajs = []
     for i, s in zip(np.ndindex(members), seeds):
         cut = int(n_states[i])
-        xs, us = (slice(0, cut), *i), (slice(0, min(cut, n)), *i)
+        xs, us = (slice(0, cut), *i), (slice(0, cut - 1), *i)
         trajs.append(Trajectory(
             t=t[:cut], q=q[xs], qd=qd[xs], z=z[xs], q_ref=q_r[:cut],
             qd_ref=qd_r[:cut], tau=tau[us], shield_altered=altered[us],

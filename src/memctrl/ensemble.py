@@ -2,16 +2,16 @@
 
 The dynamics routines broadcast over leading axes, so an ensemble of B
 tracking tasks integrates as one (B, 2)-shaped rollout.  The plant, the
-loop and the torque are those of memctrl.dynamics (rk4_increment,
-closed_loop) and memctrl.controller (BaselineController, payload-free,
-gains at (B, 2)), with per-member payloads and friction constants held
-as arrays in PlantParams and FrictionParams; only the task
-distribution, the batch reference and the hand-derived step Jacobian
-are written here.  The friction constants, the gains and the reference
-constants are stored at (B, 2), the state's shape: a (B, 1) or (2,)
-operand makes numpy run B inner loops of length 2, several times
-slower per operation at B = 512.  Each step evaluates the reference
-once, with one sin and one cos, and the record keeps the state only.
+reference, the loop and the torque are those of memctrl.dynamics
+(rk4_increment, BatchReference, closed_loop) and memctrl.controller
+(BaselineController, payload-free, gains at (B, 2)), with per-member
+payloads and friction constants held as arrays in PlantParams and
+FrictionParams; only the task distribution and the hand-derived step
+Jacobian are written here.  The friction constants, the gains and the
+reference constants are stored at (B, 2), the state's shape: a (B, 1)
+or (2,) operand makes numpy run B inner loops of length 2, several
+times slower per operation at B = 512.  Each step evaluates the
+reference once, and the record keeps the state only.
 Used wherever thousands of rollouts are needed: the sigma_z scans, the
 temporal-operator sampler and the Markov-gap experiment.  Regression
 tests pin each member to a scalar rollout under its own parameters.
@@ -25,9 +25,9 @@ import numpy as np
 
 from .controller import (BaselineController, ControllerParams,
                          fixed_gain_baseline)
-from .dynamics import (FrictionParams, PlantParams, PlantState, ReferenceSpec,
-                       RefPoint, _arm_terms, _derivatives, _payload_terms,
-                       closed_loop, rk4_increment)
+from .dynamics import (BatchReference, FrictionParams, PlantParams,
+                       PlantState, ReferenceSpec, RefPoint, _arm_terms,
+                       _derivatives, _payload_terms, closed_loop, rk4_increment)
 
 
 @dataclass(frozen=True)
@@ -37,7 +37,8 @@ class TaskDistribution:
     Phase randomisation and friction-constant perturbation are
     switchable: probe ensembles need them, evaluation sweeps must not
     have them.  slow_reference appends two incommensurate slow tones
-    so the excitation has spectral content at multi-second horizons.
+    (dynamics.SLOW_PERIODS) so the excitation has spectral content at
+    multi-second horizons.
     """
 
     randomize_phase: bool = True
@@ -45,56 +46,6 @@ class TaskDistribution:
     friction_log_sd: float = 0.0   # log-normal sd on (f_c, f_smax, v_s, sigma)
     q_jitter: float = 0.1          # rad
     slow_reference: bool = False
-
-
-# slow excitation tones for TaskDistribution.slow_reference
-SLOW_PERIODS = (7.0, 9.5)       # s
-SLOW_AMPLITUDE = (0.25, 0.15)   # rad
-
-
-class BatchReference:
-    """Reference of a whole batch, with optional slow tones.
-
-    Every constant is held at (B, 2), the shape of the state, so no
-    operation of `at` broadcasts a batch against a per-joint pair.  The
-    products are formed in ReferenceSpec's order, so `at` returns
-    ReferenceSpec.position/velocity/acceleration (plus the slow tones)
-    bit for bit.
-    """
-
-    def __init__(self, ref: ReferenceSpec, phase: np.ndarray, slow: bool,
-                 rng: np.random.Generator | None = None):
-        shape = phase.shape
-        self.amp = amp = np.full(shape, ref.amplitude)
-        self.omega = omega = np.full(shape, ref.omega)
-        self.spec_phase = np.full(shape, ref.phase)
-        self.phase = phase
-        self.amp_omega = amp * omega
-        self.neg_amp_omega2 = -amp * omega * omega
-        self.slow = slow
-        if slow:
-            if rng is None:
-                raise ValueError("slow tones need an rng for their phases")
-            self.slow_phase = rng.uniform(0.0, 2.0 * np.pi, shape)
-            self.slow_omega = np.full(shape, 2.0 * np.pi / np.array(SLOW_PERIODS))
-            self.slow_amp = slow_amp = np.full(shape, SLOW_AMPLITUDE)
-            self.slow_amp_omega = slow_amp * self.slow_omega
-            self.slow_amp_omega2 = slow_amp * self.slow_omega ** 2
-
-    def at(self, t: float) -> RefPoint:
-        """Position, velocity and acceleration at time t: one sin, one cos."""
-        th = self.omega * t + self.spec_phase + self.phase
-        sin = np.sin(th)
-        q = self.amp * sin
-        qd = self.amp_omega * np.cos(th)
-        qdd = self.neg_amp_omega2 * sin
-        if self.slow:
-            th = self.slow_omega * t + self.slow_phase
-            sin = np.sin(th)
-            q += self.slow_amp * sin
-            qd += self.slow_amp_omega * np.cos(th)
-            qdd -= self.slow_amp_omega2 * sin
-        return RefPoint(q=q, qd=qd, qdd=qdd)
 
 
 @dataclass
@@ -151,12 +102,9 @@ class BaselineEnsembleSim:
             lam=np.full((batch, 2), gains.lam)))   # payload-free model
         self.plant = replace(params, payload=self.payload)
         self.reference = BatchReference(ref, phase, task.slow_reference, rng)
-        self.q0 = ref.position(0.0, phase) + rng.uniform(
+        # the reset jitters around the start of the fast tones alone
+        self.q0 = BatchReference(ref, phase).at(0.0).q + rng.uniform(
             -task.q_jitter, task.q_jitter, (batch, 2))
-
-    def reference_at(self, t: float) -> RefPoint:
-        """The batch reference at time t, evaluated once for a step."""
-        return self.reference.at(t)
 
     def _torque_jacobian(self, ref: RefPoint, q: np.ndarray, qd: np.ndarray) -> np.ndarray:
         """d torque / d (q, qd, z) of the baseline law, shape (B, 2, 6)."""
@@ -237,7 +185,7 @@ class BaselineEnsembleSim:
         torque's dependence on the state it is held from; d sign/d qd
         is taken as 0.
         """
-        ref = self.reference_at(t)
+        ref = self.reference.at(t)
         tau = self.controller.torque(q, qd, ref)
         T = self._torque_jacobian(ref, q, qd)
         terms = _payload_terms(self.plant)
@@ -262,7 +210,7 @@ class BaselineEnsembleSim:
         zero = np.zeros((self.batch, 2))
         q, qd, z, n_states = closed_loop(
             PlantState(q=self.q0, qd=zero, z=zero), n,
-            lambda k, s: PlantState(*self.step(self.reference_at(k * dt),
+            lambda k, s: PlantState(*self.step(self.reference.at(k * dt),
                                                s.q, s.qd, s.z, dt)))
         return BatchRollout(t=np.arange(n + 1) * dt, q=q, qd=qd, z=z,
                             payload=self.payload, alive=n_states > n, dt=dt)

@@ -151,7 +151,7 @@ class Phase1Config:
     gate_beta: float = 0.5
 
     def validate(self) -> None:
-        if self.gamma_add <= 0.0 or self.gamma_prune <= 0.0:
+        if not (self.gamma_add > 0.0 and self.gamma_prune > 0.0):
             raise ValueError("thresholds must be positive")
         if self.gamma_prune >= self.gamma_add:
             raise ValueError("need gamma_prune < gamma_add")

@@ -57,7 +57,7 @@ class QuadCostSpec:
         object.__setattr__(self, "direction", d)
 
     def validate(self) -> None:
-        if self.mu <= 0.0 or self.kappa <= 0.0:
+        if not (self.mu > 0.0 and self.kappa > 0.0):
             raise ValueError("mu and kappa must be positive")
         if abs(np.linalg.norm(self.direction) - 1.0) > 1e-9:
             raise ValueError("direction must be a unit vector")

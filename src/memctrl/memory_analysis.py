@@ -248,6 +248,8 @@ def sigma_z_broadband(tau_z: float, lambda_z: float, n_traj: int = 2000,
     reset the position random walk shares its increments with z and the
     position bins drain genuine conditional variance from the estimate.
     """
+    if not tau_z > 0.0:
+        raise ValueError(f"tau_z must be positive, got {tau_z}")
     rng = np.random.default_rng(seed)
     n = round(horizon / dt)
     burn = int(np.ceil(burn_in_factor * tau_z / dt))

@@ -54,9 +54,9 @@ class LyapunovForm:
     def validate(self) -> None:
         if not np.allclose(self.P, self.P.T, atol=1e-12):
             raise ValueError("P must be symmetric")
-        if np.linalg.eigvalsh(self.P)[0] <= 0.0:
+        if not np.linalg.eigvalsh(self.P)[0] > 0.0:
             raise ValueError("P must be positive definite")
-        if self.alpha < 0.0:
+        if not self.alpha >= 0.0:
             raise ValueError("alpha must be non-negative")
 
 

@@ -23,7 +23,7 @@ import pytest
 from memctrl import incrt, markov_gap, memory_analysis as ma, runner, shield
 from memctrl.config import default_config
 from memctrl.controller import ParamBox, fixed_gain_baseline
-from memctrl.dynamics import rollout
+from memctrl.dynamics import BatchReference, rollout
 from memctrl.stats import cohens_d_pooled, mann_whitney_u, student_t_cdf
 
 
@@ -188,8 +188,8 @@ def test_criterion_07_shield_suite(cfg):
         oracle_ok &= bool(d_out <= d_best + 1e-12)
         oracle_ok &= bool(d_best - d_out <= np.sqrt(4) / 19.0)
 
-    form = shield.design_lyapunov_form(cfg.plant, cfg.reference.position(0.0),
-                                       alpha=0.5)
+    form = shield.design_lyapunov_form(
+        cfg.plant, BatchReference(cfg.reference).at(0.0).q, alpha=0.5)
     base = fixed_gain_baseline()
     box = ParamBox()
     ctrl = shield.ShieldedController(lambda t, x: base, form, box, cfg.plant,

@@ -8,7 +8,8 @@ from memctrl import incrt, markov_gap, shield
 from memctrl import memory_analysis as ma
 from memctrl.cli import main
 from memctrl.config import load_config
-from memctrl.dynamics import rollout
+from memctrl.controller import BaselineController
+from memctrl.dynamics import BatchReference, rollout
 
 
 def run_cli(args):
@@ -170,6 +171,54 @@ class TestCLI:
         assert f"n_traj={n}" in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("kd", ["40000", "4e7"])
+    def test_diverged_simulate_writes_every_state(self, tmp_path, capsys, kd):
+        # kd = 40000 leaves the bound after two steps, 4e7 at step 0; both
+        # runs once ended in an IndexError after a partial CSV
+        cfg_file = tmp_path / "div.cfg"
+        cfg_file.write_text(f"baseline_kd = {kd}\n")
+        rc = run_cli(["--config", str(cfg_file), "--out-dir", str(tmp_path),
+                      "simulate", "--out", "traj.csv"])
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out.splitlines()[0])["diverged"]
+        cfg = load_config(cfg_file)
+        ctrl = BaselineController(cfg.plant, gains=cfg.baseline_gains())
+        traj = rollout(ctrl, cfg.reference, cfg.plant, cfg.friction, seed=42,
+                       dt=cfg.dt)
+        assert traj.diverged
+        assert traj.n_steps == traj.t.size - 1
+        with open(tmp_path / "traj.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == traj.t.size
+        if traj.n_steps == 0:
+            assert np.isnan(float(rows[0]["tau1"]))
+
+    @pytest.mark.parametrize("args,cfg_text", [
+        (["simulate", "--tau-z", "0"], None),
+        (["simulate", "--tau-z", "nan"], None),
+        (["simulate"], "tau_z = nan\n"),
+        (["simulate", "--tau-z", "-1"], None),
+        (["phase1", "--tau-z-list", "-1"], None),
+        (["evaluate", "--tau-z", "0"], None),
+        (["sigma-scan", "--tau-z-list", "0"], None),
+    ], ids=["simulate-0", "simulate-nan", "config-nan", "simulate-neg",
+            "phase1-neg", "evaluate-0", "sigma-scan-0"])
+    def test_invalid_tau_z_rejected(self, tmp_path, capsys, args, cfg_text):
+        # NaN passed every `<= 0` check, and with_tau_z did not validate:
+        # these ran to a traceback or printed results
+        out = tmp_path / "out"
+        cfg = []
+        if cfg_text is not None:
+            (tmp_path / "bad.cfg").write_text(cfg_text)
+            cfg = ["--config", str(tmp_path / "bad.cfg")]
+        rc = run_cli([*cfg, "--out-dir", str(out), *args])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("memctrl: error: ")
+        assert "tau_z" in err
+        assert err.count("\n") == 1
+        assert not out.exists() or not list(out.iterdir())
+
 
 class TestConfigBaseline:
     def test_baseline_gains_configurable(self, tmp_path):
@@ -251,7 +300,7 @@ class TestConfigBaseline:
         report = json.loads(capsys.readouterr().out.splitlines()[0])
         cfg = load_config(cfg_file)
         base = cfg.baseline_gains()
-        q0 = cfg.reference.position(0.0)
+        q0 = BatchReference(cfg.reference).at(0.0).q
         enforced = shield.design_lyapunov_form(cfg.plant, q0, baseline=base,
                                                alpha=cfg.alpha)
         ctrl = shield.ShieldedController(lambda t, x: base, enforced, cfg.box,

@@ -5,10 +5,11 @@ import pytest
 
 from memctrl import dynamics, runner
 from memctrl.controller import BaselineController, ControllerParams
-from memctrl.dynamics import (FrictionParams, PlantParams, PlantState,
-                              ReferenceSpec, coriolis_matrix, gravity_vector,
-                              mass_matrix, memory_derivative, potential_energy,
-                              rollout, step_rk4, stribeck_force, total_energy)
+from memctrl.dynamics import (BatchReference, FrictionParams, PlantParams,
+                              PlantState, ReferenceSpec, coriolis_matrix,
+                              gravity_vector, mass_matrix, memory_derivative,
+                              potential_energy, rollout, step_rk4,
+                              stribeck_force, total_energy, within_bound)
 
 # hand-evaluated inertia terms for the default links (m = 3.5, l = 1,
 # lc = 0.5, rod inertia m l^2 / 12):
@@ -161,7 +162,6 @@ class TestStepRK4:
         new = step_rk4(state, np.zeros(2), 0.01, params, _quiet_friction())
         assert np.allclose(new.q, state.q, atol=1e-15)
         assert np.allclose(new.qd, 0.0, atol=1e-15)
-        assert new.t == pytest.approx(0.01)
 
     def _energy_drift(self, dt, horizon=1.0):
         params = PlantParams()  # gravity on: lively pendulum swing
@@ -204,12 +204,13 @@ class TestStepRK4:
         exact = z0 * np.exp(-5.0)
         assert np.max(np.abs(state.z - exact)) < 1e-8
 
-    def test_blowup_raises(self):
+    def test_blowup_fails_within_bound(self):
+        # the step itself does not check the bound; closed_loop does
         params = PlantParams()
         state = PlantState(q=np.zeros(2), qd=np.zeros(2), z=np.zeros(2))
-        with pytest.raises(dynamics.DivergenceError):
-            step_rk4(state, np.array([1e9, 1e9]), 0.01, params,
-                     FrictionParams())
+        new = step_rk4(state, np.array([1e9, 1e9]), 0.01, params,
+                       FrictionParams())
+        assert not within_bound(new.q, new.qd, new.z)
 
 
 class TestReferenceSpec:
@@ -223,11 +224,11 @@ class TestReferenceSpec:
             bad.validate()
 
     def test_velocity_is_position_derivative(self):
-        ref = ReferenceSpec()
+        ref = BatchReference(ReferenceSpec())
         h = 1e-7
         for t in (0.0, 0.4, 2.3):
-            fd = (ref.position(t + h) - ref.position(t - h)) / (2 * h)
-            assert np.allclose(ref.velocity(t), fd, atol=1e-5)
+            fd = (ref.at(t + h).q - ref.at(t - h).q) / (2 * h)
+            assert np.allclose(ref.at(t).qd, fd, atol=1e-5)
 
 
 class TestRollout:
@@ -347,34 +348,55 @@ class TestEnsembleConsistency:
             assert np.max(np.abs(roll.q[:, i, :] - tr.q)) < 1e-12
             assert np.max(np.abs(roll.z[:, i, :] - tr.z)) < 1e-12
 
+    @staticmethod
+    def _reference_term_by_term(ref, t, phase, slow_phase=None):
+        # q_d = A sin(w t + spec phase + phase), plus the slow tones
+        amp, om = np.array(ref.amplitude), np.array(ref.omega)
+        th = om * t + np.array(ref.phase) + phase
+        q = amp * np.sin(th)
+        qd = amp * om * np.cos(th)
+        qdd = -amp * om * om * np.sin(th)
+        if slow_phase is not None:
+            amp = np.array(dynamics.SLOW_AMPLITUDE)
+            om = 2.0 * np.pi / np.array(dynamics.SLOW_PERIODS)
+            th = om * t + slow_phase
+            q = q + amp * np.sin(th)
+            qd = qd + amp * om * np.cos(th)
+            qdd = qdd - amp * om ** 2 * np.sin(th)
+        return q, qd, qdd
+
     @pytest.mark.parametrize("slow", [False, True])
     def test_reference_equals_reference_spec_bitwise(self, cfg, slow):
         # the batch reference holds its constants at (B, 2) and shares one
         # sin between position and acceleration; the values must stay
-        # those of ReferenceSpec plus the slow tones written term by term
+        # those of the formula written term by term
         from memctrl import ensemble
 
         ref = dataclasses.replace(cfg.reference, phase=(0.3, -1.1))
         sim = ensemble.BaselineEnsembleSim(
             5, ref, cfg.plant, cfg.friction, seed=2,
             task=ensemble.TaskDistribution(slow_reference=slow))
-        phase = sim.reference.phase
-        amp = np.array(ensemble.SLOW_AMPLITUDE)
-        om = 2.0 * np.pi / np.array(ensemble.SLOW_PERIODS)
+        slow_phase = sim.reference.slow_phase if slow else None
         for t in (0.0, 0.01, 0.37, 2.5, 12.49):
-            q = ref.position(t, phase)
-            qd = ref.velocity(t, phase)
-            qdd = ref.acceleration(t, phase)
-            if slow:
-                th = om * t + sim.reference.slow_phase
-                q = q + amp * np.sin(th)
-                qd = qd + amp * om * np.cos(th)
-                qdd = qdd - amp * om ** 2 * np.sin(th)
-            got = sim.reference_at(t)
+            want = self._reference_term_by_term(ref, t, sim.reference.phase,
+                                                slow_phase)
+            got = sim.reference.at(t)
             assert got.q.shape == (5, 2)
-            assert np.array_equal(got.q, q)
-            assert np.array_equal(got.qd, qd)
-            assert np.array_equal(got.qdd, qdd)
+            assert np.array_equal(got.q, want[0])
+            assert np.array_equal(got.qd, want[1])
+            assert np.array_equal(got.qdd, want[2])
+
+    def test_rollout_reference_bitwise_on_its_grid(self, cfg):
+        # rollout's evaluator: shape (2,), zero phase, t = k * dt
+        reference = BatchReference(cfg.reference)
+        t = np.arange(2001) * 0.01
+        for tk in t:
+            want = self._reference_term_by_term(cfg.reference, tk, np.zeros(2))
+            got = reference.at(tk)
+            assert got.q.shape == (2,)
+            assert np.array_equal(got.q, want[0])
+            assert np.array_equal(got.qd, want[1])
+            assert np.array_equal(got.qdd, want[2])
 
     @pytest.mark.parametrize("case", ["some", "all"])
     def test_run_holds_diverged_members_pinned(self, cfg, case):
@@ -430,7 +452,7 @@ class TestEnsembleConsistency:
             x = np.concatenate([roll.q[k], roll.qd[k], roll.z[k]], axis=-1)
             # (6, B, 6): the leading axis perturbs one state entry each
             xc = x + 1j * h * np.eye(6)[:, None, :]
-            out = sim.step(sim.reference_at(k * dt), xc[..., 0:2],
+            out = sim.step(sim.reference.at(k * dt), xc[..., 0:2],
                            xc[..., 2:4], xc[..., 4:6], dt)
             J_cs = np.moveaxis(np.concatenate(out, axis=-1).imag / h, 0, -1)
             J = sim.step_jacobian(k * dt, roll.q[k], roll.qd[k], roll.z[k], dt)

@@ -217,7 +217,7 @@ class TestClosedLoopSampler:
                                 for a in (roll.q, roll.qd, roll.z))
                     qd[:, j] += sign * eps
                     for m in range(n_end - k, n_end):
-                        ref = sim.reference_at(m * dt)
+                        ref = sim.reference.at(m * dt)
                         q, qd, z = sim.step(ref, q, qd, z, dt)
                     zf.append(z[:, j])
                 fd[:, j, k - 1] = (zf[0] - zf[1]) / (2.0 * eps * dt)

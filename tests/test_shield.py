@@ -7,7 +7,8 @@ import pytest
 from memctrl import shield
 from memctrl.controller import (DIM_ETA, ControllerParams, ExtendedState,
                                 ParamBox, fixed_gain_baseline)
-from memctrl.dynamics import RefPoint, Trajectory, rollout, step_rk4, PlantState
+from memctrl.dynamics import (BatchReference, PlantState, RefPoint, Trajectory,
+                              rollout, step_rk4)
 from memctrl.shield import (design_lyapunov_form, halfspace_coeffs,
                             lyapunov_rate, lyapunov_value, project_admissible,
                             project_halfspace_box, shield_activation_fraction,
@@ -16,7 +17,8 @@ from memctrl.shield import (design_lyapunov_form, halfspace_coeffs,
 
 @pytest.fixture(scope="module")
 def form(cfg):
-    return design_lyapunov_form(cfg.plant, cfg.reference.position(0.0), alpha=0.5)
+    return design_lyapunov_form(
+        cfg.plant, BatchReference(cfg.reference).at(0.0).q, alpha=0.5)
 
 
 def random_extended_state(rng, form, e_scale=1.0, qd_scale=2.0):
@@ -165,8 +167,8 @@ class TestIsAdmissible:
         assert 0 < hits < 200   # both branches exercised
 
     def test_alpha_zero_accepts_decreasing(self, cfg, rng):
-        form0 = design_lyapunov_form(cfg.plant, cfg.reference.position(0.0),
-                                     alpha=0.0)
+        form0 = design_lyapunov_form(
+            cfg.plant, BatchReference(cfg.reference).at(0.0).q, alpha=0.0)
         for _ in range(50):
             x = random_extended_state(rng, form0)
             theta = fixed_gain_baseline()
@@ -178,8 +180,8 @@ class TestIsAdmissible:
                 assert a @ theta.as_vector() - rhs <= 1e-9
 
     def test_huge_alpha_empties_box(self, cfg, rng):
-        form_hard = design_lyapunov_form(cfg.plant, cfg.reference.position(0.0),
-                                         alpha=1e9)
+        form_hard = design_lyapunov_form(
+            cfg.plant, BatchReference(cfg.reference).at(0.0).q, alpha=1e9)
         box = ParamBox()
         x = random_extended_state(np.random.default_rng(3), form_hard)
         assert lyapunov_value(x, form_hard) > 1e-4
