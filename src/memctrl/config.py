@@ -47,6 +47,10 @@ class Config:
         self.box.validate()
         if not self.dt > 0.0:
             raise ValueError("dt must be positive")
+        for key in ("baseline_kd", "baseline_lam"):
+            val = getattr(self, key)
+            if not 0.0 < val < float("inf"):
+                raise ValueError(f"{key} must be finite and positive, got {val}")
 
 
 def default_config() -> Config:

@@ -91,6 +91,8 @@ class FrictionParams:
             raise ValueError("sigma must be non-negative")
         if not self.tau_z > 0.0:
             raise ValueError(f"tau_z must be positive, got {self.tau_z}")
+        if not np.isfinite(self.lambda_z):
+            raise ValueError(f"lambda_z must be finite, got {self.lambda_z}")
 
     def with_tau_z(self, tau_z: float) -> "FrictionParams":
         out = replace(self, tau_z=float(tau_z))

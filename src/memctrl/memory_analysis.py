@@ -148,6 +148,29 @@ def quantile_bins(x: np.ndarray, n_bins: int) -> np.ndarray:
     return qs
 
 
+def _stable_order(ids: np.ndarray, n_ids: int) -> np.ndarray:
+    """Stable argsort of integer ids in [0, n_ids).
+
+    The ids are sorted as the smallest unsigned type that holds them,
+    for which numpy's stable sort is a radix sort; the permutation is
+    the same as that of any other stable sort.
+    """
+    return np.argsort(ids.astype(np.min_scalar_type(n_ids - 1)), kind="stable")
+
+
+def _position_strata(pos_edges: np.ndarray, pos: np.ndarray, n_bins: int):
+    """Samples grouped by position stratum.
+
+    Returns (order, bounds): pos[order[bounds[b]:bounds[b + 1]]] are the
+    samples of stratum b in their original order.
+    """
+    pi = np.clip(np.searchsorted(pos_edges, pos, side="right") - 1,
+                 0, n_bins - 1)
+    bounds = np.zeros(n_bins + 1, dtype=np.intp)
+    np.cumsum(np.bincount(pi, minlength=n_bins), out=bounds[1:])
+    return _stable_order(pi, n_bins), bounds
+
+
 @dataclass
 class StateBinning:
     """Nested equal-count partition of the (position, velocity) plane.
@@ -157,6 +180,10 @@ class StateBinning:
     concentrate on phase ellipses in (q, qd), so a plain product of
     marginal quantile bins leaves near-empty cells; the nested scheme
     keeps every cell at ~N/(n_bins^2) samples by construction.
+
+    fit and cell_index sort the samples once by position stratum (a
+    stable sort) and work on each stratum's contiguous slice, so every
+    stratum sees its samples in their original order.
     """
 
     pos_edges: np.ndarray    # (n_bins + 1,)
@@ -170,9 +197,10 @@ class StateBinning:
     def fit(pos: np.ndarray, vel: np.ndarray, n_bins: int = 12) -> "StateBinning":
         pe = quantile_bins(pos, n_bins)
         ve = np.empty((n_bins, n_bins + 1))
-        pi = np.clip(np.searchsorted(pe, pos, side="right") - 1, 0, n_bins - 1)
+        order, bounds = _position_strata(pe, pos, n_bins)
+        vel_sorted = vel[order]
         for b in range(n_bins):
-            sel = vel[pi == b]
+            sel = vel_sorted[bounds[b]:bounds[b + 1]]
             if sel.size == 0:
                 ve[b] = np.linspace(-1.0, 1.0, n_bins + 1)
             else:
@@ -181,16 +209,17 @@ class StateBinning:
 
     def cell_index(self, pos: np.ndarray, vel: np.ndarray) -> np.ndarray:
         nb = self.n_bins
-        pi = np.clip(np.searchsorted(self.pos_edges, pos, side="right") - 1,
-                     0, nb - 1)
-        vi = np.empty_like(pi)
+        order, bounds = _position_strata(self.pos_edges, pos, nb)
+        vel_sorted = vel[order]
+        cell_sorted = np.empty(order.size, dtype=np.intp)
         for b in range(nb):
-            mask = pi == b
-            if np.any(mask):
-                vi[mask] = np.clip(
-                    np.searchsorted(self.vel_edges[b], vel[mask],
-                                    side="right") - 1, 0, nb - 1)
-        return pi * nb + vi
+            s, e = bounds[b], bounds[b + 1]
+            cell_sorted[s:e] = b * nb + np.clip(
+                np.searchsorted(self.vel_edges[b], vel_sorted[s:e],
+                                side="right") - 1, 0, nb - 1)
+        cell = np.empty_like(cell_sorted)
+        cell[order] = cell_sorted
+        return cell
 
 
 def binned_conditional_variance(pos: np.ndarray, vel: np.ndarray,
@@ -204,7 +233,7 @@ def binned_conditional_variance(pos: np.ndarray, vel: np.ndarray,
     """
     binning = binning or StateBinning.fit(pos, vel, n_bins)
     cell = binning.cell_index(pos, vel)
-    order = np.argsort(cell, kind="stable")
+    order = _stable_order(cell, binning.n_bins ** 2)
     t_sorted = target[order]
     cell_sorted = cell[order]
     bounds = np.flatnonzero(np.diff(cell_sorted)) + 1
@@ -247,9 +276,17 @@ def sigma_z_broadband(tau_z: float, lambda_z: float, n_traj: int = 2000,
     Initial positions are drawn uniform over q_span: without the wide
     reset the position random walk shares its increments with z and the
     position bins drain genuine conditional variance from the estimate.
+
+    Each step's velocities are drawn into one buffer and scaled in
+    place, the same stream and values as rng.normal(0, vel_scale,
+    n_traj); z and q are updated in place, and the samples go into
+    preallocated (n_samples, n_traj) arrays.  The loop ends at the last
+    sample step: later draws would never be read.
     """
     if not tau_z > 0.0:
         raise ValueError(f"tau_z must be positive, got {tau_z}")
+    if not n_traj >= 1:
+        raise ValueError(f"n_traj must be at least 1, got {n_traj}")
     rng = np.random.default_rng(seed)
     n = round(horizon / dt)
     burn = int(np.ceil(burn_in_factor * tau_z / dt))
@@ -258,18 +295,22 @@ def sigma_z_broadband(tau_z: float, lambda_z: float, n_traj: int = 2000,
     decay = np.exp(-dt / tau_z)
     z = np.zeros(n_traj)
     q = rng.uniform(-0.5 * q_span, 0.5 * q_span, n_traj)
-    pos, vel, mem = [], [], []
     drive = lambda_z * tau_z * (1.0 - decay)   # exact weight for held input
-    for k in range(n):
-        qd = rng.normal(0.0, vel_scale, n_traj)
-        if k >= burn and (k - burn) % sample_stride == 0:
+    n_samples = (n - 1 - burn) // sample_stride + 1
+    pos, vel, mem = (np.empty((n_samples, n_traj)) for _ in range(3))
+    qd, tmp = np.empty(n_traj), np.empty(n_traj)
+    for k in range(burn + (n_samples - 1) * sample_stride + 1):
+        rng.standard_normal(out=qd)
+        qd *= vel_scale
+        i, r = divmod(k - burn, sample_stride)
+        if k >= burn and r == 0:
             # z here excludes the current step's drive: independent of qd
-            pos.append(q.copy()); vel.append(qd.copy()); mem.append(z.copy())
-        z = decay * z + drive * qd
-        q = q + dt * qd
-    pos = np.concatenate(pos); vel = np.concatenate(vel)
-    mem = np.concatenate(mem)
-    mc = binned_conditional_variance(pos, vel, mem, n_bins=n_bins)
+            pos[i], vel[i], mem[i] = q, qd, z
+        z *= decay
+        z += np.multiply(drive, qd, out=tmp)
+        q += np.multiply(dt, qd, out=tmp)
+    mc = binned_conditional_variance(pos.ravel(), vel.ravel(), mem.ravel(),
+                                     n_bins=n_bins)
     cf = sigma_z_closed_form(tau_z, lambda_z, vel_scale ** 2 * dt, lambda u: 0.0)
     return SigmaZEstimate(tau_z=tau_z, monte_carlo=mc, closed_form=cf,
                           n_samples=mem.size)

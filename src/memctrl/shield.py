@@ -99,9 +99,17 @@ def lyapunov_value(x: ExtendedState, form: LyapunovForm) -> float:
     return float(0.5 * y @ form.P @ y)
 
 
-def _rate_pieces(x: ExtendedState, form: LyapunovForm, params: PlantParams,
-                 fric: FrictionParams, z: np.ndarray):
-    """Shared terms of Vdot: gradient split, the theta-free drift, M, C, G."""
+def halfspace_coeffs(x: ExtendedState, form: LyapunovForm, params: PlantParams,
+                     fric: FrictionParams, z: np.ndarray | None = None
+                     ) -> tuple[np.ndarray, float]:
+    """Exact (a, rhs) with a . theta <= rhs  iff  Vdot(x; theta) + alpha V(x) <= 0.
+
+    theta is ControllerParams.as_vector() = (K_d, Lam, eta).  Along the
+    closed loop with the CT torque tau(theta) at the true plant params,
+    Vdot = drift - b . tau with b = M^-1 dV/ded and a theta-free drift;
+    tau is affine in theta, which gives a.  z defaults to zero memory.
+    """
+    z = np.zeros(2) if z is None else np.asarray(z, dtype=float)
     y = np.concatenate([x.e, x.ed])
     Py = form.P @ y
     g1, w = Py[:2], Py[2:]
@@ -111,32 +119,6 @@ def _rate_pieces(x: ExtendedState, form: LyapunovForm, params: PlantParams,
     G = gravity_vector(x.q, params)
     F = stribeck_force(x.qd, z, fric)
     drift = float(g1 @ x.ed + w @ x.qdd_ref + b_vec @ (C @ x.qd + G + F))
-    return b_vec, drift, M, C, G
-
-
-def lyapunov_rate(x: ExtendedState, theta: ControllerParams, form: LyapunovForm,
-                  params: PlantParams, fric: FrictionParams,
-                  z: np.ndarray | None = None) -> float:
-    """Vdot along the closed loop with torque from the CT law at theta.
-
-    params is the true plant, also the controller's model.  z defaults
-    to zero memory.
-    """
-    z = np.zeros(2) if z is None else np.asarray(z, dtype=float)
-    b_vec, drift, _, _, _ = _rate_pieces(x, form, params, fric, z)
-    tau = computed_torque(x, theta, params, fric)
-    return drift - float(b_vec @ tau)
-
-
-def halfspace_coeffs(x: ExtendedState, form: LyapunovForm, params: PlantParams,
-                     fric: FrictionParams, z: np.ndarray | None = None
-                     ) -> tuple[np.ndarray, float]:
-    """Exact (a, rhs) with a . theta <= rhs  iff  Vdot(x; theta) + alpha V(x) <= 0.
-
-    theta is ControllerParams.as_vector() = (K_d, Lam, eta).
-    """
-    z = np.zeros(2) if z is None else np.asarray(z, dtype=float)
-    b_vec, drift, M, C, G = _rate_pieces(x, form, params, fric, z)
     Phi = feature_matrix(x.q, x.qd, fric.v_s)
     tau0 = M @ x.qdd_ref + C @ x.qd_ref + G
     a = np.concatenate([-x.s * b_vec,

@@ -219,6 +219,39 @@ class TestCLI:
         assert err.count("\n") == 1
         assert not out.exists() or not list(out.iterdir())
 
+    @pytest.mark.parametrize("n", ["0", "-5"])
+    def test_sigma_scan_rejects_fewer_than_one_trajectory(self, tmp_path,
+                                                          capsys, n):
+        rc = run_cli(["--out-dir", str(tmp_path), "sigma-scan",
+                      "--tau-z-list", "0.5", "--n-traj", n])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("memctrl: error: ")
+        assert f"n_traj must be at least 1, got {n}" in err
+        assert err.count("\n") == 1
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("cmd,key,value", [
+        ("simulate", "lambda_z", "nan"),
+        ("simulate", "lambda_z", "inf"),
+        ("evaluate", "baseline_kd", "nan"),
+        ("evaluate", "baseline_kd", "0"),
+        ("evaluate", "baseline_lam", "inf"),
+        ("evaluate", "baseline_lam", "-1"),
+    ])
+    def test_invalid_memory_gain_and_baseline_gains_rejected(
+            self, tmp_path, capsys, cmd, key, value):
+        out = tmp_path / "out"
+        (tmp_path / "bad.cfg").write_text(f"{key} = {value}\n")
+        rc = run_cli(["--config", str(tmp_path / "bad.cfg"),
+                      "--out-dir", str(out), cmd])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("memctrl: error: ")
+        assert key in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestConfigBaseline:
     def test_baseline_gains_configurable(self, tmp_path):

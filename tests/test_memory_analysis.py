@@ -164,6 +164,117 @@ class TestSigmaZMonteCarlo:
             ma.binned_conditional_variance(pos, vel, pos + vel, n_bins=12)
 
 
+class TestSigmaZPinned:
+    # recorded with the per-step rng.normal sampler and masked binning
+    # that the in-place sampler and the sorted binning replaced
+    @pytest.mark.parametrize("tau_z,vel_scale,n_samples,expected", [
+        (0.5, 1.0, 14000, 0.0406281017058112),
+        (1.0, 1.0, 12000, 0.08084061229459744),
+        (2.0, 1.0, 8000, 0.16488035982038957),
+        (0.5, 0.7, 14000, 0.019912457461931682),
+        (1.0, 0.7, 12000, 0.039654441356062595),
+        (2.0, 0.7, 8000, 0.08091353868397427),
+    ])
+    def test_monte_carlo_bitwise(self, tau_z, vel_scale, n_samples, expected):
+        est = ma.sigma_z_broadband(tau_z, lambda_z=4.0, n_traj=400,
+                                   vel_scale=vel_scale, seed=42)
+        assert est.monte_carlo == expected
+        assert est.n_samples == n_samples
+
+    @pytest.mark.parametrize("n_traj", [0, -5])
+    def test_rejects_fewer_than_one_trajectory(self, n_traj):
+        with pytest.raises(ValueError, match=f"n_traj must be at least 1, got {n_traj}"):
+            ma.sigma_z_broadband(1.0, lambda_z=4.0, n_traj=n_traj)
+
+
+# The masked binning that StateBinning and binned_conditional_variance
+# replaced, one boolean mask over all samples per position stratum.
+# Kept as the oracle: the sorted code must return the same bits.
+def masked_fit(pos, vel, n_bins):
+    pe = ma.quantile_bins(pos, n_bins)
+    ve = np.empty((n_bins, n_bins + 1))
+    pi = np.clip(np.searchsorted(pe, pos, side="right") - 1, 0, n_bins - 1)
+    for b in range(n_bins):
+        sel = vel[pi == b]
+        if sel.size == 0:
+            ve[b] = np.linspace(-1.0, 1.0, n_bins + 1)
+        else:
+            ve[b] = ma.quantile_bins(sel, n_bins)
+    return pe, ve
+
+
+def masked_cell_index(pe, ve, pos, vel):
+    nb = ve.shape[0]
+    pi = np.clip(np.searchsorted(pe, pos, side="right") - 1, 0, nb - 1)
+    vi = np.empty_like(pi)
+    for b in range(nb):
+        mask = pi == b
+        if np.any(mask):
+            vi[mask] = np.clip(np.searchsorted(ve[b], vel[mask], side="right")
+                               - 1, 0, nb - 1)
+    return pi * nb + vi
+
+
+def masked_conditional_variance(cell, target, min_count=5):
+    order = np.argsort(cell, kind="stable")
+    t_sorted = target[order]
+    cell_sorted = cell[order]
+    bounds = np.flatnonzero(np.diff(cell_sorted)) + 1
+    starts = np.concatenate([[0], bounds])
+    ends = np.concatenate([bounds, [cell.size]])
+    total_w = 0
+    acc = 0.0
+    for s, e in zip(starts, ends):
+        n = e - s
+        if n < min_count:
+            raise ma.InsufficientSamples(
+                f"populated bin with {n} < {min_count} samples")
+        acc += n * float(np.var(t_sorted[s:e], ddof=1))
+        total_w += n
+    return acc / total_w
+
+
+class TestBinningMatchesMaskedOracle:
+    @pytest.fixture(params=[12, 17])
+    def data(self, request, rng):
+        # 30 % of the positions tie at 0.3, so several position quantiles
+        # coincide and the strata between them are empty.  At 17 bins the
+        # 289 cell ids no longer fit in 8 bits.
+        n_bins, n = request.param, 30000
+        pos = rng.normal(size=n)
+        pos[rng.permutation(n)[:3 * n // 10]] = 0.3
+        vel = rng.standard_t(3, size=n)
+        target = 0.5 * pos + np.sin(vel) + rng.normal(size=n)
+        return n_bins, pos, vel, target
+
+    def test_fit_and_cell_index(self, data, rng):
+        n_bins, pos, vel, _ = data
+        binning = ma.StateBinning.fit(pos, vel, n_bins)
+        pe, ve = masked_fit(pos, vel, n_bins)
+        pi = np.clip(np.searchsorted(pe, pos, side="right") - 1, 0, n_bins - 1)
+        assert np.bincount(pi, minlength=n_bins).min() == 0
+        assert np.array_equal(binning.pos_edges, pe)
+        assert np.array_equal(binning.vel_edges, ve)
+        # fresh points, some outside every edge
+        pos2 = 1.5 * rng.normal(size=5000)
+        vel2 = 1.5 * rng.standard_t(3, size=5000)
+        for p, v in ((pos, vel), (pos2, vel2)):
+            cell = binning.cell_index(p, v)
+            assert np.array_equal(cell, masked_cell_index(pe, ve, p, v))
+            assert cell.dtype == np.intp
+
+    def test_conditional_variance(self, data):
+        n_bins, pos, vel, target = data
+        pe, ve = masked_fit(pos, vel, n_bins)
+        expect = masked_conditional_variance(
+            masked_cell_index(pe, ve, pos, vel), target)
+        assert ma.binned_conditional_variance(pos, vel, target,
+                                              n_bins=n_bins) == expect
+        binning = ma.StateBinning.fit(pos, vel, n_bins)
+        assert ma.binned_conditional_variance(pos, vel, target,
+                                              binning=binning) == expect
+
+
 class TestClosedLoopSampler:
     def test_shapes_and_determinism(self, cfg):
         g1 = ma.gradient_samples_closed_loop(1.0, cfg.reference, cfg.plant,

@@ -6,11 +6,12 @@ import pytest
 
 from memctrl import shield
 from memctrl.controller import (DIM_ETA, ControllerParams, ExtendedState,
-                                ParamBox, fixed_gain_baseline)
+                                ParamBox, computed_torque, fixed_gain_baseline)
 from memctrl.dynamics import (BatchReference, PlantState, RefPoint, Trajectory,
-                              rollout, step_rk4)
+                              coriolis_matrix, gravity_vector, mass_matrix,
+                              rollout, step_rk4, stribeck_force)
 from memctrl.shield import (design_lyapunov_form, halfspace_coeffs,
-                            lyapunov_rate, lyapunov_value, project_admissible,
+                            lyapunov_value, project_admissible,
                             project_halfspace_box, shield_activation_fraction,
                             verify_exponential_decay)
 
@@ -19,6 +20,23 @@ from memctrl.shield import (design_lyapunov_form, halfspace_coeffs,
 def form(cfg):
     return design_lyapunov_form(
         cfg.plant, BatchReference(cfg.reference).at(0.0).q, alpha=0.5)
+
+
+def lyapunov_rate(x, theta, form, params, fric, z=None):
+    """Vdot along the closed loop with torque from the CT law at theta.
+
+    The path independent of halfspace_coeffs: the plant's acceleration
+    under the torque, qdd = M^-1 (tau - C qd - G - F), gives
+    ed' = qdd_ref - qdd, and Vdot = (P y) . (ed, ed').  params is the
+    true plant, also the controller's model.  z defaults to zero memory.
+    """
+    z = np.zeros(2) if z is None else np.asarray(z, dtype=float)
+    tau = computed_torque(x, theta, params, fric)
+    rhs = (tau - coriolis_matrix(x.q, x.qd, params) @ x.qd
+           - gravity_vector(x.q, params) - stribeck_force(x.qd, z, fric))
+    qdd = np.linalg.solve(mass_matrix(x.q, params), rhs)
+    y = np.concatenate([x.e, x.ed])
+    return float(form.P @ y @ np.concatenate([x.ed, x.qdd_ref - qdd]))
 
 
 def random_extended_state(rng, form, e_scale=1.0, qd_scale=2.0):
@@ -66,7 +84,6 @@ class TestLyapunovRate:
             x = random_extended_state(rng, form, e_scale=0.5, qd_scale=1.5)
             theta = random_theta(rng, box)
             z = rng.uniform(-1.0, 1.0, 2)
-            from memctrl.controller import computed_torque
             tau = computed_torque(x, theta, cfg.plant, cfg.friction)
             state = PlantState(q=x.q, qd=x.qd, z=z.copy())
             v0 = lyapunov_value(x, form)
