@@ -98,10 +98,6 @@ class ExtendedState:
                              qdd_ref=np.asarray(ref_point.qdd, dtype=float))
 
 
-def smooth_sign(qd, width: float = SIGN_SMOOTHING):
-    return np.tanh(np.asarray(qd, dtype=float) / width)
-
-
 def feature_matrix(q, qd, v_s: float, width: float = SIGN_SMOOTHING) -> np.ndarray:
     """Stribeck regressor Phi, shape (..., 2, DIM_ETA), block per joint.
 
@@ -111,7 +107,7 @@ def feature_matrix(q, qd, v_s: float, width: float = SIGN_SMOOTHING) -> np.ndarr
     the true friction up to the sign smoothing.
     """
     qd = np.asarray(qd, dtype=float)
-    ss = smooth_sign(qd, width)
+    ss = np.tanh(qd / width)   # smoothed sign
     env = np.exp(-((qd / v_s) ** 2)) * ss
     Phi = np.zeros(qd.shape[:-1] + (2, DIM_ETA))
     for j in range(2):

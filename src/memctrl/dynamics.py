@@ -10,17 +10,21 @@ with a payload point mass p at the end effector and per-joint friction
           + sigma qd_j + z_j,
     zd_j = -z_j / tau_z + lambda_z qd_j.
 
-All algebra routines broadcast over leading axes: q of shape (..., 2)
-gives M of shape (..., 2, 2), so the same code drives single rollouts
-and batched ensembles.  Both loops share one step path: BatchReference
-is the one evaluator of the reference, and closed_loop is the one place
-that checks the blow-up bound.
+The step path holds the state packed in one array x of shape (6,) or
+(6, B), rows q1, q2, qd1, qd2, z1, z2: the plant reads joint rows x[j]
+(numpy scalars, or contiguous (B,) rows) and RK4 combines its stages on
+x whole.  PlantState's q, qd and z are (2,) or (B, 2) views of x, the
+layout of the controllers, the records and the algebra routines, which
+broadcast over leading axes.  Rollouts and ensembles share the one
+reference evaluator BatchReference, the one integrator rk4_increment
+and the one blow-up check in closed_loop.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -63,16 +67,29 @@ class PlantParams:
     def with_payload(self, payload: float) -> "PlantParams":
         return replace(self, payload=float(payload))
 
+    @cached_property
+    def terms(self):
+        """Payload constants (a, 2b, b, d, g w1, g w2), computed once: M11 =
+        a + 2b cos q2, M12 = d + b cos q2, M22 = d, C scales with b sin q2,
+        G2 = g w2 cos(q1 + q2) and G1 = g w1 cos q1 + G2."""
+        p = self.payload
+        a = (self.i1 + self.i2 + self.m1 * self.lc1 ** 2
+             + self.m2 * (self.l1 ** 2 + self.lc2 ** 2)
+             + p * (self.l1 ** 2 + self.l2 ** 2))
+        b = self.m2 * self.l1 * self.lc2 + p * self.l1 * self.l2
+        d = self.i2 + self.m2 * self.lc2 ** 2 + p * self.l2 ** 2
+        gw1 = (self.m1 * self.lc1 + (self.m2 + p) * self.l1) * self.gravity
+        gw2 = (self.m2 * self.lc2 + p * self.l2) * self.gravity
+        return a, 2.0 * b, b, d, gw1, gw2
+
 
 @dataclass(frozen=True)
 class FrictionParams:
     """Stribeck friction constants plus the memory-state dynamics.
 
-    f_c, f_smax, v_s and sigma may hold per-member arrays, one row per
-    ensemble member.  BaselineEnsembleSim stores them at (B, 2), each
-    member's value repeated for both joints, so the friction law runs on
-    operands of the velocities' own shape; (B, 1) arrays still broadcast
-    against (B, 2) velocities and give the same values.
+    f_c, f_smax, v_s and sigma may hold per-member arrays shaped like
+    the packed state's velocity rows: BaselineEnsembleSim stores them at
+    (2, B), each member's value in both joint rows.
     """
 
     f_c: float = 2.0        # N m, Coulomb level
@@ -98,6 +115,11 @@ class FrictionParams:
         out = replace(self, tau_z=float(tau_z))
         out.validate()
         return out
+
+    @cached_property
+    def f_excess(self):
+        """Static peak above the Coulomb level, f_smax - f_c; computed once."""
+        return self.f_smax - self.f_c
 
 
 @dataclass(frozen=True)
@@ -152,18 +174,17 @@ class BatchReference:
     q_d(t) = A sin(w t + spec phase + phase) per joint, plus, when slow,
     two tones of SLOW_PERIODS and SLOW_AMPLITUDE at random phases drawn
     from rng.  phase sets the shape: (2,) by default for a rollout, or
-    (B, 2) for a batch.  Every constant is held at that shape, the
-    state's, so no operation of `at` broadcasts a batch against a
-    per-joint pair.
+    (B, 2) for a batch.  Every constant is held at that shape and in
+    phase's memory order (the ensemble's is joint-first, as PlantState's
+    views are), so no operation of `at` mixes shapes or orders.
     """
 
     def __init__(self, ref: ReferenceSpec, phase: np.ndarray | None = None,
                  slow: bool = False, rng: np.random.Generator | None = None):
         phase = np.zeros(2) if phase is None else phase
-        shape = phase.shape
-        self.amp = amp = np.full(shape, ref.amplitude)
-        self.omega = omega = np.full(shape, ref.omega)
-        self.spec_phase = np.full(shape, ref.phase)
+        self.amp = amp = np.full_like(phase, ref.amplitude)
+        self.omega = omega = np.full_like(phase, ref.omega)
+        self.spec_phase = np.full_like(phase, ref.phase)
         self.phase = phase
         self.amp_omega = amp * omega
         self.neg_amp_omega2 = -amp * omega * omega
@@ -171,9 +192,11 @@ class BatchReference:
         if slow:
             if rng is None:
                 raise ValueError("slow tones need an rng for their phases")
-            self.slow_phase = rng.uniform(0.0, 2.0 * np.pi, shape)
-            self.slow_omega = np.full(shape, 2.0 * np.pi / np.array(SLOW_PERIODS))
-            self.slow_amp = slow_amp = np.full(shape, SLOW_AMPLITUDE)
+            self.slow_phase = np.full_like(
+                phase, rng.uniform(0.0, 2.0 * np.pi, phase.shape))
+            self.slow_omega = np.full_like(phase,
+                                           2.0 * np.pi / np.array(SLOW_PERIODS))
+            self.slow_amp = slow_amp = np.full_like(phase, SLOW_AMPLITUDE)
             self.slow_amp_omega = slow_amp * self.slow_omega
             self.slow_amp_omega2 = slow_amp * self.slow_omega ** 2
 
@@ -193,51 +216,41 @@ class BatchReference:
         return RefPoint(q=q, qd=qd, qdd=qdd)
 
 
-@dataclass
 class PlantState:
-    """Full Markov state of the simulated system.
+    """Full Markov state of the simulated system, packed in one array.
 
-    The arrays have shape (2,), or (B, 2) for a batch of B members.
+    x is (6,), or (6, B) for B members, rows q1, q2, qd1, qd2, z1, z2;
+    q, qd and z are (2,) or (B, 2) views of it.  PlantState(q=, qd=, z=)
+    packs three such arrays; PlantState(x=x) wraps x without a copy.
     """
 
-    q: np.ndarray        # rad
-    qd: np.ndarray       # rad/s
-    z: np.ndarray        # N m, friction memory
+    __slots__ = ("x",)
+
+    def __init__(self, q=None, qd=None, z=None, *, x=None):
+        self.x = np.concatenate([q, qd, z], axis=-1).T.copy() if x is None else x
+
+    q = property(lambda self: self.x[0:2].T)     # rad
+    qd = property(lambda self: self.x[2:4].T)    # rad/s
+    z = property(lambda self: self.x[4:6].T)     # N m, friction memory
 
 
 BLOWUP_BOUND = 1.0e3
 
 
-def _payload_terms(params: PlantParams):
-    """Payload-dependent constants (a, b, d, g w1, g w2) of M, C and G.
-
-    M = [[a + 2b cos q2, d + b cos q2], [d + b cos q2, d]], C scales with
-    b sin q2, and G = (g w1 cos q1 + g w2 cos(q1 + q2), g w2 cos(q1 + q2)).
-    """
-    p = params.payload
-    a = (params.i1 + params.i2 + params.m1 * params.lc1 ** 2
-         + params.m2 * (params.l1 ** 2 + params.lc2 ** 2)
-         + p * (params.l1 ** 2 + params.l2 ** 2))
-    b = params.m2 * params.l1 * params.lc2 + p * params.l1 * params.l2
-    d = params.i2 + params.m2 * params.lc2 ** 2 + p * params.l2 ** 2
-    gw1 = (params.m1 * params.lc1 + (params.m2 + p) * params.l1) * params.gravity
-    gw2 = (params.m2 * params.lc2 + p * params.l2) * params.gravity
-    return a, b, d, gw1, gw2
-
-
-def _arm_terms(q, terms):
-    """Per-entry M11, M12, M22, the Coriolis scale h = b sin q2, G1 and G2."""
-    a, b, d, gw1, gw2 = terms
-    c2 = np.cos(q[..., 1])
-    G2 = gw2 * np.cos(q[..., 0] + q[..., 1])
-    return (a + 2.0 * b * c2, d + b * c2, d, b * np.sin(q[..., 1]),
-            gw1 * np.cos(q[..., 0]) + G2, G2)
+def _arm_terms(q1, q2, terms):
+    """M11, M12, M22, the Coriolis scale h = b sin q2, G1 and G2 at joint
+    angles q1, q2 (scalars or arrays); terms = PlantParams.terms."""
+    a, b2, b, d, gw1, gw2 = terms
+    c2 = np.cos(q2)
+    G2 = gw2 * np.cos(q1 + q2)
+    return (a + b2 * c2, d + b * c2, d, b * np.sin(q2),
+            gw1 * np.cos(q1) + G2, G2)
 
 
 def mass_matrix(q: np.ndarray, params: PlantParams) -> np.ndarray:
     """Symmetric positive-definite inertia matrix M(q, payload)."""
     q = np.asarray(q, dtype=float)
-    M11, M12, M22, _, _, _ = _arm_terms(q, _payload_terms(params))
+    M11, M12, M22, _, _, _ = _arm_terms(q[..., 0], q[..., 1], params.terms)
     M = np.empty(q.shape[:-1] + (2, 2))
     M[..., 0, 0] = M11
     M[..., 0, 1] = M[..., 1, 0] = M12
@@ -249,7 +262,7 @@ def coriolis_matrix(q: np.ndarray, qd: np.ndarray, params: PlantParams) -> np.nd
     """Christoffel-form C(q, qd); Mdot - 2C is skew along trajectories."""
     q = np.asarray(q, dtype=float)
     qd = np.asarray(qd, dtype=float)
-    h = _arm_terms(q, _payload_terms(params))[3]
+    h = _arm_terms(q[..., 0], q[..., 1], params.terms)[3]
     C = np.empty(q.shape[:-1] + (2, 2))
     C[..., 0, 0] = -h * qd[..., 1]
     C[..., 0, 1] = -h * (qd[..., 0] + qd[..., 1])
@@ -261,23 +274,21 @@ def coriolis_matrix(q: np.ndarray, qd: np.ndarray, params: PlantParams) -> np.nd
 def gravity_vector(q: np.ndarray, params: PlantParams) -> np.ndarray:
     """Gradient of potential energy wrt q; angles measured from horizontal."""
     q = np.asarray(q, dtype=float)
-    return np.stack(_arm_terms(q, _payload_terms(params))[4:], axis=-1)
+    return np.stack(_arm_terms(q[..., 0], q[..., 1], params.terms)[4:],
+                    axis=-1)
 
 
 def potential_energy(q: np.ndarray, params: PlantParams) -> np.ndarray:
     q = np.asarray(q, dtype=float)
-    _, _, _, gw1, gw2 = _payload_terms(params)
+    gw1, gw2 = params.terms[4:]
     return gw1 * np.sin(q[..., 0]) + gw2 * np.sin(q[..., 0] + q[..., 1])
 
 
-def kinetic_energy(q: np.ndarray, qd: np.ndarray, params: PlantParams) -> np.ndarray:
+def total_energy(q, qd, params: PlantParams):
     qd = np.asarray(qd, dtype=float)
     M = mass_matrix(q, params)
-    return 0.5 * np.einsum("...i,...ij,...j->...", qd, M, qd)
-
-
-def total_energy(q, qd, params: PlantParams):
-    return kinetic_energy(q, qd, params) + potential_energy(q, params)
+    kinetic = 0.5 * np.einsum("...i,...ij,...j->...", qd, M, qd)
+    return kinetic + potential_energy(q, params)
 
 
 def stribeck_force(qd: np.ndarray, z: np.ndarray, fric: FrictionParams) -> np.ndarray:
@@ -286,113 +297,108 @@ def stribeck_force(qd: np.ndarray, z: np.ndarray, fric: FrictionParams) -> np.nd
     Complex-safe: the sign reads the real part, so a complex step sees
     d sign/d qd = 0.
     """
-    env = fric.f_c + (fric.f_smax - fric.f_c) * np.exp(-((qd / fric.v_s) ** 2))
-    return env * np.sign(np.real(qd)) + fric.sigma * qd + z
+    env = fric.f_c + fric.f_excess * np.exp(-((qd / fric.v_s) ** 2))
+    return env * np.sign(qd.real) + fric.sigma * qd + z
 
 
 def memory_derivative(qd: np.ndarray, z: np.ndarray, fric: FrictionParams) -> np.ndarray:
-    return -z / fric.tau_z + fric.lambda_z * qd
+    return fric.lambda_z * qd - z / fric.tau_z
 
 
 def inverse_dynamics(q, qd, qd_r, qdd_r, params: PlantParams) -> np.ndarray:
-    """M(q) qdd_r + C(q, qd) qd_r + G(q), written out per entry."""
-    M11, M12, M22, h, G1, G2 = _arm_terms(q, _payload_terms(params))
+    """M(q) qdd_r + C(q, qd) qd_r + G(q), written out per entry.
+
+    The torque is laid out joint-first (Fortran order), as PlantState's
+    views are, so a batch's torque and its later terms share one order.
+    """
+    M11, M12, M22, h, G1, G2 = _arm_terms(q[..., 0], q[..., 1], params.terms)
     v1, v2 = qd[..., 0], qd[..., 1]
     tau1 = (M11 * qdd_r[..., 0] + M12 * qdd_r[..., 1]
             - h * v2 * qd_r[..., 0] - h * (v1 + v2) * qd_r[..., 1] + G1)
     # both entries broadcast to tau1's shape
-    tau = np.empty(np.shape(tau1) + (2,), dtype=tau1.dtype)
+    tau = np.empty(tau1.shape + (2,), dtype=tau1.dtype, order="F")
     tau[..., 0] = tau1
     tau[..., 1] = M12 * qdd_r[..., 0] + M22 * qdd_r[..., 1] + h * v1 * qd_r[..., 0] + G2
     return tau
 
 
-def _derivatives(q, qd, z, tau, terms, fric: FrictionParams):
-    """(qd, qdd, zd) with qdd = M^-1 (tau - C qd - G - F); terms = _payload_terms."""
-    M11, M12, M22, h, G1, G2 = _arm_terms(q, terms)
-    F = stribeck_force(qd, z, fric)
-    v1, v2 = qd[..., 0], qd[..., 1]
-    r1 = tau[..., 0] + h * v2 * v1 + h * (v1 + v2) * v2 - G1 - F[..., 0]
-    r2 = tau[..., 1] - h * v1 * v1 - G2 - F[..., 1]
+def _derivatives(x, tau1, tau2, terms, fric: FrictionParams):
+    """Packed (qd, qdd, zd) at x, qdd = M^-1 (tau - C qd - G - F)."""
+    v1, v2 = x[2], x[3]
+    M11, M12, M22, h, G1, G2 = _arm_terms(x[0], x[1], terms)
+    F1, F2 = stribeck_force(x[2:4], x[4:6], fric)
+    r1 = tau1 + h * v2 * v1 + h * (v1 + v2) * v2 - G1 - F1
+    r2 = tau2 - h * v1 * v1 - G2 - F2
     det = M11 * M22 - M12 * M12
     qdd1 = (M22 * r1 - M12 * r2) / det
-    qdd = np.empty(np.shape(qdd1) + (2,), dtype=qdd1.dtype)
-    qdd[..., 0] = qdd1
-    qdd[..., 1] = (-M12 * r1 + M11 * r2) / det
-    return qd, qdd, memory_derivative(qd, z, fric)
+    k = np.empty(x.shape, dtype=qdd1.dtype)
+    k[0:2] = x[2:4]
+    k[2] = qdd1
+    k[3] = (M11 * r2 - M12 * r1) / det
+    k[4:6] = memory_derivative(x[2:4], x[4:6], fric)
+    return k
 
 
-def rk4_increment(q, qd, z, tau, dt: float, params: PlantParams, fric: FrictionParams):
-    """One classical RK4 step of the coupled (q, qd, z) system, torque held.
-
-    Broadcasts over leading axes, including per-member params and fric.
-    """
-    terms = _payload_terms(params)   # once per step, not per stage
-    k1 = _derivatives(q, qd, z, tau, terms, fric)
-    k2 = _derivatives(q + 0.5 * dt * k1[0], qd + 0.5 * dt * k1[1],
-                      z + 0.5 * dt * k1[2], tau, terms, fric)
-    k3 = _derivatives(q + 0.5 * dt * k2[0], qd + 0.5 * dt * k2[1],
-                      z + 0.5 * dt * k2[2], tau, terms, fric)
-    k4 = _derivatives(q + dt * k3[0], qd + dt * k3[1], z + dt * k3[2],
-                      tau, terms, fric)
-    qn = q + dt / 6.0 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-    qdn = qd + dt / 6.0 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-    zn = z + dt / 6.0 * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
-    return qn, qdn, zn
+def rk4_increment(x, tau, dt: float, params: PlantParams, fric: FrictionParams):
+    """One classical RK4 step of the packed state x, with the joint-first
+    torque tau of shape (2, *members) held; stages combine on x whole."""
+    tau1, tau2 = tau
+    terms = params.terms
+    half = 0.5 * dt
+    k1 = _derivatives(x, tau1, tau2, terms, fric)
+    k2 = _derivatives(x + half * k1, tau1, tau2, terms, fric)
+    k3 = _derivatives(x + half * k2, tau1, tau2, terms, fric)
+    k4 = _derivatives(x + dt * k3, tau1, tau2, terms, fric)
+    return x + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def within_bound(q, qd, z) -> np.ndarray:
-    """Per member: every entry finite and of magnitude below BLOWUP_BOUND."""
-    return np.all((np.abs(q) < BLOWUP_BOUND) & (np.abs(qd) < BLOWUP_BOUND)
-                  & (np.abs(z) < BLOWUP_BOUND), axis=-1)
+def within_bound(x) -> np.ndarray:
+    """Per member of x: every entry finite and below BLOWUP_BOUND in size."""
+    return np.abs(x).max(axis=0) < BLOWUP_BOUND
 
 
 def step_rk4(state: PlantState, torque: np.ndarray, dt: float,
              params: PlantParams, fric: FrictionParams) -> PlantState:
     """Advance the full state by one zero-order-hold RK4 step.
 
-    Broadcasts over a leading member axis of the state.  The step does
-    not check the blow-up bound: closed_loop does, once per step.
+    torque has the shape of state.q.  The step does not check the
+    blow-up bound: closed_loop does, once per step.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    return PlantState(*rk4_increment(state.q, state.qd, state.z,
-                                     np.asarray(torque, dtype=float), dt,
-                                     params, fric))
+    return PlantState(x=rk4_increment(state.x, np.asarray(torque, dtype=float).T,
+                                      dt, params, fric))
 
 
-def closed_loop(state: PlantState, n: int, step):
-    """Record q, qd, z over n steps of step(k, state) -> PlantState.
+def closed_loop(x: np.ndarray, n: int, step):
+    """Record q, qd, z over n steps of step(k, x) -> next packed state.
 
     The one divergence check of the simulator: a member whose next state
     fails within_bound is held at its last state from then on.  The
     loop stops when no member is left, and the rows after the stop
     repeat the held states.  Returns the (n + 1, *members, 2) records of
-    q, qd and z and each member's count of recorded states up to its
-    divergence (n + 1 if it never left).
+    q, qd and z, written from x's views, and each member's count of
+    recorded states up to its divergence (n + 1 if it never left).
     """
-    members = state.q.shape[:-1]   # () for a single state
+    members = x.shape[1:]   # () for a single state
     q, qd, z = (np.empty((n + 1, *members, 2)) for _ in range(3))
     alive = np.ones(members, dtype=bool)
     n_states = np.full(members, n + 1)
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n):
-            q[k], qd[k], z[k] = state.q, state.qd, state.z
-            new = step(k, state)
-            ok = alive & within_bound(new.q, new.qd, new.z)
+            q[k], qd[k], z[k] = x[0:2].T, x[2:4].T, x[4:6].T
+            new = step(k, x)
+            ok = alive & within_bound(new)
             if not ok.all():
                 n_states[alive & ~ok] = k + 1
                 alive = ok
                 if not alive.any():
                     break
-                keep = alive[..., None]
-                new = PlantState(q=np.where(keep, new.q, state.q),
-                                 qd=np.where(keep, new.qd, state.qd),
-                                 z=np.where(keep, new.z, state.z))
-            state = new
+                new = np.where(alive, new, x)
+            x = new
         else:
             k = n
-    q[k:], qd[k:], z[k:] = state.q, state.qd, state.z
+    q[k:], qd[k:], z[k:] = x[0:2].T, x[2:4].T, x[4:6].T
     return q, qd, z, n_states
 
 
@@ -417,12 +423,9 @@ class Trajectory:
     def n_steps(self) -> int:
         return self.tau.shape[0]
 
-    def tracking_error(self) -> np.ndarray:
-        return self.q_ref - self.q
-
     def rmse(self) -> float:
         """Root mean square of the per-step joint error norm."""
-        e = self.tracking_error()
+        e = self.q_ref - self.q
         return float(np.sqrt(np.mean(np.sum(e * e, axis=-1))))
 
     def write_csv(self, path) -> None:
@@ -470,13 +473,11 @@ def rollout(controller, ref: ReferenceSpec, params: PlantParams,
     truncated and flagged rather than raised: it keeps the states up to
     the last one within bound and the torques applied between them.
 
-    seed may also be a sequence of B seeds.  The B members, each reset
-    from its own seed, then advance together: the state carries a
-    leading member axis, params and fric may hold per-member arrays,
-    and the controller is called once per step for the whole batch.
-    closed_loop holds a member that leaves within_bound.  The call then
-    returns one Trajectory per member, each cut at that member's own
-    divergence step exactly as the record of an int seed is.
+    seed may also be a sequence of B seeds: the members, each reset
+    from its own seed, advance together as a (6, B) packed state, with
+    per-member arrays allowed in params and fric and one controller
+    call per step.  One Trajectory per member is returned, each cut at
+    that member's own divergence step as the record of an int seed is.
     """
     horizon = ref.horizon if horizon is None else horizon
     n = round(horizon / dt)
@@ -486,14 +487,10 @@ def rollout(controller, ref: ReferenceSpec, params: PlantParams,
     reference = BatchReference(ref)
     batched = not isinstance(seed, (int, np.integer))
     seeds = list(seed) if batched else [seed]
-    starts = [reset.sample(reference, np.random.default_rng(s)) for s in seeds]
-    if batched:
-        state = PlantState(q=np.stack([s.q for s in starts]),
-                           qd=np.stack([s.qd for s in starts]),
-                           z=np.stack([s.z for s in starts]))
-    else:
-        state = starts[0]
-    members = state.q.shape[:-1]   # () for an int seed
+    starts = [reset.sample(reference, np.random.default_rng(s)).x
+              for s in seeds]
+    x0 = np.stack(starts, axis=-1) if batched else starts[0]
+    members = x0.shape[1:]   # () for an int seed
 
     t = np.arange(n + 1) * dt
     q_r = np.empty((n + 1, 2)); qd_r = np.empty((n + 1, 2))
@@ -501,16 +498,17 @@ def rollout(controller, ref: ReferenceSpec, params: PlantParams,
     altered = np.zeros((n, *members), dtype=bool)
     pdist = np.zeros((n, *members))
 
-    def step(k, state):
+    def step(k, x):
         ref_point = reference.at(t[k])
         q_r[k], qd_r[k] = ref_point.q, ref_point.qd
+        state = PlantState(x=x)
         dec = controller(t[k], state, ref_point)
         tau[k] = dec.tau
         altered[k] = dec.shield_altered
         pdist[k] = dec.projection_distance
-        return step_rk4(state, dec.tau, dt, params, fric)
+        return step_rk4(state, dec.tau, dt, params, fric).x
 
-    q, qd, z, n_states = closed_loop(state, n, step)
+    q, qd, z, n_states = closed_loop(x0, n, step)
     end = reference.at(t[n])
     q_r[n], qd_r[n] = end.q, end.qd
 

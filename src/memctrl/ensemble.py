@@ -1,20 +1,17 @@
 """Batched closed-loop simulation for the analysis pipelines.
 
-The dynamics routines broadcast over leading axes, so an ensemble of B
-tracking tasks integrates as one (B, 2)-shaped rollout.  The plant, the
-reference, the loop and the torque are those of memctrl.dynamics
-(rk4_increment, BatchReference, closed_loop) and memctrl.controller
-(BaselineController, payload-free, gains at (B, 2)), with per-member
-payloads and friction constants held as arrays in PlantParams and
+An ensemble of B tracking tasks integrates as one rollout of the packed
+(6, B) state through memctrl.dynamics (rk4_increment, BatchReference,
+closed_loop) and a payload-free BaselineController, with per-member
+payloads and friction constants as arrays in PlantParams and
 FrictionParams; only the task distribution and the hand-derived step
-Jacobian are written here.  The friction constants, the gains and the
-reference constants are stored at (B, 2), the state's shape: a (B, 1)
-or (2,) operand makes numpy run B inner loops of length 2, several
-times slower per operation at B = 512.  Each step evaluates the
-reference once, and the record keeps the state only.
-Used wherever thousands of rollouts are needed: the sigma_z scans, the
-temporal-operator sampler and the Markov-gap experiment.  Regression
-tests pin each member to a scalar rollout under its own parameters.
+Jacobian are written here.  Per-member constants are stored
+joint-first, the memory order of the state's rows: friction at (2, B),
+gains and reference as (B, 2) views of (2, B) memory, like the q and qd
+views the controller reads.  Another shape or order makes numpy run
+short or strided inner loops, several times slower per operation at
+B = 512.  Used for the sigma_z scans, the temporal-operator sampler and
+the Markov-gap experiment; tests pin each member to a scalar rollout.
 """
 
 from __future__ import annotations
@@ -26,8 +23,8 @@ import numpy as np
 from .controller import (BaselineController, ControllerParams,
                          fixed_gain_baseline)
 from .dynamics import (BatchReference, FrictionParams, PlantParams,
-                       PlantState, ReferenceSpec, RefPoint, _arm_terms,
-                       _derivatives, _payload_terms, closed_loop, rk4_increment)
+                       ReferenceSpec, RefPoint, _arm_terms, _derivatives,
+                       closed_loop, rk4_increment)
 
 
 @dataclass(frozen=True)
@@ -70,7 +67,8 @@ class BaselineEnsembleSim:
 
     Per-member payload and (optionally perturbed) friction constants;
     the torque is a BaselineController whose model is payload-free, as
-    in the evaluation protocol.
+    in the evaluation protocol.  step and step_jacobian take the packed
+    (6, B) state of memctrl.dynamics.
     """
 
     def __init__(self, batch: int, ref: ReferenceSpec, params: PlantParams,
@@ -93,25 +91,27 @@ class BaselineEnsembleSim:
             mult = np.ones((batch, 4))
         fr = np.array([fric.f_c, fric.f_smax, fric.v_s, fric.sigma]) * mult
         fr[:, 1] = np.maximum(fr[:, 1], fr[:, 0])  # static peak >= Coulomb
-        # per-member constants and gains at (B, 2), the state's shape
-        self.fric = replace(fric, **{k: np.full((batch, 2), fr[:, i:i + 1])
+        # friction at (2, B); gains and phase (B, 2) in joint-first memory
+        self.fric = replace(fric, **{k: np.full((2, batch), fr[:, i])
                                      for i, k in enumerate(("f_c", "f_smax",
                                                             "v_s", "sigma"))})
         self.controller = BaselineController(params, replace(
-            gains, kd=np.full((batch, 2), gains.kd),
-            lam=np.full((batch, 2), gains.lam)))   # payload-free model
+            gains, kd=np.asfortranarray(np.full((batch, 2), gains.kd)),
+            lam=np.asfortranarray(np.full((batch, 2), gains.lam))))  # payload-free
         self.plant = replace(params, payload=self.payload)
+        phase = np.asfortranarray(phase)
         self.reference = BatchReference(ref, phase, task.slow_reference, rng)
         # the reset jitters around the start of the fast tones alone
         self.q0 = BatchReference(ref, phase).at(0.0).q + rng.uniform(
             -task.q_jitter, task.q_jitter, (batch, 2))
 
     def _torque_jacobian(self, ref: RefPoint, q: np.ndarray, qd: np.ndarray) -> np.ndarray:
-        """d torque / d (q, qd, z) of the baseline law, shape (B, 2, 6)."""
+        """d torque / d (q, qd, z) of the baseline law at the (B, 2) views
+        q and qd, shape (B, 2, 6)."""
         g = self.controller.gains
-        terms = _payload_terms(self.controller.model)
-        _, b, _, gw1, gw2 = terms
-        M11, M12, M22, h, _, _ = _arm_terms(q, terms)
+        terms = self.controller.model.terms
+        _, _, b, _, gw1, gw2 = terms
+        M11, M12, M22, h, _, _ = _arm_terms(q[..., 0], q[..., 1], terms)
         dh = b * np.cos(q[..., 1])   # dh/dq2
         e = ref.q - q
         ed = ref.qd - qd
@@ -135,41 +135,42 @@ class BaselineEnsembleSim:
         T[..., 1, 3] = -M22 * lam2 - kd2
         return T
 
-    def _rhs_jacobian(self, q, qd, qdd, terms):
-        """d (qd, qdd, zd) / d (q, qd, z, tau), shape (B, 6, 8), at the stage
-        whose acceleration is qdd; terms = _payload_terms(self.plant).
+    def _rhs_jacobian(self, x, k, terms):
+        """d (qd, qdd, zd) / d (q, qd, z, tau), shape (B, 6, 8), at the
+        packed stage x with derivative k; terms = self.plant.terms.
 
         The derivative of sign(qd) is taken as 0: the Coulomb/Stribeck
         jump at qd = 0 contributes no sensitivity.
         """
-        _, b, _, gw1, gw2 = terms
-        M11, M12, M22, h, _, _ = _arm_terms(q, terms)
-        dh = b * np.cos(q[..., 1])   # dh/dq2
+        _, _, b, _, gw1, gw2 = terms
+        q1, q2, v1, v2 = x[0], x[1], x[2], x[3]
+        M11, M12, M22, h, _, _ = _arm_terms(q1, q2, terms)
+        dh = b * np.cos(q2)   # dh/dq2
         fric = self.fric
-        f_c, f_smax, v_s, sigma = fric.f_c, fric.f_smax, fric.v_s, fric.sigma
-        v1, v2 = qd[..., 0], qd[..., 1]
-        u = qd / v_s
-        dF = (f_smax - f_c) * np.exp(-u * u) * (-2.0 * u / v_s) * np.sign(qd) + sigma
-        gs12 = gw2 * np.sin(q[..., 0] + q[..., 1])
-        gs1 = gw1 * np.sin(q[..., 0])
+        u = x[2:4] / fric.v_s
+        dF1, dF2 = (fric.f_excess * np.exp(-u * u) * (-2.0 * u / fric.v_s)
+                    * np.sign(x[2:4]) + fric.sigma)
+        gs12 = gw2 * np.sin(q1 + q2)
+        gs1 = gw1 * np.sin(q1)
         # d r / d (q1, q2, qd1, qd2), with the dM/dq2 qdd term folded in
-        dr = np.empty(q.shape[:-1] + (2, 4))
+        members = x.shape[1:]
+        dr = np.empty(members + (2, 4))
         dr[..., 0, 0] = gs1 + gs12
         dr[..., 0, 1] = (dh * (2.0 * v1 * v2 + v2 * v2) + gs12
-                         + h * (2.0 * qdd[..., 0] + qdd[..., 1]))
-        dr[..., 0, 2] = 2.0 * h * v2 - dF[..., 0]
+                         + h * (2.0 * k[2] + k[3]))
+        dr[..., 0, 2] = 2.0 * h * v2 - dF1
         dr[..., 0, 3] = 2.0 * h * (v1 + v2)
         dr[..., 1, 0] = gs12
-        dr[..., 1, 1] = -dh * v1 * v1 + gs12 + h * qdd[..., 0]
+        dr[..., 1, 1] = -dh * v1 * v1 + gs12 + h * k[2]
         dr[..., 1, 2] = -2.0 * h * v1
-        dr[..., 1, 3] = -dF[..., 1]
+        dr[..., 1, 3] = -dF2
         det = M11 * M22 - M12 * M12
-        Minv = np.empty(q.shape[:-1] + (2, 2))
+        Minv = np.empty(members + (2, 2))
         Minv[..., 0, 0] = M22 / det
         Minv[..., 0, 1] = Minv[..., 1, 0] = -M12 / det
         Minv[..., 1, 1] = M11 / det
         eye = np.eye(2)
-        J = np.zeros(q.shape[:-1] + (6, 8))
+        J = np.zeros(members + (6, 8))
         J[..., 0:2, 2:4] = eye
         J[..., 2:4, 0:4] = Minv @ dr
         J[..., 2:4, 4:6] = -Minv
@@ -178,39 +179,39 @@ class BaselineEnsembleSim:
         J[..., 4:6, 4:6] = -eye / fric.tau_z
         return J
 
-    def step_jacobian(self, t: float, q, qd, z, dt: float) -> np.ndarray:
-        """d step / d (q, qd, z) at one state, shape (B, 6, 6).
+    def step_jacobian(self, t: float, x: np.ndarray, dt: float) -> np.ndarray:
+        """d step / d x at the packed (6, B) state x, shape (B, 6, 6).
 
-        The exact derivative of the RK4 map of `step`, including the
-        torque's dependence on the state it is held from; d sign/d qd
-        is taken as 0.
+        The exact derivative of the RK4 map of `step`, at the packed
+        stages x + c dt k, including the torque's dependence on the
+        state it is held from; d sign/d qd is taken as 0.
         """
         ref = self.reference.at(t)
-        tau = self.controller.torque(q, qd, ref)
+        q, qd = x[0:2].T, x[2:4].T
+        tau1, tau2 = self.controller.torque(q, qd, ref).T
         T = self._torque_jacobian(ref, q, qd)
-        terms = _payload_terms(self.plant)
+        terms = self.plant.terms
         eye = np.eye(6)
-        k, K, acc = (0.0, 0.0, 0.0), 0.0, 0.0   # previous stage slope, its Jacobian
+        k, K, acc = 0.0, 0.0, 0.0   # previous stage slope, its Jacobian
         for c, w in ((0.0, 1.0), (0.5, 2.0), (0.5, 2.0), (1.0, 1.0)):
-            stage = (q + c * dt * k[0], qd + c * dt * k[1], z + c * dt * k[2])
-            k = _derivatives(*stage, tau, terms, self.fric)
-            Jf = self._rhs_jacobian(stage[0], stage[1], k[1], terms)
+            stage = x + c * dt * k
+            k = _derivatives(stage, tau1, tau2, terms, self.fric)
+            Jf = self._rhs_jacobian(stage, k, terms)
             K = Jf[..., :6] @ (eye + c * dt * K) + Jf[..., 6:] @ T
             acc = acc + w * K
         return eye + dt / 6.0 * acc
 
-    def step(self, ref: RefPoint, q, qd, z, dt: float):
-        """One zero-order-hold RK4 step of the whole batch from reference ref."""
-        return rk4_increment(q, qd, z, self.controller.torque(q, qd, ref), dt,
-                             self.plant, self.fric)
+    def step(self, ref: RefPoint, x: np.ndarray, dt: float) -> np.ndarray:
+        """One zero-order-hold RK4 step of the packed state x from ref."""
+        tau = self.controller.torque(x[0:2].T, x[2:4].T, ref)
+        return rk4_increment(x, tau.T, dt, self.plant, self.fric)
 
     def run(self, horizon: float, dt: float) -> BatchRollout:
         """closed_loop of `step` from the batch's reset states."""
         n = round(horizon / dt)
-        zero = np.zeros((self.batch, 2))
+        x0 = np.zeros((6, self.batch))
+        x0[0:2] = self.q0.T
         q, qd, z, n_states = closed_loop(
-            PlantState(q=self.q0, qd=zero, z=zero), n,
-            lambda k, s: PlantState(*self.step(self.reference.at(k * dt),
-                                               s.q, s.qd, s.z, dt)))
+            x0, n, lambda k, x: self.step(self.reference.at(k * dt), x, dt))
         return BatchRollout(t=np.arange(n + 1) * dt, q=q, qd=qd, z=z,
                             payload=self.payload, alive=n_states > n, dt=dt)

@@ -101,13 +101,14 @@ class MarkovianPolicy:
 def markovian_policy_fit(pos: np.ndarray, vel: np.ndarray, z: np.ndarray,
                          cost: QuadCostSpec, n_bins: int = 12,
                          min_samples: int = MIN_FIT_SAMPLES,
-                         binning: StateBinning | None = None) -> MarkovianPolicy:
-    """Conditional-mean estimator of the pointwise optimum on a state grid."""
+                         fit: tuple[StateBinning, np.ndarray] | None = None
+                         ) -> MarkovianPolicy:
+    """Conditional-mean estimator of the pointwise optimum on a state grid;
+    fit: StateBinning.fit(pos, vel, n_bins) if already made."""
     cost.validate()
     if pos.size < min_samples:
         raise InsufficientSamples(f"need at least {min_samples} samples")
-    binning = binning or StateBinning.fit(pos, vel, n_bins)
-    cell = binning.cell_index(pos, vel)
+    binning, cell = fit or StateBinning.fit(pos, vel, n_bins)
     n_cells = binning.n_bins ** 2
     sums = np.zeros(n_cells)
     counts = np.zeros(n_cells)
@@ -251,11 +252,10 @@ def markov_gap_experiment(tau_z: float, ref: ReferenceSpec, params: PlantParams,
     wins_f, wins_e = lag_windows(fit_b), lag_windows(ev_b)
     traj_e = np.tile(ev_b, idx.size)
 
-    binning = StateBinning.fit(pos_f, vel_f, n_bins)
-    sigma2_hat = binned_conditional_variance(pos_f, vel_f, mem_f,
-                                             binning=binning)
+    fit = StateBinning.fit(pos_f, vel_f, n_bins)
+    sigma2_hat = binned_conditional_variance(pos_f, vel_f, mem_f, fit=fit)
 
-    policy = markovian_policy_fit(pos_f, vel_f, mem_f, cost, binning=binning)
+    policy = markovian_policy_fit(pos_f, vel_f, mem_f, cost, fit=fit)
     theta_mk = policy(pos_e, vel_e)
     ex_mk = excess_cost_per_sample(theta_mk, mem_e, cost)
 

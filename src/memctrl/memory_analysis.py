@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import FrictionParams, PlantParams, ReferenceSpec
+from .dynamics import FrictionParams, PlantParams, PlantState, ReferenceSpec
 from .controller import ControllerParams
 from .ensemble import BaselineEnsembleSim, TaskDistribution
 
@@ -183,7 +183,8 @@ class StateBinning:
 
     fit and cell_index sort the samples once by position stratum (a
     stable sort) and work on each stratum's contiguous slice, so every
-    stratum sees its samples in their original order.
+    stratum sees its samples in their original order.  fit returns the
+    fitted samples' cells from its own sort.
     """
 
     pos_edges: np.ndarray    # (n_bins + 1,)
@@ -194,7 +195,9 @@ class StateBinning:
         return self.vel_edges.shape[0]
 
     @staticmethod
-    def fit(pos: np.ndarray, vel: np.ndarray, n_bins: int = 12) -> "StateBinning":
+    def fit(pos: np.ndarray, vel: np.ndarray, n_bins: int = 12
+            ) -> tuple["StateBinning", np.ndarray]:
+        """The binning fitted to the samples, and their cell ids."""
         pe = quantile_bins(pos, n_bins)
         ve = np.empty((n_bins, n_bins + 1))
         order, bounds = _position_strata(pe, pos, n_bins)
@@ -205,11 +208,14 @@ class StateBinning:
                 ve[b] = np.linspace(-1.0, 1.0, n_bins + 1)
             else:
                 ve[b] = quantile_bins(sel, n_bins)
-        return StateBinning(pos_edges=pe, vel_edges=ve)
+        binning = StateBinning(pos_edges=pe, vel_edges=ve)
+        return binning, binning.cell_index(pos, vel, (order, bounds))
 
-    def cell_index(self, pos: np.ndarray, vel: np.ndarray) -> np.ndarray:
+    def cell_index(self, pos: np.ndarray, vel: np.ndarray,
+                   strata=None) -> np.ndarray:
+        """Cell ids; strata is _position_strata's result if already made."""
         nb = self.n_bins
-        order, bounds = _position_strata(self.pos_edges, pos, nb)
+        order, bounds = strata or _position_strata(self.pos_edges, pos, nb)
         vel_sorted = vel[order]
         cell_sorted = np.empty(order.size, dtype=np.intp)
         for b in range(nb):
@@ -225,23 +231,21 @@ class StateBinning:
 def binned_conditional_variance(pos: np.ndarray, vel: np.ndarray,
                                 target: np.ndarray, n_bins: int = 12,
                                 min_count: int = 5,
-                                binning: StateBinning | None = None) -> float:
+                                fit: tuple[StateBinning, np.ndarray] | None = None
+                                ) -> float:
     """E[Var(target | state cell)] over the nested equal-count partition.
 
-    Raises InsufficientSamples when any populated cell holds fewer than
-    min_count samples.
+    fit: StateBinning.fit(pos, vel, n_bins) if already made.  Raises
+    InsufficientSamples when a populated cell has < min_count samples.
     """
-    binning = binning or StateBinning.fit(pos, vel, n_bins)
-    cell = binning.cell_index(pos, vel)
+    binning, cell = fit or StateBinning.fit(pos, vel, n_bins)
     order = _stable_order(cell, binning.n_bins ** 2)
     t_sorted = target[order]
     cell_sorted = cell[order]
-    bounds = np.flatnonzero(np.diff(cell_sorted)) + 1
-    starts = np.concatenate([[0], bounds])
-    ends = np.concatenate([bounds, [cell.size]])
-    total_w = 0
-    acc = 0.0
-    for s, e in zip(starts, ends):
+    edges = np.concatenate([[0], np.flatnonzero(np.diff(cell_sorted)) + 1,
+                            [cell.size]])
+    total_w, acc = 0, 0.0
+    for s, e in zip(edges[:-1], edges[1:]):
         n = e - s
         if n < min_count:
             raise InsufficientSamples(
@@ -359,6 +363,9 @@ def gradient_samples_closed_loop(tau_z: float, ref: ReferenceSpec,
     samples of members that blew up, or that are not finite, are
     dropped.  gains are the baseline's (fixed_gain_baseline() if None).
     """
+    for name, value in (("window", window), ("n_samples", n_samples)):
+        if not value >= 1:   # checked before anything is simulated
+            raise ValueError(f"{name} must be at least 1, got {value}")
     if task is None:
         task = TaskDistribution(friction_log_sd=0.2)
     fric = fric.with_tau_z(tau_z)
@@ -376,7 +383,8 @@ def gradient_samples_closed_loop(tau_z: float, ref: ReferenceSpec,
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, window + 1):
             m = n_end - k
-            J = sim.step_jacobian(m * dt, roll.q[m], roll.qd[m], roll.z[m], dt)
+            x = PlantState(q=roll.q[m], qd=roll.qd[m], z=roll.z[m]).x
+            J = sim.step_jacobian(m * dt, x, dt)
             adjoint = np.swapaxes(J, 1, 2) @ adjoint
             grads[:, :, k - 1] = np.diagonal(adjoint[:, 2:4, :], axis1=1,
                                              axis2=2) / dt

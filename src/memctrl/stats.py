@@ -262,12 +262,6 @@ def build_report(a: SampleSet, b: SampleSet,
                       t_statistic=t, p_welch=p_w, welch_dof=dof, cohens_d=d)
 
 
-def load_result_record(path) -> dict:
-    with open(path) as fh:
-        rec = json.load(fh)
-    return rec
-
-
 def compare_result_files(paths, metric: str = "delta_percent",
                          group_key: str = "architecture",
                          alternative: str = "less") -> dict:
@@ -278,7 +272,8 @@ def compare_result_files(paths, metric: str = "delta_percent",
     """
     groups: dict[str, list[float]] = {}
     for path in paths:
-        rec = load_result_record(path)
+        with open(path) as fh:
+            rec = json.load(fh)
         if metric not in rec or group_key not in rec:
             raise SchemaMismatch(
                 f"{path}: missing {metric!r} or {group_key!r}")

@@ -159,6 +159,27 @@ class TestCLI:
         assert err.count("\n") == 1
         assert not list(tmp_path.glob("*.json"))
 
+    @pytest.mark.parametrize("command", ["rank-scan", "phase1"])
+    @pytest.mark.parametrize("flag,value,name", [
+        ("--window", "0", "window"), ("--window", "-3", "window"),
+        ("--n-samples", "0", "n_samples")])
+    def test_empty_gradient_window_rejected_before_simulating(
+            self, tmp_path, capsys, monkeypatch, command, flag, value, name):
+        from memctrl.ensemble import BaselineEnsembleSim
+
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated before the arguments were checked")
+
+        monkeypatch.setattr(BaselineEnsembleSim, "run", no_simulation)
+        rc = run_cli(["--out-dir", str(tmp_path), command,
+                      "--tau-z-list", "1", flag, value])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("memctrl: error: ")
+        assert f"{name} must be at least 1, got {value}" in err
+        assert err.count("\n") == 1
+        assert not [f for f in tmp_path.iterdir()]
+
     @pytest.mark.parametrize("n", [64, 150])
     def test_markov_gap_names_n_traj_when_too_few(self, tmp_path, capsys, n):
         # at the default sample grid, 64 trajectories once failed in the

@@ -210,7 +210,79 @@ class TestStepRK4:
         state = PlantState(q=np.zeros(2), qd=np.zeros(2), z=np.zeros(2))
         new = step_rk4(state, np.array([1e9, 1e9]), 0.01, params,
                        FrictionParams())
-        assert not within_bound(new.q, new.qd, new.z)
+        assert not within_bound(new.x)
+
+
+def _three_array_check(q, qd, z):
+    # the check closed_loop made on separate q, qd and z arrays
+    bound = dynamics.BLOWUP_BOUND
+    return np.all((np.abs(q) < bound) & (np.abs(qd) < bound)
+                  & (np.abs(z) < bound), axis=-1)
+
+
+class TestPackedDivergenceCheck:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e3, -1e3])
+    @pytest.mark.parametrize("row", range(6))
+    @pytest.mark.parametrize("members", [(), (3,)])
+    def test_flags_what_three_arrays_flagged(self, members, row, value):
+        # a drifting state; at step k_bad one row of the flagged members
+        # takes the value.  closed_loop's one reduction over the packed
+        # state must flag exactly the members the three-array check
+        # flags, and hold each at its last in-bound state.
+        n, k_bad = 8, 3
+        bad = np.array([True, False, True]) if members else np.array(True)
+        x0 = np.linspace(-0.5, 0.5, 6 * int(np.prod(members))).reshape(
+            (6, *members))
+
+        def step(k, x):
+            new = x + 0.01
+            if k == k_bad:
+                new[row] = np.where(bad, value, new[row])
+            return new
+
+        xs = [x0]   # the unheld trajectory
+        for k in range(n):
+            xs.append(step(k, xs[-1]) if k != k_bad else xs[-1] + 0.01)
+        with np.errstate(invalid="ignore"):
+            flagged = ~_three_array_check(*(
+                getattr(PlantState(x=step(k_bad, xs[k_bad])), a)
+                for a in ("q", "qd", "z")))
+        assert np.array_equal(flagged, bad)
+
+        q, qd, z, n_states = dynamics.closed_loop(x0, n, step)
+        assert np.array_equal(n_states, np.where(bad, k_bad + 1, n + 1))
+        want = np.stack([np.where(bad, xs[min(k, k_bad)], xs[k])
+                         for k in range(n + 1)])
+        for rec, rows in ((q, slice(0, 2)), (qd, slice(2, 4)),
+                          (z, slice(4, 6))):
+            assert np.array_equal(rec, np.moveaxis(want[:, rows], 1, -1))
+
+
+class TestStepPinned:
+    # one RK4 step, recorded when the step path kept q, qd and z as
+    # three (..., 2) arrays, before the state was packed into one array
+    def test_scalar_step_rk4(self, cfg):
+        state = PlantState(q=np.array([0.4, -0.7]), qd=np.array([0.8, -1.3]),
+                           z=np.array([0.3, -0.2]))
+        new = step_rk4(state, np.array([2.5, -1.5]), 0.01,
+                       cfg.plant.with_payload(0.7), cfg.friction)
+        for got, want in zip((new.q, new.qd, new.z), SCALAR_STEP_PIN):
+            assert np.array_equal(got, want)
+
+    def test_ensemble_step(self, cfg):
+        from memctrl import ensemble
+
+        task = ensemble.TaskDistribution(friction_log_sd=0.2,
+                                         slow_reference=True)
+        sim = ensemble.BaselineEnsembleSim(3, cfg.reference, cfg.plant,
+                                           cfg.friction, seed=7, task=task)
+        assert np.unique(sim.payload).size == 3
+        q, qd, z = (np.array(a) for a in ENSEMBLE_STEP_IN)
+        assert np.any(qd > 0) and np.any(qd < 0) and np.all(z != 0)
+        x = sim.step(sim.reference.at(0.3), PlantState(q=q, qd=qd, z=z).x, 0.01)
+        new = PlantState(x=x)
+        for got, want in zip((new.q, new.qd, new.z), ENSEMBLE_STEP_OUT):
+            assert np.array_equal(got, np.array(want))
 
 
 class TestReferenceSpec:
@@ -339,7 +411,7 @@ class TestEnsembleConsistency:
         for i in range(3):
             plant = cfg.plant.with_payload(sim.payload[i])
             fric = dataclasses.replace(
-                cfg.friction, **{k: float(getattr(sim.fric, k)[i, 0])
+                cfg.friction, **{k: float(getattr(sim.fric, k)[0, i])
                                  for k in ("f_c", "f_smax", "v_s", "sigma")})
             assert fric.f_c != cfg.friction.f_c
             ctrl = BaselineController(plant)
@@ -431,7 +503,8 @@ class TestEnsembleConsistency:
                                            cfg.friction, seed=3, task=task,
                                            gains=gains)
         roll = sim.run(0.5, 0.01)
-        J = sim.step_jacobian(0.3, roll.q[30], roll.qd[30], roll.z[30], 0.01)
+        J = sim.step_jacobian(0.3, PlantState(q=roll.q[30], qd=roll.qd[30],
+                                             z=roll.z[30]).x, 0.01)
         assert np.array_equal(J, STEP_JACOBIAN_PIN)
 
     def test_step_jacobian_matches_complex_step(self, cfg):
@@ -452,10 +525,10 @@ class TestEnsembleConsistency:
             x = np.concatenate([roll.q[k], roll.qd[k], roll.z[k]], axis=-1)
             # (6, B, 6): the leading axis perturbs one state entry each
             xc = x + 1j * h * np.eye(6)[:, None, :]
-            out = sim.step(sim.reference.at(k * dt), xc[..., 0:2],
-                           xc[..., 2:4], xc[..., 4:6], dt)
-            J_cs = np.moveaxis(np.concatenate(out, axis=-1).imag / h, 0, -1)
-            J = sim.step_jacobian(k * dt, roll.q[k], roll.qd[k], roll.z[k], dt)
+            out = np.stack([sim.step(sim.reference.at(k * dt), xi.T, dt).T
+                            for xi in xc])
+            J_cs = np.moveaxis(out.imag / h, 0, -1)
+            J = sim.step_jacobian(k * dt, x.T, dt)
             assert np.max(np.abs(J_cs - J)) <= 1e-12 * np.max(np.abs(J))
 
 
@@ -569,3 +642,23 @@ HOLD_PINS = {
     "all": {"alive": [False, False], "q": HOLD_ALL_Q, "qd": HOLD_ALL_QD,
             "z": HOLD_ALL_Z},
 }
+
+
+# step_rk4 of TestStepPinned.test_scalar_step_rk4: q, qd and z after the step
+SCALAR_STEP_PIN = [
+    [0.40747678602423537, -0.7124901610378606],
+    [0.6957103655557567, -1.1991481898793368],
+    [0.3267695963677453, -0.24771829245577118],
+]
+# BaselineEnsembleSim.step of TestStepPinned.test_ensemble_step: q, qd and
+# z of the state at step 30 of the sim's run(0.5, 0.01), and after the step
+ENSEMBLE_STEP_IN = [
+    [[-0.21715350983175793, -0.035459564958997644], [-0.21395264546455578, 0.20692247133130878], [0.02181853086674386, -0.027669570605119004]],
+    [[0.7402354698610198, 0.5831825167374892], [1.6459974341732957, -0.4749756654496068], [-1.9970544839524207, 0.7672691946220866]],
+    [[0.20505958361068227, 0.4269383093340504], [0.9991368777440797, -0.3177735801562435], [-1.4346458858856164, 0.974759589322]],
+]
+ENSEMBLE_STEP_OUT = [
+    [[-0.20949910718818002, -0.02961796970737069], [-0.1973405058335652, 0.20212823120785448], [0.0017442737824088748, -0.020069658351514124]],
+    [[0.7906346705156546, 0.5850477444399543], [1.6762168381348295, -0.48340503047990574], [-2.0176321850612164, 0.7522802945982348]],
+    [[0.23348590972648794, 0.445940201794706], [1.055313722410838, -0.33369335423857693], [-1.5002684817739809, 0.995308229141918]],
+]

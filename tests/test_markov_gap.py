@@ -217,3 +217,25 @@ class TestExperiment:
                                         part.excess_windowed_se)
         assert gap_lo >= 3.0 * np.hypot(part.excess_windowed_se,
                                         full.excess_windowed_se)
+
+
+class TestOneBinningPass:
+    def test_one_stratification_per_sample_set(self, cfg, monkeypatch):
+        # the fit samples are stratified once, for the binning, the
+        # conditional variance and the policy fit together, and the
+        # evaluation samples once, for the policy's prediction
+        from memctrl import memory_analysis as ma
+
+        sizes = []
+        strata = ma._position_strata
+
+        def counted(pos_edges, pos, n_bins):
+            sizes.append(pos.size)
+            return strata(pos_edges, pos, n_bins)
+
+        monkeypatch.setattr(ma, "_position_strata", counted)
+        res = mg.markov_gap_experiment(0.5, cfg.reference, cfg.plant,
+                                       cfg.friction, n_traj=64, n_bins=6,
+                                       sample_times=np.arange(2.5, 5.0, 0.05))
+        n_times = np.arange(2.5, 5.0, 0.05).size
+        assert sizes == [32 * n_times, res.n_eval]

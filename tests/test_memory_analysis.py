@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from memctrl import memory_analysis as ma
+from memctrl.dynamics import PlantState
 from memctrl.ensemble import BaselineEnsembleSim, TaskDistribution
 
 
@@ -181,6 +182,20 @@ class TestSigmaZPinned:
         assert est.monte_carlo == expected
         assert est.n_samples == n_samples
 
+    def test_one_stratification_per_call(self, monkeypatch):
+        # fit returns the samples' cells from its own sort, so the
+        # estimator stratifies its one sample set once
+        sizes = []
+        strata = ma._position_strata
+
+        def counted(pos_edges, pos, n_bins):
+            sizes.append(pos.size)
+            return strata(pos_edges, pos, n_bins)
+
+        monkeypatch.setattr(ma, "_position_strata", counted)
+        est = ma.sigma_z_broadband(1.0, lambda_z=4.0, n_traj=400, seed=42)
+        assert sizes == [est.n_samples]
+
     @pytest.mark.parametrize("n_traj", [0, -5])
     def test_rejects_fewer_than_one_trajectory(self, n_traj):
         with pytest.raises(ValueError, match=f"n_traj must be at least 1, got {n_traj}"):
@@ -249,7 +264,7 @@ class TestBinningMatchesMaskedOracle:
 
     def test_fit_and_cell_index(self, data, rng):
         n_bins, pos, vel, _ = data
-        binning = ma.StateBinning.fit(pos, vel, n_bins)
+        binning, _ = ma.StateBinning.fit(pos, vel, n_bins)
         pe, ve = masked_fit(pos, vel, n_bins)
         pi = np.clip(np.searchsorted(pe, pos, side="right") - 1, 0, n_bins - 1)
         assert np.bincount(pi, minlength=n_bins).min() == 0
@@ -263,6 +278,13 @@ class TestBinningMatchesMaskedOracle:
             assert np.array_equal(cell, masked_cell_index(pe, ve, p, v))
             assert cell.dtype == np.intp
 
+    def test_fit_returns_the_samples_cells(self, data):
+        n_bins, pos, vel, _ = data
+        _, cell = ma.StateBinning.fit(pos, vel, n_bins)
+        pe, ve = masked_fit(pos, vel, n_bins)
+        assert np.array_equal(cell, masked_cell_index(pe, ve, pos, vel))
+        assert cell.dtype == np.intp
+
     def test_conditional_variance(self, data):
         n_bins, pos, vel, target = data
         pe, ve = masked_fit(pos, vel, n_bins)
@@ -270,9 +292,9 @@ class TestBinningMatchesMaskedOracle:
             masked_cell_index(pe, ve, pos, vel), target)
         assert ma.binned_conditional_variance(pos, vel, target,
                                               n_bins=n_bins) == expect
-        binning = ma.StateBinning.fit(pos, vel, n_bins)
+        fit = ma.StateBinning.fit(pos, vel, n_bins)
         assert ma.binned_conditional_variance(pos, vel, target,
-                                              binning=binning) == expect
+                                              fit=fit) == expect
 
 
 class TestClosedLoopSampler:
@@ -324,13 +346,13 @@ class TestClosedLoopSampler:
             for j in range(2):
                 zf = []
                 for sign in (1.0, -1.0):
-                    q, qd, z = (a[n_end - k].copy()
-                                for a in (roll.q, roll.qd, roll.z))
-                    qd[:, j] += sign * eps
+                    x = PlantState(q=roll.q[n_end - k], qd=roll.qd[n_end - k],
+                                   z=roll.z[n_end - k]).x
+                    x[2 + j] += sign * eps
                     for m in range(n_end - k, n_end):
                         ref = sim.reference.at(m * dt)
-                        q, qd, z = sim.step(ref, q, qd, z, dt)
-                    zf.append(z[:, j])
+                        x = sim.step(ref, x, dt)
+                    zf.append(x[4 + j])
                 fd[:, j, k - 1] = (zf[0] - zf[1]) / (2.0 * eps * dt)
         fd = fd.reshape(n, W)
         rel = np.linalg.norm(g - fd, axis=1) / np.linalg.norm(fd, axis=1)
