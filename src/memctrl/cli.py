@@ -26,7 +26,7 @@ from .dynamics import BatchReference
 # errors a run reports in one line: ValueError, which memctrl's input
 # errors subclass, and memctrl's own RuntimeErrors
 _RUN_ERRORS = (ValueError, memory_analysis.InsufficientSamples,
-               markov_gap.SingularDesign, incrt.ZeroResidual)
+               markov_gap.SingularDesign)
 
 
 def _float_list(text: str) -> list[float]:

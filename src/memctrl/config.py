@@ -13,17 +13,12 @@ typos fail loudly.  Example:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
+
+import numpy as np
 
 from .controller import BASELINE_KD, BASELINE_LAM, ParamBox, fixed_gain_baseline
 from .dynamics import FrictionParams, PlantParams, ReferenceSpec
-
-_PLANT_KEYS = {"m1", "m2", "l1", "l2", "lc1", "lc2", "i1", "i2", "gravity",
-               "payload", "payload_max"}
-_FRICTION_KEYS = {"f_c", "f_smax", "v_s", "sigma", "lambda_z", "tau_z"}
-_BOX_KEYS = {"kd_min", "kd_max", "lam_min", "lam_max", "eta_max"}
-_REF_KEYS = {"amp1", "amp2", "period1", "period2", "phase1", "phase2", "horizon"}
-_MISC_KEYS = {"dt", "alpha", "baseline_kd", "baseline_lam"}
 
 
 @dataclass
@@ -51,6 +46,18 @@ class Config:
             val = getattr(self, key)
             if not 0.0 < val < float("inf"):
                 raise ValueError(f"{key} must be finite and positive, got {val}")
+
+
+def _field_names(cls) -> set[str]:
+    return {f.name for f in fields(cls)}
+
+
+_PLANT_KEYS = _field_names(PlantParams)
+_FRICTION_KEYS = _field_names(FrictionParams)
+_BOX_KEYS = _field_names(ParamBox)
+# the reference is set by per-joint amplitude, period and phase
+_REF_KEYS = {"amp1", "amp2", "period1", "period2", "phase1", "phase2", "horizon"}
+_MISC_KEYS = _field_names(Config) - {"plant", "friction", "reference", "box"}
 
 
 def default_config() -> Config:
@@ -86,17 +93,10 @@ def load_config(path=None) -> Config:
     if unknown:
         raise ValueError(f"unknown configuration keys: {sorted(unknown)}")
 
-    import dataclasses
-
-    plant_kw = {k: kv[k] for k in _PLANT_KEYS if k in kv}
-    fric_kw = {k: kv[k] for k in _FRICTION_KEYS if k in kv}
-    box_kw = {k: kv[k] for k in _BOX_KEYS if k in kv}
-    plant = dataclasses.replace(cfg.plant, **plant_kw)
-    fric = dataclasses.replace(cfg.friction, **fric_kw)
-    box = dataclasses.replace(cfg.box, **box_kw)
+    def given(keys):
+        return {k: kv[k] for k in keys if k in kv}
 
     ref = cfg.reference
-    import numpy as np
     amp = (kv.get("amp1", ref.amplitude[0]), kv.get("amp2", ref.amplitude[1]))
     periods = (kv.get("period1", 2 * np.pi / ref.omega[0]),
                kv.get("period2", 2 * np.pi / ref.omega[1]))
@@ -106,9 +106,9 @@ def load_config(path=None) -> Config:
                         omega=(2 * np.pi / periods[0], 2 * np.pi / periods[1]),
                         phase=phase, horizon=horizon)
 
-    out = Config(plant=plant, friction=fric, reference=ref, box=box,
-                 dt=kv.get("dt", cfg.dt), alpha=kv.get("alpha", cfg.alpha),
-                 baseline_kd=kv.get("baseline_kd", cfg.baseline_kd),
-                 baseline_lam=kv.get("baseline_lam", cfg.baseline_lam))
+    out = replace(cfg, plant=replace(cfg.plant, **given(_PLANT_KEYS)),
+                  friction=replace(cfg.friction, **given(_FRICTION_KEYS)),
+                  reference=ref, box=replace(cfg.box, **given(_BOX_KEYS)),
+                  **given(_MISC_KEYS))
     out.validate()
     return out

@@ -14,6 +14,7 @@ the structure the admissibility half-space in memctrl.shield relies on.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -40,13 +41,23 @@ class ParamBox:
         if not self.eta_max > 0.0:
             raise ValueError("eta_max must be positive")
 
+    @cached_property
     def lower_vector(self) -> np.ndarray:
-        return np.concatenate([np.full(2, self.kd_min), np.full(2, self.lam_min),
-                               np.full(DIM_ETA, -self.eta_max)])
+        """Lower bounds of ControllerParams.as_vector(); read-only, built once."""
+        return _read_only([self.kd_min] * 2 + [self.lam_min] * 2
+                          + [-self.eta_max] * DIM_ETA)
 
+    @cached_property
     def upper_vector(self) -> np.ndarray:
-        return np.concatenate([np.full(2, self.kd_max), np.full(2, self.lam_max),
-                               np.full(DIM_ETA, self.eta_max)])
+        """Upper bounds of ControllerParams.as_vector(); read-only, built once."""
+        return _read_only([self.kd_max] * 2 + [self.lam_max] * 2
+                          + [self.eta_max] * DIM_ETA)
+
+
+def _read_only(values) -> np.ndarray:
+    v = np.array(values, dtype=float)
+    v.flags.writeable = False
+    return v
 
 
 @dataclass(frozen=True)
@@ -138,24 +149,6 @@ def computed_torque(x: ExtendedState, gains: ControllerParams,
     if fric is not None:
         tau = tau + feedforward(x.q, x.qd, gains.eta, fric)
     return tau
-
-
-def squash(raw: np.ndarray, box: ParamBox) -> ControllerParams:
-    """Map an unbounded action vector into the box.
-
-    Sigmoid for the gains, eta_max * tanh for the feed-forward weights;
-    componentwise monotone and total.
-    """
-    raw = np.asarray(raw, dtype=float)
-    if raw.shape[0] != 4 + DIM_ETA:
-        raise ValueError(f"raw action must have length {4 + DIM_ETA}")
-    r = raw[:4]
-    sig = np.where(r >= 0.0, 1.0 / (1.0 + np.exp(-np.abs(r))),
-                   np.exp(-np.abs(r)) / (1.0 + np.exp(-np.abs(r))))
-    kd = box.kd_min + sig[0:2] * (box.kd_max - box.kd_min)
-    lam = box.lam_min + sig[2:4] * (box.lam_max - box.lam_min)
-    eta = box.eta_max * np.tanh(raw[4:])
-    return ControllerParams(kd=kd, lam=lam, eta=eta)
 
 
 BASELINE_KD = 30.0   # published fixed-gain baseline

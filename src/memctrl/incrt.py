@@ -8,16 +8,18 @@ a two-iteration confirmation) suppresses grow/prune oscillation; the
 loop converges when the head count holds still for n_stable
 iterations.
 
-Pruning scores are evaluated against the retained directions' mass
-share of the full operator, not against the deflated residual: a
-retained direction has, by construction, no mass left in the residual,
-so the literal deflated-residual score is identically zero and would
-fire the prune branch forever.
+The loop's state is the residual R = A - sum_k m_k u_k u_k^T of the
+retained directions and their admitted masses.  The candidate (R's
+leading eigenvector) and its growth signal are recomputed only when the
+head count, and with it R, changes.  A direction's prune score is its
+mass share of the full operator, u^T A u / ||A||_F, fixed when it is
+admitted: its mass in the residual is zero by construction, so a
+residual score would fire the prune branch forever.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,54 +54,6 @@ def growth_signal(R: np.ndarray, candidate: np.ndarray) -> float:
     if float(np.linalg.norm(deflated, "fro")) <= 1e-12 * before:
         return effective_rank(R)
     return effective_rank(R) - effective_rank(deflated)
-
-
-@dataclass
-class DirectionSet:
-    """Retained unit directions with their admitted Rayleigh masses."""
-
-    directions: list = field(default_factory=list)
-    masses: list = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.directions)
-
-    def add(self, u: np.ndarray, mass: float) -> None:
-        self.directions.append(np.asarray(u, dtype=float))
-        self.masses.append(float(mass))
-
-    def drop(self, idx: int) -> None:
-        self.directions.pop(idx)
-        self.masses.pop(idx)
-
-    def reconstruct(self, R: np.ndarray) -> np.ndarray:
-        """Residual plus the retained directions' mass: ~ the original operator."""
-        A = R.copy()
-        for u, m in zip(self.directions, self.masses):
-            A += m * np.outer(u, u)
-        return A
-
-    def deflate_from(self, A: np.ndarray) -> np.ndarray:
-        R = A.copy()
-        for u, m in zip(self.directions, self.masses):
-            R -= m * np.outer(u, u)
-        return R
-
-
-class ZeroResidual(RuntimeError):
-    pass
-
-
-def prune_scores(R: np.ndarray, directions) -> np.ndarray:
-    """p_k = u_k^T R u_k / ||R||_F for each retained direction.
-
-    Scale invariant; zero for a direction with no mass in R.  The loop
-    passes the mass-restored operator here (see module docstring).
-    """
-    fro = float(np.linalg.norm(R, "fro"))
-    if fro == 0.0:
-        raise ZeroResidual("all mass explained; prune scores undefined")
-    return np.array([float(u @ R @ u) / fro for u in directions])
 
 
 @dataclass
@@ -176,7 +130,6 @@ class Phase1Result:
     effective_rank_final: float
     iterations: list
     converged: bool
-    tau_z: float = float("nan")
 
     @property
     def n_iterations(self) -> int:
@@ -194,66 +147,68 @@ def run_phase1(operator: TemporalResidualOperator | np.ndarray,
     config = config or Phase1Config()
     config.validate()
     if isinstance(operator, TemporalResidualOperator):
-        A = operator.matrix
-        tau_z = operator.tau_z
-    else:
-        A = np.asarray(operator, dtype=float)
-        tau_z = float("nan")
+        operator = operator.matrix
+    A = np.asarray(operator, dtype=float)
     A = 0.5 * (A + A.T)
     W = A.shape[0]
     r_eff = effective_rank(A)
+    a_scale = float(np.linalg.norm(A, "fro"))
+    # deflation residue accumulates eigenvector error (~1e-9 scale);
+    # a residual below this floor is exhausted, not signal
+    floor = 1e-7 * a_scale
 
-    u1, _ = leading_eigvec(A)
-    dirs = DirectionSet()
-    dirs.add(u1, max(float(u1 @ A @ u1), 0.0))
-    R = dirs.deflate_from(A)
+    def candidate(R):
+        """Leading direction of R and the growth signal of deflating it."""
+        if float(np.linalg.norm(R, "fro")) <= floor:
+            return np.eye(W)[0], 0.0
+        cand, _ = leading_eigvec(R)
+        return cand, growth_signal(R, cand)
+
+    # retained (direction, admitted mass, prune score u^T A u / ||A||_F)
+    kept: list[tuple[np.ndarray, float, float]] = []
+
+    def admit(u, R):
+        mass = max(float(u @ R @ u), 0.0)
+        kept.append((u, mass, float(u @ A @ u) / a_scale))
+        return R - mass * np.outer(u, u)
+
+    R = admit(leading_eigvec(A)[0], A)
+    cand, g = candidate(R)
     gate = GateState(beta=config.gate_beta)
     stable = 0
     log: list[IterationRecord] = []
     converged = False
 
-    a_scale = float(np.linalg.norm(A, "fro"))
     for it in range(config.max_iterations):
-        k_before = len(dirs)
-        # deflation residue accumulates eigenvector error (~1e-9 scale);
-        # anything below this floor is exhausted, not signal
-        if float(np.linalg.norm(R, "fro")) <= 1e-7 * max(a_scale, 1e-300):
-            cand = np.zeros(W)
-            cand[0] = 1.0
-            g = 0.0
-        else:
-            cand, _ = leading_eigvec(R)
-            g = growth_signal(R, cand)
-        try:
-            scores = prune_scores(dirs.reconstruct(R), dirs.directions)
-            min_score = float(scores.min())
-        except ZeroResidual:
-            scores = np.zeros(len(dirs))
-            min_score = 0.0
-        grow_raw = g > config.gamma_add and len(dirs) < W
-        prune_raw = len(dirs) > 1 and min_score < config.gamma_prune
+        k_before = len(kept)
+        scores = [score for _, _, score in kept]
+        min_score = min(scores)
+        grow_raw = g > config.gamma_add and k_before < W
+        prune_raw = k_before > 1 and min_score < config.gamma_prune
         # conservative capacity: pruning outranks growth in a tie
         raw = "prune" if prune_raw else ("grow" if grow_raw else "hold")
         enacted, gate = gate_update(raw, gate)
-        if enacted == "grow" and len(dirs) < W:
-            mass = max(float(cand @ R @ cand), 0.0)
-            dirs.add(cand, mass)
-            R = R - mass * np.outer(cand, cand)
-        elif enacted == "prune" and len(dirs) > 1:
-            idx = int(np.argmin(scores))
-            dirs.drop(idx)
-            R = dirs.deflate_from(A)
-        log.append(IterationRecord(iteration=it, k=len(dirs), growth_signal=g,
+        if enacted == "grow" and k_before < W:
+            R = admit(cand, R)
+        elif enacted == "prune" and k_before > 1:
+            kept.pop(int(np.argmin(scores)))
+            R = A.copy()
+            for u, m, _ in kept:
+                R -= m * np.outer(u, u)
+        log.append(IterationRecord(iteration=it, k=len(kept), growth_signal=g,
                                    min_prune_score=min_score, raw=raw,
                                    ema=gate.ema, enacted=enacted))
-        stable = stable + 1 if len(dirs) == k_before else 0
+        if len(kept) == k_before:
+            stable += 1
+        else:
+            stable = 0
+            cand, g = candidate(R)
         if stable >= config.n_stable:
             converged = True
             break
 
-    return Phase1Result(k_star=len(dirs),
-                        effective_rank_final=r_eff,
-                        iterations=log, converged=converged, tau_z=tau_z)
+    return Phase1Result(k_star=len(kept), effective_rank_final=r_eff,
+                        iterations=log, converged=converged)
 
 
 def phase2_range(k_star: int) -> tuple[int, int]:

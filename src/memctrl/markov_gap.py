@@ -164,11 +164,6 @@ def windowed_reconstructor_fit(qd_windows: np.ndarray, z: np.ndarray,
                                  fit_residual=float(np.sqrt(np.mean(resid ** 2))))
 
 
-def excess_cost_per_sample(theta: np.ndarray, z: np.ndarray,
-                           cost: QuadCostSpec) -> np.ndarray:
-    return cost.loss(theta, z)
-
-
 @dataclass
 class MarkovGapResult:
     tau_z: float
@@ -257,11 +252,11 @@ def markov_gap_experiment(tau_z: float, ref: ReferenceSpec, params: PlantParams,
 
     policy = markovian_policy_fit(pos_f, vel_f, mem_f, cost, fit=fit)
     theta_mk = policy(pos_e, vel_e)
-    ex_mk = excess_cost_per_sample(theta_mk, mem_e, cost)
+    ex_mk = cost.loss(theta_mk, mem_e)
 
     recon = windowed_reconstructor_fit(wins_f, mem_f)
     theta_w = cost.optimum(recon.predict(wins_e))
-    ex_w = excess_cost_per_sample(theta_w, mem_e, cost)
+    ex_w = cost.loss(theta_w, mem_e)
 
     return MarkovGapResult(
         tau_z=tau_z, sigma2_hat=float(sigma2_hat),

@@ -177,7 +177,7 @@ def project_admissible(x: ExtendedState, theta_raw: ControllerParams,
     """
     a, rhs = halfspace_coeffs(x, form, params, fric, z)
     v, empty = project_halfspace_box(theta_raw.as_vector(), a, rhs,
-                                     box.lower_vector(), box.upper_vector())
+                                     box.lower_vector, box.upper_vector)
     return ControllerParams.from_vector(v), empty
 
 

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 
 import numpy as np
@@ -53,6 +54,20 @@ class TestCLI:
         recs = json.loads((tmp_path / "phase1.json").read_text())
         assert recs[0]["K_star"] >= 1
         assert "phase2_range" in recs[0]
+
+    def test_phase1_verbose_log(self, tmp_path):
+        rc = run_cli(["--out-dir", str(tmp_path), "phase1", "--verbose-log",
+                      "--tau-z-list", "1.0,2.0", "--window", "8",
+                      "--n-samples", "32"])
+        assert rc == 0
+        recs = json.loads((tmp_path / "phase1.json").read_text())
+        keys = {f.name for f in dataclasses.fields(incrt.IterationRecord)}
+        for rec in recs:
+            assert len(rec["log"]) == rec["iterations"]
+            assert [r["iteration"] for r in rec["log"]] == \
+                   list(range(rec["iterations"]))
+            assert all(set(r) == keys for r in rec["log"])
+            assert rec["log"][-1]["k"] == rec["K_star"]
 
     def test_markov_gap(self, tmp_path):
         rc = run_cli(["--out-dir", str(tmp_path), "markov-gap",
@@ -272,6 +287,34 @@ class TestCLI:
         assert key in err
         assert err.count("\n") == 1
         assert not out.exists()
+
+
+def _config_fields():
+    """(owner attribute or None, field name) of every field load_config reads."""
+    from memctrl.config import Config
+    from memctrl.controller import ParamBox
+    from memctrl.dynamics import FrictionParams, PlantParams
+
+    out = [(owner, f.name) for owner, cls in (("plant", PlantParams),
+                                               ("friction", FrictionParams),
+                                               ("box", ParamBox))
+           for f in dataclasses.fields(cls)]
+    nested = {"plant", "friction", "reference", "box"}
+    return out + [(None, f.name) for f in dataclasses.fields(Config)
+                  if f.name not in nested]
+
+
+class TestConfigFields:
+    @pytest.mark.parametrize("owner, key", _config_fields())
+    def test_load_config_accepts_every_field(self, tmp_path, owner, key):
+        dflt = load_config()
+        target = dflt if owner is None else getattr(dflt, owner)
+        value = 1.1 * getattr(target, key) + 0.1   # valid for every field
+        cfg_file = tmp_path / "one.cfg"
+        cfg_file.write_text(f"{key} = {value!r}\n")
+        cfg = load_config(cfg_file)
+        target = cfg if owner is None else getattr(cfg, owner)
+        assert getattr(target, key) == value
 
 
 class TestConfigBaseline:

@@ -1,12 +1,9 @@
 import numpy as np
-import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from memctrl.controller import (DIM_ETA, BaselineController, ControllerParams,
                                 ExtendedState, ParamBox, computed_torque,
                                 feature_matrix, feedforward,
-                                fixed_gain_baseline, squash)
+                                fixed_gain_baseline)
 from memctrl.dynamics import (RefPoint, coriolis_matrix, gravity_vector,
                               mass_matrix, rollout, stribeck_force)
 
@@ -105,48 +102,6 @@ class TestFeedforward:
         assert worst < 1e-6
 
 
-class TestSquash:
-    def test_zero_raw_gives_midpoints(self):
-        box = ParamBox()
-        p = squash(np.zeros(4 + DIM_ETA), box)
-        assert np.allclose(p.kd, 0.5 * (box.kd_min + box.kd_max))
-        assert np.allclose(p.lam, 0.5 * (box.lam_min + box.lam_max))
-        assert np.allclose(p.eta, 0.0)
-
-    def test_saturation(self):
-        box = ParamBox()
-        p = squash(np.full(4 + DIM_ETA, 50.0), box)
-        assert np.allclose(p.kd, box.kd_max, atol=1e-9)
-        assert np.allclose(p.lam, box.lam_max, atol=1e-9)
-        assert np.allclose(p.eta, box.eta_max, atol=1e-9)
-
-    def test_sigmoid_anchor_value(self):
-        # sigmoid(ln 3) = 3/4, so a [0, 40] gain component lands on 30
-        box = ParamBox(kd_min=0.0, kd_max=40.0)
-        raw = np.zeros(4 + DIM_ETA)
-        raw[0] = np.log(3.0)
-        p = squash(raw, box)
-        assert p.kd[0] == pytest.approx(30.0, rel=1e-12)
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.floats(-1e6, 1e6), min_size=10, max_size=10))
-    def test_total_and_inside_box(self, raw):
-        box = ParamBox()
-        v = squash(np.array(raw), box).as_vector()
-        assert np.all(v >= box.lower_vector()) and np.all(v <= box.upper_vector())
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.floats(-30, 30), st.floats(1e-6, 5.0))
-    def test_componentwise_monotone(self, base, step):
-        box = ParamBox()
-        raw = np.zeros(4 + DIM_ETA)
-        raw[0] = base
-        lo = squash(raw, box)
-        raw[0] = base + step
-        hi = squash(raw, box)
-        assert hi.kd[0] >= lo.kd[0]
-
-
 class TestBaseline:
     def test_published_gain_values(self):
         p = fixed_gain_baseline()
@@ -158,8 +113,8 @@ class TestBaseline:
         box = ParamBox()
         p = fixed_gain_baseline()
         v = p.as_vector()
-        assert np.all(v > box.lower_vector())
-        assert np.all(v < box.upper_vector())
+        assert np.all(v > box.lower_vector)
+        assert np.all(v < box.upper_vector)
 
     def test_rmse_insensitive_to_memory_horizon(self, cfg):
         # light version of the acceptance sweep: single seeded rollout

@@ -67,7 +67,7 @@ class TestMarkovianPolicy:
         z = 0.8 * vel                        # measurable from the state
         pol = mg.markovian_policy_fit(pos, vel, z, cost)
         theta = pol(pos, vel)
-        excess = np.mean(mg.excess_cost_per_sample(theta, z, cost))
+        excess = np.mean(cost.loss(theta, z))
         var_z = float(np.var(z))
         assert excess < 0.02 * cost.c1 * 2.0 * var_z
 
@@ -142,12 +142,12 @@ class TestExcessCost:
     def test_oracle_has_zero_excess(self, cost, rng):
         z = rng.normal(size=500)
         theta = cost.optimum(z)
-        assert np.mean(mg.excess_cost_per_sample(theta, z, cost)) == 0.0
+        assert np.mean(cost.loss(theta, z)) == 0.0
 
     def test_nonnegative(self, cost, rng):
         z = rng.normal(size=500)
         theta = cost.optimum(z) + 0.1 * rng.normal(size=(500, 4))
-        assert np.mean(mg.excess_cost_per_sample(theta, z, cost)) > 0.0
+        assert np.mean(cost.loss(theta, z)) > 0.0
 
 
 @pytest.fixture(scope="module")

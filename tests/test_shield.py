@@ -49,7 +49,7 @@ def random_extended_state(rng, form, e_scale=1.0, qd_scale=2.0):
 
 
 def random_theta(rng, box):
-    lo, hi = box.lower_vector(), box.upper_vector()
+    lo, hi = box.lower_vector, box.upper_vector
     return ControllerParams.from_vector(rng.uniform(lo, hi))
 
 
@@ -202,7 +202,7 @@ class TestIsAdmissible:
         box = ParamBox()
         x = random_extended_state(np.random.default_rng(3), form_hard)
         assert lyapunov_value(x, form_hard) > 1e-4
-        lo, hi = box.lower_vector(), box.upper_vector()
+        lo, hi = box.lower_vector, box.upper_vector
         a, rhs = halfspace_coeffs(x, form_hard, cfg.plant, cfg.friction)
         corners_rng = np.random.default_rng(11)
         for _ in range(64):
@@ -466,20 +466,19 @@ class TestDecayAndActivation:
         assert shield_activation_fraction(all_off) == 0.0
 
     def test_activation_tracks_projection_distance(self, cfg, form):
-        # perturbed proposal family: activation and mean distance move together
-        from memctrl.controller import squash
+        # perturbed proposal family: activation and mean distance move
+        # together.  Each proposal moves from the box centre towards a
+        # lower damping and sliding gain; frac < 1 keeps it inside the box
         box = ParamBox()
-        base_raw = np.zeros(4 + DIM_ETA)
-        base_raw[0:2] = 0.5   # mid-box damping
+        centre = 0.5 * (box.lower_vector + box.upper_vector)
+        half_width = 0.5 * (box.upper_vector - box.lower_vector)
+        direction = np.array([-1.0, -1.0, -0.5, -0.5, 1, -1, 1, -1, 1, -1])
         fracs, dists = [], []
-        for scale in (0.0, 1.5, 4.0):
-            offset = scale * np.array([-1.0, -1.0, -0.5, -0.5,
-                                       1, -1, 1, -1, 1, -1], dtype=float)
-
-            def source(t, x, off=offset):
-                return squash(base_raw + off, box)
-
-            traj, _ = _shielded_rollout(cfg, form, source=source)
+        for frac in (0.0, 0.4, 0.8):
+            theta = ControllerParams.from_vector(
+                centre + frac * direction * half_width)
+            traj, _ = _shielded_rollout(cfg, form,
+                                        source=lambda t, x, p=theta: p)
             fracs.append(shield_activation_fraction(traj))
             dists.append(float(np.mean(traj.projection_distance)))
         order = np.argsort(dists)
