@@ -100,6 +100,9 @@ def load_config(path=None) -> Config:
     amp = (kv.get("amp1", ref.amplitude[0]), kv.get("amp2", ref.amplitude[1]))
     periods = (kv.get("period1", 2 * np.pi / ref.omega[0]),
                kv.get("period2", 2 * np.pi / ref.omega[1]))
+    for key, period in zip(("period1", "period2"), periods):
+        if not period > 0.0:
+            raise ValueError(f"{key} must be positive, got {period}")
     phase = (kv.get("phase1", ref.phase[0]), kv.get("phase2", ref.phase[1]))
     horizon = kv.get("horizon", ref.horizon)
     ref = ReferenceSpec(amplitude=amp,

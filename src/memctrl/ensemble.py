@@ -36,6 +36,12 @@ class TaskDistribution:
     have them.  slow_reference appends two incommensurate slow tones
     (dynamics.SLOW_PERIODS) so the excitation has spectral content at
     multi-second horizons.
+
+    Known defect: with slow_reference the reset is still drawn around
+    the fast tones alone, so members start up to 0.35 rad (joint 1) and
+    0.25 rad (joint 2) from their own reference, not within q_jitter
+    (512 members, seeds 0 and 42).  Fixing it changes every markov-gap
+    output, so it waits for a benchmark re-record (ROADMAP item 5).
     """
 
     randomize_phase: bool = True

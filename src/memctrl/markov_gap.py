@@ -1,22 +1,32 @@
 """Quantifying the cost of ignoring the memory state.
 
-A strongly convex surrogate loss l(theta, z) = (mu/2) ||theta -
-theta*(z)||^2 with theta*(z) = theta0 + kappa z d makes the
-memoryless-policy penalty exact: the best state-feedback policy is the
-bin-conditional mean of theta*, and its excess cost is (mu kappa^2 / 2)
-E[Var(z | state)].  A windowed policy reconstructs z from the lagged
-velocity window by ridge regression first; its excess is the same
-constant times the reconstruction mean-square error, which decays like
+The cost is measured on the strongly convex loss l(theta, z) =
+(mu/2) ||theta - theta*(z)||^2, theta*(z) = theta0 + kappa z d with a
+unit vector d.  A policy that acts as theta*(z_hat) for a prediction
+z_hat of the memory pays exactly
+
+    l(theta*(z_hat), z) = (mu kappa^2 / 2) (z_hat - z)^2,
+
+so its excess over the oracle theta*(z) (excess 0) is the constant
+c1 = mu kappa^2 / 2 times the z-reconstruction mean-square error, and
+theta never has to be formed.  With unit curvature and sensitivity
+(mu = kappa = 1) c1 = 1/2, the module constant C1.
+
+The best policy that reads only the instantaneous (q, qd) predicts
+the bin-conditional mean of z; its excess is C1 E[Var(z | state)],
+the lower bound reported beside it.  A windowed policy reconstructs z
+from the lagged velocity window by ridge regression; its excess is C1
+times that reconstruction's mean-square error, which decays like
 exp(-2 W dt / tau_z) in the window length.
 
-The (q, qd, z) samples driving the surrogate come from the simulated
-closed-loop tracking ensemble, not from a synthetic process.
+The (q, qd, z) samples come from the simulated closed-loop tracking
+ensemble, not from a synthetic process.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +36,10 @@ from .ensemble import BaselineEnsembleSim, TaskDistribution
 from .memory_analysis import (InsufficientSamples, StateBinning,
                               binned_conditional_variance)
 
-MIN_FIT_SAMPLES = 1000   # markovian_policy_fit's default floor
+C1 = 0.5                 # gap constant mu kappa^2 / 2 at mu = kappa = 1
+MIN_FIT_SAMPLES = 1000   # markovian_policy_fit's floor
+HORIZON = 5.0            # s, shortest rollout of markov_gap_experiment
+JOINT = 0                # the joint whose memory is measured
 
 
 class SingularDesign(RuntimeError):
@@ -41,52 +54,16 @@ def window_lower_bound(h_z: float, dt: float) -> int:
     return int(math.ceil(h_z / dt - 1e-9))
 
 
-@dataclass(frozen=True)
-class QuadCostSpec:
-    """Strongly convex per-step cost in theta with sensitivity kappa to z."""
-
-    mu: float = 1.0
-    kappa: float = 1.0
-    theta0: np.ndarray = field(default_factory=lambda: np.zeros(4))
-    direction: np.ndarray = field(
-        default_factory=lambda: np.full(4, 0.5))  # unit vector
-
-    def __post_init__(self):
-        object.__setattr__(self, "theta0", np.asarray(self.theta0, dtype=float))
-        d = np.asarray(self.direction, dtype=float)
-        object.__setattr__(self, "direction", d)
-
-    def validate(self) -> None:
-        if not (self.mu > 0.0 and self.kappa > 0.0):
-            raise ValueError("mu and kappa must be positive")
-        if abs(np.linalg.norm(self.direction) - 1.0) > 1e-9:
-            raise ValueError("direction must be a unit vector")
-
-    @property
-    def c1(self) -> float:
-        """The gap constant mu kappa^2 / 2."""
-        return 0.5 * self.mu * self.kappa ** 2
-
-    def loss(self, theta: np.ndarray, z: np.ndarray) -> np.ndarray:
-        opt = self.optimum(z)
-        d = np.asarray(theta, dtype=float) - opt
-        return 0.5 * self.mu * np.sum(d * d, axis=-1)
-
-    def optimum(self, z) -> np.ndarray:
-        z = np.asarray(z, dtype=float)
-        return self.theta0 + self.kappa * z[..., None] * self.direction
-
-
 @dataclass
 class MarkovianPolicy:
-    """Cell-conditional mean of the pointwise optimiser: the best policy
-    that reads only the instantaneous (q, qd).  Shares the nested
-    state binning with the sigma_z estimator."""
+    """Cell-conditional mean of z: the best prediction from the
+    instantaneous (q, qd) alone.  Shares the nested state binning with
+    the sigma_z estimator; a cell with no fit samples predicts the
+    global mean."""
 
     binning: StateBinning
     z_mean: np.ndarray          # (n_bins^2,)
     z_mean_global: float
-    cost: QuadCostSpec
 
     def predict_z(self, pos, vel) -> np.ndarray:
         cell = self.binning.cell_index(np.asarray(pos, dtype=float),
@@ -94,20 +71,15 @@ class MarkovianPolicy:
         z = self.z_mean[cell]
         return np.where(np.isnan(z), self.z_mean_global, z)
 
-    def __call__(self, pos, vel) -> np.ndarray:
-        return self.cost.optimum(self.predict_z(pos, vel))
-
 
 def markovian_policy_fit(pos: np.ndarray, vel: np.ndarray, z: np.ndarray,
-                         cost: QuadCostSpec, n_bins: int = 12,
-                         min_samples: int = MIN_FIT_SAMPLES,
+                         n_bins: int = 12,
                          fit: tuple[StateBinning, np.ndarray] | None = None
                          ) -> MarkovianPolicy:
-    """Conditional-mean estimator of the pointwise optimum on a state grid;
+    """Conditional-mean estimator of z on a state grid;
     fit: StateBinning.fit(pos, vel, n_bins) if already made."""
-    cost.validate()
-    if pos.size < min_samples:
-        raise InsufficientSamples(f"need at least {min_samples} samples")
+    if pos.size < MIN_FIT_SAMPLES:
+        raise InsufficientSamples(f"need at least {MIN_FIT_SAMPLES} samples")
     binning, cell = fit or StateBinning.fit(pos, vel, n_bins)
     n_cells = binning.n_bins ** 2
     sums = np.zeros(n_cells)
@@ -117,7 +89,7 @@ def markovian_policy_fit(pos: np.ndarray, vel: np.ndarray, z: np.ndarray,
     with np.errstate(invalid="ignore"):
         mean = sums / counts
     return MarkovianPolicy(binning=binning, z_mean=mean,
-                           z_mean_global=float(np.mean(z)), cost=cost)
+                           z_mean_global=float(np.mean(z)))
 
 
 @dataclass
@@ -126,24 +98,17 @@ class WindowedReconstructor:
 
     weights: np.ndarray      # (W,), lag 1*dt first
     intercept: float
-    ridge: float
-    fit_residual: float      # RMS residual on the fitting set
-
-    @property
-    def window(self) -> int:
-        return self.weights.shape[0]
 
     def predict(self, qd_windows: np.ndarray) -> np.ndarray:
         return qd_windows @ self.weights + self.intercept
 
 
-def windowed_reconstructor_fit(qd_windows: np.ndarray, z: np.ndarray,
-                               ridge: float | None = None
+def windowed_reconstructor_fit(qd_windows: np.ndarray, z: np.ndarray
                                ) -> WindowedReconstructor:
     """Fit the windowed linear reconstructor of the memory state.
 
-    qd_windows rows hold lags 1..W (most recent first).  Default ridge
-    is 1e-6 tr(X^T X)/W, numerical conditioning only.
+    qd_windows rows hold lags 1..W (most recent first).  The ridge is
+    1e-6 tr(X^T X)/W, numerical conditioning only.
     """
     X = np.asarray(qd_windows, dtype=float)
     z = np.asarray(z, dtype=float)
@@ -155,13 +120,10 @@ def windowed_reconstructor_fit(qd_windows: np.ndarray, z: np.ndarray,
     Xc = X - X.mean(axis=0)
     zc = z - z.mean()
     gram = Xc.T @ Xc
-    if ridge is None:
-        ridge = 1e-6 * float(np.trace(gram)) / X.shape[1]
+    ridge = 1e-6 * float(np.trace(gram)) / X.shape[1]
     w = np.linalg.solve(gram + ridge * np.eye(X.shape[1]), Xc.T @ zc)
-    intercept = float(z.mean() - X.mean(axis=0) @ w)
-    resid = z - (X @ w + intercept)
-    return WindowedReconstructor(weights=w, intercept=intercept, ridge=float(ridge),
-                                 fit_residual=float(np.sqrt(np.mean(resid ** 2))))
+    return WindowedReconstructor(weights=w,
+                                 intercept=float(z.mean() - X.mean(axis=0) @ w))
 
 
 @dataclass
@@ -188,29 +150,23 @@ def _traj_se(values: np.ndarray, traj_ids: np.ndarray) -> float:
 
 
 def markov_gap_experiment(tau_z: float, ref: ReferenceSpec, params: PlantParams,
-                          fric: FrictionParams, cost: QuadCostSpec | None = None,
-                          n_traj: int = 512, seed: int = 0, dt: float = 0.01,
-                          horizon: float = 5.0, window: int | None = None,
-                          n_bins: int = 12, joint: int = 0,
+                          fric: FrictionParams, n_traj: int = 512, seed: int = 0,
+                          dt: float = 0.01, window: int | None = None,
+                          n_bins: int = 12,
                           sample_times: np.ndarray | None = None,
                           gains: ControllerParams | None = None
                           ) -> MarkovGapResult:
     """Measure Markovian vs windowed excess on simulated tracking.
 
-    Trajectories are split in half: policies fit on the first half,
-    excess evaluated on the second.  The windowed policy composes the
-    ridge reconstructor with the pointwise optimiser.  Excess is
-    measured against the oracle theta*(z), whose excess is 0 by
-    construction.  gains are the baseline's (fixed_gain_baseline() if
-    None).
+    Trajectories are split in half: the predictors fit on the first
+    half, and the excess C1 (z_hat - z)^2 is averaged on the second.
+    gains are the baseline's (fixed_gain_baseline() if None).
     """
-    cost = cost or QuadCostSpec()
-    cost.validate()
     fric = fric.with_tau_z(tau_z)
     if window is None:
         window = window_lower_bound(5.0 * tau_z, dt)
     # the lag window must fit before the first sample time
-    horizon = max(horizon, window * dt + 2.5)
+    horizon = max(HORIZON, window * dt + 2.5)
     task = TaskDistribution(slow_reference=True)
     roll = BaselineEnsembleSim(n_traj, ref, params, fric, seed, task,
                                gains).run(horizon, dt)
@@ -235,32 +191,28 @@ def markov_gap_experiment(tau_z: float, ref: ReferenceSpec, params: PlantParams,
 
     def at_samples(arr, members):
         """arr at each sample time and member, time-major, shape (T * n,)."""
-        return arr[idx[:, None], members[None, :], joint].ravel()
+        return arr[idx[:, None], members[None, :], JOINT].ravel()
 
     def lag_windows(members):
         """Rows of lagged velocities in at_samples' order, shape (T * n, W)."""
         return roll.qd[lag_idx[:, None, :], members[None, :, None],
-                       joint].reshape(-1, window)
+                       JOINT].reshape(-1, window)
 
     pos_f, vel_f, mem_f = (at_samples(a, fit_b) for a in (roll.q, roll.qd, roll.z))
     pos_e, vel_e, mem_e = (at_samples(a, ev_b) for a in (roll.q, roll.qd, roll.z))
-    wins_f, wins_e = lag_windows(fit_b), lag_windows(ev_b)
     traj_e = np.tile(ev_b, idx.size)
 
     fit = StateBinning.fit(pos_f, vel_f, n_bins)
     sigma2_hat = binned_conditional_variance(pos_f, vel_f, mem_f, fit=fit)
-
-    policy = markovian_policy_fit(pos_f, vel_f, mem_f, cost, fit=fit)
-    theta_mk = policy(pos_e, vel_e)
-    ex_mk = cost.loss(theta_mk, mem_e)
-
-    recon = windowed_reconstructor_fit(wins_f, mem_f)
-    theta_w = cost.optimum(recon.predict(wins_e))
-    ex_w = cost.loss(theta_w, mem_e)
+    policy = markovian_policy_fit(pos_f, vel_f, mem_f, fit=fit)
+    ex_mk = C1 * (policy.predict_z(pos_e, vel_e) - mem_e) ** 2
+    # one half's (T * n, W) windows at a time: the largest arrays here
+    recon = windowed_reconstructor_fit(lag_windows(fit_b), mem_f)
+    ex_w = C1 * (recon.predict(lag_windows(ev_b)) - mem_e) ** 2
 
     return MarkovGapResult(
         tau_z=tau_z, sigma2_hat=float(sigma2_hat),
         excess_markov=float(ex_mk.mean()), excess_markov_se=_traj_se(ex_mk, traj_e),
         excess_windowed=float(ex_w.mean()), excess_windowed_se=_traj_se(ex_w, traj_e),
-        lower_bound=cost.c1 * float(sigma2_hat),
+        lower_bound=C1 * float(sigma2_hat),
         window=window, n_eval=int(mem_e.size))

@@ -32,6 +32,12 @@ from .dynamics import FrictionParams, PlantParams, PlantState, ReferenceSpec
 from .controller import ControllerParams
 from .ensemble import BaselineEnsembleSim, TaskDistribution
 
+# sigma_z_broadband's sampling design
+BROADBAND_BINS = 12        # state bins per axis
+BROADBAND_STRIDE = 50      # steps between samples of one trajectory
+BURN_IN_FACTOR = 5.0       # stationarity burn-in, in units of tau_z
+Q_SPAN = 10.0              # rad, width of the uniform initial positions
+
 
 class InsufficientHistory(ValueError):
     pass
@@ -266,10 +272,8 @@ class SigmaZEstimate:
 
 def sigma_z_broadband(tau_z: float, lambda_z: float, n_traj: int = 2000,
                       horizon: float = 20.0, dt: float = 0.01,
-                      vel_scale: float = 1.0, seed: int = 0,
-                      n_bins: int = 12, sample_stride: int = 50,
-                      burn_in_factor: float = 5.0,
-                      q_span: float = 10.0) -> SigmaZEstimate:
+                      vel_scale: float = 1.0, seed: int = 0
+                      ) -> SigmaZEstimate:
     """Monte-Carlo sigma_z^2 under broadband excitation vs the closed form.
 
     The velocity is per-step white noise (held over dt), integrated to
@@ -277,7 +281,7 @@ def sigma_z_broadband(tau_z: float, lambda_z: float, n_traj: int = 2000,
     closed form is evaluated with rho = 0 and qd_variance equal to the
     held-step variance times dt.
 
-    Initial positions are drawn uniform over q_span: without the wide
+    Initial positions are drawn uniform over Q_SPAN: without the wide
     reset the position random walk shares its increments with z and the
     position bins drain genuine conditional variance from the estimate.
 
@@ -293,20 +297,20 @@ def sigma_z_broadband(tau_z: float, lambda_z: float, n_traj: int = 2000,
         raise ValueError(f"n_traj must be at least 1, got {n_traj}")
     rng = np.random.default_rng(seed)
     n = round(horizon / dt)
-    burn = int(np.ceil(burn_in_factor * tau_z / dt))
+    burn = int(np.ceil(BURN_IN_FACTOR * tau_z / dt))
     if burn >= n:
         raise ValueError("horizon too short for the stationarity burn-in")
     decay = np.exp(-dt / tau_z)
     z = np.zeros(n_traj)
-    q = rng.uniform(-0.5 * q_span, 0.5 * q_span, n_traj)
+    q = rng.uniform(-0.5 * Q_SPAN, 0.5 * Q_SPAN, n_traj)
     drive = lambda_z * tau_z * (1.0 - decay)   # exact weight for held input
-    n_samples = (n - 1 - burn) // sample_stride + 1
+    n_samples = (n - 1 - burn) // BROADBAND_STRIDE + 1
     pos, vel, mem = (np.empty((n_samples, n_traj)) for _ in range(3))
     qd, tmp = np.empty(n_traj), np.empty(n_traj)
-    for k in range(burn + (n_samples - 1) * sample_stride + 1):
+    for k in range(burn + (n_samples - 1) * BROADBAND_STRIDE + 1):
         rng.standard_normal(out=qd)
         qd *= vel_scale
-        i, r = divmod(k - burn, sample_stride)
+        i, r = divmod(k - burn, BROADBAND_STRIDE)
         if k >= burn and r == 0:
             # z here excludes the current step's drive: independent of qd
             pos[i], vel[i], mem[i] = q, qd, z
@@ -314,7 +318,7 @@ def sigma_z_broadband(tau_z: float, lambda_z: float, n_traj: int = 2000,
         z += np.multiply(drive, qd, out=tmp)
         q += np.multiply(dt, qd, out=tmp)
     mc = binned_conditional_variance(pos.ravel(), vel.ravel(), mem.ravel(),
-                                     n_bins=n_bins)
+                                     n_bins=BROADBAND_BINS)
     cf = sigma_z_closed_form(tau_z, lambda_z, vel_scale ** 2 * dt, lambda u: 0.0)
     return SigmaZEstimate(tau_z=tau_z, monte_carlo=mc, closed_form=cf,
                           n_samples=mem.size)

@@ -35,7 +35,6 @@ EXACT_ENUMERATION_LIMIT = 16   # combined n above which the normal tail is used
 class SampleSet:
     label: str
     values: np.ndarray
-    seeds: list | None = None
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)

@@ -144,6 +144,18 @@ class TestCLI:
         assert "not_a_key" in errors[0]
         assert errors[0].count("\n") == 1
 
+    @pytest.mark.parametrize("line", ["period1 = 0", "period2 = 0",
+                                      "period1 = -0.0", "period2 = -1"])
+    def test_nonpositive_period_rejected(self, tmp_path, capsys, line):
+        # omega = 2 pi / period: a zero period must not reach the division
+        cfg_file = tmp_path / "period.cfg"
+        cfg_file.write_text(line + "\n")
+        assert run_cli(["--config", str(cfg_file), "simulate"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("memctrl: error: ")
+        assert line.split()[0] in err
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("n", [0, 1])
     def test_evaluate_rejects_fewer_than_two_rollouts(self, tmp_path, capsys, n):
         # one rollout per payload has no between-rollout sd (it was NaN in

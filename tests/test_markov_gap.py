@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from memctrl import markov_gap as mg
-from memctrl.memory_analysis import InsufficientSamples
+from memctrl.memory_analysis import InsufficientSamples, StateBinning
 
 
 class TestWindowLowerBound:
@@ -21,60 +21,43 @@ class TestWindowLowerBound:
             mg.window_lower_bound(0.0, 0.01)
 
 
-@pytest.fixture(scope="module")
-def cost():
-    d = np.zeros(4)
-    d[1] = 1.0
-    return mg.QuadCostSpec(mu=1.0, kappa=1.0, theta0=np.array([1.0, -2.0, 0.5, 0.0]),
-                           direction=d)
-
-
-class TestPointwiseOptimum:
-    def test_zero_memory_returns_center(self, cost):
-        out = cost.optimum(np.array(0.0))
-        assert np.allclose(out, cost.theta0)
-
-    def test_linear_in_memory(self, cost, rng):
-        z1, z2 = rng.normal(size=2)
-        o1 = cost.optimum(np.array(z1))
-        o2 = cost.optimum(np.array(z2))
-        assert np.allclose(o1 - o2, cost.kappa * (z1 - z2) * cost.direction,
-                           atol=1e-14)
-
-    def test_matches_gradient_descent(self, cost, rng):
-        z = float(rng.normal())
-        theta = np.zeros(4)
-        for _ in range(4000):
-            grad = cost.mu * (theta - cost.optimum(np.array(z)))
-            theta = theta - 0.5 * grad
-        closed = cost.optimum(np.array(z))
-        assert np.allclose(theta, closed, atol=1e-9)
-
-
 class TestMarkovianPolicy:
-    def test_independent_memory_gives_constant_policy(self, cost, rng):
+    def test_independent_memory_gives_constant_policy(self, rng):
         pos = rng.uniform(-1, 1, 5000)
         vel = rng.uniform(-1, 1, 5000)
         z = rng.normal(0.3, 1.0, 5000)   # independent of the state
-        pol = mg.markovian_policy_fit(pos, vel, z, cost)
+        pol = mg.markovian_policy_fit(pos, vel, z)
         preds = pol.predict_z(rng.uniform(-1, 1, 50), rng.uniform(-1, 1, 50))
         assert np.std(preds) < 0.15          # bin noise only
         assert np.mean(preds) == pytest.approx(0.3, abs=0.1)
 
-    def test_deterministic_memory_kills_excess(self, cost, rng):
+    def test_deterministic_memory_kills_excess(self, rng):
         pos = rng.uniform(-1, 1, 8000)
         vel = rng.uniform(-1, 1, 8000)
         z = 0.8 * vel                        # measurable from the state
-        pol = mg.markovian_policy_fit(pos, vel, z, cost)
-        theta = pol(pos, vel)
-        excess = np.mean(cost.loss(theta, z))
+        pol = mg.markovian_policy_fit(pos, vel, z)
+        excess = np.mean(0.5 * (pol.predict_z(pos, vel) - z) ** 2)
         var_z = float(np.var(z))
-        assert excess < 0.02 * cost.c1 * 2.0 * var_z
+        assert excess < 0.02 * var_z
 
-    def test_needs_enough_samples(self, cost, rng):
+    def test_empty_cell_predicts_global_mean(self, rng):
+        # a 2 x 2 grid whose qd >= 0 cells the fit samples never visit
+        edges = np.array([-1.0, 0.0, 1.0])
+        binning = StateBinning(pos_edges=edges, vel_edges=np.stack([edges] * 2))
+        pos = rng.uniform(-1, 1, 2000)
+        vel = rng.uniform(-1, 0, 2000)
+        z = 2.0 + pos
+        pol = mg.markovian_policy_fit(
+            pos, vel, z, fit=(binning, binning.cell_index(pos, vel)))
+        assert np.isnan(pol.z_mean[[1, 3]]).all()
+        pred = pol.predict_z(np.array([0.5, 0.5]), np.array([0.5, -0.5]))
+        assert pred[0] == pol.z_mean_global == float(np.mean(z))
+        assert pred[1] == pol.z_mean[2] == pytest.approx(2.5, abs=0.05)
+
+    def test_needs_enough_samples(self, rng):
         with pytest.raises(InsufficientSamples):
             mg.markovian_policy_fit(rng.normal(size=10), rng.normal(size=10),
-                                    rng.normal(size=10), cost)
+                                    rng.normal(size=10))
 
 
 def _linear_memory_samples(rng, tau_z, window, dt, lambda_z, n, spread=1.0):
@@ -136,18 +119,6 @@ class TestWindowedReconstructor:
         X[:, :4] = np.random.default_rng(0).normal(size=(100, 4))
         with pytest.raises(mg.SingularDesign):
             mg.windowed_reconstructor_fit(X, np.zeros(100))
-
-
-class TestExcessCost:
-    def test_oracle_has_zero_excess(self, cost, rng):
-        z = rng.normal(size=500)
-        theta = cost.optimum(z)
-        assert np.mean(cost.loss(theta, z)) == 0.0
-
-    def test_nonnegative(self, cost, rng):
-        z = rng.normal(size=500)
-        theta = cost.optimum(z) + 0.1 * rng.normal(size=(500, 4))
-        assert np.mean(cost.loss(theta, z)) > 0.0
 
 
 @pytest.fixture(scope="module")
