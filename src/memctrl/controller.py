@@ -74,12 +74,22 @@ class ControllerParams:
         object.__setattr__(self, "eta", np.asarray(self.eta, dtype=float))
 
     def as_vector(self) -> np.ndarray:
-        return np.concatenate([self.kd, self.lam, self.eta])
+        """(K_d, Lam, eta) as one read-only vector, built once."""
+        return self._vector
+
+    @cached_property
+    def _vector(self) -> np.ndarray:
+        return _read_only(np.concatenate([self.kd, self.lam, self.eta]))
 
     @staticmethod
     def from_vector(v: np.ndarray) -> "ControllerParams":
         v = np.asarray(v, dtype=float)
-        return ControllerParams(kd=v[0:2], lam=v[2:4], eta=v[4:])
+        params = ControllerParams(kd=v[0:2], lam=v[2:4], eta=v[4:])
+        # v already is the vector: keep a read-only view as as_vector's
+        vec = v.view()
+        vec.flags.writeable = False
+        params.__dict__["_vector"] = vec
+        return params
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,6 @@ and the one blow-up check in closed_loop.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -247,35 +246,45 @@ def _arm_terms(q1, q2, terms):
             gw1 * np.cos(q1) + G2, G2)
 
 
-def mass_matrix(q: np.ndarray, params: PlantParams) -> np.ndarray:
-    """Symmetric positive-definite inertia matrix M(q, payload)."""
+def arm_matrices(q: np.ndarray, qd: np.ndarray, params: PlantParams
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """M(q), C(q, qd) and G(q) from one evaluation of the arm terms.
+
+    The one builder of the three matrices: mass_matrix, coriolis_matrix
+    and gravity_vector return its entries, and the shield's certificate
+    takes all three from one call.
+    """
     q = np.asarray(q, dtype=float)
-    M11, M12, M22, _, _, _ = _arm_terms(q[..., 0], q[..., 1], params.terms)
+    qd = np.asarray(qd, dtype=float)
+    M11, M12, M22, h, G1, G2 = _arm_terms(q[..., 0], q[..., 1], params.terms)
     M = np.empty(q.shape[:-1] + (2, 2))
     M[..., 0, 0] = M11
     M[..., 0, 1] = M[..., 1, 0] = M12
     M[..., 1, 1] = M22
-    return M
-
-
-def coriolis_matrix(q: np.ndarray, qd: np.ndarray, params: PlantParams) -> np.ndarray:
-    """Christoffel-form C(q, qd); Mdot - 2C is skew along trajectories."""
-    q = np.asarray(q, dtype=float)
-    qd = np.asarray(qd, dtype=float)
-    h = _arm_terms(q[..., 0], q[..., 1], params.terms)[3]
     C = np.empty(q.shape[:-1] + (2, 2))
     C[..., 0, 0] = -h * qd[..., 1]
     C[..., 0, 1] = -h * (qd[..., 0] + qd[..., 1])
     C[..., 1, 0] = h * qd[..., 0]
     C[..., 1, 1] = 0.0
-    return C
+    G = np.empty(q.shape[:-1] + (2,))
+    G[..., 0] = G1
+    G[..., 1] = G2
+    return M, C, G
+
+
+def mass_matrix(q: np.ndarray, params: PlantParams) -> np.ndarray:
+    """Symmetric positive-definite inertia matrix M(q, payload)."""
+    return arm_matrices(q, np.zeros(np.shape(q)), params)[0]
+
+
+def coriolis_matrix(q: np.ndarray, qd: np.ndarray, params: PlantParams) -> np.ndarray:
+    """Christoffel-form C(q, qd); Mdot - 2C is skew along trajectories."""
+    return arm_matrices(q, qd, params)[1]
 
 
 def gravity_vector(q: np.ndarray, params: PlantParams) -> np.ndarray:
     """Gradient of potential energy wrt q; angles measured from horizontal."""
-    q = np.asarray(q, dtype=float)
-    return np.stack(_arm_terms(q[..., 0], q[..., 1], params.terms)[4:],
-                    axis=-1)
+    return arm_matrices(q, np.zeros(np.shape(q)), params)[2]
 
 
 def potential_energy(q: np.ndarray, params: PlantParams) -> np.ndarray:
@@ -429,22 +438,18 @@ class Trajectory:
         return float(np.sqrt(np.mean(np.sum(e * e, axis=-1))))
 
     def write_csv(self, path) -> None:
+        """All rows in one np.savetxt: t to 6 decimals, the rest to 9
+        significant digits, CRLF line ends (the csv module's dialect)."""
+        n = self.n_steps
+        # the last row repeats the last torque; a record with no steps
+        # has none to repeat
+        last = self.tau[-1:] if n else np.full((1, 2), np.nan)
+        rows = np.column_stack([self.t, self.q, self.qd, self.z, self.qd_ref,
+                                np.concatenate([self.tau, last])])
         with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["t", "q1", "q2", "qd1", "qd2", "z1", "z2",
-                        "qd1_ref", "qd2_ref", "tau1", "tau2"])
-            n = self.n_steps
-            # the last row repeats the last torque; a record with no
-            # steps has none to repeat
-            last = self.tau[-1] if n else np.full(2, np.nan)
-            for k in range(n + 1):
-                tau = self.tau[k] if k < n else last
-                w.writerow([f"{self.t[k]:.6f}",
-                            *(f"{v:.9g}" for v in self.q[k]),
-                            *(f"{v:.9g}" for v in self.qd[k]),
-                            *(f"{v:.9g}" for v in self.z[k]),
-                            *(f"{v:.9g}" for v in self.qd_ref[k]),
-                            *(f"{v:.9g}" for v in tau)])
+            np.savetxt(fh, rows, fmt=["%.6f"] + ["%.9g"] * 10, delimiter=",",
+                       newline="\r\n", comments="",
+                       header="t,q1,q2,qd1,qd2,z1,z2,qd1_ref,qd2_ref,tau1,tau2")
 
 
 @dataclass(frozen=True)

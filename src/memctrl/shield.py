@@ -16,6 +16,7 @@ both; a deployed system would substitute estimates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,8 +25,8 @@ from .controller import (ControlDecision, ControllerParams, ExtendedState,
                          ParamBox, computed_torque, feature_matrix,
                          fixed_gain_baseline)
 from .dynamics import (FrictionParams, PlantParams, PlantState, RefPoint,
-                       Trajectory, coriolis_matrix, gravity_vector,
-                       mass_matrix, stribeck_force)
+                       Trajectory, arm_matrices, mass_matrix,
+                       stribeck_force)
 
 
 # roundoff margin of the projection's feasibility and emptiness tests: a
@@ -95,7 +96,11 @@ def design_lyapunov_form(params: PlantParams, ref_q0: np.ndarray | None = None,
 
 
 def lyapunov_value(x: ExtendedState, form: LyapunovForm) -> float:
-    y = np.concatenate([x.e, x.ed])
+    return _quadratic_value(np.concatenate([x.e, x.ed]), form)
+
+
+def _quadratic_value(y: np.ndarray, form: LyapunovForm) -> float:
+    """V at the stacked error y = (e, ed)."""
     return float(0.5 * y @ form.P @ y)
 
 
@@ -108,15 +113,15 @@ def halfspace_coeffs(x: ExtendedState, form: LyapunovForm, params: PlantParams,
     closed loop with the CT torque tau(theta) at the true plant params,
     Vdot = drift - b . tau with b = M^-1 dV/ded and a theta-free drift;
     tau is affine in theta, which gives a.  z defaults to zero memory.
+    M, C and G come from one evaluation of the arm terms, and V from the
+    y built here.
     """
     z = np.zeros(2) if z is None else np.asarray(z, dtype=float)
     y = np.concatenate([x.e, x.ed])
     Py = form.P @ y
     g1, w = Py[:2], Py[2:]
-    M = mass_matrix(x.q, params)
+    M, C, G = arm_matrices(x.q, x.qd, params)
     b_vec = np.linalg.solve(M, w)     # M symmetric
-    C = coriolis_matrix(x.q, x.qd, params)
-    G = gravity_vector(x.q, params)
     F = stribeck_force(x.qd, z, fric)
     drift = float(g1 @ x.ed + w @ x.qdd_ref + b_vec @ (C @ x.qd + G + F))
     Phi = feature_matrix(x.q, x.qd, fric.v_s)
@@ -125,7 +130,7 @@ def halfspace_coeffs(x: ExtendedState, form: LyapunovForm, params: PlantParams,
                         -(x.ed * (M @ b_vec) + x.e * (C.T @ b_vec)),
                         -Phi.T @ b_vec])
     a0 = -float(b_vec @ tau0)
-    c = -form.alpha * lyapunov_value(x, form) - drift
+    c = -form.alpha * _quadratic_value(y, form) - drift
     return a, c - a0
 
 
@@ -145,7 +150,8 @@ def project_halfspace_box(theta_raw: np.ndarray, a: np.ndarray, rhs: float,
     box; v is then the box point that minimises a.v, lower where a > 0
     and upper elsewhere.
     """
-    v0 = np.clip(theta_raw, lower, upper)
+    # np.minimum(np.maximum(.)) is np.clip without its Python wrapping
+    v0 = np.minimum(np.maximum(theta_raw, lower), upper)
     if a @ v0 <= rhs + ROUNDOFF:
         return v0, False
     if float(np.minimum(a * lower, a * upper).sum()) > rhs + ROUNDOFF:
@@ -154,15 +160,16 @@ def project_halfspace_box(theta_raw: np.ndarray, a: np.ndarray, rhs: float,
     kinks = np.concatenate([[0.0], (theta_raw[nz] - lower[nz]) / a[nz],
                             (theta_raw[nz] - upper[nz]) / a[nz]])
     mu = np.sort(kinks[kinks >= 0.0])
-    val = np.clip(theta_raw - mu[:, None] * a, lower, upper) @ a
+    val = np.minimum(np.maximum(theta_raw - mu[:, None] * a, lower),
+                     upper) @ a
     # the last kink attains the box minimum; rhs may sit just below it
     target = max(rhs, val[-1])
     j = int(np.argmax(val <= target))
     if j == 0:   # val[0] matches a @ v0 only up to roundoff
         return v0, False
     frac = (val[j - 1] - target) / (val[j - 1] - val[j])
-    return np.clip(theta_raw - (mu[j - 1] + frac * (mu[j] - mu[j - 1])) * a,
-                   lower, upper), False
+    v = theta_raw - (mu[j - 1] + frac * (mu[j] - mu[j - 1])) * a
+    return np.minimum(np.maximum(v, lower), upper), False
 
 
 def project_admissible(x: ExtendedState, theta_raw: ControllerParams,
@@ -247,7 +254,8 @@ class ShieldedController:
         theta, empty = project_admissible(x, proposal, self.form, self.box,
                                           self.params, self.fric, z=state.z)
         self.assumption_violations += empty
-        dist = float(np.linalg.norm(theta.as_vector() - proposal.as_vector()))
+        d = theta.as_vector() - proposal.as_vector()
+        dist = math.sqrt(d.dot(d))    # np.linalg.norm of a 1-D vector
         tau = computed_torque(x, theta, self.params, self.fric)
         return ControlDecision(tau=tau, params=theta,
                                shield_altered=dist > 1e-12,
@@ -259,9 +267,15 @@ def shield_report(traj: Trajectory, form: LyapunovForm,
     """Activation fraction, decay ratio and projection-distance histogram."""
     decay = verify_exponential_decay(traj, form)
     dist = traj.projection_distance
-    edges = np.linspace(0.0, float(dist.max()) if dist.size else 1.0,
-                        n_hist_bins + 1)
-    hist, _ = np.histogram(dist, bins=edges if edges[-1] > 0 else n_hist_bins)
+    top = float(dist.max()) if dist.size else 1.0
+    edges = np.linspace(0.0, top, n_hist_bins + 1)
+    if top == 0.0:
+        # the shield never fired: every edge is 0 and the first bin
+        # holds every step
+        hist = np.zeros(n_hist_bins, dtype=int)
+        hist[0] = dist.size
+    else:
+        hist, _ = np.histogram(dist, bins=edges)
     report = {
         "activation_fraction": shield_activation_fraction(traj),
         "max_decay_ratio": decay.max_ratio,

@@ -1,4 +1,6 @@
+import csv
 import dataclasses
+import io
 
 import numpy as np
 import pytest
@@ -303,6 +305,25 @@ class TestReferenceSpec:
             assert np.allclose(ref.at(t).qd, fd, atol=1e-5)
 
 
+def _csv_row_writer(traj) -> str:
+    """Trajectory.write_csv as first written: one csv.writer row per state."""
+    fh = io.StringIO(newline="")
+    w = csv.writer(fh)
+    w.writerow(["t", "q1", "q2", "qd1", "qd2", "z1", "z2",
+                "qd1_ref", "qd2_ref", "tau1", "tau2"])
+    n = traj.n_steps
+    last = traj.tau[-1] if n else np.full(2, np.nan)
+    for k in range(n + 1):
+        tau = traj.tau[k] if k < n else last
+        w.writerow([f"{traj.t[k]:.6f}",
+                    *(f"{v:.9g}" for v in traj.q[k]),
+                    *(f"{v:.9g}" for v in traj.qd[k]),
+                    *(f"{v:.9g}" for v in traj.z[k]),
+                    *(f"{v:.9g}" for v in traj.qd_ref[k]),
+                    *(f"{v:.9g}" for v in tau)])
+    return fh.getvalue()
+
+
 class TestRollout:
     def test_bitwise_determinism(self, cfg):
         ctrl = BaselineController(cfg.plant)
@@ -338,6 +359,28 @@ class TestRollout:
         header = path.read_text().splitlines()[0]
         assert header == "t,q1,q2,qd1,qd2,z1,z2,qd1_ref,qd2_ref,tau1,tau2"
         assert len(path.read_text().splitlines()) == traj.t.size + 1
+
+    @pytest.mark.parametrize("kd", [None, 4.0e4, 4.0e7],
+                             ids=["normal", "diverged", "zero-step"])
+    def test_csv_bytes_match_row_writer(self, cfg, tmp_path, kd):
+        # kd = 4e4 cuts the record at divergence, 4e7 before its first
+        # step, leaving one row whose torque is NaN
+        gains = None if kd is None else ControllerParams(
+            kd=np.full(2, kd), lam=np.full(2, 5.0), eta=np.zeros(6))
+        traj = rollout(BaselineController(cfg.plant, gains=gains),
+                       cfg.reference, cfg.plant, cfg.friction, seed=42,
+                       horizon=0.5)
+        assert traj.diverged == (kd is not None)
+        assert (traj.n_steps == 0) == (kd == 4.0e7)
+        if kd is None:
+            # negative zero and values printed with an exponent
+            q, z = traj.q.copy(), traj.z.copy()
+            q[0] = -0.0, 1.25e-20
+            z[1] = -3.5e17, 1e-05
+            traj = dataclasses.replace(traj, q=q, z=z)
+        path = tmp_path / "traj.csv"
+        traj.write_csv(path)
+        assert path.read_bytes() == _csv_row_writer(traj).encode()
 
     @staticmethod
     def _batch_and_scalar(cfg, payloads, seeds, gains=None, horizon=None):

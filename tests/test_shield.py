@@ -6,14 +6,15 @@ import pytest
 
 from memctrl import shield
 from memctrl.controller import (DIM_ETA, ControllerParams, ExtendedState,
-                                ParamBox, computed_torque, fixed_gain_baseline)
+                                ParamBox, computed_torque, feature_matrix,
+                                fixed_gain_baseline)
 from memctrl.dynamics import (BatchReference, PlantState, RefPoint, Trajectory,
                               coriolis_matrix, gravity_vector, mass_matrix,
                               rollout, step_rk4, stribeck_force)
 from memctrl.shield import (design_lyapunov_form, halfspace_coeffs,
                             lyapunov_value, project_admissible,
                             project_halfspace_box, shield_activation_fraction,
-                            verify_exponential_decay)
+                            shield_report, verify_exponential_decay)
 
 
 @pytest.fixture(scope="module")
@@ -454,6 +455,29 @@ class TestDecayAndActivation:
         assert sum(two.outer_altered) == 0
         assert np.mean(two.outer_altered) == 0.0
 
+    def test_histogram_of_a_shield_that_never_fires(self, form):
+        # every distance 0: the edges are all 0, so every step belongs in
+        # the first bin, not in the middle bin of a made-up (-0.5, 0.5)
+        n = 5
+        traj = Trajectory(t=np.linspace(0.0, 0.05, n + 1),
+                          q=np.zeros((n + 1, 2)), qd=np.zeros((n + 1, 2)),
+                          z=np.zeros((n + 1, 2)), q_ref=np.zeros((n + 1, 2)),
+                          qd_ref=np.zeros((n + 1, 2)), tau=np.zeros((n, 2)),
+                          shield_altered=np.zeros(n, dtype=bool),
+                          projection_distance=np.zeros(n))
+        hist = shield_report(traj, form)["projection_distance_histogram"]
+        assert hist["edges"] == [0.0] * 11
+        assert hist["counts"] == [n] + [0] * 9
+
+    def test_histogram_spans_the_distances_when_it_fires(self, cfg, form):
+        traj, _ = _shielded_rollout(cfg, form)
+        dist = traj.projection_distance
+        assert dist.max() > 0.0
+        hist = shield_report(traj, form)["projection_distance_histogram"]
+        assert hist["edges"][0] == 0.0 and hist["edges"][-1] == dist.max()
+        assert sum(hist["counts"]) == traj.n_steps
+        assert hist["counts"][-1] >= 1
+
     def test_activation_fraction_arithmetic(self, form):
         t = np.linspace(0, 0.1, 11)
         base = dict(t=t, q=np.zeros((11, 2)), qd=np.zeros((11, 2)),
@@ -502,6 +526,19 @@ class TestFallback:
             return halfspace_coeffs(*args, **kwargs)
 
         monkeypatch.setattr(shield, "halfspace_coeffs", counted)
+        # the other layers the benchmark traces on a shielded run, each
+        # called through the shield module once per step
+        layer_calls = {}
+        for name in ("project_admissible", "project_halfspace_box",
+                     "computed_torque"):
+            layer_calls[name] = []
+
+            def layer(*args, _fn=getattr(shield, name),
+                      _calls=layer_calls[name], **kwargs):
+                _calls.append(1)
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(shield, name, layer)
         ref = dataclasses.replace(cfg.reference, horizon=2.0)
         box = ParamBox()
         base = fixed_gain_baseline()
@@ -510,6 +547,62 @@ class TestFallback:
         traj = rollout(ctrl, ref, cfg.plant, cfg.friction, seed=5)
         assert ctrl.assumption_violations == 1
         assert len(calls) == traj.n_steps
+        for name, made in layer_calls.items():
+            assert len(made) == traj.n_steps, name
         pin = np.load(FALLBACK_PIN)
         for name in ("tau", "q", "projection_distance"):
             assert np.array_equal(getattr(traj, name), pin[name]), name
+
+
+def halfspace_coeffs_reference(x, form, params, fric, z=None):
+    """halfspace_coeffs as first written: M, C, G and V each from its own
+    helper, so the arm terms are evaluated three times per state."""
+    z = np.zeros(2) if z is None else np.asarray(z, dtype=float)
+    y = np.concatenate([x.e, x.ed])
+    Py = form.P @ y
+    g1, w = Py[:2], Py[2:]
+    M = mass_matrix(x.q, params)
+    b_vec = np.linalg.solve(M, w)     # M symmetric
+    C = coriolis_matrix(x.q, x.qd, params)
+    G = gravity_vector(x.q, params)
+    F = stribeck_force(x.qd, z, fric)
+    drift = float(g1 @ x.ed + w @ x.qdd_ref + b_vec @ (C @ x.qd + G + F))
+    Phi = feature_matrix(x.q, x.qd, fric.v_s)
+    tau0 = M @ x.qdd_ref + C @ x.qd_ref + G
+    a = np.concatenate([-x.s * b_vec,
+                        -(x.ed * (M @ b_vec) + x.e * (C.T @ b_vec)),
+                        -Phi.T @ b_vec])
+    a0 = -float(b_vec @ tau0)
+    c = -form.alpha * lyapunov_value(x, form) - drift
+    return a, c - a0
+
+
+class TestCertificateOracle:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_bit_identical_along_simulate_shielded(self, cfg, monkeypatch,
+                                                   seed):
+        # the controller, form and horizon of `simulate --shielded` with
+        # `horizon = 2.0`; every state the shield meets is compared
+        base = cfg.baseline_gains()
+        form = design_lyapunov_form(
+            cfg.plant, BatchReference(cfg.reference).at(0.0).q, baseline=base,
+            alpha=cfg.alpha)
+        mismatches, states = [], []
+
+        def compared(x, form, params, fric, z=None):
+            a, rhs = halfspace_coeffs(x, form, params, fric, z)
+            a_ref, rhs_ref = halfspace_coeffs_reference(x, form, params,
+                                                        fric, z)
+            states.append(1)
+            if not (np.array_equal(a, a_ref) and rhs == rhs_ref):
+                mismatches.append(len(states) - 1)
+            return a, rhs
+
+        monkeypatch.setattr(shield, "halfspace_coeffs", compared)
+        ctrl = shield.ShieldedController(lambda t, x: base, form, cfg.box,
+                                         cfg.plant, cfg.friction)
+        ref = dataclasses.replace(cfg.reference, horizon=2.0)
+        traj = rollout(ctrl, ref, cfg.plant, cfg.friction, seed=seed,
+                       dt=cfg.dt)
+        assert len(states) == traj.n_steps == 200
+        assert mismatches == []
