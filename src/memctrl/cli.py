@@ -4,10 +4,11 @@ Subcommands: simulate, evaluate, sigma-scan, rank-scan, phase1,
 markov-gap, compare.  Global flags --config/--seed/--out-dir apply to
 every subcommand and may go before or after it.  Each pipeline reads
 dt and the baseline gains from the config wherever it uses them.  An
-invalid input (a ValueError) or one of memctrl's own analysis errors
-ends the run with one line on stderr and exit status 1; any other
-exception keeps its traceback.  A diverged rollout is no error:
-simulate and evaluate report it.
+invalid input (a ValueError), a file that cannot be read or written
+(an OSError, such as a missing --config or compare input) or one of
+memctrl's own analysis errors ends the run with one line on stderr and
+exit status 1; any other exception keeps its traceback.  A diverged
+rollout is no error: simulate and evaluate report it.
 """
 
 from __future__ import annotations
@@ -24,8 +25,9 @@ from .controller import BaselineController
 from .dynamics import BatchReference
 
 # errors a run reports in one line: ValueError, which memctrl's input
-# errors subclass, and memctrl's own RuntimeErrors
-_RUN_ERRORS = (ValueError, memory_analysis.InsufficientSamples,
+# errors subclass, OSError from reading or writing a file, and
+# memctrl's own RuntimeErrors
+_RUN_ERRORS = (ValueError, OSError, memory_analysis.InsufficientSamples,
                markov_gap.SingularDesign)
 
 

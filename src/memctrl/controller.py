@@ -23,6 +23,7 @@ from .dynamics import (FrictionParams, PlantParams, PlantState, RefPoint,
 
 DIM_ETA = 6
 SIGN_SMOOTHING = 0.02  # rad/s, tanh width of the smoothed sign feature
+PAYLOAD_NOISE_REL = 0.05  # relative sd of the 'noisy' payload estimate
 
 
 @dataclass(frozen=True)
@@ -119,7 +120,7 @@ class ExtendedState:
                              qdd_ref=np.asarray(ref_point.qdd, dtype=float))
 
 
-def feature_matrix(q, qd, v_s: float, width: float = SIGN_SMOOTHING) -> np.ndarray:
+def feature_matrix(q, qd, v_s: float) -> np.ndarray:
     """Stribeck regressor Phi, shape (..., 2, DIM_ETA), block per joint.
 
     Columns per joint: smoothed sign, raw velocity, and the Stribeck
@@ -128,7 +129,7 @@ def feature_matrix(q, qd, v_s: float, width: float = SIGN_SMOOTHING) -> np.ndarr
     the true friction up to the sign smoothing.
     """
     qd = np.asarray(qd, dtype=float)
-    ss = np.tanh(qd / width)   # smoothed sign
+    ss = np.tanh(qd / SIGN_SMOOTHING)   # smoothed sign
     env = np.exp(-((qd / v_s) ** 2)) * ss
     Phi = np.zeros(qd.shape[:-1] + (2, DIM_ETA))
     for j in range(2):
@@ -187,15 +188,16 @@ class BaselineController:
 
     No feed-forward: the baseline's eta is 0.  payload_mode: 'nominal'
     ignores the payload (estimate 0), 'true' uses the plant's value,
-    'noisy' applies multiplicative noise to it.  The payload may be (B,)
-    and the gains (B, 2), one row per member of a batch; 'noisy' draws
-    one noise factor for all members.
+    'noisy' scales it by 1 + PAYLOAD_NOISE_REL n, with n one standard
+    normal draw from noise_seed (runner.evaluate_baseline passes the
+    sweep's seed), and clips it to [0, payload_max].  The payload may
+    be (B,) and the gains (B, 2), one row per member of a batch; 'noisy'
+    draws one noise factor for all members.
     """
 
     def __init__(self, params: PlantParams,
                  gains: ControllerParams | None = None,
-                 payload_mode: str = "nominal", noise_rel: float = 0.05,
-                 noise_seed: int = 0):
+                 payload_mode: str = "nominal", noise_seed: int = 0):
         self.gains = gains if gains is not None else fixed_gain_baseline()
         if payload_mode not in ("nominal", "true", "noisy"):
             raise ValueError(f"unknown payload_mode {payload_mode!r}")
@@ -205,7 +207,8 @@ class BaselineController:
             self.model = params
         else:
             rng = np.random.default_rng(noise_seed)
-            p_hat = params.payload * (1.0 + noise_rel * rng.standard_normal())
+            p_hat = params.payload * (1.0 + PAYLOAD_NOISE_REL
+                                      * rng.standard_normal())
             self.model = replace(params, payload=np.clip(p_hat, 0.0,
                                                          params.payload_max))
 

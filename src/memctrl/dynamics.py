@@ -142,13 +142,13 @@ class ReferenceSpec:
             raise ValueError(
                 "joint periods share a common period inside the horizon")
 
-    def common_period(self, tol: float = 1e-9) -> float:
+    def common_period(self) -> float:
         """Smallest common multiple of the two periods (inf if none)."""
         t1, t2 = 2.0 * np.pi / self.omega[0], 2.0 * np.pi / self.omega[1]
         # search small integer multiples; irrational ratios never match
         for k in range(1, 1000):
             m = k * t1 / t2
-            if abs(m - round(m)) < tol * k:
+            if abs(m - round(m)) < 1e-9 * k:
                 return k * t1
         return np.inf
 

@@ -55,17 +55,14 @@ class TaskDistribution:
 class BatchRollout:
     """Dense state history of a batch of rollouts."""
 
-    t: np.ndarray       # (n+1,)
     q: np.ndarray       # (n+1, B, 2)
     qd: np.ndarray      # (n+1, B, 2)
     z: np.ndarray       # (n+1, B, 2)
-    payload: np.ndarray  # (B,)
     alive: np.ndarray   # (B,) bool, False once a member blew up
-    dt: float
 
     @property
     def n_steps(self) -> int:
-        return self.t.shape[0] - 1
+        return self.q.shape[0] - 1
 
 
 class BaselineEnsembleSim:
@@ -219,5 +216,4 @@ class BaselineEnsembleSim:
         x0[0:2] = self.q0.T
         q, qd, z, n_states = closed_loop(
             x0, n, lambda k, x: self.step(self.reference.at(k * dt), x, dt))
-        return BatchRollout(t=np.arange(n + 1) * dt, q=q, qd=qd, z=z,
-                            payload=self.payload, alive=n_states > n, dt=dt)
+        return BatchRollout(q=q, qd=qd, z=z, alive=n_states > n)

@@ -25,6 +25,8 @@ import numpy as np
 
 from .memory_analysis import TemporalResidualOperator, effective_rank
 
+GATE_THRESHOLD = 0.5   # |EMA| a decision stream must reach to count
+
 
 def leading_eigvec(M: np.ndarray) -> tuple[np.ndarray, float]:
     """Dominant eigenpair (unit vector, eigenvalue) of a symmetric matrix.
@@ -63,7 +65,6 @@ class GateState:
     ema: float = 0.0
     streak: int = 0   # signed count of consecutive supra-threshold EMAs
     beta: float = 0.5
-    threshold: float = 0.5
 
 
 _RAW_VALUE = {"grow": 1.0, "hold": 0.0, "prune": -1.0}
@@ -72,16 +73,16 @@ _RAW_VALUE = {"grow": 1.0, "hold": 0.0, "prune": -1.0}
 def gate_update(raw: str, state: GateState) -> tuple[str, GateState]:
     """Smooth a raw grow/prune/hold decision through the bidirectional gate.
 
-    A decision is enacted only when the smoothed signal sits beyond its
-    threshold in the same direction for two consecutive iterations;
+    A decision is enacted only when the smoothed signal sits beyond
+    +-GATE_THRESHOLD in the same direction for two consecutive iterations;
     alternating streams therefore never enact.
     """
     if raw not in _RAW_VALUE:
         raise ValueError(f"unknown decision {raw!r}")
     ema = (1.0 - state.beta) * state.ema + state.beta * _RAW_VALUE[raw]
-    if ema >= state.threshold:
+    if ema >= GATE_THRESHOLD:
         streak = state.streak + 1 if state.streak >= 0 else 1
-    elif ema <= -state.threshold:
+    elif ema <= -GATE_THRESHOLD:
         streak = state.streak - 1 if state.streak <= 0 else -1
     else:
         streak = 0
@@ -90,8 +91,7 @@ def gate_update(raw: str, state: GateState) -> tuple[str, GateState]:
         enacted = "grow"
     elif streak <= -2:
         enacted = "prune"
-    return enacted, GateState(ema=ema, streak=streak, beta=state.beta,
-                              threshold=state.threshold)
+    return enacted, GateState(ema=ema, streak=streak, beta=state.beta)
 
 
 @dataclass(frozen=True)
@@ -102,7 +102,6 @@ class Phase1Config:
     gamma_prune: float = 0.01
     n_stable: int = 20
     max_iterations: int = 200
-    gate_beta: float = 0.5
 
     def validate(self) -> None:
         if not (self.gamma_add > 0.0 and self.gamma_prune > 0.0):
@@ -174,7 +173,7 @@ def run_phase1(operator: TemporalResidualOperator | np.ndarray,
 
     R = admit(leading_eigvec(A)[0], A)
     cand, g = candidate(R)
-    gate = GateState(beta=config.gate_beta)
+    gate = GateState()
     stable = 0
     log: list[IterationRecord] = []
     converged = False

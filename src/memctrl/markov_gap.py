@@ -73,14 +73,13 @@ class MarkovianPolicy:
 
 
 def markovian_policy_fit(pos: np.ndarray, vel: np.ndarray, z: np.ndarray,
-                         n_bins: int = 12,
                          fit: tuple[StateBinning, np.ndarray] | None = None
                          ) -> MarkovianPolicy:
     """Conditional-mean estimator of z on a state grid;
-    fit: StateBinning.fit(pos, vel, n_bins) if already made."""
+    fit: StateBinning.fit(pos, vel) if already made."""
     if pos.size < MIN_FIT_SAMPLES:
         raise InsufficientSamples(f"need at least {MIN_FIT_SAMPLES} samples")
-    binning, cell = fit or StateBinning.fit(pos, vel, n_bins)
+    binning, cell = fit or StateBinning.fit(pos, vel)
     n_cells = binning.n_bins ** 2
     sums = np.zeros(n_cells)
     counts = np.zeros(n_cells)

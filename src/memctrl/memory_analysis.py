@@ -37,6 +37,7 @@ BROADBAND_BINS = 12        # state bins per axis
 BROADBAND_STRIDE = 50      # steps between samples of one trajectory
 BURN_IN_FACTOR = 5.0       # stationarity burn-in, in units of tau_z
 Q_SPAN = 10.0              # rad, width of the uniform initial positions
+MIN_CELL_COUNT = 5         # fewest samples a populated state cell may hold
 
 
 class InsufficientHistory(ValueError):
@@ -73,11 +74,11 @@ class TemporalResidualOperator:
     tau_z: float
     mode: str  # "analytic-gradient" | "closed-loop-gradient"
 
-    def validate(self, tol: float = 1e-10) -> None:
+    def validate(self) -> None:
         M = self.matrix
         if not np.allclose(M, M.T, atol=1e-12 * max(1.0, float(np.abs(M).max()))):
             raise ValueError("operator must be symmetric")
-        if np.linalg.eigvalsh(M)[0] < -tol * max(1.0, float(np.trace(M))):
+        if np.linalg.eigvalsh(M)[0] < -1e-10 * max(1.0, float(np.trace(M))):
             raise ValueError("operator must be PSD up to roundoff")
 
     def write_csv(self, path) -> None:
@@ -236,13 +237,13 @@ class StateBinning:
 
 def binned_conditional_variance(pos: np.ndarray, vel: np.ndarray,
                                 target: np.ndarray, n_bins: int = 12,
-                                min_count: int = 5,
                                 fit: tuple[StateBinning, np.ndarray] | None = None
                                 ) -> float:
     """E[Var(target | state cell)] over the nested equal-count partition.
 
     fit: StateBinning.fit(pos, vel, n_bins) if already made.  Raises
-    InsufficientSamples when a populated cell has < min_count samples.
+    InsufficientSamples when a populated cell has < MIN_CELL_COUNT
+    samples.
     """
     binning, cell = fit or StateBinning.fit(pos, vel, n_bins)
     order = _stable_order(cell, binning.n_bins ** 2)
@@ -253,9 +254,9 @@ def binned_conditional_variance(pos: np.ndarray, vel: np.ndarray,
     total_w, acc = 0, 0.0
     for s, e in zip(edges[:-1], edges[1:]):
         n = e - s
-        if n < min_count:
+        if n < MIN_CELL_COUNT:
             raise InsufficientSamples(
-                f"populated bin with {n} < {min_count} samples")
+                f"populated bin with {n} < {MIN_CELL_COUNT} samples")
         seg = t_sorted[s:e]
         acc += n * float(np.var(seg, ddof=1))
         total_w += n
@@ -264,7 +265,6 @@ def binned_conditional_variance(pos: np.ndarray, vel: np.ndarray,
 
 @dataclass
 class SigmaZEstimate:
-    tau_z: float
     monte_carlo: float
     closed_form: float
     n_samples: int
@@ -320,7 +320,7 @@ def sigma_z_broadband(tau_z: float, lambda_z: float, n_traj: int = 2000,
     mc = binned_conditional_variance(pos.ravel(), vel.ravel(), mem.ravel(),
                                      n_bins=BROADBAND_BINS)
     cf = sigma_z_closed_form(tau_z, lambda_z, vel_scale ** 2 * dt, lambda u: 0.0)
-    return SigmaZEstimate(tau_z=tau_z, monte_carlo=mc, closed_form=cf,
+    return SigmaZEstimate(monte_carlo=mc, closed_form=cf,
                           n_samples=mem.size)
 
 
@@ -345,19 +345,18 @@ def gradient_samples_closed_loop(tau_z: float, ref: ReferenceSpec,
                                  window: int = 20, n_samples: int = 2048,
                                  dt: float = 0.01, seed: int = 0,
                                  horizon: float = 3.0,
-                                 task: TaskDistribution | None = None,
                                  gains: ControllerParams | None = None
                                  ) -> np.ndarray:
     """Exact history gradients through the closed-loop plant.
 
     What is differentiated is the discrete closed loop: the RK4 map of
     BaselineEnsembleSim.step (plant plus baseline torque, held over the
-    step, perturbed friction draw per member).  For each trajectory
-    endpoint and each joint j, sample entry k is the derivative of z_j
-    at the endpoint with respect to qd_j k steps earlier, divided by
-    dt, for k = 1..window.  The derivative of sign(qd) in the
-    Coulomb/Stribeck term is taken as 0, so a velocity sign change
-    inside the window adds no spurious jump.
+    step, friction constants drawn per member with a log-normal sd of
+    0.2).  For each trajectory endpoint and each joint j, sample entry k
+    is the derivative of z_j at the endpoint with respect to qd_j k
+    steps earlier, divided by dt, for k = 1..window.  The derivative of
+    sign(qd) in the Coulomb/Stribeck term is taken as 0, so a velocity
+    sign change inside the window adds no spurious jump.
 
     One reverse (adjoint) sweep per joint over the last `window` steps
     gives every lag: the cotangent of z_j is pulled back through the
@@ -370,11 +369,10 @@ def gradient_samples_closed_loop(tau_z: float, ref: ReferenceSpec,
     for name, value in (("window", window), ("n_samples", n_samples)):
         if not value >= 1:   # checked before anything is simulated
             raise ValueError(f"{name} must be at least 1, got {value}")
-    if task is None:
-        task = TaskDistribution(friction_log_sd=0.2)
     fric = fric.with_tau_z(tau_z)
     batch = max(1, int(np.ceil(n_samples / 2)))
-    sim = BaselineEnsembleSim(batch, ref, params, fric, seed, task, gains)
+    sim = BaselineEnsembleSim(batch, ref, params, fric, seed,
+                              TaskDistribution(friction_log_sd=0.2), gains)
     roll = sim.run(horizon, dt)
     n_end = roll.n_steps
     n0 = n_end - window

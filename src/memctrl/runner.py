@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -46,19 +46,6 @@ class RunResult:
     def rmse_mean(self) -> float:
         return float(np.mean([p.rmse for p in self.payload_rmse]))
 
-    def to_dict(self) -> dict:
-        return {
-            "architecture": self.architecture,
-            "param_count": self.param_count,
-            "tau_z": self.tau_z,
-            "seed": self.seed,
-            "baseline_rmse": self.baseline_rmse,
-            "payload_rmse": [{"payload": p.payload, "rmse": p.rmse, "sd": p.sd}
-                             for p in self.payload_rmse],
-            "delta_percent": self.delta_percent,
-            "flags": self.flags,
-        }
-
     @staticmethod
     def from_dict(d: dict) -> "RunResult":
         pts = [PayloadPoint(payload=float(p["payload"]), rmse=float(p["rmse"]),
@@ -73,7 +60,7 @@ class RunResult:
 
     def write_json(self, path) -> None:
         with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=1, sort_keys=True)
+            json.dump(asdict(self), fh, indent=1, sort_keys=True)
 
     @staticmethod
     def read_json(path) -> "RunResult":
@@ -83,9 +70,9 @@ class RunResult:
     def filename(self) -> str:
         return f"{self.architecture}__tz{self.tau_z:g}s__seed{self.seed}.json"
 
-    def check_delta_consistency(self, tol: float = 1e-9) -> bool:
+    def check_delta_consistency(self) -> bool:
         expect = 100.0 * (self.rmse_mean - self.baseline_rmse) / self.baseline_rmse
-        return abs(expect - self.delta_percent) <= tol * max(1.0, abs(expect))
+        return abs(expect - self.delta_percent) <= 1e-9 * max(1.0, abs(expect))
 
     def write_payload_csv(self, path) -> None:
         """Per-payload rows for plotting."""
@@ -99,7 +86,6 @@ class RunResult:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    payloads: tuple = PAYLOAD_GRID
     rollouts_per_payload: int = 20
     dt: float = 0.01
     horizon: float = 5.0
@@ -140,9 +126,9 @@ def evaluate_controller(make_controller, ref: ReferenceSpec,
     """
     sweep = sweep or SweepSpec()
     n_roll = sweep.rollouts_per_payload
-    plant = replace(params, payload=np.repeat(np.asarray(sweep.payloads,
+    plant = replace(params, payload=np.repeat(np.asarray(PAYLOAD_GRID,
                                                          dtype=float), n_roll))
-    seeds = [sweep.rollout_seed(ip, ir) for ip in range(len(sweep.payloads))
+    seeds = [sweep.rollout_seed(ip, ir) for ip in range(len(PAYLOAD_GRID))
              for ir in range(n_roll)]
     trajs = rollout(make_controller(plant, fric), ref, plant, fric, seed=seeds,
                     dt=sweep.dt, horizon=sweep.horizon)
@@ -150,7 +136,7 @@ def evaluate_controller(make_controller, ref: ReferenceSpec,
     n_diverged = sum(tr.diverged for tr in trajs)
     points = [PayloadPoint(payload=payload, rmse=float(r.mean()),
                            sd=float(r.std(ddof=1)))
-              for payload, r in zip(sweep.payloads, rmses)]
+              for payload, r in zip(PAYLOAD_GRID, rmses)]
 
     rmse_mean = float(np.mean([p.rmse for p in points]))
     base = rmse_mean if baseline_rmse is None else float(baseline_rmse)
@@ -165,25 +151,29 @@ def evaluate_controller(make_controller, ref: ReferenceSpec,
 def evaluate_baseline(ref: ReferenceSpec, params: PlantParams,
                       fric: FrictionParams, sweep: SweepSpec | None = None,
                       payload_mode: str = "nominal", gains=None) -> RunResult:
+    """evaluate_controller of the BaselineController; a 'noisy' payload
+    estimate draws its noise from the sweep's seed."""
+    sweep = sweep or SweepSpec()
+
     def make(plant, fr):
-        return BaselineController(plant, gains=gains, payload_mode=payload_mode)
+        return BaselineController(plant, gains=gains, payload_mode=payload_mode,
+                                  noise_seed=sweep.seed)
 
     return evaluate_controller(make, ref, params, fric, sweep,
                                architecture="baseline-ct", param_count=0)
 
 
-def failure_mode_flag(result: RunResult,
-                      collapse_threshold: float = COLLAPSE_THRESHOLD) -> str:
+def failure_mode_flag(result: RunResult) -> str:
     """Classify a run: diverged beats collapsed beats healthy.
 
-    Collapse is a per-payload RMSE range smaller than the threshold --
-    the payload-invariant-policy signature.
+    Collapse is a per-payload RMSE range smaller than COLLAPSE_THRESHOLD
+    -- the payload-invariant-policy signature.
     """
     if not result.payload_rmse:
         raise ValueError("result carries no payload points")
     if result.flags.get("diverged_rollouts", 0) > 0:
         return "diverged"
     rmses = [p.rmse for p in result.payload_rmse]
-    if max(rmses) - min(rmses) < collapse_threshold:
+    if max(rmses) - min(rmses) < COLLAPSE_THRESHOLD:
         return "collapsed"
     return "healthy"

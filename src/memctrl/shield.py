@@ -32,6 +32,7 @@ from .dynamics import (FrictionParams, PlantParams, PlantState, RefPoint,
 # roundoff margin of the projection's feasibility and emptiness tests: a
 # projected point, whose a.v equals rhs up to roundoff, projects to itself
 ROUNDOFF = 1e-12
+HIST_BINS = 10   # bins of shield_report's projection-distance histogram
 
 
 @dataclass(frozen=True)
@@ -263,16 +264,16 @@ class ShieldedController:
 
 
 def shield_report(traj: Trajectory, form: LyapunovForm,
-                  controller_obj=None, n_hist_bins: int = 10) -> dict:
+                  controller_obj=None) -> dict:
     """Activation fraction, decay ratio and projection-distance histogram."""
     decay = verify_exponential_decay(traj, form)
     dist = traj.projection_distance
     top = float(dist.max()) if dist.size else 1.0
-    edges = np.linspace(0.0, top, n_hist_bins + 1)
+    edges = np.linspace(0.0, top, HIST_BINS + 1)
     if top == 0.0:
         # the shield never fired: every edge is 0 and the first bin
         # holds every step
-        hist = np.zeros(n_hist_bins, dtype=int)
+        hist = np.zeros(HIST_BINS, dtype=int)
         hist[0] = dist.size
     else:
         hist, _ = np.histogram(dist, bins=edges)

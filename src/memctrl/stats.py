@@ -63,17 +63,12 @@ class TestReport:
 
 
 def _midranks(pooled: np.ndarray) -> np.ndarray:
-    order = np.argsort(pooled, kind="stable")
-    ranks = np.empty(pooled.size)
-    sorted_vals = pooled[order]
-    i = 0
-    while i < pooled.size:
-        j = i
-        while j + 1 < pooled.size and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    """1-based ranks, ties sharing the mean of their ranks."""
+    _, inverse, counts = np.unique(pooled, return_inverse=True,
+                                   return_counts=True)
+    # a run of c tied values ending at rank r holds ranks r - c + 1 .. r
+    last = np.cumsum(counts)
+    return (last - 0.5 * (counts - 1))[inverse]
 
 
 def _u_from_ranks(ranks: np.ndarray, idx_a, n1: int) -> float:
@@ -148,8 +143,7 @@ def _phi(x: float) -> float:
     return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
 
 
-def _betacf(a: float, b: float, x: float, max_iter: int = 300,
-            eps: float = 3e-16) -> float:
+def _betacf(a: float, b: float, x: float) -> float:
     """Continued fraction for the incomplete beta (modified Lentz)."""
     tiny = 1e-300
     qab, qap, qam = a + b, a + 1.0, a - 1.0
@@ -159,7 +153,7 @@ def _betacf(a: float, b: float, x: float, max_iter: int = 300,
         d = tiny
     d = 1.0 / d
     h = d
-    for m in range(1, max_iter + 1):
+    for m in range(1, 301):
         m2 = 2 * m
         aa = m * (b - m) * x / ((qam + m2) * (a + m2))
         d = 1.0 + aa * d
@@ -180,7 +174,7 @@ def _betacf(a: float, b: float, x: float, max_iter: int = 300,
         d = 1.0 / d
         delta = d * c
         h *= delta
-        if abs(delta - 1.0) < eps:
+        if abs(delta - 1.0) < 3e-16:
             return h
     raise RuntimeError("incomplete beta continued fraction did not converge")
 

@@ -156,6 +156,18 @@ class TestCLI:
         assert line.split()[0] in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["config", "compare"])
+    def test_missing_input_file_rejected(self, tmp_path, capsys, command):
+        missing = tmp_path / ("nope.cfg" if command == "config"
+                              else "missing.json")
+        argv = (["--config", str(missing), "simulate"] if command == "config"
+                else ["--out-dir", str(tmp_path), "compare", str(missing)])
+        assert run_cli(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("memctrl: error: ")
+        assert str(missing) in err
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("n", [0, 1])
     def test_evaluate_rejects_fewer_than_two_rollouts(self, tmp_path, capsys, n):
         # one rollout per payload has no between-rollout sd (it was NaN in

@@ -45,6 +45,29 @@ class TestRunResult:
         res.delta_percent += 0.5
         assert not res.check_delta_consistency()
 
+    def test_json_bytes_match_field_mapping(self, tmp_path):
+        # oracle: the field-by-field mapping write_json dumped before it
+        # dumped dataclasses.asdict
+        res = _toy_result([0.10, 0.11, 0.12, 0.13, 0.14], diverged=1)
+        res.flags["total_rollouts"] = 100
+        mapping = {
+            "architecture": res.architecture,
+            "param_count": res.param_count,
+            "tau_z": res.tau_z,
+            "seed": res.seed,
+            "baseline_rmse": res.baseline_rmse,
+            "payload_rmse": [{"payload": p.payload, "rmse": p.rmse, "sd": p.sd}
+                             for p in res.payload_rmse],
+            "delta_percent": res.delta_percent,
+            "flags": res.flags,
+        }
+        path, expect = tmp_path / "r.json", tmp_path / "expect.json"
+        res.write_json(path)
+        with open(expect, "w") as fh:
+            json.dump(mapping, fh, indent=1, sort_keys=True)
+        assert len(res.payload_rmse) == 5
+        assert path.read_bytes() == expect.read_bytes()
+
     def test_filename_encoding(self):
         res = _toy_result([0.1] * 5)
         assert res.filename() == "toy__tz1s__seed42.json"
@@ -85,9 +108,10 @@ class TestSweepSpec:
 
     def test_reset_seeds_distinct_at_the_limit(self):
         sweep = SweepSpec(rollouts_per_payload=1009)
-        seeds = {sweep.rollout_seed(ip, ir) for ip in range(len(sweep.payloads))
+        seeds = {sweep.rollout_seed(ip, ir)
+                 for ip in range(len(runner.PAYLOAD_GRID))
                  for ir in range(sweep.rollouts_per_payload)}
-        assert len(seeds) == len(sweep.payloads) * 1009
+        assert len(seeds) == len(runner.PAYLOAD_GRID) * 1009
 
 
 class TestEvaluate:
@@ -126,11 +150,12 @@ class TestEvaluate:
         res = evaluate_baseline(cfg.reference, cfg.plant, cfg.friction, sweep,
                                 payload_mode=mode, gains=gains)
         points, n_diverged = [], 0
-        for ip, payload in enumerate(sweep.payloads):
+        for ip, payload in enumerate(runner.PAYLOAD_GRID):
             plant = cfg.plant.with_payload(payload)
             rmses = []
             for ir in range(sweep.rollouts_per_payload):
-                ctrl = BaselineController(plant, gains=gains, payload_mode=mode)
+                ctrl = BaselineController(plant, gains=gains, payload_mode=mode,
+                                          noise_seed=sweep.seed)
                 traj = rollout(ctrl, cfg.reference, plant, cfg.friction,
                                seed=sweep.rollout_seed(ip, ir), dt=sweep.dt,
                                horizon=sweep.horizon)
@@ -143,6 +168,24 @@ class TestEvaluate:
         assert res.flags == {"diverged_rollouts": n_diverged,
                              "total_rollouts": 5 * sweep.rollouts_per_payload}
         assert (n_diverged > 0) == (kd == 100.0)
+
+    def test_noisy_estimate_follows_seed(self, cfg, monkeypatch):
+        # the 'noisy' payload estimate is drawn from the sweep's seed
+        models = []
+
+        class Recording(BaselineController):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                models.append(self.model.payload)
+
+        monkeypatch.setattr(runner, "BaselineController", Recording)
+        for seed in (1, 2):
+            evaluate_baseline(cfg.reference, cfg.plant, cfg.friction,
+                              SweepSpec(rollouts_per_payload=2, horizon=0.1,
+                                        seed=seed),
+                              payload_mode="noisy")
+        assert len(models) == 2
+        assert not np.array_equal(models[0], models[1])
 
 
 class TestPayloadCSV:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from memctrl.stats import (DegenerateVariance, EmptyGroup, SampleSet,
-                           SchemaMismatch, cohens_d_pooled,
+                           SchemaMismatch, _midranks, cohens_d_pooled,
                            compare_result_files, mann_whitney_u,
                            regularized_incomplete_beta, student_t_cdf,
                            welch_t)
@@ -46,6 +46,35 @@ class TestMannWhitney:
         _, p_less = mann_whitney_u(a, b, "less")
         _, p_greater = mann_whitney_u(b, a, "greater")
         assert p_less == pytest.approx(p_greater, abs=1e-12)
+
+
+def _midranks_loop(pooled):
+    # oracle: the tie-run loop _midranks replaced
+    order = np.argsort(pooled, kind="stable")
+    ranks = np.empty(pooled.size)
+    sorted_vals = pooled[order]
+    i = 0
+    while i < pooled.size:
+        j = i
+        while j + 1 < pooled.size and sorted_vals[j + 1] == sorted_vals[i]:
+            j += 1
+        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
+class TestMidranks:
+    def test_matches_tie_run_loop(self, rng):
+        for _ in range(2000):
+            n = int(rng.integers(1, 40))
+            kind = rng.integers(3)
+            if kind == 0:     # continuous: no ties
+                x = rng.normal(size=n)
+            elif kind == 1:   # tie-heavy: a few distinct values
+                x = rng.integers(-2, 3, size=n).astype(float)
+            else:             # signed zeros among ties
+                x = rng.choice([-0.0, 0.0, 1.0, -1.5], size=n)
+            assert np.array_equal(_midranks(x), _midranks_loop(x))
 
 
 def _t_cdf_quadrature(t, dof, n=200000):
