@@ -102,27 +102,32 @@ class WindowedReconstructor:
         return qd_windows @ self.weights + self.intercept
 
 
-def windowed_reconstructor_fit(qd_windows: np.ndarray, z: np.ndarray
+def windowed_reconstructor_fit(qd_windows: np.ndarray, z: np.ndarray,
+                               overwrite_windows: bool = False
                                ) -> WindowedReconstructor:
     """Fit the windowed linear reconstructor of the memory state.
 
     qd_windows rows hold lags 1..W (most recent first).  The ridge is
-    1e-6 tr(X^T X)/W, numerical conditioning only.
+    1e-6 tr(X^T X)/W, numerical conditioning only.  The windows are
+    centred in a copy, leaving qd_windows untouched; with
+    overwrite_windows a float qd_windows is centred in place, which
+    saves one window-sized array.
     """
-    X = np.asarray(qd_windows, dtype=float)
+    X = np.array(qd_windows, dtype=float, copy=None if overwrite_windows else True)
     z = np.asarray(z, dtype=float)
     if X.ndim != 2 or X.shape[0] <= X.shape[1] // 4:
         raise ValueError("need substantially more rows than window lags")
-    col_var = X.var(axis=0)
-    if np.any(col_var <= 0.0):
-        raise SingularDesign("a lag column carries no excitation")
-    Xc = X - X.mean(axis=0)
+    mean = X.mean(axis=0)
+    X -= mean
     zc = z - z.mean()
-    gram = Xc.T @ Xc
-    ridge = 1e-6 * float(np.trace(gram)) / X.shape[1]
-    w = np.linalg.solve(gram + ridge * np.eye(X.shape[1]), Xc.T @ zc)
-    return WindowedReconstructor(weights=w,
-                                 intercept=float(z.mean() - X.mean(axis=0) @ w))
+    gram = X.T @ X
+    # a column's Gram diagonal is its sum of centred squares
+    if np.any(np.diagonal(gram) <= 0.0):
+        raise SingularDesign("a lag column carries no excitation")
+    W = X.shape[1]
+    gram.flat[::W + 1] += 1e-6 * float(np.trace(gram)) / W
+    w = np.linalg.solve(gram, X.T @ zc)
+    return WindowedReconstructor(weights=w, intercept=float(z.mean() - mean @ w))
 
 
 @dataclass
@@ -136,6 +141,17 @@ class MarkovGapResult:
     lower_bound: float           # c1 * sigma2_hat
     window: int
     n_eval: int
+
+
+def _lag_windows(hist: np.ndarray, idx: np.ndarray, window: int) -> np.ndarray:
+    """Lags 1..window (most recent first) of each row of hist (n, steps + 1)
+    at each step in idx, time-major, shape (T * n, window): one reversed
+    slice per step."""
+    n = hist.shape[0]
+    out = np.empty((idx.size * n, window))
+    for t, i in enumerate(idx):
+        out[t * n:(t + 1) * n] = hist[:, i - window:i][:, ::-1]
+    return out
 
 
 def _traj_se(values: np.ndarray, traj_ids: np.ndarray) -> float:
@@ -159,55 +175,68 @@ def markov_gap_experiment(tau_z: float, ref: ReferenceSpec, params: PlantParams,
 
     Trajectories are split in half: the predictors fit on the first
     half, and the excess C1 (z_hat - z)^2 is averaged on the second.
-    gains are the baseline's (fixed_gain_baseline() if None).
+    gains are the baseline's (fixed_gain_baseline() if None).  Each
+    sample time's index must lie in [window, n_steps], so its lag
+    window starts at t >= 0 inside the rollout.
+
+    Only the sample-time (q, qd, z) and one member-major copy of the
+    measured joint's velocity outlive the rollout; its records are
+    freed before the ridge fit, which centres its window matrix in
+    place.
     """
     fric = fric.with_tau_z(tau_z)
     if window is None:
         window = window_lower_bound(5.0 * tau_z, dt)
     # the lag window must fit before the first sample time
     horizon = max(HORIZON, window * dt + 2.5)
-    task = TaskDistribution(slow_reference=True)
-    roll = BaselineEnsembleSim(n_traj, ref, params, fric, seed, task,
-                               gains).run(horizon, dt)
     t_min = max(window * dt + dt, 1.5)
     if sample_times is None:
         sample_times = np.arange(t_min, horizon + 1e-9, 0.25)
     if len(sample_times) == 0:
         raise ValueError("no sample times fit the window inside the horizon")
-    idx = np.round(np.asarray(sample_times) / dt).astype(int)
+    sample_times = np.asarray(sample_times, dtype=float)
+    idx = np.round(sample_times / dt).astype(int)
+    n_steps = round(horizon / dt)         # BaselineEnsembleSim.run's count
+    bad = np.flatnonzero((idx < window) | (idx > n_steps))
+    if bad.size:
+        raise ValueError(
+            f"sample time {sample_times[bad[0]]:g} s (step {idx[bad[0]]}) is outside"
+            f" [{window * dt:g}, {n_steps * dt:g}] s: its {window}-lag window"
+            f" must start at t >= 0 and its step lie in the {n_steps}-step rollout")
+    task = TaskDistribution(slow_reference=True)
+    roll = BaselineEnsembleSim(n_traj, ref, params, fric, seed, task,
+                               gains).run(horizon, dt)
     ok = np.flatnonzero(roll.alive)
     if ok.size < 8:
         raise InsufficientSamples("too few surviving trajectories")
 
-    lag_idx = idx[:, None] - np.arange(1, window + 1)[None, :]   # (T, W)
     half = ok.size // 2
-    fit_b, ev_b = ok[:half], ok[half:]
     n_fit = half * idx.size
     if n_fit < MIN_FIT_SAMPLES:
         raise InsufficientSamples(
             f"n_traj={n_traj} gives {n_fit} fit samples ({half} surviving trajectories"
             f" x {idx.size} sample times); the fit needs {MIN_FIT_SAMPLES}")
 
-    def at_samples(arr, members):
-        """arr at each sample time and member, time-major, shape (T * n,)."""
-        return arr[idx[:, None], members[None, :], JOINT].ravel()
+    # (T, n_ok) values at the sample times, and (n_ok, n + 1) velocity
+    # histories, so that the records can go before the fit
+    pos, vel, mem = (a[idx[:, None], ok[None, :], JOINT]
+                     for a in (roll.q, roll.qd, roll.z))
+    qd_hist = np.ascontiguousarray(roll.qd[:, ok, JOINT].T)
+    del roll
 
-    def lag_windows(members):
-        """Rows of lagged velocities in at_samples' order, shape (T * n, W)."""
-        return roll.qd[lag_idx[:, None, :], members[None, :, None],
-                       JOINT].reshape(-1, window)
-
-    pos_f, vel_f, mem_f = (at_samples(a, fit_b) for a in (roll.q, roll.qd, roll.z))
-    pos_e, vel_e, mem_e = (at_samples(a, ev_b) for a in (roll.q, roll.qd, roll.z))
-    traj_e = np.tile(ev_b, idx.size)
+    pos_f, vel_f, mem_f = (a[:, :half].ravel() for a in (pos, vel, mem))
+    pos_e, vel_e, mem_e = (a[:, half:].ravel() for a in (pos, vel, mem))
+    traj_e = np.tile(ok[half:], idx.size)
 
     fit = StateBinning.fit(pos_f, vel_f, n_bins)
     sigma2_hat = binned_conditional_variance(pos_f, vel_f, mem_f, fit=fit)
     policy = markovian_policy_fit(pos_f, vel_f, mem_f, fit=fit)
     ex_mk = C1 * (policy.predict_z(pos_e, vel_e) - mem_e) ** 2
     # one half's (T * n, W) windows at a time: the largest arrays here
-    recon = windowed_reconstructor_fit(lag_windows(fit_b), mem_f)
-    ex_w = C1 * (recon.predict(lag_windows(ev_b)) - mem_e) ** 2
+    recon = windowed_reconstructor_fit(_lag_windows(qd_hist[:half], idx, window),
+                                       mem_f, overwrite_windows=True)
+    ex_w = C1 * (recon.predict(_lag_windows(qd_hist[half:], idx, window))
+                 - mem_e) ** 2
 
     return MarkovGapResult(
         tau_z=tau_z, sigma2_hat=float(sigma2_hat),

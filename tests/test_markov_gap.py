@@ -1,9 +1,11 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from memctrl import markov_gap as mg
+from memctrl.ensemble import BaselineEnsembleSim, TaskDistribution
 from memctrl.memory_analysis import InsufficientSamples, StateBinning
 
 
@@ -121,6 +123,71 @@ class TestWindowedReconstructor:
             mg.windowed_reconstructor_fit(X, np.zeros(100))
 
 
+    def test_view_argument_left_untouched(self, rng):
+        wins, z = _linear_memory_samples(rng, 0.1, 40, 0.01, 2.0, 2000)
+        before = wins.copy()
+        rec = mg.windowed_reconstructor_fit(wins, z)
+        assert np.array_equal(wins, before)
+        X = wins.copy()
+        core = mg.windowed_reconstructor_fit(X, z, overwrite_windows=True)
+        assert np.array_equal(rec.weights, core.weights)
+        assert rec.intercept == core.intercept
+        # the in-place fit centred X itself instead of a copy
+        assert np.array_equal(X, before - before.mean(axis=0))
+
+    def test_matches_centred_copy_fit(self, rng):
+        # oracle: the fit that centred a copy, tested excitation with
+        # X.var and added the ridge as ridge * eye
+        def copy_fit(X, z):
+            Xc = X - X.mean(axis=0)
+            zc = z - z.mean()
+            gram = Xc.T @ Xc
+            ridge = 1e-6 * float(np.trace(gram)) / X.shape[1]
+            w = np.linalg.solve(gram + ridge * np.eye(X.shape[1]), Xc.T @ zc)
+            return w, float(z.mean() - X.mean(axis=0) @ w)
+
+        for W, n in ((1, 500), (30, 1500), (120, 4000)):
+            wins, z = _linear_memory_samples(rng, 0.3, W, 0.01, 2.0, n)
+            X = np.ascontiguousarray(wins)
+            w, b = copy_fit(X, z)
+            rec = mg.windowed_reconstructor_fit(X, z, overwrite_windows=True)
+            assert np.array_equal(rec.weights, w) and rec.intercept == b
+
+    @pytest.mark.parametrize("value", [0.0, 0.5, 0.1, 1e-300])
+    def test_constant_column_test_matches_variance(self, value):
+        # the Gram diagonal and X.var sum the same centred squares: a
+        # constant 0.1 column centres to roundoff, not to zero, in both
+        X = np.random.default_rng(1).normal(size=(100, 5))
+        X[:, 2] = value
+        singular = bool(np.any(X.var(axis=0) <= 0.0))
+        try:
+            mg.windowed_reconstructor_fit(X, np.zeros(100),
+                                          overwrite_windows=True)
+        except mg.SingularDesign:
+            assert singular
+        else:
+            assert not singular
+
+
+class TestLagWindows:
+    def test_matches_fancy_index_gather(self, rng):
+        # oracle: the gather that indexed the (n + 1, B, 2) record with
+        # a (T, n, W) lag array, kept here
+        n_steps, B, W, joint = 300, 40, 50, mg.JOINT
+        qd = rng.normal(size=(n_steps + 1, B, 2))
+        ok = np.flatnonzero(rng.random(B) > 0.3)
+        idx = np.array([W, 77, 123, 200, 299, n_steps])
+        lag_idx = idx[:, None] - np.arange(1, W + 1)[None, :]
+        hist = np.ascontiguousarray(qd[:, ok, joint].T)
+        half = ok.size // 2
+        for members, rows in ((ok[:half], hist[:half]), (ok[half:], hist[half:])):
+            old = qd[lag_idx[:, None, :], members[None, :, None],
+                     joint].reshape(-1, W)
+            new = mg._lag_windows(rows, idx, W)
+            assert new.flags.c_contiguous
+            assert np.array_equal(new, old)
+
+
 @pytest.fixture(scope="module")
 def result(cfg):
     return mg.markov_gap_experiment(0.5, cfg.reference, cfg.plant,
@@ -174,6 +241,58 @@ class TestExperiment:
             excess_markov=0.06793442632445963,
             excess_markov_se=0.005185260303242043,
             lower_bound=0.05693794818822523, window=250, n_eval=1600, **ridge)
+
+    @pytest.mark.parametrize("times, message", [
+        # step 30 < window 250: the lag window would wrap round to the
+        # end of the rollout
+        (np.arange(0.3, 5, 0.05), r"sample time 0\.3 s \(step 30\)"),
+        (np.array([3.0, 5.05, 6.0]), r"sample time 5\.05 s \(step 505\)"),
+    ])
+    def test_sample_time_outside_rollout_rejected(self, cfg, times, message):
+        with pytest.raises(ValueError, match=message + r" is outside \[2\.5, 5\] s"):
+            mg.markov_gap_experiment(0.5, cfg.reference, cfg.plant,
+                                     cfg.friction, n_traj=256, seed=11,
+                                     sample_times=times)
+
+    def test_checked_step_count_is_the_rollouts(self, cfg):
+        # the sample-time check, made before the rollout, counts
+        # round(horizon / dt) steps
+        fric = cfg.friction.with_tau_z(0.5)
+        for horizon, dt in ((5.0, 0.01), (12.5, 0.01), (5.0, 0.02)):
+            roll = BaselineEnsembleSim(2, cfg.reference, cfg.plant, fric, 0,
+                                       TaskDistribution(slow_reference=True)
+                                       ).run(horizon, dt)
+            assert roll.n_steps == round(horizon / dt)
+
+    def test_window_start_and_last_step_accepted(self, cfg):
+        # step 250 = window (lags start at t = 0) and step 500 = n
+        times = np.arange(2.5, 5.0 + 1e-9, 0.05)
+        res = mg.markov_gap_experiment(0.5, cfg.reference, cfg.plant,
+                                       cfg.friction, n_traj=64, n_bins=6,
+                                       sample_times=times)
+        assert res.n_eval == 32 * times.size
+        assert 0.0 < res.excess_windowed < res.excess_markov
+
+    def test_traced_peak_within_records_plus_one_fit(self, cfg):
+        # the bound adds the rollout's q, qd, z records, one half's
+        # (T * n, W) window matrix and the W x W Gram as if all were
+        # alive at once, plus 1 MiB for the small arrays of either phase.
+        # Holding the records through the fit together with a centred
+        # copy of the windows peaks at 13.6 MiB here, over the 9.8 MiB
+        # bound; keeping only the records alive already exceeds it.
+        tracemalloc.start()
+        try:
+            res = mg.markov_gap_experiment(0.5, cfg.reference, cfg.plant,
+                                           cfg.friction, n_traj=256, seed=11)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        W, dt = res.window, 0.01
+        n_steps = round(max(mg.HORIZON, W * dt + 2.5) / dt)
+        records = 3 * (n_steps + 1) * 256 * 2 * 8
+        windows = res.n_eval * W * 8     # the fit half is never larger
+        gram = W * W * 8
+        assert peak <= records + windows + gram + 2 ** 20
 
     def test_partial_window_sits_between(self, cfg):
         full = mg.markov_gap_experiment(0.5, cfg.reference, cfg.plant,
