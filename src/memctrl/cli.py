@@ -35,6 +35,14 @@ def _float_list(text: str) -> list[float]:
     return [float(x) for x in text.split(",") if x.strip()]
 
 
+def _write_csv(path, header, rows) -> None:
+    """One header row, then rows, in the csv module's dialect."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+
+
 _GLOBAL_FLAGS = (
     ("--config", {"default": None, "help": "key = value config file"}),
     ("--seed", {"type": int, "default": 42}),
@@ -138,7 +146,7 @@ def cmd_simulate(args, cfg) -> int:
 def cmd_evaluate(args, cfg) -> int:
     fric = cfg.friction if args.tau_z is None else cfg.friction.with_tau_z(args.tau_z)
     sweep = runner.SweepSpec(rollouts_per_payload=args.rollouts, dt=cfg.dt,
-                             horizon=cfg.reference.horizon, seed=args.seed)
+                             seed=args.seed)
     res = runner.evaluate_baseline(cfg.reference, cfg.plant, fric, sweep,
                                    payload_mode=args.payload_mode,
                                    gains=cfg.baseline_gains())
@@ -162,10 +170,7 @@ def cmd_sigma_scan(args, cfg) -> int:
         rows.append((tz, est.closed_form, est.monte_carlo))
         print(f"tau_z={tz:g}: closed_form={est.closed_form:.6g} "
               f"monte_carlo={est.monte_carlo:.6g}")
-    with open(out, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["tau_z", "closed_form", "monte_carlo"])
-        w.writerows(rows)
+    _write_csv(out, ["tau_z", "closed_form", "monte_carlo"], rows)
     print(f"wrote {out}")
     return 0
 
@@ -183,10 +188,7 @@ def cmd_rank_scan(args, cfg) -> int:
             op.write_csv(Path(args.out_dir) / f"operator_tz{tz:g}s.csv")
         rows.append((tz, memory_analysis.effective_rank(op.matrix), g.shape[0]))
         print(f"tau_z={tz:g}: r_eff={rows[-1][1]:.3f} (n={g.shape[0]})")
-    with open(out, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["tau_z", "effective_rank", "n_samples"])
-        w.writerows(rows)
+    _write_csv(out, ["tau_z", "effective_rank", "n_samples"], rows)
     print(f"wrote {out}")
     return 0
 
@@ -196,6 +198,7 @@ def cmd_phase1(args, cfg) -> int:
                                 gamma_add=args.gamma_add,
                                 gamma_prune=args.gamma_prune,
                                 n_stable=args.n_stable)
+    config.validate()   # before the first tau_z's sampling
     records = []
     for tz in args.tau_z_list:
         g = memory_analysis.gradient_samples_closed_loop(
@@ -235,11 +238,8 @@ def cmd_markov_gap(args, cfg) -> int:
         print(f"tau_z={tz:g}: excess_markov={r.excess_markov:.5g} "
               f"excess_windowed={r.excess_windowed:.5g} "
               f"bound={r.lower_bound:.5g}")
-    with open(out, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["tau_z", "sigma_z2_mc", "sigma_z2_cf", "excess_markov",
-                    "excess_windowed_W", "bound_c1_sigma2"])
-        w.writerows(rows)
+    _write_csv(out, ["tau_z", "sigma_z2_mc", "sigma_z2_cf", "excess_markov",
+                     "excess_windowed_W", "bound_c1_sigma2"], rows)
     print(f"wrote {out}")
     return 0
 
@@ -249,17 +249,16 @@ def cmd_compare(args, cfg) -> int:
                                        group_key=args.group_key,
                                        alternative=args.alternative)
     base = Path(args.out_dir) / args.out
-    with open(f"{base}.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["group_a", "group_b", "n1", "n2", "mean1", "mean2",
-                    "sd1", "sd2", "U", "p_U", "t", "p_W", "dof", "d"])
-        for r in table["pairs"]:
-            w.writerow([r.label_a, r.label_b, r.n1, r.n2,
-                        f"{r.mean1:.4f}", f"{r.mean2:.4f}",
-                        f"{r.sd1:.4f}", f"{r.sd2:.4f}",
-                        f"{r.u_statistic:.1f}", f"{r.p_mann_whitney:.4g}",
-                        f"{r.t_statistic:.3f}", f"{r.p_welch:.4g}",
-                        f"{r.welch_dof:.2f}", f"{r.cohens_d:.3f}"])
+    _write_csv(f"{base}.csv",
+               ["group_a", "group_b", "n1", "n2", "mean1", "mean2",
+                "sd1", "sd2", "U", "p_U", "t", "p_W", "dof", "d"],
+               ([r.label_a, r.label_b, r.n1, r.n2,
+                 f"{r.mean1:.4f}", f"{r.mean2:.4f}",
+                 f"{r.sd1:.4f}", f"{r.sd2:.4f}",
+                 f"{r.u_statistic:.1f}", f"{r.p_mann_whitney:.4g}",
+                 f"{r.t_statistic:.3f}", f"{r.p_welch:.4g}",
+                 f"{r.welch_dof:.2f}", f"{r.cohens_d:.3f}"]
+                for r in table["pairs"]))
     lines = ["| group | n | mean | sd |", "| --- | --- | --- | --- |"]
     for g in table["groups"]:
         sd = "-" if g["sd"] is None else f"{g['sd']:.3f}"

@@ -2,7 +2,7 @@
 
 One flat namespace covering the plant, friction, reference, controller
 box and shield; '#' starts a comment.  Unknown keys are rejected so
-typos fail loudly.  Example:
+typos fail loudly, and every value must be a finite number.  Example:
 
     # plant
     m1 = 3.5
@@ -76,9 +76,13 @@ def parse_key_values(text: str) -> dict[str, float]:
         key, _, val = line.partition("=")
         key = key.strip()
         try:
-            out[key] = float(val.strip())
+            value = float(val.strip())
         except ValueError as exc:
             raise ValueError(f"line {lineno}: bad value for {key!r}") from exc
+        # no setting takes inf or nan, and inf passes every later `> 0` check
+        if not np.isfinite(value):
+            raise ValueError(f"line {lineno}: {key} must be finite, got {value}")
+        out[key] = value
     return out
 
 

@@ -16,8 +16,8 @@ The step path holds the state packed in one array x of shape (6,) or
 x whole.  PlantState's q, qd and z are (2,) or (B, 2) views of x, the
 layout of the controllers, the records and the algebra routines, which
 broadcast over leading axes.  Rollouts and ensembles share the one
-reference evaluator BatchReference, the one integrator rk4_increment
-and the one blow-up check in closed_loop.
+reference evaluator BatchReference, the one reset rule reset_state, the
+one integrator rk4_increment and the one blow-up check in closed_loop.
 """
 
 from __future__ import annotations
@@ -105,8 +105,9 @@ class FrictionParams:
             raise ValueError("v_s must be positive")
         if not self.sigma >= 0.0:
             raise ValueError("sigma must be non-negative")
-        if not self.tau_z > 0.0:
-            raise ValueError(f"tau_z must be positive, got {self.tau_z}")
+        if not 0.0 < self.tau_z < np.inf:
+            raise ValueError(
+                f"tau_z must be finite and positive, got {self.tau_z}")
         if not np.isfinite(self.lambda_z):
             raise ValueError(f"lambda_z must be finite, got {self.lambda_z}")
 
@@ -452,27 +453,32 @@ class Trajectory:
                        header="t,q1,q2,qd1,qd2,z1,z2,qd1_ref,qd2_ref,tau1,tau2")
 
 
-@dataclass(frozen=True)
-class ResetSpec:
-    """Reset distribution: q near the reference start, arm at rest."""
+RESET_Q_JITTER = 0.1   # rad, uniform half-width of the reset around q_d(0)
 
-    q_jitter: float = 0.1    # rad, uniform half-width around q_d(0)
 
-    def sample(self, reference: BatchReference,
-               rng: np.random.Generator) -> PlantState:
-        q0 = reference.at(0.0).q + rng.uniform(
-            -self.q_jitter, self.q_jitter, 2)
-        return PlantState(q=q0, qd=np.zeros(2), z=np.zeros(2))
+def reset_state(reference: BatchReference, rng: np.random.Generator
+                ) -> np.ndarray:
+    """Packed start state at rest: q = reference.at(0).q + U(+-RESET_Q_JITTER).
+
+    The one reset rule of rollout (one call per seed) and the ensemble
+    (one call per batch).  The state is (6,) for a (2,)-phase reference
+    and (6, B) for a (B, 2) one, with one jitter draw per joint and
+    member; RESET_Q_JITTER is read at each call.
+    """
+    q0 = reference.at(0.0).q
+    x = np.zeros((6, *q0.shape[:-1]))
+    x[0:2] = (q0 + rng.uniform(-RESET_Q_JITTER, RESET_Q_JITTER, q0.shape)).T
+    return x
 
 
 def rollout(controller, ref: ReferenceSpec, params: PlantParams,
-            fric: FrictionParams, seed, dt: float = 0.01,
-            horizon: float | None = None, reset: ResetSpec | None = None
+            fric: FrictionParams, seed, dt: float = 0.01
             ) -> Trajectory | list[Trajectory]:
-    """Run the closed loop for horizon/dt steps with a seeded reset.
+    """Run the closed loop for ref.horizon/dt steps from a seeded reset.
 
     controller is any callable (t, state, ref_point) -> ControlDecision
-    (see memctrl.controller).  Deterministic for a fixed seed.  Each
+    (see memctrl.controller).  Deterministic for a fixed seed: the start
+    state is reset_state's draw from np.random.default_rng(seed).  Each
     step evaluates the reference once, through one BatchReference, and
     closed_loop checks the blow-up bound.  On divergence the record is
     truncated and flagged rather than raised: it keeps the states up to
@@ -484,16 +490,13 @@ def rollout(controller, ref: ReferenceSpec, params: PlantParams,
     call per step.  One Trajectory per member is returned, each cut at
     that member's own divergence step as the record of an int seed is.
     """
-    horizon = ref.horizon if horizon is None else horizon
-    n = round(horizon / dt)
-    if abs(n * dt - horizon) > 1e-9:
+    n = round(ref.horizon / dt)
+    if abs(n * dt - ref.horizon) > 1e-9:
         raise ValueError("horizon must be an integral number of steps")
-    reset = reset or ResetSpec()
     reference = BatchReference(ref)
     batched = not isinstance(seed, (int, np.integer))
     seeds = list(seed) if batched else [seed]
-    starts = [reset.sample(reference, np.random.default_rng(s)).x
-              for s in seeds]
+    starts = [reset_state(reference, np.random.default_rng(s)) for s in seeds]
     x0 = np.stack(starts, axis=-1) if batched else starts[0]
     members = x0.shape[1:]   # () for an int seed
 

@@ -1,16 +1,16 @@
 """Batched closed-loop simulation for the analysis pipelines.
 
 An ensemble of B tracking tasks integrates as one rollout of the packed
-(6, B) state through memctrl.dynamics (rk4_increment, BatchReference,
-closed_loop) and a payload-free BaselineController, with per-member
-payloads and friction constants as arrays in PlantParams and
-FrictionParams; only the task distribution and the hand-derived step
-Jacobian are written here.  Per-member constants are stored
-joint-first, the memory order of the state's rows: friction at (2, B),
-gains and reference as (B, 2) views of (2, B) memory, like the q and qd
-views the controller reads.  Another shape or order makes numpy run
-short or strided inner loops, several times slower per operation at
-B = 512.  Used for the sigma_z scans, the temporal-operator sampler and
+(6, B) state through memctrl.dynamics (reset_state, rk4_increment,
+BatchReference, closed_loop) and a payload-free BaselineController,
+with per-member payloads and friction constants as arrays in
+PlantParams and FrictionParams; only the task distribution and the
+hand-derived step Jacobian are written here.  Per-member constants are
+stored joint-first, the memory order of the state's rows: friction at
+(2, B), gains and reference as (B, 2) views of (2, B) memory, like the
+q and qd views the controller reads.  Another shape or order makes
+numpy run short or strided inner loops, several times slower per
+operation at B = 512.  Used for the sigma_z scans, the temporal-operator sampler and
 the Markov-gap experiment; tests pin each member to a scalar rollout.
 """
 
@@ -24,30 +24,30 @@ from .controller import (BaselineController, ControllerParams,
                          fixed_gain_baseline)
 from .dynamics import (BatchReference, FrictionParams, PlantParams,
                        ReferenceSpec, RefPoint, _arm_terms, _derivatives,
-                       closed_loop, rk4_increment)
+                       closed_loop, reset_state, rk4_increment)
 
 
 @dataclass(frozen=True)
 class TaskDistribution:
     """Per-trajectory randomisation of the tracking task.
 
-    Phase randomisation and friction-constant perturbation are
-    switchable: probe ensembles need them, evaluation sweeps must not
-    have them.  slow_reference appends two incommensurate slow tones
-    (dynamics.SLOW_PERIODS) so the excitation has spectral content at
-    multi-second horizons.
+    Every member draws its own reference phases and payload, and starts
+    from dynamics.reset_state, the reset rule of rollout.  Two switches
+    set the rest: friction_log_sd perturbs the friction constants (the
+    gradient sampler's ensemble), and slow_reference appends two
+    incommensurate slow tones (dynamics.SLOW_PERIODS) so the excitation
+    has spectral content at multi-second horizons (the markov-gap
+    ensemble).
 
     Known defect: with slow_reference the reset is still drawn around
     the fast tones alone, so members start up to 0.35 rad (joint 1) and
-    0.25 rad (joint 2) from their own reference, not within q_jitter
-    (512 members, seeds 0 and 42).  Fixing it changes every markov-gap
-    output, so it waits for a benchmark re-record (ROADMAP item 5).
+    0.25 rad (joint 2) from their own reference, not within
+    dynamics.RESET_Q_JITTER (512 members, seeds 0 and 42).  Fixing it
+    changes every markov-gap output, so it waits for a benchmark
+    re-record (ROADMAP item 5).
     """
 
-    randomize_phase: bool = True
-    randomize_payload: bool = True
     friction_log_sd: float = 0.0   # log-normal sd on (f_c, f_smax, v_s, sigma)
-    q_jitter: float = 0.1          # rad
     slow_reference: bool = False
 
 
@@ -83,11 +83,8 @@ class BaselineEnsembleSim:
         self.batch = batch
         gains = gains if gains is not None else fixed_gain_baseline()
 
-        phase = (rng.uniform(0.0, 2.0 * np.pi, (batch, 2))
-                 if task.randomize_phase else np.zeros((batch, 2)))
-        self.payload = (rng.uniform(0.0, params.payload_max, batch)
-                        if task.randomize_payload
-                        else np.full(batch, params.payload))
+        phase = rng.uniform(0.0, 2.0 * np.pi, (batch, 2))
+        self.payload = rng.uniform(0.0, params.payload_max, batch)
         if task.friction_log_sd > 0.0:
             mult = np.exp(rng.normal(0.0, task.friction_log_sd, (batch, 4)))
         else:
@@ -105,8 +102,7 @@ class BaselineEnsembleSim:
         phase = np.asfortranarray(phase)
         self.reference = BatchReference(ref, phase, task.slow_reference, rng)
         # the reset jitters around the start of the fast tones alone
-        self.q0 = BatchReference(ref, phase).at(0.0).q + rng.uniform(
-            -task.q_jitter, task.q_jitter, (batch, 2))
+        self.x0 = reset_state(BatchReference(ref, phase), rng)
 
     def _torque_jacobian(self, ref: RefPoint, q: np.ndarray, qd: np.ndarray) -> np.ndarray:
         """d torque / d (q, qd, z) of the baseline law at the (B, 2) views
@@ -212,8 +208,6 @@ class BaselineEnsembleSim:
     def run(self, horizon: float, dt: float) -> BatchRollout:
         """closed_loop of `step` from the batch's reset states."""
         n = round(horizon / dt)
-        x0 = np.zeros((6, self.batch))
-        x0[0:2] = self.q0.T
         q, qd, z, n_states = closed_loop(
-            x0, n, lambda k, x: self.step(self.reference.at(k * dt), x, dt))
+            self.x0, n, lambda k, x: self.step(self.reference.at(k * dt), x, dt))
         return BatchRollout(q=q, qd=qd, z=z, alive=n_states > n)

@@ -26,6 +26,7 @@ import numpy as np
 from .memory_analysis import TemporalResidualOperator, effective_rank
 
 GATE_THRESHOLD = 0.5   # |EMA| a decision stream must reach to count
+GATE_BETA = 0.5        # EMA weight of the newest raw decision
 
 
 def leading_eigvec(M: np.ndarray) -> tuple[np.ndarray, float]:
@@ -60,11 +61,11 @@ def growth_signal(R: np.ndarray, candidate: np.ndarray) -> float:
 
 @dataclass
 class GateState:
-    """EMA of the signed decision stream plus a confirmation streak."""
+    """EMA (weight GATE_BETA) of the signed decision stream plus a
+    confirmation streak."""
 
     ema: float = 0.0
     streak: int = 0   # signed count of consecutive supra-threshold EMAs
-    beta: float = 0.5
 
 
 _RAW_VALUE = {"grow": 1.0, "hold": 0.0, "prune": -1.0}
@@ -79,7 +80,7 @@ def gate_update(raw: str, state: GateState) -> tuple[str, GateState]:
     """
     if raw not in _RAW_VALUE:
         raise ValueError(f"unknown decision {raw!r}")
-    ema = (1.0 - state.beta) * state.ema + state.beta * _RAW_VALUE[raw]
+    ema = (1.0 - GATE_BETA) * state.ema + GATE_BETA * _RAW_VALUE[raw]
     if ema >= GATE_THRESHOLD:
         streak = state.streak + 1 if state.streak >= 0 else 1
     elif ema <= -GATE_THRESHOLD:
@@ -91,7 +92,7 @@ def gate_update(raw: str, state: GateState) -> tuple[str, GateState]:
         enacted = "grow"
     elif streak <= -2:
         enacted = "prune"
-    return enacted, GateState(ema=ema, streak=streak, beta=state.beta)
+    return enacted, GateState(ema=ema, streak=streak)
 
 
 @dataclass(frozen=True)

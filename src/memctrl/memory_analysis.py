@@ -72,7 +72,6 @@ class TemporalResidualOperator:
     matrix: np.ndarray
     n_samples: int
     tau_z: float
-    mode: str  # "analytic-gradient" | "closed-loop-gradient"
 
     def validate(self) -> None:
         M = self.matrix
@@ -82,13 +81,14 @@ class TemporalResidualOperator:
             raise ValueError("operator must be PSD up to roundoff")
 
     def write_csv(self, path) -> None:
+        """The matrix under one header line; its mode names the sampler of
+        rank-scan --save-operators, the one writer."""
         header = (f"# temporal residual operator, tau_z={self.tau_z:g}, "
-                  f"n_samples={self.n_samples}, mode={self.mode}")
+                  f"n_samples={self.n_samples}, mode=closed-loop-gradient")
         np.savetxt(path, self.matrix, delimiter=",", header=header)
 
 
-def build_residual_operator(samples: np.ndarray, tau_z: float = float("nan"),
-                            mode: str = "closed-loop-gradient"
+def build_residual_operator(samples: np.ndarray, tau_z: float = float("nan")
                             ) -> TemporalResidualOperator:
     """(1/N) sum g g^T over gradient samples; symmetric PSD by construction."""
     g = np.atleast_2d(np.asarray(samples, dtype=float))
@@ -97,7 +97,7 @@ def build_residual_operator(samples: np.ndarray, tau_z: float = float("nan"),
     M = g.T @ g / g.shape[0]
     M = 0.5 * (M + M.T)
     return TemporalResidualOperator(matrix=M, n_samples=g.shape[0],
-                                    tau_z=tau_z, mode=mode)
+                                    tau_z=tau_z)
 
 
 def effective_rank(M: np.ndarray) -> float:
@@ -291,8 +291,8 @@ def sigma_z_broadband(tau_z: float, lambda_z: float, n_traj: int = 2000,
     preallocated (n_samples, n_traj) arrays.  The loop ends at the last
     sample step: later draws would never be read.
     """
-    if not tau_z > 0.0:
-        raise ValueError(f"tau_z must be positive, got {tau_z}")
+    if not 0.0 < tau_z < np.inf:
+        raise ValueError(f"tau_z must be finite and positive, got {tau_z}")
     if not n_traj >= 1:
         raise ValueError(f"n_traj must be at least 1, got {n_traj}")
     rng = np.random.default_rng(seed)

@@ -86,9 +86,14 @@ class RunResult:
 
 @dataclass(frozen=True)
 class SweepSpec:
+    """Rollout count per payload, step and seed of a payload sweep.
+
+    The horizon is the reference's (ReferenceSpec.horizon), as in
+    every rollout.
+    """
+
     rollouts_per_payload: int = 20
     dt: float = 0.01
-    horizon: float = 5.0
     seed: int = 42
 
     def __post_init__(self):
@@ -118,11 +123,12 @@ def evaluate_controller(make_controller, ref: ReferenceSpec,
 
     make_controller(plant, fric) -> rollout controller, where plant
     holds one payload per rollout as a (n_payloads * rollouts,) array.
-    All rollouts run as the members of one batched rollout, each reset
-    from its own SweepSpec.rollout_seed.  Diverged rollouts keep their
-    truncated RMSE and are counted in flags rather than dropped.  When
-    baseline_rmse is None the controller is treated as its own baseline
-    (delta_percent = 0 against itself uses the mean over the sweep).
+    All rollouts run over ref.horizon as the members of one batched
+    rollout, each reset from its own SweepSpec.rollout_seed.  Diverged
+    rollouts keep their truncated RMSE and are counted in flags rather
+    than dropped.  When baseline_rmse is None the controller is treated
+    as its own baseline (delta_percent = 0 against itself uses the mean
+    over the sweep); architecture and param_count label the result.
     """
     sweep = sweep or SweepSpec()
     n_roll = sweep.rollouts_per_payload
@@ -131,7 +137,7 @@ def evaluate_controller(make_controller, ref: ReferenceSpec,
     seeds = [sweep.rollout_seed(ip, ir) for ip in range(len(PAYLOAD_GRID))
              for ir in range(n_roll)]
     trajs = rollout(make_controller(plant, fric), ref, plant, fric, seed=seeds,
-                    dt=sweep.dt, horizon=sweep.horizon)
+                    dt=sweep.dt)
     rmses = np.array([tr.rmse() for tr in trajs]).reshape(-1, n_roll)
     n_diverged = sum(tr.diverged for tr in trajs)
     points = [PayloadPoint(payload=payload, rmse=float(r.mean()),

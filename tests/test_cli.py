@@ -261,11 +261,23 @@ class TestCLI:
         (["phase1", "--tau-z-list", "-1"], None),
         (["evaluate", "--tau-z", "0"], None),
         (["sigma-scan", "--tau-z-list", "0"], None),
+        (["simulate", "--tau-z", "inf"], None),
+        (["evaluate", "--tau-z", "inf", "--rollouts", "2"], None),
+        (["sigma-scan", "--tau-z-list", "inf", "--n-traj", "50"], None),
+        (["rank-scan", "--tau-z-list", "inf", "--window", "4",
+          "--n-samples", "16"], None),
+        (["phase1", "--tau-z-list", "inf", "--window", "4",
+          "--n-samples", "16"], None),
+        (["markov-gap", "--tau-z-list", "inf", "--n-traj", "256"], None),
     ], ids=["simulate-0", "simulate-nan", "config-nan", "simulate-neg",
-            "phase1-neg", "evaluate-0", "sigma-scan-0"])
+            "phase1-neg", "evaluate-0", "sigma-scan-0", "simulate-inf",
+            "evaluate-inf", "sigma-scan-inf", "rank-scan-inf", "phase1-inf",
+            "markov-gap-inf"])
     def test_invalid_tau_z_rejected(self, tmp_path, capsys, args, cfg_text):
         # NaN passed every `<= 0` check, and with_tau_z did not validate:
-        # these ran to a traceback or printed results
+        # these ran to a traceback or printed results.  inf passed every
+        # `> 0` check: sigma-scan and markov-gap ended in an OverflowError
+        # traceback, the other four ran on
         out = tmp_path / "out"
         cfg = []
         if cfg_text is not None:
@@ -278,6 +290,42 @@ class TestCLI:
         assert "tau_z" in err
         assert err.count("\n") == 1
         assert not out.exists() or not list(out.iterdir())
+
+    @pytest.mark.parametrize("cmd,key,value", [
+        (["simulate"], "dt", "inf"),
+        (["simulate", "--shielded"], "alpha", "inf"),
+        (["simulate"], "tau_z", "inf"),
+        (["evaluate"], "dt", "nan"),
+    ], ids=["simulate-dt", "shielded-alpha", "simulate-tau_z", "evaluate-dt-nan"])
+    def test_non_finite_config_value_rejected(self, tmp_path, capsys, cmd,
+                                              key, value):
+        # dt = inf wrote a one-row CSV with t = nan, and alpha = inf
+        # printed "max_decay_ratio": NaN; both exited 0
+        out = tmp_path / "out"
+        (tmp_path / "bad.cfg").write_text(f"{key} = {value}\n")
+        rc = run_cli(["--config", str(tmp_path / "bad.cfg"),
+                      "--out-dir", str(out), *cmd])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == f"memctrl: error: line 1: {key} must be finite, got {value}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--gamma-add", "0.01", "--gamma-prune", "0.05"], ["--n-stable", "0"]])
+    def test_phase1_config_checked_before_sampling(self, tmp_path, capsys,
+                                                   monkeypatch, flags):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before the config was checked")
+
+        monkeypatch.setattr(ma, "gradient_samples_closed_loop", no_sampling)
+        out = tmp_path / "out"
+        rc = run_cli(["--out-dir", str(out), "phase1", "--tau-z-list", "1",
+                      *flags])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("memctrl: error: ")
+        assert err.count("\n") == 1
+        assert not list(out.iterdir())
 
     @pytest.mark.parametrize("n", ["0", "-5"])
     def test_sigma_scan_rejects_fewer_than_one_trajectory(self, tmp_path,

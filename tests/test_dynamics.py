@@ -352,8 +352,8 @@ class TestRollout:
 
     def test_csv_export_schema(self, cfg, tmp_path):
         ctrl = BaselineController(cfg.plant)
-        traj = rollout(ctrl, cfg.reference, cfg.plant, cfg.friction, seed=1,
-                       horizon=0.5)
+        ref = dataclasses.replace(cfg.reference, horizon=0.5)
+        traj = rollout(ctrl, ref, cfg.plant, cfg.friction, seed=1)
         path = tmp_path / "traj.csv"
         traj.write_csv(path)
         header = path.read_text().splitlines()[0]
@@ -368,8 +368,8 @@ class TestRollout:
         gains = None if kd is None else ControllerParams(
             kd=np.full(2, kd), lam=np.full(2, 5.0), eta=np.zeros(6))
         traj = rollout(BaselineController(cfg.plant, gains=gains),
-                       cfg.reference, cfg.plant, cfg.friction, seed=42,
-                       horizon=0.5)
+                       dataclasses.replace(cfg.reference, horizon=0.5),
+                       cfg.plant, cfg.friction, seed=42)
         assert traj.diverged == (kd is not None)
         assert (traj.n_steps == 0) == (kd == 4.0e7)
         if kd is None:
@@ -384,16 +384,16 @@ class TestRollout:
 
     @staticmethod
     def _batch_and_scalar(cfg, payloads, seeds, gains=None, horizon=None):
+        ref = (cfg.reference if horizon is None
+               else dataclasses.replace(cfg.reference, horizon=horizon))
         plant = dataclasses.replace(cfg.plant, payload=np.asarray(payloads))
         batch = rollout(BaselineController(plant, gains=gains),
-                        cfg.reference, plant, cfg.friction, seed=seeds,
-                        horizon=horizon)
+                        ref, plant, cfg.friction, seed=seeds)
         scalar = []
         for p, s in zip(payloads, seeds):
             member = cfg.plant.with_payload(p)
             ctrl = BaselineController(member, gains=gains)
-            scalar.append(rollout(ctrl, cfg.reference, member, cfg.friction,
-                                  seed=s, horizon=horizon))
+            scalar.append(rollout(ctrl, ref, member, cfg.friction, seed=s))
         return batch, scalar
 
     def test_batched_equals_scalar_bitwise(self, cfg):
@@ -423,45 +423,49 @@ class TestRollout:
 
 
 class TestEnsembleConsistency:
-    def test_batched_matches_scalar(self, cfg):
+    @staticmethod
+    def _check_members(cfg, batch, seed, task, monkeypatch):
+        """Roll each member of an ensemble out alone, with its phases as
+        the spec's and its own payload and friction, and require the
+        ensemble's record bit for bit.  The two draw their reset jitter
+        from different streams, so both start at zero jitter.  Returns
+        the members' friction constants."""
         from memctrl import ensemble
 
-        task = ensemble.TaskDistribution(randomize_phase=False,
-                                         randomize_payload=False, q_jitter=0.0)
-        plant = cfg.plant.with_payload(0.0)
-        sim = ensemble.BaselineEnsembleSim(2, cfg.reference, plant,
-                                           cfg.friction, seed=1, task=task)
+        monkeypatch.setattr(dynamics, "RESET_Q_JITTER", 0.0)
+        sim = ensemble.BaselineEnsembleSim(batch, cfg.reference, cfg.plant,
+                                           cfg.friction, seed=seed, task=task)
+        assert np.all(sim.reference.phase != 0.0)
+        assert np.unique(sim.payload).size == batch
         roll = sim.run(1.5, 0.01)
-        ctrl = BaselineController(plant)
-        tr = rollout(ctrl, cfg.reference, plant, cfg.friction, seed=0,
-                     horizon=1.5, reset=dynamics.ResetSpec(q_jitter=0.0))
-        assert np.max(np.abs(roll.q[:, 0, :] - tr.q)) < 1e-12
-        assert np.max(np.abs(roll.z[:, 0, :] - tr.z)) < 1e-12
-
-    def test_per_member_params_match_scalar(self, cfg):
-        # distinct payloads and perturbed friction constants per member go
-        # through the same plant and torque code as a scalar rollout
-        import dataclasses
-
-        from memctrl import ensemble
-
-        task = ensemble.TaskDistribution(randomize_phase=False,
-                                         friction_log_sd=0.2, q_jitter=0.0)
-        sim = ensemble.BaselineEnsembleSim(3, cfg.reference, cfg.plant,
-                                           cfg.friction, seed=4, task=task)
-        roll = sim.run(1.5, 0.01)
-        assert np.unique(sim.payload).size == 3
-        for i in range(3):
+        frics = []
+        for i in range(batch):
+            ref = dataclasses.replace(cfg.reference, horizon=1.5,
+                                      phase=tuple(sim.reference.phase[i]))
             plant = cfg.plant.with_payload(sim.payload[i])
             fric = dataclasses.replace(
                 cfg.friction, **{k: float(getattr(sim.fric, k)[0, i])
                                  for k in ("f_c", "f_smax", "v_s", "sigma")})
-            assert fric.f_c != cfg.friction.f_c
-            ctrl = BaselineController(plant)
-            tr = rollout(ctrl, cfg.reference, plant, fric, seed=0, horizon=1.5,
-                         reset=dynamics.ResetSpec(q_jitter=0.0))
-            assert np.max(np.abs(roll.q[:, i, :] - tr.q)) < 1e-12
-            assert np.max(np.abs(roll.z[:, i, :] - tr.z)) < 1e-12
+            tr = rollout(BaselineController(plant), ref, plant, fric, seed=0)
+            assert not tr.diverged and roll.alive[i]
+            for field in ("q", "qd", "z"):
+                assert np.array_equal(getattr(roll, field)[:, i, :],
+                                      getattr(tr, field))
+            frics.append(fric)
+        return frics
+
+    def test_batched_matches_scalar(self, cfg, monkeypatch):
+        frics = self._check_members(cfg, 2, 1, None, monkeypatch)
+        assert all(fric == cfg.friction for fric in frics)
+
+    def test_per_member_params_match_scalar(self, cfg, monkeypatch):
+        # perturbed friction constants per member go through the same
+        # plant and torque code as a scalar rollout
+        from memctrl import ensemble
+
+        task = ensemble.TaskDistribution(friction_log_sd=0.2)
+        frics = self._check_members(cfg, 3, 4, task, monkeypatch)
+        assert all(fric.f_c != cfg.friction.f_c for fric in frics)
 
     @staticmethod
     def _reference_term_by_term(ref, t, phase, slow_phase=None):

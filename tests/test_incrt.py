@@ -150,8 +150,8 @@ class TestPruneScores:
 
 
 class TestGate:
-    def run_stream(self, raws, beta=0.5):
-        st = GateState(beta=beta)
+    def run_stream(self, raws):
+        st = GateState()
         out = []
         for r in raws:
             enacted, st = gate_update(r, st)
@@ -166,11 +166,6 @@ class TestGate:
         out = self.run_stream(["grow"] * 6)
         assert out[0] == "hold"
         assert all(e == "grow" for e in out[1:])
-
-    def test_degenerate_beta_passes_after_confirmation(self):
-        out = self.run_stream(["grow", "grow", "prune", "prune", "prune"],
-                              beta=1.0)
-        assert out == ["hold", "grow", "hold", "prune", "prune"]
 
 
 class TestRunPhase1:

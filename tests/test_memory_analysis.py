@@ -44,7 +44,7 @@ class TestResidualOperator:
         tau_z, W, dt, lam = 0.07, 16, 0.01, 2.0
         g = ma.gradient_samples_linear(tau_z, W, dt, lam, n_samples=512,
                                        jitter=0.05, seed=3)
-        op = ma.build_residual_operator(g, tau_z=tau_z, mode="analytic-gradient")
+        op = ma.build_residual_operator(g, tau_z=tau_z)
         op.validate()
         w, V = np.linalg.eigh(op.matrix)
         lead = V[:, -1]

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -144,10 +145,11 @@ class TestEvaluate:
         # reference: one scalar rollout per (payload, rollout) pair, as
         # the sweep ran before it became one batched rollout; kd = 100
         # makes some rollouts diverge
-        sweep = SweepSpec(rollouts_per_payload=3, horizon=2.0, seed=42)
+        sweep = SweepSpec(rollouts_per_payload=3, seed=42)
+        ref = dataclasses.replace(cfg.reference, horizon=2.0)
         gains = ControllerParams(kd=np.full(2, kd), lam=np.full(2, 5.0),
                                  eta=np.zeros(6))
-        res = evaluate_baseline(cfg.reference, cfg.plant, cfg.friction, sweep,
+        res = evaluate_baseline(ref, cfg.plant, cfg.friction, sweep,
                                 payload_mode=mode, gains=gains)
         points, n_diverged = [], 0
         for ip, payload in enumerate(runner.PAYLOAD_GRID):
@@ -156,9 +158,8 @@ class TestEvaluate:
             for ir in range(sweep.rollouts_per_payload):
                 ctrl = BaselineController(plant, gains=gains, payload_mode=mode,
                                           noise_seed=sweep.seed)
-                traj = rollout(ctrl, cfg.reference, plant, cfg.friction,
-                               seed=sweep.rollout_seed(ip, ir), dt=sweep.dt,
-                               horizon=sweep.horizon)
+                traj = rollout(ctrl, ref, plant, cfg.friction,
+                               seed=sweep.rollout_seed(ip, ir), dt=sweep.dt)
                 rmses.append(traj.rmse())
                 n_diverged += int(traj.diverged)
             rmses = np.asarray(rmses)
@@ -180,9 +181,9 @@ class TestEvaluate:
 
         monkeypatch.setattr(runner, "BaselineController", Recording)
         for seed in (1, 2):
-            evaluate_baseline(cfg.reference, cfg.plant, cfg.friction,
-                              SweepSpec(rollouts_per_payload=2, horizon=0.1,
-                                        seed=seed),
+            evaluate_baseline(dataclasses.replace(cfg.reference, horizon=0.1),
+                              cfg.plant, cfg.friction,
+                              SweepSpec(rollouts_per_payload=2, seed=seed),
                               payload_mode="noisy")
         assert len(models) == 2
         assert not np.array_equal(models[0], models[1])
