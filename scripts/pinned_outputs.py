@@ -13,8 +13,8 @@ match line for line.
 The pinned commands: `simulate` and `simulate --shielded` for seeds 0-5
 at the default horizon and at `horizon = 2.0`; `evaluate` with
 `--payload-csv` at tau_z 1, 2 and 5 in each payload mode; `phase1` and
-`rank-scan` at `--tau-z-list 1,2,3,4,5 --window 20 --n-samples 512`;
-`markov-gap` and `sigma-scan` at their defaults.
+`rank-scan --save-operators` at `--tau-z-list 1,2,3,4,5 --window 20
+--n-samples 512`; `markov-gap` and `sigma-scan` at their defaults.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ def commands():
                    ["evaluate", "--tau-z", tz, "--payload-mode", mode,
                     "--payload-csv"], None)
     yield "phase1", ["phase1", *SCAN], None
-    yield "rank_scan", ["rank-scan", *SCAN], None
+    yield "rank_scan", ["rank-scan", *SCAN, "--save-operators"], None
     yield "markov_gap", ["markov-gap"], None
     yield "sigma_scan", ["sigma-scan"], None
 

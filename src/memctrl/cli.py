@@ -110,8 +110,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("compare", "group result files and run the tests")
     p.add_argument("files", nargs="+")
-    p.add_argument("--metric", default="delta_percent")
-    p.add_argument("--group-key", default="architecture")
+    p.add_argument("--metric", default="delta_percent",
+                   help="numeric result attribute, such as rmse_mean")
+    p.add_argument("--group-key", default="architecture",
+                   help="result attribute that labels the groups")
     p.add_argument("--alternative", default="less",
                    choices=["less", "greater", "two-sided"])
     p.add_argument("--out", default="compare")
@@ -175,19 +177,25 @@ def cmd_sigma_scan(args, cfg) -> int:
     return 0
 
 
+def _residual_operator(args, cfg, tz):
+    """The temporal residual operator of rank-scan and phase1: closed-loop
+    gradient samples at tau_z, with --window, --n-samples and --seed."""
+    g = memory_analysis.gradient_samples_closed_loop(
+        tz, cfg.reference, cfg.plant, cfg.friction,
+        window=args.window, n_samples=args.n_samples, dt=cfg.dt,
+        seed=args.seed, gains=cfg.baseline_gains())
+    return memory_analysis.build_residual_operator(g, tau_z=tz)
+
+
 def cmd_rank_scan(args, cfg) -> int:
     out = Path(args.out_dir) / args.out
     rows = []
     for tz in args.tau_z_list:
-        g = memory_analysis.gradient_samples_closed_loop(
-            tz, cfg.reference, cfg.plant, cfg.friction,
-            window=args.window, n_samples=args.n_samples, dt=cfg.dt,
-            seed=args.seed, gains=cfg.baseline_gains())
-        op = memory_analysis.build_residual_operator(g, tau_z=tz)
+        op = _residual_operator(args, cfg, tz)
         if args.save_operators:
             op.write_csv(Path(args.out_dir) / f"operator_tz{tz:g}s.csv")
-        rows.append((tz, memory_analysis.effective_rank(op.matrix), g.shape[0]))
-        print(f"tau_z={tz:g}: r_eff={rows[-1][1]:.3f} (n={g.shape[0]})")
+        rows.append((tz, memory_analysis.effective_rank(op.matrix), op.n_samples))
+        print(f"tau_z={tz:g}: r_eff={rows[-1][1]:.3f} (n={op.n_samples})")
     _write_csv(out, ["tau_z", "effective_rank", "n_samples"], rows)
     print(f"wrote {out}")
     return 0
@@ -201,12 +209,7 @@ def cmd_phase1(args, cfg) -> int:
     config.validate()   # before the first tau_z's sampling
     records = []
     for tz in args.tau_z_list:
-        g = memory_analysis.gradient_samples_closed_loop(
-            tz, cfg.reference, cfg.plant, cfg.friction,
-            window=config.window, n_samples=config.n_samples, dt=cfg.dt,
-            seed=args.seed, gains=cfg.baseline_gains())
-        op = memory_analysis.build_residual_operator(g, tau_z=tz)
-        res = incrt.run_phase1(op, config)
+        res = incrt.run_phase1(_residual_operator(args, cfg, tz), config)
         rec = {"tau_z": tz, "K_star": res.k_star,
                "r_eff": res.effective_rank_final,
                "iterations": res.n_iterations, "converged": res.converged,

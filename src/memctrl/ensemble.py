@@ -60,10 +60,6 @@ class BatchRollout:
     z: np.ndarray       # (n+1, B, 2)
     alive: np.ndarray   # (B,) bool, False once a member blew up
 
-    @property
-    def n_steps(self) -> int:
-        return self.q.shape[0] - 1
-
 
 class BaselineEnsembleSim:
     """Batch of plants under the fixed-gain baseline, steppable from any state.
@@ -205,9 +201,9 @@ class BaselineEnsembleSim:
         tau = self.controller.torque(x[0:2].T, x[2:4].T, ref)
         return rk4_increment(x, tau.T, dt, self.plant, self.fric)
 
-    def run(self, horizon: float, dt: float) -> BatchRollout:
-        """closed_loop of `step` from the batch's reset states."""
-        n = round(horizon / dt)
+    def run(self, n_steps: int, dt: float) -> BatchRollout:
+        """closed_loop of `step` over n_steps steps of dt from the batch's
+        reset states."""
         q, qd, z, n_states = closed_loop(
-            self.x0, n, lambda k, x: self.step(self.reference.at(k * dt), x, dt))
-        return BatchRollout(q=q, qd=qd, z=z, alive=n_states > n)
+            self.x0, n_steps, lambda k, x: self.step(self.reference.at(k * dt), x, dt))
+        return BatchRollout(q=q, qd=qd, z=z, alive=n_states > n_steps)

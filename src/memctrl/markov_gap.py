@@ -72,14 +72,13 @@ class MarkovianPolicy:
         return np.where(np.isnan(z), self.z_mean_global, z)
 
 
-def markovian_policy_fit(pos: np.ndarray, vel: np.ndarray, z: np.ndarray,
-                         fit: tuple[StateBinning, np.ndarray] | None = None
+def markovian_policy_fit(fit: tuple[StateBinning, np.ndarray], z: np.ndarray
                          ) -> MarkovianPolicy:
-    """Conditional-mean estimator of z on a state grid;
-    fit: StateBinning.fit(pos, vel) if already made."""
-    if pos.size < MIN_FIT_SAMPLES:
+    """Conditional-mean estimator of z on a state grid; fit is
+    StateBinning.fit's (binning, cells) of the samples z belongs to."""
+    if z.size < MIN_FIT_SAMPLES:
         raise InsufficientSamples(f"need at least {MIN_FIT_SAMPLES} samples")
-    binning, cell = fit or StateBinning.fit(pos, vel)
+    binning, cell = fit
     n_cells = binning.n_bins ** 2
     sums = np.zeros(n_cells)
     counts = np.zeros(n_cells)
@@ -177,7 +176,9 @@ def markov_gap_experiment(tau_z: float, ref: ReferenceSpec, params: PlantParams,
     half, and the excess C1 (z_hat - z)^2 is averaged on the second.
     gains are the baseline's (fixed_gain_baseline() if None).  Each
     sample time's index must lie in [window, n_steps], so its lag
-    window starts at t >= 0 inside the rollout.
+    window starts at t >= 0 inside the rollout of n_steps steps.  The
+    fit half is binned once, for both the conditional variance and the
+    Markovian policy.
 
     Only the sample-time (q, qd, z) and one member-major copy of the
     measured joint's velocity outlive the rollout; its records are
@@ -196,7 +197,7 @@ def markov_gap_experiment(tau_z: float, ref: ReferenceSpec, params: PlantParams,
         raise ValueError("no sample times fit the window inside the horizon")
     sample_times = np.asarray(sample_times, dtype=float)
     idx = np.round(sample_times / dt).astype(int)
-    n_steps = round(horizon / dt)         # BaselineEnsembleSim.run's count
+    n_steps = round(horizon / dt)         # the rollout's step count
     bad = np.flatnonzero((idx < window) | (idx > n_steps))
     if bad.size:
         raise ValueError(
@@ -205,7 +206,7 @@ def markov_gap_experiment(tau_z: float, ref: ReferenceSpec, params: PlantParams,
             f" must start at t >= 0 and its step lie in the {n_steps}-step rollout")
     task = TaskDistribution(slow_reference=True)
     roll = BaselineEnsembleSim(n_traj, ref, params, fric, seed, task,
-                               gains).run(horizon, dt)
+                               gains).run(n_steps, dt)
     ok = np.flatnonzero(roll.alive)
     if ok.size < 8:
         raise InsufficientSamples("too few surviving trajectories")
@@ -229,8 +230,8 @@ def markov_gap_experiment(tau_z: float, ref: ReferenceSpec, params: PlantParams,
     traj_e = np.tile(ok[half:], idx.size)
 
     fit = StateBinning.fit(pos_f, vel_f, n_bins)
-    sigma2_hat = binned_conditional_variance(pos_f, vel_f, mem_f, fit=fit)
-    policy = markovian_policy_fit(pos_f, vel_f, mem_f, fit=fit)
+    sigma2_hat = binned_conditional_variance(fit, mem_f)
+    policy = markovian_policy_fit(fit, mem_f)
     ex_mk = C1 * (policy.predict_z(pos_e, vel_e) - mem_e) ** 2
     # one half's (T * n, W) windows at a time: the largest arrays here
     recon = windowed_reconstructor_fit(_lag_windows(qd_hist[:half], idx, window),

@@ -73,17 +73,10 @@ class TemporalResidualOperator:
     n_samples: int
     tau_z: float
 
-    def validate(self) -> None:
-        M = self.matrix
-        if not np.allclose(M, M.T, atol=1e-12 * max(1.0, float(np.abs(M).max()))):
-            raise ValueError("operator must be symmetric")
-        if np.linalg.eigvalsh(M)[0] < -1e-10 * max(1.0, float(np.trace(M))):
-            raise ValueError("operator must be PSD up to roundoff")
-
     def write_csv(self, path) -> None:
-        """The matrix under one header line; its mode names the sampler of
-        rank-scan --save-operators, the one writer."""
-        header = (f"# temporal residual operator, tau_z={self.tau_z:g}, "
+        """The matrix under one header line, which np.savetxt prefixes with
+        '# '; mode names the sampler of its one writer, rank-scan."""
+        header = (f"temporal residual operator, tau_z={self.tau_z:g}, "
                   f"n_samples={self.n_samples}, mode=closed-loop-gradient")
         np.savetxt(path, self.matrix, delimiter=",", header=header)
 
@@ -178,6 +171,22 @@ def _position_strata(pos_edges: np.ndarray, pos: np.ndarray, n_bins: int):
     return _stable_order(pi, n_bins), bounds
 
 
+def _strata_cells(vel_edges: np.ndarray, order: np.ndarray, bounds: np.ndarray,
+                  vel_sorted: np.ndarray) -> np.ndarray:
+    """Cell ids, in the samples' original order, of the samples that
+    _position_strata grouped as (order, bounds); vel_sorted = vel[order]."""
+    nb = vel_edges.shape[0]
+    cell_sorted = np.empty(order.size, dtype=np.intp)
+    for b in range(nb):
+        s, e = bounds[b], bounds[b + 1]
+        cell_sorted[s:e] = b * nb + np.clip(
+            np.searchsorted(vel_edges[b], vel_sorted[s:e], side="right") - 1,
+            0, nb - 1)
+    cell = np.empty_like(cell_sorted)
+    cell[order] = cell_sorted
+    return cell
+
+
 @dataclass
 class StateBinning:
     """Nested equal-count partition of the (position, velocity) plane.
@@ -189,9 +198,8 @@ class StateBinning:
     keeps every cell at ~N/(n_bins^2) samples by construction.
 
     fit and cell_index sort the samples once by position stratum (a
-    stable sort) and work on each stratum's contiguous slice, so every
-    stratum sees its samples in their original order.  fit returns the
-    fitted samples' cells from its own sort.
+    stable sort) and take their cells from that sort, so every stratum
+    sees its samples in their original order.
     """
 
     pos_edges: np.ndarray    # (n_bins + 1,)
@@ -215,37 +223,24 @@ class StateBinning:
                 ve[b] = np.linspace(-1.0, 1.0, n_bins + 1)
             else:
                 ve[b] = quantile_bins(sel, n_bins)
-        binning = StateBinning(pos_edges=pe, vel_edges=ve)
-        return binning, binning.cell_index(pos, vel, (order, bounds))
+        return (StateBinning(pos_edges=pe, vel_edges=ve),
+                _strata_cells(ve, order, bounds, vel_sorted))
 
-    def cell_index(self, pos: np.ndarray, vel: np.ndarray,
-                   strata=None) -> np.ndarray:
-        """Cell ids; strata is _position_strata's result if already made."""
-        nb = self.n_bins
-        order, bounds = strata or _position_strata(self.pos_edges, pos, nb)
-        vel_sorted = vel[order]
-        cell_sorted = np.empty(order.size, dtype=np.intp)
-        for b in range(nb):
-            s, e = bounds[b], bounds[b + 1]
-            cell_sorted[s:e] = b * nb + np.clip(
-                np.searchsorted(self.vel_edges[b], vel_sorted[s:e],
-                                side="right") - 1, 0, nb - 1)
-        cell = np.empty_like(cell_sorted)
-        cell[order] = cell_sorted
-        return cell
+    def cell_index(self, pos: np.ndarray, vel: np.ndarray) -> np.ndarray:
+        """Cell ids of the points (pos, vel)."""
+        order, bounds = _position_strata(self.pos_edges, pos, self.n_bins)
+        return _strata_cells(self.vel_edges, order, bounds, vel[order])
 
 
-def binned_conditional_variance(pos: np.ndarray, vel: np.ndarray,
-                                target: np.ndarray, n_bins: int = 12,
-                                fit: tuple[StateBinning, np.ndarray] | None = None
-                                ) -> float:
+def binned_conditional_variance(fit: tuple[StateBinning, np.ndarray],
+                                target: np.ndarray) -> float:
     """E[Var(target | state cell)] over the nested equal-count partition.
 
-    fit: StateBinning.fit(pos, vel, n_bins) if already made.  Raises
-    InsufficientSamples when a populated cell has < MIN_CELL_COUNT
-    samples.
+    fit is StateBinning.fit's (binning, cells) of the samples that
+    target belongs to.  Raises InsufficientSamples when a populated cell
+    has < MIN_CELL_COUNT samples.
     """
-    binning, cell = fit or StateBinning.fit(pos, vel, n_bins)
+    binning, cell = fit
     order = _stable_order(cell, binning.n_bins ** 2)
     t_sorted = target[order]
     cell_sorted = cell[order]
@@ -317,8 +312,8 @@ def sigma_z_broadband(tau_z: float, lambda_z: float, n_traj: int = 2000,
         z *= decay
         z += np.multiply(drive, qd, out=tmp)
         q += np.multiply(dt, qd, out=tmp)
-    mc = binned_conditional_variance(pos.ravel(), vel.ravel(), mem.ravel(),
-                                     n_bins=BROADBAND_BINS)
+    mc = binned_conditional_variance(
+        StateBinning.fit(pos.ravel(), vel.ravel(), BROADBAND_BINS), mem.ravel())
     cf = sigma_z_closed_form(tau_z, lambda_z, vel_scale ** 2 * dt, lambda u: 0.0)
     return SigmaZEstimate(monte_carlo=mc, closed_form=cf,
                           n_samples=mem.size)
@@ -365,19 +360,20 @@ def gradient_samples_closed_loop(tau_z: float, ref: ReferenceSpec,
     Both joints contribute, so n_samples/2 trajectories are simulated;
     samples of members that blew up, or that are not finite, are
     dropped.  gains are the baseline's (fixed_gain_baseline() if None).
+    A window of round(horizon / dt) steps or more, the rollout's length,
+    raises InsufficientHistory before anything is simulated.
     """
     for name, value in (("window", window), ("n_samples", n_samples)):
-        if not value >= 1:   # checked before anything is simulated
+        if not value >= 1:
             raise ValueError(f"{name} must be at least 1, got {value}")
+    n_end = round(horizon / dt)
+    if window >= n_end:
+        raise InsufficientHistory("horizon shorter than the gradient window")
     fric = fric.with_tau_z(tau_z)
     batch = max(1, int(np.ceil(n_samples / 2)))
     sim = BaselineEnsembleSim(batch, ref, params, fric, seed,
                               TaskDistribution(friction_log_sd=0.2), gains)
-    roll = sim.run(horizon, dt)
-    n_end = roll.n_steps
-    n0 = n_end - window
-    if n0 <= 0:
-        raise InsufficientHistory("horizon shorter than the gradient window")
+    roll = sim.run(n_end, dt)
     grads = np.zeros((batch, 2, window))
     # adjoint[:, :, j]: cotangent of z_j at the endpoint over (q, qd, z)
     adjoint = np.zeros((batch, 6, 2))

@@ -96,10 +96,6 @@ def design_lyapunov_form(params: PlantParams, ref_q0: np.ndarray | None = None,
     return form
 
 
-def lyapunov_value(x: ExtendedState, form: LyapunovForm) -> float:
-    return _quadratic_value(np.concatenate([x.e, x.ed]), form)
-
-
 def _quadratic_value(y: np.ndarray, form: LyapunovForm) -> float:
     """V at the stacked error y = (e, ed)."""
     return float(0.5 * y @ form.P @ y)
@@ -264,8 +260,10 @@ class ShieldedController:
 
 
 def shield_report(traj: Trajectory, form: LyapunovForm,
-                  controller_obj=None) -> dict:
-    """Activation fraction, decay ratio and projection-distance histogram."""
+                  controller: ShieldedController) -> dict:
+    """Activation fraction, decay ratio, projection-distance histogram
+    and the count of steps where controller, the shield that ran traj,
+    found the admissible set empty."""
     decay = verify_exponential_decay(traj, form)
     dist = traj.projection_distance
     top = float(dist.max()) if dist.size else 1.0
@@ -277,7 +275,7 @@ def shield_report(traj: Trajectory, form: LyapunovForm,
         hist[0] = dist.size
     else:
         hist, _ = np.histogram(dist, bins=edges)
-    report = {
+    return {
         "activation_fraction": shield_activation_fraction(traj),
         "max_decay_ratio": decay.max_ratio,
         "decay_passed": decay.passed,
@@ -285,8 +283,5 @@ def shield_report(traj: Trajectory, form: LyapunovForm,
             "edges": [float(e) for e in edges],
             "counts": [int(c) for c in hist],
         },
+        "assumption_violations": controller.assumption_violations,
     }
-    if controller_obj is not None:
-        report["assumption_violations"] = getattr(
-            controller_obj, "assumption_violations", 0)
-    return report

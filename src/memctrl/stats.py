@@ -8,12 +8,13 @@ evaluates the regularised incomplete beta by continued fraction.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
+
+from .runner import RunResult
 
 
 class DegenerateVariance(ValueError):
@@ -258,19 +259,26 @@ def build_report(a: SampleSet, b: SampleSet,
 def compare_result_files(paths, metric: str = "delta_percent",
                          group_key: str = "architecture",
                          alternative: str = "less") -> dict:
-    """Group per-run result files and test all group pairs.
+    """Group runner.RunResult files by the attribute group_key and test
+    all group pairs on the numeric attribute metric (rmse_mean included).
 
     Returns {"groups": [...], "pairs": [TestReport...]}, deterministic
     ordering by group label.
     """
     groups: dict[str, list[float]] = {}
     for path in paths:
-        with open(path) as fh:
-            rec = json.load(fh)
-        if metric not in rec or group_key not in rec:
-            raise SchemaMismatch(
-                f"{path}: missing {metric!r} or {group_key!r}")
-        groups.setdefault(str(rec[group_key]), []).append(float(rec[metric]))
+        try:
+            res = RunResult.read_json(path)
+        except KeyError as exc:
+            raise SchemaMismatch(f"{path}: missing {exc}") from None
+        except (TypeError, ValueError) as exc:   # not JSON, or not a record
+            raise SchemaMismatch(f"{path}: not a result file: {exc}") from None
+        value, label = (getattr(res, name, None) for name in (metric, group_key))
+        if value is None or label is None:
+            raise SchemaMismatch(f"{path}: missing {metric!r} or {group_key!r}")
+        if not isinstance(value, (int, float)):
+            raise SchemaMismatch(f"{path}: metric {metric!r} is not a number")
+        groups.setdefault(str(label), []).append(float(value))
     if not groups:
         raise EmptyGroup("no input files matched")
     labels = sorted(groups)

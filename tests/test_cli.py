@@ -1,11 +1,12 @@
 import csv
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from memctrl import incrt, markov_gap, shield
+from memctrl import incrt, markov_gap, runner, shield
 from memctrl import memory_analysis as ma
 from memctrl.cli import main
 from memctrl.config import load_config
@@ -15,6 +16,26 @@ from memctrl.dynamics import BatchReference, rollout
 
 def run_cli(args):
     return main(args)
+
+
+@pytest.fixture(scope="module")
+def evaluate_files(tmp_path_factory):
+    """Six `evaluate --rollouts 2` result files: seeds 42-44 of arch-a
+    (nominal payload) and arch-b (true payload)."""
+    out = tmp_path_factory.mktemp("evaluate")
+    for seed in (42, 43, 44):
+        for arch, mode in (("arch-a", "nominal"), ("arch-b", "true")):
+            assert run_cli(["--out-dir", str(out), "--seed", str(seed),
+                            "evaluate", "--architecture", arch,
+                            "--rollouts", "2", "--payload-mode", mode]) == 0
+    return sorted(str(p) for p in out.glob("*.json"))
+
+
+def one_error_line(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith("memctrl: error: ")
+    assert err.count("\n") == 1
+    return err
 
 
 class TestCLI:
@@ -94,6 +115,51 @@ class TestCLI:
         assert rc == 0
         assert (tmp_path / "compare.csv").exists()
         assert (tmp_path / "compare.md").exists()
+
+    def test_compare_reads_rmse_mean(self, tmp_path, evaluate_files):
+        # rmse_mean, the headline evaluate prints, is derived from the
+        # payload points and not stored in the file
+        rc = run_cli(["--out-dir", str(tmp_path), "compare",
+                      "--metric", "rmse_mean", *evaluate_files])
+        assert rc == 0
+        with open(tmp_path / "compare.csv", newline="") as fh:
+            (row,) = list(csv.DictReader(fh))
+        for group, column in (("arch-a", "mean1"), ("arch-b", "mean2")):
+            vals = [runner.RunResult.read_json(f).rmse_mean
+                    for f in evaluate_files if f"{group}__" in Path(f).name]
+            assert len(vals) == 3
+            assert row[column] == f"{np.mean(vals):.4f}"
+
+    def test_compare_rejects_non_numeric_metric(self, tmp_path, capsys,
+                                                evaluate_files):
+        rc = run_cli(["--out-dir", str(tmp_path), "compare",
+                      "--metric", "payload_rmse", *evaluate_files])
+        assert rc == 1
+        err = one_error_line(capsys)
+        assert f"{evaluate_files[0]}: metric 'payload_rmse' is not a number" in err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("drop", ["seed", "architecture", "payload_rmse"])
+    def test_compare_names_file_missing_a_key(self, tmp_path, capsys,
+                                              evaluate_files, drop):
+        rec = json.loads(Path(evaluate_files[0]).read_text())
+        del rec[drop]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(rec))
+        rc = run_cli(["--out-dir", str(tmp_path), "compare",
+                      *evaluate_files[1:], str(bad)])
+        assert rc == 1
+        assert f"{bad}: missing '{drop}'" in one_error_line(capsys)
+
+    @pytest.mark.parametrize("text", ["[1, 2]", "not json", '{"seed": "x"}'])
+    def test_compare_names_file_that_is_no_result(self, tmp_path, capsys,
+                                                  evaluate_files, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        rc = run_cli(["--out-dir", str(tmp_path), "compare",
+                      *evaluate_files[1:], str(bad)])
+        assert rc == 1
+        assert str(bad) in one_error_line(capsys)
 
     def test_config_file_round_trip(self, tmp_path):
         cfg_file = tmp_path / "plant.cfg"
@@ -403,7 +469,27 @@ class TestConfigBaseline:
                       "--tau-z-list", "1.0", "--window", "6",
                       "--n-samples", "16", "--save-operators"])
         assert rc == 0
-        assert (tmp_path / "operator_tz1s.csv").exists()
+        lines = (tmp_path / "operator_tz1s.csv").read_text().splitlines()
+        # one '# ' comment prefix on the header, then the 6 x 6 matrix
+        assert lines[0] == ("# temporal residual operator, tau_z=1, "
+                            "n_samples=16, mode=closed-loop-gradient")
+        assert len(lines) == 7
+
+    @pytest.mark.parametrize("command", ["rank-scan", "phase1"])
+    def test_window_past_horizon_rejected_before_simulating(
+            self, tmp_path, capsys, monkeypatch, command):
+        # the sampler's 3 s horizon is 300 steps at dt = 0.01
+        from memctrl.ensemble import BaselineEnsembleSim
+
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated before the window was checked")
+
+        monkeypatch.setattr(BaselineEnsembleSim, "run", no_simulation)
+        rc = run_cli(["--out-dir", str(tmp_path), command,
+                      "--tau-z-list", "1", "--window", "300"])
+        assert rc == 1
+        assert "horizon shorter than the gradient window" in one_error_line(capsys)
+        assert not list(tmp_path.iterdir())
 
     def test_ensemble_pipelines_use_config_gains(self, tmp_path):
         cfg_file = tmp_path / "g.cfg"

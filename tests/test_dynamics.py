@@ -437,7 +437,7 @@ class TestEnsembleConsistency:
                                            cfg.friction, seed=seed, task=task)
         assert np.all(sim.reference.phase != 0.0)
         assert np.unique(sim.payload).size == batch
-        roll = sim.run(1.5, 0.01)
+        roll = sim.run(150, 0.01)
         frics = []
         for i in range(batch):
             ref = dataclasses.replace(cfg.reference, horizon=1.5,
@@ -530,7 +530,7 @@ class TestEnsembleConsistency:
                                  eta=np.zeros(6))
         sim = ensemble.BaselineEnsembleSim(2, cfg.reference, cfg.plant,
                                            cfg.friction, seed=0, gains=gains)
-        roll = sim.run(0.1, 0.01)
+        roll = sim.run(10, 0.01)
         pin = HOLD_PINS[case]
         assert np.array_equal(roll.alive, pin["alive"])
         for name in ("q", "qd", "z"):
@@ -549,7 +549,7 @@ class TestEnsembleConsistency:
         sim = ensemble.BaselineEnsembleSim(2, cfg.reference, cfg.plant,
                                            cfg.friction, seed=3, task=task,
                                            gains=gains)
-        roll = sim.run(0.5, 0.01)
+        roll = sim.run(50, 0.01)
         J = sim.step_jacobian(0.3, PlantState(q=roll.q[30], qd=roll.qd[30],
                                              z=roll.z[30]).x, 0.01)
         assert np.array_equal(J, STEP_JACOBIAN_PIN)
@@ -567,7 +567,7 @@ class TestEnsembleConsistency:
         sim = ensemble.BaselineEnsembleSim(4, cfg.reference, cfg.plant,
                                            cfg.friction, seed=3, task=task)
         dt, h = 0.01, 1e-30
-        roll = sim.run(1.0, dt)
+        roll = sim.run(100, dt)
         for k in (10, 50, 90):
             x = np.concatenate([roll.q[k], roll.qd[k], roll.z[k]], axis=-1)
             # (6, B, 6): the leading axis perturbs one state entry each

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from memctrl import markov_gap as mg
-from memctrl.ensemble import BaselineEnsembleSim, TaskDistribution
 from memctrl.memory_analysis import InsufficientSamples, StateBinning
 
 
@@ -28,7 +27,7 @@ class TestMarkovianPolicy:
         pos = rng.uniform(-1, 1, 5000)
         vel = rng.uniform(-1, 1, 5000)
         z = rng.normal(0.3, 1.0, 5000)   # independent of the state
-        pol = mg.markovian_policy_fit(pos, vel, z)
+        pol = mg.markovian_policy_fit(StateBinning.fit(pos, vel), z)
         preds = pol.predict_z(rng.uniform(-1, 1, 50), rng.uniform(-1, 1, 50))
         assert np.std(preds) < 0.15          # bin noise only
         assert np.mean(preds) == pytest.approx(0.3, abs=0.1)
@@ -37,7 +36,7 @@ class TestMarkovianPolicy:
         pos = rng.uniform(-1, 1, 8000)
         vel = rng.uniform(-1, 1, 8000)
         z = 0.8 * vel                        # measurable from the state
-        pol = mg.markovian_policy_fit(pos, vel, z)
+        pol = mg.markovian_policy_fit(StateBinning.fit(pos, vel), z)
         excess = np.mean(0.5 * (pol.predict_z(pos, vel) - z) ** 2)
         var_z = float(np.var(z))
         assert excess < 0.02 * var_z
@@ -49,8 +48,7 @@ class TestMarkovianPolicy:
         pos = rng.uniform(-1, 1, 2000)
         vel = rng.uniform(-1, 0, 2000)
         z = 2.0 + pos
-        pol = mg.markovian_policy_fit(
-            pos, vel, z, fit=(binning, binning.cell_index(pos, vel)))
+        pol = mg.markovian_policy_fit((binning, binning.cell_index(pos, vel)), z)
         assert np.isnan(pol.z_mean[[1, 3]]).all()
         pred = pol.predict_z(np.array([0.5, 0.5]), np.array([0.5, -0.5]))
         assert pred[0] == pol.z_mean_global == float(np.mean(z))
@@ -58,8 +56,9 @@ class TestMarkovianPolicy:
 
     def test_needs_enough_samples(self, rng):
         with pytest.raises(InsufficientSamples):
-            mg.markovian_policy_fit(rng.normal(size=10), rng.normal(size=10),
-                                    rng.normal(size=10))
+            mg.markovian_policy_fit(
+                StateBinning.fit(rng.normal(size=10), rng.normal(size=10)),
+                rng.normal(size=10))
 
 
 def _linear_memory_samples(rng, tau_z, window, dt, lambda_z, n, spread=1.0):
@@ -253,16 +252,6 @@ class TestExperiment:
             mg.markov_gap_experiment(0.5, cfg.reference, cfg.plant,
                                      cfg.friction, n_traj=256, seed=11,
                                      sample_times=times)
-
-    def test_checked_step_count_is_the_rollouts(self, cfg):
-        # the sample-time check, made before the rollout, counts
-        # round(horizon / dt) steps
-        fric = cfg.friction.with_tau_z(0.5)
-        for horizon, dt in ((5.0, 0.01), (12.5, 0.01), (5.0, 0.02)):
-            roll = BaselineEnsembleSim(2, cfg.reference, cfg.plant, fric, 0,
-                                       TaskDistribution(slow_reference=True)
-                                       ).run(horizon, dt)
-            assert roll.n_steps == round(horizon / dt)
 
     def test_window_start_and_last_step_accepted(self, cfg):
         # step 250 = window (lags start at t = 0) and step 500 = n

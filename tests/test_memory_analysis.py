@@ -10,6 +10,13 @@ from memctrl.dynamics import PlantState
 from memctrl.ensemble import BaselineEnsembleSim, TaskDistribution
 
 
+def assert_symmetric_psd(op):
+    """The operator is symmetric and positive semidefinite up to roundoff."""
+    M = op.matrix
+    assert np.allclose(M, M.T, atol=1e-12 * max(1.0, float(np.abs(M).max())))
+    assert np.linalg.eigvalsh(M)[0] >= -1e-10 * max(1.0, float(np.trace(M)))
+
+
 class TestAnalyticGradient:
     def test_no_decay_limit(self):
         v = ma.history_gradient_analytic(1e12, 10, 0.01, lambda_z=4.0)
@@ -45,7 +52,7 @@ class TestResidualOperator:
         g = ma.gradient_samples_linear(tau_z, W, dt, lam, n_samples=512,
                                        jitter=0.05, seed=3)
         op = ma.build_residual_operator(g, tau_z=tau_z)
-        op.validate()
+        assert_symmetric_psd(op)
         w, V = np.linalg.eigh(op.matrix)
         lead = V[:, -1]
         v = ma.history_gradient_analytic(tau_z, W, dt, lam)
@@ -58,7 +65,7 @@ class TestResidualOperator:
         for _ in range(10):
             g = rng.normal(size=(40, 8))
             op = ma.build_residual_operator(g)
-            op.validate()
+            assert_symmetric_psd(op)
 
 
 class TestEffectiveRank:
@@ -155,14 +162,16 @@ class TestSigmaZMonteCarlo:
         pos = rng.uniform(-1, 1, 5000)
         vel = rng.uniform(-1, 1, 5000)
         target = 0.3 * pos + 0.1 * vel
-        spread = ma.binned_conditional_variance(pos, vel, target, n_bins=12)
+        spread = ma.binned_conditional_variance(
+            ma.StateBinning.fit(pos, vel, 12), target)
         assert spread < 0.05 * np.var(target)
 
     def test_insufficient_samples_raises(self, rng):
         pos = rng.uniform(-1, 1, 30)
         vel = rng.uniform(-1, 1, 30)
         with pytest.raises(ma.InsufficientSamples):
-            ma.binned_conditional_variance(pos, vel, pos + vel, n_bins=12)
+            ma.binned_conditional_variance(ma.StateBinning.fit(pos, vel, 12),
+                                           pos + vel)
 
 
 class TestSigmaZPinned:
@@ -290,11 +299,8 @@ class TestBinningMatchesMaskedOracle:
         pe, ve = masked_fit(pos, vel, n_bins)
         expect = masked_conditional_variance(
             masked_cell_index(pe, ve, pos, vel), target)
-        assert ma.binned_conditional_variance(pos, vel, target,
-                                              n_bins=n_bins) == expect
         fit = ma.StateBinning.fit(pos, vel, n_bins)
-        assert ma.binned_conditional_variance(pos, vel, target,
-                                              fit=fit) == expect
+        assert ma.binned_conditional_variance(fit, target) == expect
 
 
 class TestClosedLoopSampler:
@@ -317,14 +323,27 @@ class TestClosedLoopSampler:
                                             cfg.friction, window=8,
                                             n_samples=24, seed=1, horizon=1.0)
         op = ma.build_residual_operator(g, tau_z=2.0)
-        op.validate()
+        assert_symmetric_psd(op)
         assert 1.0 <= ma.effective_rank(op.matrix) <= 8.0
 
-    def test_insufficient_history(self, cfg):
-        with pytest.raises(ma.InsufficientHistory):
-            ma.gradient_samples_closed_loop(1.0, cfg.reference, cfg.plant,
-                                            cfg.friction, window=10,
-                                            n_samples=4, horizon=0.05)
+    def test_insufficient_history(self, cfg, monkeypatch):
+        # a window of round(horizon / dt) steps or more is rejected from
+        # the step count alone, before the ensemble runs
+        def no_rollout(sim, n_steps, dt):
+            raise AssertionError("the ensemble ran")
+
+        monkeypatch.setattr(BaselineEnsembleSim, "run", no_rollout)
+        for window, horizon in ((10, 0.05), (20, 0.2)):
+            with pytest.raises(ma.InsufficientHistory):
+                ma.gradient_samples_closed_loop(1.0, cfg.reference, cfg.plant,
+                                                cfg.friction, window=window,
+                                                n_samples=4, horizon=horizon)
+
+    def test_longest_window_that_fits(self, cfg):
+        g = ma.gradient_samples_closed_loop(1.0, cfg.reference, cfg.plant,
+                                            cfg.friction, window=19,
+                                            n_samples=4, horizon=0.2)
+        assert g.shape == (4, 19)
 
     def test_matches_central_differences_without_sign_term(self, cfg):
         # with f_c = f_smax = 0 the friction law is smooth, so central
@@ -339,8 +358,8 @@ class TestClosedLoopSampler:
         assert g.shape == (n, W)
         sim = BaselineEnsembleSim(n // 2, cfg.reference, cfg.plant, fric,
                                   seed, TaskDistribution(friction_log_sd=0.2))
-        roll = sim.run(horizon, dt)
-        n_end = roll.n_steps
+        n_end = round(horizon / dt)
+        roll = sim.run(n_end, dt)
         fd = np.empty((n // 2, 2, W))
         for k in range(1, W + 1):
             for j in range(2):

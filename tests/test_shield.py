@@ -12,15 +12,21 @@ from memctrl.dynamics import (BatchReference, PlantState, RefPoint, Trajectory,
                               coriolis_matrix, gravity_vector, mass_matrix,
                               rollout, step_rk4, stribeck_force)
 from memctrl.shield import (design_lyapunov_form, halfspace_coeffs,
-                            lyapunov_value, project_admissible,
-                            project_halfspace_box, shield_activation_fraction,
-                            shield_report, verify_exponential_decay)
+                            project_admissible, project_halfspace_box,
+                            shield_activation_fraction, shield_report,
+                            verify_exponential_decay)
 
 
 @pytest.fixture(scope="module")
 def form(cfg):
     return design_lyapunov_form(
         cfg.plant, BatchReference(cfg.reference).at(0.0).q, alpha=0.5)
+
+
+def lyapunov_value(x, form):
+    """V(x) = 0.5 (e, ed)^T P (e, ed), the certificate's quadratic form."""
+    y = np.concatenate([x.e, x.ed])
+    return float(0.5 * y @ form.P @ y)
 
 
 def lyapunov_rate(x, theta, form, params, fric, z=None):
@@ -455,7 +461,7 @@ class TestDecayAndActivation:
         assert sum(two.outer_altered) == 0
         assert np.mean(two.outer_altered) == 0.0
 
-    def test_histogram_of_a_shield_that_never_fires(self, form):
+    def test_histogram_of_a_shield_that_never_fires(self, cfg, form):
         # every distance 0: the edges are all 0, so every step belongs in
         # the first bin, not in the middle bin of a made-up (-0.5, 0.5)
         n = 5
@@ -465,15 +471,20 @@ class TestDecayAndActivation:
                           qd_ref=np.zeros((n + 1, 2)), tau=np.zeros((n, 2)),
                           shield_altered=np.zeros(n, dtype=bool),
                           projection_distance=np.zeros(n))
-        hist = shield_report(traj, form)["projection_distance_histogram"]
+        ctrl = shield.ShieldedController(lambda t, x: fixed_gain_baseline(),
+                                         form, ParamBox(), cfg.plant,
+                                         cfg.friction)
+        report = shield_report(traj, form, ctrl)
+        assert report["assumption_violations"] == 0
+        hist = report["projection_distance_histogram"]
         assert hist["edges"] == [0.0] * 11
         assert hist["counts"] == [n] + [0] * 9
 
     def test_histogram_spans_the_distances_when_it_fires(self, cfg, form):
-        traj, _ = _shielded_rollout(cfg, form)
+        traj, ctrl = _shielded_rollout(cfg, form)
         dist = traj.projection_distance
         assert dist.max() > 0.0
-        hist = shield_report(traj, form)["projection_distance_histogram"]
+        hist = shield_report(traj, form, ctrl)["projection_distance_histogram"]
         assert hist["edges"][0] == 0.0 and hist["edges"][-1] == dist.max()
         assert sum(hist["counts"]) == traj.n_steps
         assert hist["counts"][-1] >= 1
