@@ -14,10 +14,11 @@ The step path holds the state packed in one array x of shape (6,) or
 (6, B), rows q1, q2, qd1, qd2, z1, z2: the plant reads joint rows x[j]
 (numpy scalars, or contiguous (B,) rows) and RK4 combines its stages on
 x whole.  PlantState's q, qd and z are (2,) or (B, 2) views of x, the
-layout of the controllers, the records and the algebra routines, which
-broadcast over leading axes.  Rollouts and ensembles share the one
-reference evaluator BatchReference, the one reset rule reset_state, the
-one integrator rk4_increment and the one blow-up check in closed_loop.
+layout of the controllers, a Trajectory's records and the algebra
+routines, which broadcast over leading axes.  Rollouts and ensembles
+share the one reference evaluator BatchReference, the one reset rule
+reset_state, the one integrator rk4_increment and the one blow-up
+check in closed_loop, which records the selected rows of x time-major.
 """
 
 from __future__ import annotations
@@ -380,23 +381,24 @@ def step_rk4(state: PlantState, torque: np.ndarray, dt: float,
                                       dt, params, fric))
 
 
-def closed_loop(x: np.ndarray, n: int, step):
-    """Record q, qd, z over n steps of step(k, x) -> next packed state.
+def closed_loop(x: np.ndarray, n: int, step, rows=slice(None)):
+    """Record x[rows] over n steps of step(k, x) -> next packed state.
 
     The one divergence check of the simulator: a member whose next state
     fails within_bound is held at its last state from then on.  The
     loop stops when no member is left, and the rows after the stop
-    repeat the held states.  Returns the (n + 1, *members, 2) records of
-    q, qd and z, written from x's views, and each member's count of
+    repeat the held states.  Returns the time-major (n + 1, n_rows,
+    *members) record, one copy of x[rows] per step (rows=slice(None)
+    records the whole packed state), and each member's count of
     recorded states up to its divergence (n + 1 if it never left).
     """
     members = x.shape[1:]   # () for a single state
-    q, qd, z = (np.empty((n + 1, *members, 2)) for _ in range(3))
+    record = np.empty((n + 1, *x[rows].shape))
     alive = np.ones(members, dtype=bool)
     n_states = np.full(members, n + 1)
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n):
-            q[k], qd[k], z[k] = x[0:2].T, x[2:4].T, x[4:6].T
+            record[k] = x[rows]
             new = step(k, x)
             ok = alive & within_bound(new)
             if not ok.all():
@@ -408,8 +410,8 @@ def closed_loop(x: np.ndarray, n: int, step):
             x = new
         else:
             k = n
-    q[k:], qd[k:], z[k:] = x[0:2].T, x[2:4].T, x[4:6].T
-    return q, qd, z, n_states
+    record[k:] = x[rows]
+    return record, n_states
 
 
 @dataclass(frozen=True)
@@ -516,7 +518,10 @@ def rollout(controller, ref: ReferenceSpec, params: PlantParams,
         pdist[k] = dec.projection_distance
         return step_rk4(state, dec.tau, dt, params, fric).x
 
-    q, qd, z, n_states = closed_loop(x0, n, step)
+    record, n_states = closed_loop(x0, n, step)
+    # (n + 1, *members, 2) views of the record
+    q, qd, z = (np.moveaxis(record[:, r], 1, -1)
+                for r in (slice(0, 2), slice(2, 4), slice(4, 6)))
     end = reference.at(t[n])
     q_r[n], qd_r[n] = end.q, end.qd
 

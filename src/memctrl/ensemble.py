@@ -53,11 +53,11 @@ class TaskDistribution:
 
 @dataclass
 class BatchRollout:
-    """Dense state history of a batch of rollouts."""
+    """State record of a batch of rollouts: closed_loop's time-major
+    (n + 1, n_rows, B) record of the rows it was asked for (all six
+    packed rows, q1 q2 qd1 qd2 z1 z2, by default)."""
 
-    q: np.ndarray       # (n+1, B, 2)
-    qd: np.ndarray      # (n+1, B, 2)
-    z: np.ndarray       # (n+1, B, 2)
+    x: np.ndarray       # (n+1, n_rows, B)
     alive: np.ndarray   # (B,) bool, False once a member blew up
 
 
@@ -201,9 +201,10 @@ class BaselineEnsembleSim:
         tau = self.controller.torque(x[0:2].T, x[2:4].T, ref)
         return rk4_increment(x, tau.T, dt, self.plant, self.fric)
 
-    def run(self, n_steps: int, dt: float) -> BatchRollout:
+    def run(self, n_steps: int, dt: float, rows=slice(None)) -> BatchRollout:
         """closed_loop of `step` over n_steps steps of dt from the batch's
-        reset states."""
-        q, qd, z, n_states = closed_loop(
-            self.x0, n_steps, lambda k, x: self.step(self.reference.at(k * dt), x, dt))
-        return BatchRollout(q=q, qd=qd, z=z, alive=n_states > n_steps)
+        reset states, recording the packed rows `rows` of each state."""
+        x, n_states = closed_loop(
+            self.x0, n_steps,
+            lambda k, x: self.step(self.reference.at(k * dt), x, dt), rows)
+        return BatchRollout(x=x, alive=n_states > n_steps)

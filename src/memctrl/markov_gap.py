@@ -26,6 +26,7 @@ ensemble, not from a synthetic process.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,35 +98,50 @@ class WindowedReconstructor:
     weights: np.ndarray      # (W,), lag 1*dt first
     intercept: float
 
-    def predict(self, qd_windows: np.ndarray) -> np.ndarray:
-        return qd_windows @ self.weights + self.intercept
+    def predict(self, blocks: Sequence[np.ndarray]) -> np.ndarray:
+        """Predictions for the rows of the (n_i, W) window blocks, in
+        block order."""
+        return np.concatenate([H @ self.weights for H in blocks]) + self.intercept
 
 
-def windowed_reconstructor_fit(qd_windows: np.ndarray, z: np.ndarray,
-                               overwrite_windows: bool = False
+def windowed_reconstructor_fit(blocks: Sequence[np.ndarray], z: np.ndarray
                                ) -> WindowedReconstructor:
     """Fit the windowed linear reconstructor of the memory state.
 
-    qd_windows rows hold lags 1..W (most recent first).  The ridge is
-    1e-6 tr(X^T X)/W, numerical conditioning only.  The windows are
-    centred in a copy, leaving qd_windows untouched; with
-    overwrite_windows a float qd_windows is centred in place, which
-    saves one window-sized array.
+    blocks is a sequence of (n_i, W) window matrices, typically one per
+    sample time, each row holding lags 1..W (most recent first); z
+    holds the targets of their rows in block order.  Nothing
+    window-sized is built: one pass over the blocks sums the column
+    means, a second adds each centred block's H^T H and H^T z_c to the
+    W x W Gram and the right-hand side, so only one block is centred at
+    a time and the blocks themselves are left untouched.  The ridge is
+    1e-6 tr(H^T H)/W, numerical conditioning only.
     """
-    X = np.array(qd_windows, dtype=float, copy=None if overwrite_windows else True)
     z = np.asarray(z, dtype=float)
-    if X.ndim != 2 or X.shape[0] <= X.shape[1] // 4:
+    if (any(np.ndim(H) != 2 for H in blocks)
+            or len({H.shape[1] for H in blocks}) > 1):
+        raise ValueError("blocks must be 2-D with one common window length")
+    W = blocks[0].shape[1] if len(blocks) else 0
+    n = sum(H.shape[0] for H in blocks)
+    if n != z.size:
+        raise ValueError(f"{n} window rows for {z.size} targets")
+    if n <= W // 4:
         raise ValueError("need substantially more rows than window lags")
-    mean = X.mean(axis=0)
-    X -= mean
+    mean = sum(H.sum(axis=0) for H in blocks) / n
     zc = z - z.mean()
-    gram = X.T @ X
+    gram = np.zeros((W, W))
+    rhs = np.zeros(W)
+    start = 0
+    for H in blocks:
+        Hc = H - mean
+        gram += Hc.T @ Hc
+        rhs += Hc.T @ zc[start:start + H.shape[0]]
+        start += H.shape[0]
     # a column's Gram diagonal is its sum of centred squares
     if np.any(np.diagonal(gram) <= 0.0):
         raise SingularDesign("a lag column carries no excitation")
-    W = X.shape[1]
     gram.flat[::W + 1] += 1e-6 * float(np.trace(gram)) / W
-    w = np.linalg.solve(gram, X.T @ zc)
+    w = np.linalg.solve(gram, rhs)
     return WindowedReconstructor(weights=w, intercept=float(z.mean() - mean @ w))
 
 
@@ -140,17 +156,6 @@ class MarkovGapResult:
     lower_bound: float           # c1 * sigma2_hat
     window: int
     n_eval: int
-
-
-def _lag_windows(hist: np.ndarray, idx: np.ndarray, window: int) -> np.ndarray:
-    """Lags 1..window (most recent first) of each row of hist (n, steps + 1)
-    at each step in idx, time-major, shape (T * n, window): one reversed
-    slice per step."""
-    n = hist.shape[0]
-    out = np.empty((idx.size * n, window))
-    for t, i in enumerate(idx):
-        out[t * n:(t + 1) * n] = hist[:, i - window:i][:, ::-1]
-    return out
 
 
 def _traj_se(values: np.ndarray, traj_ids: np.ndarray) -> float:
@@ -180,10 +185,13 @@ def markov_gap_experiment(tau_z: float, ref: ReferenceSpec, params: PlantParams,
     fit half is binned once, for both the conditional variance and the
     Markovian policy.
 
-    Only the sample-time (q, qd, z) and one member-major copy of the
-    measured joint's velocity outlive the rollout; its records are
-    freed before the ridge fit, which centres its window matrix in
-    place.
+    The rollout records only the measured joint's q, qd and z, three of
+    the six packed rows.  Only their sample-time values and one
+    member-major copy of the joint's velocity outlive it; the record is
+    freed before the ridge fit, which reads each sample time's lag
+    windows as reversed-slice views of that copy and holds no more than
+    one centred (n, W) block, the W x W Gram and one block's W x W
+    product at a time.
     """
     fric = fric.with_tau_z(tau_z)
     if window is None:
@@ -205,8 +213,9 @@ def markov_gap_experiment(tau_z: float, ref: ReferenceSpec, params: PlantParams,
             f" [{window * dt:g}, {n_steps * dt:g}] s: its {window}-lag window"
             f" must start at t >= 0 and its step lie in the {n_steps}-step rollout")
     task = TaskDistribution(slow_reference=True)
+    # joint JOINT's q, qd and z: rows JOINT, 2 + JOINT and 4 + JOINT
     roll = BaselineEnsembleSim(n_traj, ref, params, fric, seed, task,
-                               gains).run(n_steps, dt)
+                               gains).run(n_steps, dt, rows=slice(JOINT, 6, 2))
     ok = np.flatnonzero(roll.alive)
     if ok.size < 8:
         raise InsufficientSamples("too few surviving trajectories")
@@ -219,10 +228,9 @@ def markov_gap_experiment(tau_z: float, ref: ReferenceSpec, params: PlantParams,
             f" x {idx.size} sample times); the fit needs {MIN_FIT_SAMPLES}")
 
     # (T, n_ok) values at the sample times, and (n_ok, n + 1) velocity
-    # histories, so that the records can go before the fit
-    pos, vel, mem = (a[idx[:, None], ok[None, :], JOINT]
-                     for a in (roll.q, roll.qd, roll.z))
-    qd_hist = np.ascontiguousarray(roll.qd[:, ok, JOINT].T)
+    # histories, so that the record can go before the fit
+    pos, vel, mem = (roll.x[idx[:, None], r, ok[None, :]] for r in range(3))
+    qd_hist = roll.x[:, 1].T[ok]   # one gather, no time-major copy
     del roll
 
     pos_f, vel_f, mem_f = (a[:, :half].ravel() for a in (pos, vel, mem))
@@ -233,11 +241,13 @@ def markov_gap_experiment(tau_z: float, ref: ReferenceSpec, params: PlantParams,
     sigma2_hat = binned_conditional_variance(fit, mem_f)
     policy = markovian_policy_fit(fit, mem_f)
     ex_mk = C1 * (policy.predict_z(pos_e, vel_e) - mem_e) ** 2
-    # one half's (T * n, W) windows at a time: the largest arrays here
-    recon = windowed_reconstructor_fit(_lag_windows(qd_hist[:half], idx, window),
-                                       mem_f, overwrite_windows=True)
-    ex_w = C1 * (recon.predict(_lag_windows(qd_hist[half:], idx, window))
-                 - mem_e) ** 2
+    # each sample time's (n, W) lag windows, lags 1..W: reversed-slice
+    # views of the histories, time-major like mem_f and mem_e
+    def lag_windows(hist):
+        return [hist[:, i - window:i][:, ::-1] for i in idx]
+
+    recon = windowed_reconstructor_fit(lag_windows(qd_hist[:half]), mem_f)
+    ex_w = C1 * (recon.predict(lag_windows(qd_hist[half:])) - mem_e) ** 2
 
     return MarkovGapResult(
         tau_z=tau_z, sigma2_hat=float(sigma2_hat),

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import FrictionParams, PlantParams, PlantState, ReferenceSpec
+from .dynamics import FrictionParams, PlantParams, ReferenceSpec
 from .controller import ControllerParams
 from .ensemble import BaselineEnsembleSim, TaskDistribution
 
@@ -381,8 +381,7 @@ def gradient_samples_closed_loop(tau_z: float, ref: ReferenceSpec,
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, window + 1):
             m = n_end - k
-            x = PlantState(q=roll.q[m], qd=roll.qd[m], z=roll.z[m]).x
-            J = sim.step_jacobian(m * dt, x, dt)
+            J = sim.step_jacobian(m * dt, roll.x[m], dt)
             adjoint = np.swapaxes(J, 1, 2) @ adjoint
             grads[:, :, k - 1] = np.diagonal(adjoint[:, 2:4, :], axis1=1,
                                              axis2=2) / dt

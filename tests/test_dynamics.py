@@ -215,6 +215,13 @@ class TestStepRK4:
         assert not within_bound(new.x)
 
 
+def _fields(record):
+    """q, qd and z as (n + 1, *members, 2) views of a full closed_loop
+    record (n + 1, 6, *members)."""
+    return {name: np.moveaxis(record[:, r], 1, -1) for name, r in
+            (("q", slice(0, 2)), ("qd", slice(2, 4)), ("z", slice(4, 6)))}
+
+
 def _three_array_check(q, qd, z):
     # the check closed_loop made on separate q, qd and z arrays
     bound = dynamics.BLOWUP_BOUND
@@ -251,13 +258,41 @@ class TestPackedDivergenceCheck:
                 for a in ("q", "qd", "z")))
         assert np.array_equal(flagged, bad)
 
-        q, qd, z, n_states = dynamics.closed_loop(x0, n, step)
+        record, n_states = dynamics.closed_loop(x0, n, step)
         assert np.array_equal(n_states, np.where(bad, k_bad + 1, n + 1))
         want = np.stack([np.where(bad, xs[min(k, k_bad)], xs[k])
                          for k in range(n + 1)])
-        for rec, rows in ((q, slice(0, 2)), (qd, slice(2, 4)),
-                          (z, slice(4, 6))):
-            assert np.array_equal(rec, np.moveaxis(want[:, rows], 1, -1))
+        assert np.array_equal(record, want)
+
+    @pytest.mark.parametrize("rows", [slice(0, 6, 2), slice(3, 4), 4])
+    @pytest.mark.parametrize("bad", [[False, False, False], [False, True, False],
+                                     [True, True, True]])
+    def test_row_selector_records_the_full_records_rows(self, rows, bad):
+        # member 1, or every member, leaves the bound at step k_bad; with
+        # all three gone the loop stops and the tail repeats the held
+        # states.  A selected record must be the full record's rows.
+        n, k_bad, bad = 8, 3, np.array(bad)
+        x0 = np.linspace(-0.5, 0.5, 18).reshape(6, 3)
+        calls = []
+
+        def step(k, x):
+            calls.append(k)
+            new = x + 0.01 * (k + 1)
+            if k == k_bad:
+                new[2] = np.where(bad, np.nan, new[2])
+            return new
+
+        full, n_full = dynamics.closed_loop(x0, n, step)
+        assert len(calls) == (k_bad + 1 if bad.all() else n)
+        if bad.all():
+            assert np.array_equal(full[k_bad:], np.broadcast_to(
+                full[k_bad], full[k_bad:].shape))
+        calls.clear()
+        part, n_part = dynamics.closed_loop(x0, n, step, rows=rows)
+        assert len(calls) == (k_bad + 1 if bad.all() else n)
+        assert np.array_equal(n_part, n_full)
+        assert part.shape == full[:, rows].shape
+        assert np.array_equal(part, full[:, rows])
 
 
 class TestStepPinned:
@@ -448,9 +483,8 @@ class TestEnsembleConsistency:
                                  for k in ("f_c", "f_smax", "v_s", "sigma")})
             tr = rollout(BaselineController(plant), ref, plant, fric, seed=0)
             assert not tr.diverged and roll.alive[i]
-            for field in ("q", "qd", "z"):
-                assert np.array_equal(getattr(roll, field)[:, i, :],
-                                      getattr(tr, field))
+            for field, rec in _fields(roll.x).items():
+                assert np.array_equal(rec[:, i, :], getattr(tr, field))
             frics.append(fric)
         return frics
 
@@ -533,8 +567,25 @@ class TestEnsembleConsistency:
         roll = sim.run(10, 0.01)
         pin = HOLD_PINS[case]
         assert np.array_equal(roll.alive, pin["alive"])
-        for name in ("q", "qd", "z"):
-            assert np.array_equal(getattr(roll, name), pin[name]), name
+        for name, rec in _fields(roll.x).items():
+            assert np.array_equal(rec, pin[name]), name
+
+    @pytest.mark.parametrize("case", ["some", "all"])
+    @pytest.mark.parametrize("rows", [slice(0, 6, 2), slice(2, 3)])
+    def test_run_row_selector_matches_full_record(self, cfg, case, rows):
+        # the diverging batches of the pinned test: a selected record is
+        # the full record's rows bit for bit, with the same survivors
+        from memctrl import ensemble
+
+        kd = {"some": [[30.0, 30.0], [200.0, 200.0]], "all": [200.0, 200.0]}[case]
+        gains = ControllerParams(kd=np.array(kd), lam=np.full(2, 5.0),
+                                 eta=np.zeros(6))
+        sim = ensemble.BaselineEnsembleSim(2, cfg.reference, cfg.plant,
+                                           cfg.friction, seed=0, gains=gains)
+        full = sim.run(10, 0.01)
+        part = sim.run(10, 0.01, rows=rows)
+        assert np.array_equal(part.alive, full.alive)
+        assert np.array_equal(part.x, full.x[:, rows])
 
     def test_step_jacobian_pinned_with_per_joint_gains(self, cfg):
         # the gains are widened to (B, 2); at B = 2 unpacking them by the
@@ -550,8 +601,7 @@ class TestEnsembleConsistency:
                                            cfg.friction, seed=3, task=task,
                                            gains=gains)
         roll = sim.run(50, 0.01)
-        J = sim.step_jacobian(0.3, PlantState(q=roll.q[30], qd=roll.qd[30],
-                                             z=roll.z[30]).x, 0.01)
+        J = sim.step_jacobian(0.3, roll.x[30], 0.01)
         assert np.array_equal(J, STEP_JACOBIAN_PIN)
 
     def test_step_jacobian_matches_complex_step(self, cfg):
@@ -569,7 +619,7 @@ class TestEnsembleConsistency:
         dt, h = 0.01, 1e-30
         roll = sim.run(100, dt)
         for k in (10, 50, 90):
-            x = np.concatenate([roll.q[k], roll.qd[k], roll.z[k]], axis=-1)
+            x = roll.x[k].T
             # (6, B, 6): the leading axis perturbs one state entry each
             xc = x + 1j * h * np.eye(6)[:, None, :]
             out = np.stack([sim.step(sim.reference.at(k * dt), xi.T, dt).T

@@ -80,16 +80,16 @@ class TestWindowedReconstructor:
         tau_z, dt = 0.2, 0.01
         W = round(5 * tau_z / dt)
         wins, z = _linear_memory_samples(rng, tau_z, W, dt, 2.0, 4000)
-        rec = mg.windowed_reconstructor_fit(wins, z)
-        pred = rec.predict(wins)
+        rec = mg.windowed_reconstructor_fit([wins], z)
+        pred = rec.predict([wins])
         rel = np.sqrt(np.mean((pred - z) ** 2)) / np.sqrt(np.mean(z ** 2))
         assert rel < 0.01
 
     def test_single_lag_leaves_memory_scale_error(self, rng):
         tau_z, dt = 0.5, 0.01
         wins, z = _linear_memory_samples(rng, tau_z, 1, dt, 2.0, 4000)
-        rec = mg.windowed_reconstructor_fit(wins, z)
-        resid = rec.predict(wins) - z
+        rec = mg.windowed_reconstructor_fit([wins], z)
+        resid = rec.predict([wins]) - z
         # one lag barely explains a long memory: residual stays within a
         # factor of two of the full conditional spread
         assert np.sqrt(np.mean(resid ** 2)) > 0.5 * np.std(z)
@@ -100,8 +100,8 @@ class TestWindowedReconstructor:
         errs = []
         for W in Ws:
             wins, z = _linear_memory_samples(rng, tau_z, W, dt, 2.0, 3000)
-            rec = mg.windowed_reconstructor_fit(wins, z)
-            errs.append(np.sqrt(np.mean((rec.predict(wins) - z) ** 2)))
+            rec = mg.windowed_reconstructor_fit([wins], z)
+            errs.append(np.sqrt(np.mean((rec.predict([wins]) - z) ** 2)))
         slope = np.polyfit(Ws, np.log(errs), 1)[0]
         assert slope == pytest.approx(-dt / tau_z, rel=0.15)
 
@@ -109,7 +109,7 @@ class TestWindowedReconstructor:
         tau_z, dt, lam = 0.1, 0.01, 3.0
         W = 60
         wins, z = _linear_memory_samples(rng, tau_z, W, dt, lam, 6000)
-        rec = mg.windowed_reconstructor_fit(wins, z)
+        rec = mg.windowed_reconstructor_fit([wins], z)
         lags = dt * np.arange(1, W + 1)
         kernel = lam * tau_z * (1 - np.exp(-dt / tau_z)) * np.exp(
             -(lags - dt) / tau_z)
@@ -119,38 +119,48 @@ class TestWindowedReconstructor:
         X = np.zeros((100, 5))
         X[:, :4] = np.random.default_rng(0).normal(size=(100, 4))
         with pytest.raises(mg.SingularDesign):
-            mg.windowed_reconstructor_fit(X, np.zeros(100))
+            mg.windowed_reconstructor_fit([X], np.zeros(100))
 
 
-    def test_view_argument_left_untouched(self, rng):
-        wins, z = _linear_memory_samples(rng, 0.1, 40, 0.01, 2.0, 2000)
-        before = wins.copy()
-        rec = mg.windowed_reconstructor_fit(wins, z)
-        assert np.array_equal(wins, before)
-        X = wins.copy()
-        core = mg.windowed_reconstructor_fit(X, z, overwrite_windows=True)
-        assert np.array_equal(rec.weights, core.weights)
-        assert rec.intercept == core.intercept
-        # the in-place fit centred X itself instead of a copy
-        assert np.array_equal(X, before - before.mean(axis=0))
+    def test_blocks_left_untouched(self, rng):
+        # the fit centres one block at a time into its own array; the
+        # blocks, here reversed-slice views of one history, keep their
+        # values
+        hist = rng.normal(size=(300, 80))
+        blocks = [hist[:, i - 40:i][:, ::-1] for i in (40, 55, 80)]
+        before = hist.copy()
+        z = rng.normal(size=900)
+        rec = mg.windowed_reconstructor_fit(blocks, z)
+        assert np.array_equal(hist, before)
+        one = mg.windowed_reconstructor_fit([np.concatenate(blocks)], z)
+        assert np.allclose(rec.weights, one.weights, rtol=1e-9, atol=0)
+
+    @staticmethod
+    def _copy_fit(X, z):
+        # oracle: the fit that centred a copy of the whole window matrix,
+        # tested excitation with X.var and added the ridge as ridge * eye
+        Xc = X - X.mean(axis=0)
+        zc = z - z.mean()
+        gram = Xc.T @ Xc
+        ridge = 1e-6 * float(np.trace(gram)) / X.shape[1]
+        w = np.linalg.solve(gram + ridge * np.eye(X.shape[1]), Xc.T @ zc)
+        return w, float(z.mean() - X.mean(axis=0) @ w)
 
     def test_matches_centred_copy_fit(self, rng):
-        # oracle: the fit that centred a copy, tested excitation with
-        # X.var and added the ridge as ridge * eye
-        def copy_fit(X, z):
-            Xc = X - X.mean(axis=0)
-            zc = z - z.mean()
-            gram = Xc.T @ Xc
-            ridge = 1e-6 * float(np.trace(gram)) / X.shape[1]
-            w = np.linalg.solve(gram + ridge * np.eye(X.shape[1]), Xc.T @ zc)
-            return w, float(z.mean() - X.mean(axis=0) @ w)
-
+        # summing the Gram block by block reorders its sums: held to the
+        # relative 1e-9 of test_outputs_pinned's ridge fields, which move
+        # by ~7e-12 with the BLAS thread count alone
         for W, n in ((1, 500), (30, 1500), (120, 4000)):
             wins, z = _linear_memory_samples(rng, 0.3, W, 0.01, 2.0, n)
             X = np.ascontiguousarray(wins)
-            w, b = copy_fit(X, z)
-            rec = mg.windowed_reconstructor_fit(X, z, overwrite_windows=True)
-            assert np.array_equal(rec.weights, w) and rec.intercept == b
+            w, b = self._copy_fit(X, z)
+            for n_blocks in (1, 5):
+                rec = mg.windowed_reconstructor_fit(
+                    np.array_split(X, n_blocks), z)
+                assert np.allclose(rec.weights, w, rtol=1e-9, atol=0)
+                assert rec.intercept == pytest.approx(b, rel=1e-9, abs=0)
+                pred = rec.predict(np.array_split(X, n_blocks))
+                assert np.array_equal(pred, X @ rec.weights + rec.intercept)
 
     @pytest.mark.parametrize("value", [0.0, 0.5, 0.1, 1e-300])
     def test_constant_column_test_matches_variance(self, value):
@@ -160,31 +170,21 @@ class TestWindowedReconstructor:
         X[:, 2] = value
         singular = bool(np.any(X.var(axis=0) <= 0.0))
         try:
-            mg.windowed_reconstructor_fit(X, np.zeros(100),
-                                          overwrite_windows=True)
+            mg.windowed_reconstructor_fit([X], np.zeros(100))
         except mg.SingularDesign:
             assert singular
         else:
             assert not singular
 
-
-class TestLagWindows:
-    def test_matches_fancy_index_gather(self, rng):
-        # oracle: the gather that indexed the (n + 1, B, 2) record with
-        # a (T, n, W) lag array, kept here
-        n_steps, B, W, joint = 300, 40, 50, mg.JOINT
-        qd = rng.normal(size=(n_steps + 1, B, 2))
-        ok = np.flatnonzero(rng.random(B) > 0.3)
-        idx = np.array([W, 77, 123, 200, 299, n_steps])
-        lag_idx = idx[:, None] - np.arange(1, W + 1)[None, :]
-        hist = np.ascontiguousarray(qd[:, ok, joint].T)
-        half = ok.size // 2
-        for members, rows in ((ok[:half], hist[:half]), (ok[half:], hist[half:])):
-            old = qd[lag_idx[:, None, :], members[None, :, None],
-                     joint].reshape(-1, W)
-            new = mg._lag_windows(rows, idx, W)
-            assert new.flags.c_contiguous
-            assert np.array_equal(new, old)
+    @pytest.mark.parametrize("blocks, z, message", [
+        ([], np.zeros(0), "more rows than window lags"),
+        ([np.ones((10, 4)), np.ones((10, 3))], np.zeros(20), "one common window"),
+        ([np.ones(10)], np.zeros(10), "one common window"),
+        ([np.ones((10, 4))], np.zeros(12), "10 window rows for 12 targets"),
+    ])
+    def test_malformed_blocks_rejected(self, blocks, z, message):
+        with pytest.raises(ValueError, match=message):
+            mg.windowed_reconstructor_fit(blocks, z)
 
 
 @pytest.fixture(scope="module")
@@ -263,12 +263,15 @@ class TestExperiment:
         assert 0.0 < res.excess_windowed < res.excess_markov
 
     def test_traced_peak_within_records_plus_one_fit(self, cfg):
-        # the bound adds the rollout's q, qd, z records, one half's
-        # (T * n, W) window matrix and the W x W Gram as if all were
-        # alive at once, plus 1 MiB for the small arrays of either phase.
-        # Holding the records through the fit together with a centred
-        # copy of the windows peaks at 13.6 MiB here, over the 9.8 MiB
-        # bound; keeping only the records alive already exceeds it.
+        # the bound adds the rollout's record of the measured joint's
+        # three rows, one member-major (n + 1) x B velocity history and
+        # two W x W matrices (the Gram and one block's H^T H) as if all
+        # were alive at once, plus 1 MiB for the small arrays of either
+        # phase, one centred (n, W) block among them.  Recording all six
+        # packed rows as three (n + 1, B, 2) arrays and fitting on one
+        # window matrix of all sample times peaked at 7.6 MiB here, over
+        # the 5.9 MiB bound; one joint's rows and per-block sums peak at
+        # 4.7 MiB.
         tracemalloc.start()
         try:
             res = mg.markov_gap_experiment(0.5, cfg.reference, cfg.plant,
@@ -278,10 +281,10 @@ class TestExperiment:
             tracemalloc.stop()
         W, dt = res.window, 0.01
         n_steps = round(max(mg.HORIZON, W * dt + 2.5) / dt)
-        records = 3 * (n_steps + 1) * 256 * 2 * 8
-        windows = res.n_eval * W * 8     # the fit half is never larger
+        record = 3 * (n_steps + 1) * 256 * 8
+        history = (n_steps + 1) * 256 * 8
         gram = W * W * 8
-        assert peak <= records + windows + gram + 2 ** 20
+        assert peak <= record + history + 2 * gram + 2 ** 20
 
     def test_partial_window_sits_between(self, cfg):
         full = mg.markov_gap_experiment(0.5, cfg.reference, cfg.plant,

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from memctrl import memory_analysis as ma
-from memctrl.dynamics import PlantState
 from memctrl.ensemble import BaselineEnsembleSim, TaskDistribution
 
 
@@ -365,8 +364,7 @@ class TestClosedLoopSampler:
             for j in range(2):
                 zf = []
                 for sign in (1.0, -1.0):
-                    x = PlantState(q=roll.q[n_end - k], qd=roll.qd[n_end - k],
-                                   z=roll.z[n_end - k]).x
+                    x = roll.x[n_end - k].copy()
                     x[2 + j] += sign * eps
                     for m in range(n_end - k, n_end):
                         ref = sim.reference.at(m * dt)
