@@ -179,7 +179,6 @@ class ControlDecision:
 
     tau: np.ndarray
     params: ControllerParams
-    shield_altered: bool = False
     projection_distance: float = 0.0
 
 

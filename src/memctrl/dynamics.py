@@ -425,7 +425,6 @@ class Trajectory:
     q_ref: np.ndarray        # (n+1, 2)
     qd_ref: np.ndarray       # (n+1, 2)
     tau: np.ndarray          # (n, 2), torque applied over [t_k, t_k+1)
-    shield_altered: np.ndarray      # (n,) bool
     projection_distance: np.ndarray  # (n,)
     diverged: bool = False
     seed: int | None = None
@@ -505,7 +504,6 @@ def rollout(controller, ref: ReferenceSpec, params: PlantParams,
     t = np.arange(n + 1) * dt
     q_r = np.empty((n + 1, 2)); qd_r = np.empty((n + 1, 2))
     tau = np.zeros((n, *members, 2))
-    altered = np.zeros((n, *members), dtype=bool)
     pdist = np.zeros((n, *members))
 
     def step(k, x):
@@ -514,7 +512,6 @@ def rollout(controller, ref: ReferenceSpec, params: PlantParams,
         state = PlantState(x=x)
         dec = controller(t[k], state, ref_point)
         tau[k] = dec.tau
-        altered[k] = dec.shield_altered
         pdist[k] = dec.projection_distance
         return step_rk4(state, dec.tau, dt, params, fric).x
 
@@ -531,6 +528,6 @@ def rollout(controller, ref: ReferenceSpec, params: PlantParams,
         xs, us = (slice(0, cut), *i), (slice(0, cut - 1), *i)
         trajs.append(Trajectory(
             t=t[:cut], q=q[xs], qd=qd[xs], z=z[xs], q_ref=q_r[:cut],
-            qd_ref=qd_r[:cut], tau=tau[us], shield_altered=altered[us],
-            projection_distance=pdist[us], diverged=cut <= n, seed=s, dt=dt))
+            qd_ref=qd_r[:cut], tau=tau[us], projection_distance=pdist[us],
+            diverged=cut <= n, seed=s, dt=dt))
     return trajs if batched else trajs[0]

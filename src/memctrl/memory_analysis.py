@@ -35,6 +35,7 @@ from .ensemble import BaselineEnsembleSim, TaskDistribution
 # sigma_z_broadband's sampling design
 BROADBAND_BINS = 12        # state bins per axis
 BROADBAND_STRIDE = 50      # steps between samples of one trajectory
+MIN_TRAJ_SAMPLES = 10      # fewest samples per trajectory after the burn-in
 BURN_IN_FACTOR = 5.0       # stationarity burn-in, in units of tau_z
 Q_SPAN = 10.0              # rad, width of the uniform initial positions
 MIN_CELL_COUNT = 5         # fewest samples a populated state cell may hold
@@ -148,43 +149,24 @@ def quantile_bins(x: np.ndarray, n_bins: int) -> np.ndarray:
     return qs
 
 
-def _stable_order(ids: np.ndarray, n_ids: int) -> np.ndarray:
-    """Stable argsort of integer ids in [0, n_ids).
+def group_means(ids: np.ndarray, values: np.ndarray, n_groups: int
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Per-group counts and means of values over integer ids in [0, n_groups).
 
-    The ids are sorted as the smallest unsigned type that holds them,
-    for which numpy's stable sort is a radix sort; the permutation is
-    the same as that of any other stable sort.
+    Both come from np.bincount, which adds each group's values in sample
+    order (the order np.add.at adds them in); an empty group's mean is NaN.
     """
-    return np.argsort(ids.astype(np.min_scalar_type(n_ids - 1)), kind="stable")
+    counts = np.bincount(ids, minlength=n_groups)
+    with np.errstate(invalid="ignore"):
+        means = np.bincount(ids, weights=values, minlength=n_groups) / counts
+    return counts, means
 
 
-def _position_strata(pos_edges: np.ndarray, pos: np.ndarray, n_bins: int):
-    """Samples grouped by position stratum.
-
-    Returns (order, bounds): pos[order[bounds[b]:bounds[b + 1]]] are the
-    samples of stratum b in their original order.
-    """
-    pi = np.clip(np.searchsorted(pos_edges, pos, side="right") - 1,
-                 0, n_bins - 1)
-    bounds = np.zeros(n_bins + 1, dtype=np.intp)
-    np.cumsum(np.bincount(pi, minlength=n_bins), out=bounds[1:])
-    return _stable_order(pi, n_bins), bounds
-
-
-def _strata_cells(vel_edges: np.ndarray, order: np.ndarray, bounds: np.ndarray,
-                  vel_sorted: np.ndarray) -> np.ndarray:
-    """Cell ids, in the samples' original order, of the samples that
-    _position_strata grouped as (order, bounds); vel_sorted = vel[order]."""
-    nb = vel_edges.shape[0]
-    cell_sorted = np.empty(order.size, dtype=np.intp)
-    for b in range(nb):
-        s, e = bounds[b], bounds[b + 1]
-        cell_sorted[s:e] = b * nb + np.clip(
-            np.searchsorted(vel_edges[b], vel_sorted[s:e], side="right") - 1,
-            0, nb - 1)
-    cell = np.empty_like(cell_sorted)
-    cell[order] = cell_sorted
-    return cell
+def _position_stratum(pos_edges: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """Position stratum of each sample; points outside the edges go to
+    the nearest end stratum."""
+    return np.clip(np.searchsorted(pos_edges, pos, side="right") - 1,
+                   0, pos_edges.size - 2)
 
 
 @dataclass
@@ -196,10 +178,6 @@ class StateBinning:
     concentrate on phase ellipses in (q, qd), so a plain product of
     marginal quantile bins leaves near-empty cells; the nested scheme
     keeps every cell at ~N/(n_bins^2) samples by construction.
-
-    fit and cell_index sort the samples once by position stratum (a
-    stable sort) and take their cells from that sort, so every stratum
-    sees its samples in their original order.
     """
 
     pos_edges: np.ndarray    # (n_bins + 1,)
@@ -212,24 +190,42 @@ class StateBinning:
     @staticmethod
     def fit(pos: np.ndarray, vel: np.ndarray, n_bins: int = 12
             ) -> tuple["StateBinning", np.ndarray]:
-        """The binning fitted to the samples, and their cell ids."""
+        """The binning fitted to the samples, and their cell ids.
+
+        One stable sort groups the velocities by position stratum for
+        the per-stratum quantiles.  The strata are sorted as the smallest
+        unsigned type that holds them, for which numpy's stable sort is
+        a radix sort.
+        """
         pe = quantile_bins(pos, n_bins)
         ve = np.empty((n_bins, n_bins + 1))
-        order, bounds = _position_strata(pe, pos, n_bins)
-        vel_sorted = vel[order]
+        stratum = _position_stratum(pe, pos)
+        bounds = np.zeros(n_bins + 1, dtype=np.intp)
+        np.cumsum(np.bincount(stratum, minlength=n_bins), out=bounds[1:])
+        vel_sorted = vel[np.argsort(
+            stratum.astype(np.min_scalar_type(n_bins - 1)), kind="stable")]
         for b in range(n_bins):
             sel = vel_sorted[bounds[b]:bounds[b + 1]]
             if sel.size == 0:
                 ve[b] = np.linspace(-1.0, 1.0, n_bins + 1)
             else:
                 ve[b] = quantile_bins(sel, n_bins)
-        return (StateBinning(pos_edges=pe, vel_edges=ve),
-                _strata_cells(ve, order, bounds, vel_sorted))
+        binning = StateBinning(pos_edges=pe, vel_edges=ve)
+        return binning, binning.cell_index(pos, vel)
 
     def cell_index(self, pos: np.ndarray, vel: np.ndarray) -> np.ndarray:
-        """Cell ids of the points (pos, vel)."""
-        order, bounds = _position_strata(self.pos_edges, pos, self.n_bins)
-        return _strata_cells(self.vel_edges, order, bounds, vel[order])
+        """Cell ids of the points (pos, vel), with no sort.
+
+        A point's cell is stratum * n_bins plus the count of its
+        stratum's interior velocity edges at or below vel, the same id
+        as clip(searchsorted(edges, vel, 'right') - 1, 0, n_bins - 1).
+        One pass per interior edge keeps every temporary (N,).
+        """
+        stratum = _position_stratum(self.pos_edges, pos)
+        cell = stratum * self.n_bins
+        for edge in self.vel_edges.T[1:-1]:
+            cell += edge[stratum] <= vel
+        return cell
 
 
 def binned_conditional_variance(fit: tuple[StateBinning, np.ndarray],
@@ -237,25 +233,22 @@ def binned_conditional_variance(fit: tuple[StateBinning, np.ndarray],
     """E[Var(target | state cell)] over the nested equal-count partition.
 
     fit is StateBinning.fit's (binning, cells) of the samples that
-    target belongs to.  Raises InsufficientSamples when a populated cell
-    has < MIN_CELL_COUNT samples.
+    target belongs to.  The estimate is sum_c n_c/(n_c - 1) SS_c / N,
+    the count-weighted unbiased cell variances, with each cell's sum of
+    squared deviations SS_c from a second bincount.  Raises
+    InsufficientSamples, naming the first such cell's count, when a
+    populated cell has < MIN_CELL_COUNT samples.
     """
     binning, cell = fit
-    order = _stable_order(cell, binning.n_bins ** 2)
-    t_sorted = target[order]
-    cell_sorted = cell[order]
-    edges = np.concatenate([[0], np.flatnonzero(np.diff(cell_sorted)) + 1,
-                            [cell.size]])
-    total_w, acc = 0, 0.0
-    for s, e in zip(edges[:-1], edges[1:]):
-        n = e - s
-        if n < MIN_CELL_COUNT:
-            raise InsufficientSamples(
-                f"populated bin with {n} < {MIN_CELL_COUNT} samples")
-        seg = t_sorted[s:e]
-        acc += n * float(np.var(seg, ddof=1))
-        total_w += n
-    return acc / total_w
+    counts, means = group_means(cell, target, binning.n_bins ** 2)
+    thin = counts[(counts > 0) & (counts < MIN_CELL_COUNT)]
+    if thin.size:
+        raise InsufficientSamples(
+            f"populated bin with {thin[0]} < {MIN_CELL_COUNT} samples")
+    dev = target - means[cell]
+    ss = np.bincount(cell, weights=dev * dev, minlength=counts.size)
+    # an empty cell adds 0 / -1 * 0
+    return float(np.sum(counts / (counts - 1) * ss)) / cell.size
 
 
 @dataclass
@@ -276,6 +269,10 @@ def sigma_z_broadband(tau_z: float, lambda_z: float, n_traj: int = 2000,
     closed form is evaluated with rho = 0 and qd_variance equal to the
     held-step variance times dt.
 
+    The run lasts horizon, or longer where the burn-in of
+    BURN_IN_FACTOR * tau_z would leave fewer than MIN_TRAJ_SAMPLES
+    samples per trajectory: then it lasts the burn-in plus their span.
+
     Initial positions are drawn uniform over Q_SPAN: without the wide
     reset the position random walk shares its increments with z and the
     position bins drain genuine conditional variance from the estimate.
@@ -291,10 +288,8 @@ def sigma_z_broadband(tau_z: float, lambda_z: float, n_traj: int = 2000,
     if not n_traj >= 1:
         raise ValueError(f"n_traj must be at least 1, got {n_traj}")
     rng = np.random.default_rng(seed)
-    n = round(horizon / dt)
     burn = int(np.ceil(BURN_IN_FACTOR * tau_z / dt))
-    if burn >= n:
-        raise ValueError("horizon too short for the stationarity burn-in")
+    n = max(round(horizon / dt), burn + MIN_TRAJ_SAMPLES * BROADBAND_STRIDE)
     decay = np.exp(-dt / tau_z)
     z = np.zeros(n_traj)
     q = rng.uniform(-0.5 * Q_SPAN, 0.5 * Q_SPAN, n_traj)

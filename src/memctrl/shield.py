@@ -30,7 +30,8 @@ from .dynamics import (FrictionParams, PlantParams, PlantState, RefPoint,
 
 
 # roundoff margin of the projection's feasibility and emptiness tests: a
-# projected point, whose a.v equals rhs up to roundoff, projects to itself
+# projected point, whose a.v equals rhs up to roundoff, projects to itself.
+# The shield fired on a step whose projection moved the proposal further.
 ROUNDOFF = 1e-12
 HIST_BINS = 10   # bins of shield_report's projection-distance histogram
 
@@ -213,10 +214,11 @@ def verify_exponential_decay(traj: Trajectory, form: LyapunovForm,
 
 
 def shield_activation_fraction(traj: Trajectory) -> float:
-    """Fraction of control steps where the projection altered the proposal."""
-    if traj.shield_altered.size == 0:
+    """Fraction of control steps where the projection altered the
+    proposal: moved it by more than ROUNDOFF."""
+    if traj.projection_distance.size == 0:
         return 0.0
-    return float(np.mean(traj.shield_altered))
+    return float(np.mean(traj.projection_distance > ROUNDOFF))
 
 
 class ShieldedController:
@@ -224,8 +226,8 @@ class ShieldedController:
 
     source: callable (t, x) -> ControllerParams proposal.  The true
     payload and memory state come from the simulator; the decision
-    record carries whether the projection fired and how far it moved
-    the proposal.
+    record carries how far the projection moved the proposal (it fired
+    where that exceeds ROUNDOFF).
 
     The non-emptiness assumption can fail on isolated states where the
     uncancellable memory disturbance outweighs the feedback authority
@@ -254,9 +256,7 @@ class ShieldedController:
         d = theta.as_vector() - proposal.as_vector()
         dist = math.sqrt(d.dot(d))    # np.linalg.norm of a 1-D vector
         tau = computed_torque(x, theta, self.params, self.fric)
-        return ControlDecision(tau=tau, params=theta,
-                               shield_altered=dist > 1e-12,
-                               projection_distance=dist)
+        return ControlDecision(tau=tau, params=theta, projection_distance=dist)
 
 
 def shield_report(traj: Trajectory, form: LyapunovForm,

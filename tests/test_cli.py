@@ -63,6 +63,17 @@ class TestCLI:
         assert lines[0] == "tau_z,closed_form,monte_carlo"
         assert len(lines) == 2
 
+    def test_sigma_scan_reaches_long_memory(self, tmp_path, capsys):
+        # the 25 s burn-in at tau_z = 5 outlasts the 20 s horizon; the
+        # run grows to fit it and ten samples per trajectory
+        rc = run_cli(["--out-dir", str(tmp_path), "sigma-scan",
+                      "--tau-z-list", "5", "--n-traj", "200"])
+        assert rc == 0
+        with open(tmp_path / "sigma_scan.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [float(rows[0]["tau_z"])] == [5.0] and len(rows) == 1
+        assert float(rows[0]["monte_carlo"]) > 0.0
+
     def test_rank_scan_and_phase1(self, tmp_path):
         rc = run_cli(["--out-dir", str(tmp_path), "rank-scan",
                       "--tau-z-list", "1.0", "--window", "8",

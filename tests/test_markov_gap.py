@@ -222,12 +222,16 @@ class TestExperiment:
     def test_outputs_pinned(self, cfg):
         # recorded before the ensemble step was widened to (B, 2)
         # operands and the lag windows were gathered per half.  Seven
-        # fields must come out bit for bit.  The two ridge-fit fields
-        # depend on the summation order of Xc.T @ Xc and of the solve,
-        # which changes with the BLAS thread count (relative 6.5e-12 and
-        # 7.9e-12 between 1 and 2 OpenBLAS threads), so they are held to
-        # a relative roundoff bound of 1e-9.  n_bins and the dense sample
-        # times keep enough samples per cell at 64 trajectories.
+        # fields must come out bit for bit; excess_markov_se was
+        # re-recorded when each trajectory's mean came to be summed in
+        # time order, and stays within 1e-13 of its value from the
+        # pairwise-summed per-trajectory np.mean (old_se).  The two
+        # ridge-fit fields depend on the summation order of Xc.T @ Xc
+        # and of the solve, which changes with the BLAS thread count
+        # (relative 6.5e-12 and 7.9e-12 between 1 and 2 OpenBLAS
+        # threads), so they are held to a relative roundoff bound of
+        # 1e-9.  n_bins and the dense sample times keep enough samples
+        # per cell at 64 trajectories.
         res = mg.markov_gap_experiment(0.5, cfg.reference, cfg.plant,
                                        cfg.friction, n_traj=64, n_bins=6,
                                        sample_times=np.arange(2.5, 5.0, 0.05))
@@ -235,10 +239,12 @@ class TestExperiment:
                  "excess_windowed_se": 5.419759964511063e-07}
         for name, value in ridge.items():
             assert getattr(res, name) == pytest.approx(value, rel=1e-9, abs=0)
+        old_se = 0.005185260303242043
+        assert res.excess_markov_se == pytest.approx(old_se, rel=1e-13, abs=0)
         assert dataclasses.replace(res, **ridge) == mg.MarkovGapResult(
             tau_z=0.5, sigma2_hat=0.11387589637645046,
             excess_markov=0.06793442632445963,
-            excess_markov_se=0.005185260303242043,
+            excess_markov_se=0.005185260303242044,
             lower_bound=0.05693794818822523, window=250, n_eval=1600, **ridge)
 
     @pytest.mark.parametrize("times, message", [
@@ -302,22 +308,12 @@ class TestExperiment:
 
 
 class TestOneBinningPass:
-    def test_one_stratification_per_sample_set(self, cfg, monkeypatch):
-        # the fit samples are stratified once, for the binning, the
-        # conditional variance and the policy fit together, and the
-        # evaluation samples once, for the policy's prediction
-        from memctrl import memory_analysis as ma
-
-        sizes = []
-        strata = ma._position_strata
-
-        def counted(pos_edges, pos, n_bins):
-            sizes.append(pos.size)
-            return strata(pos_edges, pos, n_bins)
-
-        monkeypatch.setattr(ma, "_position_strata", counted)
-        res = mg.markov_gap_experiment(0.5, cfg.reference, cfg.plant,
-                                       cfg.friction, n_traj=64, n_bins=6,
-                                       sample_times=np.arange(2.5, 5.0, 0.05))
+    def test_one_stratification_per_sample_set(self, cfg, argsort_sizes):
+        # the fit samples are sorted once, by StateBinning.fit, for the
+        # binning, the conditional variance and the policy fit together;
+        # the policy's prediction looks its cells up with no sort
+        mg.markov_gap_experiment(0.5, cfg.reference, cfg.plant,
+                                 cfg.friction, n_traj=64, n_bins=6,
+                                 sample_times=np.arange(2.5, 5.0, 0.05))
         n_times = np.arange(2.5, 5.0, 0.05).size
-        assert sizes == [32 * n_times, res.n_eval]
+        assert argsort_sizes == [32 * n_times]

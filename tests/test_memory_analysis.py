@@ -174,35 +174,40 @@ class TestSigmaZMonteCarlo:
 
 
 class TestSigmaZPinned:
-    # recorded with the per-step rng.normal sampler and masked binning
-    # that the in-place sampler and the sorted binning replaced
-    @pytest.mark.parametrize("tau_z,vel_scale,n_samples,expected", [
-        (0.5, 1.0, 14000, 0.0406281017058112),
-        (1.0, 1.0, 12000, 0.08084061229459744),
-        (2.0, 1.0, 8000, 0.16488035982038957),
-        (0.5, 0.7, 14000, 0.019912457461931682),
-        (1.0, 0.7, 12000, 0.039654441356062595),
-        (2.0, 0.7, 8000, 0.08091353868397427),
+    # exact values of the bincount reducer; recorded before it came in
+    # (the masked binning's per-cell np.var) as the last column, which
+    # the bincount sums match up to a relative 1e-13
+    @pytest.mark.parametrize("tau_z,vel_scale,n_samples,expected,masked", [
+        (0.5, 1.0, 14000, 0.0406281017058112, 0.0406281017058112),
+        (1.0, 1.0, 12000, 0.08084061229459745, 0.08084061229459744),
+        (2.0, 1.0, 8000, 0.16488035982038968, 0.16488035982038957),
+        (0.5, 0.7, 14000, 0.019912457461931696, 0.019912457461931682),
+        (1.0, 0.7, 12000, 0.03965444135606258, 0.039654441356062595),
+        (2.0, 0.7, 8000, 0.08091353868397423, 0.08091353868397427),
     ])
-    def test_monte_carlo_bitwise(self, tau_z, vel_scale, n_samples, expected):
+    def test_monte_carlo_bitwise(self, tau_z, vel_scale, n_samples, expected,
+                                 masked):
         est = ma.sigma_z_broadband(tau_z, lambda_z=4.0, n_traj=400,
                                    vel_scale=vel_scale, seed=42)
         assert est.monte_carlo == expected
+        assert est.monte_carlo == pytest.approx(masked, rel=1e-13, abs=0)
         assert est.n_samples == n_samples
 
-    def test_one_stratification_per_call(self, monkeypatch):
-        # fit returns the samples' cells from its own sort, so the
-        # estimator stratifies its one sample set once
-        sizes = []
-        strata = ma._position_strata
-
-        def counted(pos_edges, pos, n_bins):
-            sizes.append(pos.size)
-            return strata(pos_edges, pos, n_bins)
-
-        monkeypatch.setattr(ma, "_position_strata", counted)
+    def test_one_stratification_per_call(self, argsort_sizes):
+        # fit sorts its one sample set once, and takes the samples'
+        # cells from the sort-free cell_index
         est = ma.sigma_z_broadband(1.0, lambda_z=4.0, n_traj=400, seed=42)
-        assert sizes == [est.n_samples]
+        assert argsort_sizes == [est.n_samples]
+
+    @pytest.mark.parametrize("tau_z,per_traj", [
+        (2.0, 20), (3.0, 10),   # the 20 s horizon, as before
+        (3.5, 10),              # 5 samples fit in 20 s; the run grows
+        (5.0, 10),              # the 25 s burn-in alone overran 20 s
+    ])
+    def test_at_least_ten_samples_per_trajectory(self, tau_z, per_traj):
+        est = ma.sigma_z_broadband(tau_z, lambda_z=4.0, n_traj=200, seed=42)
+        assert est.n_samples == per_traj * 200
+        assert np.isfinite(est.monte_carlo) and est.monte_carlo > 0.0
 
     @pytest.mark.parametrize("n_traj", [0, -5])
     def test_rejects_fewer_than_one_trajectory(self, n_traj):
@@ -238,7 +243,7 @@ def masked_cell_index(pe, ve, pos, vel):
     return pi * nb + vi
 
 
-def masked_conditional_variance(cell, target, min_count=5):
+def masked_conditional_variance(cell, target, min_count=ma.MIN_CELL_COUNT):
     order = np.argsort(cell, kind="stable")
     t_sorted = target[order]
     cell_sorted = cell[order]
@@ -299,7 +304,56 @@ class TestBinningMatchesMaskedOracle:
         expect = masked_conditional_variance(
             masked_cell_index(pe, ve, pos, vel), target)
         fit = ma.StateBinning.fit(pos, vel, n_bins)
-        assert ma.binned_conditional_variance(fit, target) == expect
+        # bincount sums against the oracle's per-cell np.var: roundoff only
+        assert ma.binned_conditional_variance(fit, target) == pytest.approx(
+            expect, rel=1e-13, abs=0)
+
+    def test_cell_index_outside_and_on_the_edges(self, data, rng):
+        n_bins, pos, vel, _ = data
+        binning, _ = ma.StateBinning.fit(pos, vel, n_bins)
+        pe, ve = binning.pos_edges, binning.vel_edges
+        # every (position edge, velocity edge of each stratum) pair,
+        # points just off the outer edges and far outside them
+        p_on = np.repeat(pe, ve.size)
+        v_on = np.tile(ve.ravel(), pe.size)
+        p_out = np.concatenate([pe[[0, -1]] + [-1e-9, 1e-9], [-1e9, 1e9]])
+        v_out = np.concatenate([ve[:, 0] - 1e-9, ve[:, -1] + 1e-9,
+                                [-1e9, 1e9]])
+        p_all = np.concatenate([p_on, np.repeat(p_out, v_out.size),
+                                rng.choice(pe, v_out.size)])
+        v_all = np.concatenate([v_on, np.tile(v_out, p_out.size), v_out])
+        cell = binning.cell_index(p_all, v_all)
+        assert np.array_equal(cell, masked_cell_index(pe, ve, p_all, v_all))
+        assert cell.min() >= 0 and cell.max() < n_bins ** 2
+
+    def test_thin_cell_error_names_the_oracles_count(self, rng):
+        # 300 samples in 144 cells: some populated cells hold < 5
+        pos, vel = rng.normal(size=300), rng.normal(size=300)
+        fit = ma.StateBinning.fit(pos, vel, 12)
+        with pytest.raises(ma.InsufficientSamples) as oracle:
+            masked_conditional_variance(fit[1], pos)
+        with pytest.raises(ma.InsufficientSamples) as got:
+            ma.binned_conditional_variance(fit, pos)
+        assert str(got.value) == str(oracle.value)
+
+
+class TestGroupMeans:
+    def test_matches_add_at_bitwise(self, rng):
+        # tie-heavy ids: 20 groups, 6 of them empty, 50000 samples
+        n_groups = 20
+        ids = rng.choice([0, 1, 2, 3, 5, 8, 9, 11, 12, 13, 14, 16, 17, 19],
+                         size=50000)
+        values = rng.normal(size=ids.size) * 10.0 ** rng.integers(-8, 8, ids.size)
+        sums, counts = np.zeros(n_groups), np.zeros(n_groups)
+        np.add.at(sums, ids, values)
+        np.add.at(counts, ids, 1.0)
+        with np.errstate(invalid="ignore"):
+            expect = sums / counts
+        got_counts, got = ma.group_means(ids, values, n_groups)
+        assert np.array_equal(got_counts, counts)
+        assert np.array_equal(got, expect, equal_nan=True)
+        assert np.isnan(got[[4, 6, 7, 10, 15, 18]]).all()
+        assert not np.isnan(np.delete(got, [4, 6, 7, 10, 15, 18])).any()
 
 
 class TestClosedLoopSampler:

@@ -402,14 +402,12 @@ class TestDecayAndActivation:
         traj = Trajectory(t=t, q=-e, qd=np.zeros((11, 2)), z=np.zeros((11, 2)),
                           q_ref=np.zeros((11, 2)), qd_ref=np.zeros((11, 2)),
                           tau=np.zeros((10, 2)),
-                          shield_altered=np.zeros(10, dtype=bool),
                           projection_distance=np.zeros(10))
         assert verify_exponential_decay(traj, form, alpha=0.0).passed
         e_bad = 0.1 * np.exp(+0.5 * t)[:, None] * np.ones(2)
         traj_bad = Trajectory(t=t, q=-e_bad, qd=np.zeros((11, 2)),
                               z=np.zeros((11, 2)), q_ref=np.zeros((11, 2)),
                               qd_ref=np.zeros((11, 2)), tau=np.zeros((10, 2)),
-                              shield_altered=np.zeros(10, dtype=bool),
                               projection_distance=np.zeros(10))
         assert not verify_exponential_decay(traj_bad, form, alpha=0.0).passed
 
@@ -469,7 +467,6 @@ class TestDecayAndActivation:
                           q=np.zeros((n + 1, 2)), qd=np.zeros((n + 1, 2)),
                           z=np.zeros((n + 1, 2)), q_ref=np.zeros((n + 1, 2)),
                           qd_ref=np.zeros((n + 1, 2)), tau=np.zeros((n, 2)),
-                          shield_altered=np.zeros(n, dtype=bool),
                           projection_distance=np.zeros(n))
         ctrl = shield.ShieldedController(lambda t, x: fixed_gain_baseline(),
                                          form, ParamBox(), cfg.plant,
@@ -493,12 +490,15 @@ class TestDecayAndActivation:
         t = np.linspace(0, 0.1, 11)
         base = dict(t=t, q=np.zeros((11, 2)), qd=np.zeros((11, 2)),
                     z=np.zeros((11, 2)), q_ref=np.zeros((11, 2)),
-                    qd_ref=np.zeros((11, 2)), tau=np.zeros((10, 2)),
-                    projection_distance=np.zeros(10))
-        all_on = Trajectory(shield_altered=np.ones(10, dtype=bool), **base)
-        all_off = Trajectory(shield_altered=np.zeros(10, dtype=bool), **base)
+                    qd_ref=np.zeros((11, 2)), tau=np.zeros((10, 2)))
+        all_on = Trajectory(projection_distance=np.full(10, 0.1), **base)
+        all_off = Trajectory(projection_distance=np.zeros(10), **base)
         assert shield_activation_fraction(all_on) == 1.0
         assert shield_activation_fraction(all_off) == 0.0
+        # a move of up to ROUNDOFF is roundoff, not a firing
+        half = Trajectory(projection_distance=np.repeat(
+            [shield.ROUNDOFF, 2 * shield.ROUNDOFF], 5), **base)
+        assert shield_activation_fraction(half) == 0.5
 
     def test_activation_tracks_projection_distance(self, cfg, form):
         # perturbed proposal family: activation and mean distance move
