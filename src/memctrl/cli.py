@@ -72,7 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("evaluate", "payload sweep to a result JSON")
     p.add_argument("--tau-z", type=float, default=None)
-    p.add_argument("--architecture", default="baseline-ct")
     p.add_argument("--rollouts", type=int, default=20)
     p.add_argument("--payload-mode", default="nominal",
                    choices=["nominal", "true", "noisy"])
@@ -152,7 +151,6 @@ def cmd_evaluate(args, cfg) -> int:
     res = runner.evaluate_baseline(cfg.reference, cfg.plant, fric, sweep,
                                    payload_mode=args.payload_mode,
                                    gains=cfg.baseline_gains())
-    res.architecture = args.architecture
     out = Path(args.out_dir) / res.filename()
     res.write_json(out)
     if args.payload_csv:
@@ -177,13 +175,12 @@ def cmd_sigma_scan(args, cfg) -> int:
     return 0
 
 
-def _residual_operator(args, cfg, tz):
+def _residual_operator(cfg, tz, window, n_samples, seed):
     """The temporal residual operator of rank-scan and phase1: closed-loop
-    gradient samples at tau_z, with --window, --n-samples and --seed."""
+    gradient samples at tau_z over a window of lags."""
     g = memory_analysis.gradient_samples_closed_loop(
-        tz, cfg.reference, cfg.plant, cfg.friction,
-        window=args.window, n_samples=args.n_samples, dt=cfg.dt,
-        seed=args.seed, gains=cfg.baseline_gains())
+        tz, cfg.reference, cfg.plant, cfg.friction, window=window,
+        n_samples=n_samples, dt=cfg.dt, seed=seed, gains=cfg.baseline_gains())
     return memory_analysis.build_residual_operator(g, tau_z=tz)
 
 
@@ -191,7 +188,8 @@ def cmd_rank_scan(args, cfg) -> int:
     out = Path(args.out_dir) / args.out
     rows = []
     for tz in args.tau_z_list:
-        op = _residual_operator(args, cfg, tz)
+        op = _residual_operator(cfg, tz, args.window, args.n_samples,
+                                args.seed)
         if args.save_operators:
             op.write_csv(Path(args.out_dir) / f"operator_tz{tz:g}s.csv")
         rows.append((tz, memory_analysis.effective_rank(op.matrix), op.n_samples))
@@ -209,7 +207,9 @@ def cmd_phase1(args, cfg) -> int:
     config.validate()   # before the first tau_z's sampling
     records = []
     for tz in args.tau_z_list:
-        res = incrt.run_phase1(_residual_operator(args, cfg, tz), config)
+        op = _residual_operator(cfg, tz, config.window, config.n_samples,
+                                args.seed)
+        res = incrt.run_phase1(op, config)
         rec = {"tau_z": tz, "K_star": res.k_star,
                "r_eff": res.effective_rank_final,
                "iterations": res.n_iterations, "converged": res.converged,

@@ -416,7 +416,8 @@ def closed_loop(x: np.ndarray, n: int, step, rows=slice(None)):
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Record of one rollout on the control grid; immutable after creation."""
+    """Record of one rollout on the control grid (its step is t[1] - t[0]);
+    immutable after creation."""
 
     t: np.ndarray            # (n+1,)
     q: np.ndarray            # (n+1, 2)
@@ -428,7 +429,6 @@ class Trajectory:
     projection_distance: np.ndarray  # (n,)
     diverged: bool = False
     seed: int | None = None
-    dt: float = 0.01
 
     @property
     def n_steps(self) -> int:
@@ -529,5 +529,5 @@ def rollout(controller, ref: ReferenceSpec, params: PlantParams,
         trajs.append(Trajectory(
             t=t[:cut], q=q[xs], qd=qd[xs], z=z[xs], q_ref=q_r[:cut],
             qd_ref=qd_r[:cut], tau=tau[us], projection_distance=pdist[us],
-            diverged=cut <= n, seed=s, dt=dt))
+            diverged=cut <= n, seed=s))
     return trajs if batched else trajs[0]

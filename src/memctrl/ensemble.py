@@ -10,8 +10,10 @@ stored joint-first, the memory order of the state's rows: friction at
 (2, B), gains and reference as (B, 2) views of (2, B) memory, like the
 q and qd views the controller reads.  Another shape or order makes
 numpy run short or strided inner loops, several times slower per
-operation at B = 512.  Used for the sigma_z scans, the temporal-operator sampler and
-the Markov-gap experiment; tests pin each member to a scalar rollout.
+operation at B = 512.  Used for the temporal-operator sampler and the
+Markov-gap experiment (sigma-scan runs memory_analysis's synthetic
+broadband sampler, not the ensemble); tests pin each member to a scalar
+rollout.
 """
 
 from __future__ import annotations

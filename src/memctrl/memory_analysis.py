@@ -33,12 +33,14 @@ from .controller import ControllerParams
 from .ensemble import BaselineEnsembleSim, TaskDistribution
 
 # sigma_z_broadband's sampling design
+BROADBAND_HORIZON = 20.0   # s, shortest run
 BROADBAND_BINS = 12        # state bins per axis
 BROADBAND_STRIDE = 50      # steps between samples of one trajectory
 MIN_TRAJ_SAMPLES = 10      # fewest samples per trajectory after the burn-in
 BURN_IN_FACTOR = 5.0       # stationarity burn-in, in units of tau_z
 Q_SPAN = 10.0              # rad, width of the uniform initial positions
 MIN_CELL_COUNT = 5         # fewest samples a populated state cell may hold
+CLOSED_LOOP_HORIZON = 3.0  # s, gradient_samples_closed_loop's rollout
 
 
 class InsufficientHistory(ValueError):
@@ -259,17 +261,15 @@ class SigmaZEstimate:
 
 
 def sigma_z_broadband(tau_z: float, lambda_z: float, n_traj: int = 2000,
-                      horizon: float = 20.0, dt: float = 0.01,
-                      vel_scale: float = 1.0, seed: int = 0
-                      ) -> SigmaZEstimate:
+                      dt: float = 0.01, seed: int = 0) -> SigmaZEstimate:
     """Monte-Carlo sigma_z^2 under broadband excitation vs the closed form.
 
-    The velocity is per-step white noise (held over dt), integrated to
-    a position channel; z follows the exact per-step propagation.  The
-    closed form is evaluated with rho = 0 and qd_variance equal to the
-    held-step variance times dt.
+    The velocity is per-step standard normal white noise (held over dt),
+    integrated to a position channel; z follows the exact per-step
+    propagation.  The closed form is evaluated with rho = 0 and
+    qd_variance equal to the held-step variance (1) times dt.
 
-    The run lasts horizon, or longer where the burn-in of
+    The run lasts BROADBAND_HORIZON, or longer where the burn-in of
     BURN_IN_FACTOR * tau_z would leave fewer than MIN_TRAJ_SAMPLES
     samples per trajectory: then it lasts the burn-in plus their span.
 
@@ -277,11 +277,10 @@ def sigma_z_broadband(tau_z: float, lambda_z: float, n_traj: int = 2000,
     reset the position random walk shares its increments with z and the
     position bins drain genuine conditional variance from the estimate.
 
-    Each step's velocities are drawn into one buffer and scaled in
-    place, the same stream and values as rng.normal(0, vel_scale,
-    n_traj); z and q are updated in place, and the samples go into
-    preallocated (n_samples, n_traj) arrays.  The loop ends at the last
-    sample step: later draws would never be read.
+    Each step's velocities are drawn into one buffer, the same stream and
+    values as rng.standard_normal(n_traj); z and q are updated in place,
+    and the samples go into preallocated (n_samples, n_traj) arrays.  The
+    loop ends at the last sample step: later draws would never be read.
     """
     if not 0.0 < tau_z < np.inf:
         raise ValueError(f"tau_z must be finite and positive, got {tau_z}")
@@ -289,7 +288,8 @@ def sigma_z_broadband(tau_z: float, lambda_z: float, n_traj: int = 2000,
         raise ValueError(f"n_traj must be at least 1, got {n_traj}")
     rng = np.random.default_rng(seed)
     burn = int(np.ceil(BURN_IN_FACTOR * tau_z / dt))
-    n = max(round(horizon / dt), burn + MIN_TRAJ_SAMPLES * BROADBAND_STRIDE)
+    n = max(round(BROADBAND_HORIZON / dt),
+            burn + MIN_TRAJ_SAMPLES * BROADBAND_STRIDE)
     decay = np.exp(-dt / tau_z)
     z = np.zeros(n_traj)
     q = rng.uniform(-0.5 * Q_SPAN, 0.5 * Q_SPAN, n_traj)
@@ -299,7 +299,6 @@ def sigma_z_broadband(tau_z: float, lambda_z: float, n_traj: int = 2000,
     qd, tmp = np.empty(n_traj), np.empty(n_traj)
     for k in range(burn + (n_samples - 1) * BROADBAND_STRIDE + 1):
         rng.standard_normal(out=qd)
-        qd *= vel_scale
         i, r = divmod(k - burn, BROADBAND_STRIDE)
         if k >= burn and r == 0:
             # z here excludes the current step's drive: independent of qd
@@ -309,7 +308,7 @@ def sigma_z_broadband(tau_z: float, lambda_z: float, n_traj: int = 2000,
         q += np.multiply(dt, qd, out=tmp)
     mc = binned_conditional_variance(
         StateBinning.fit(pos.ravel(), vel.ravel(), BROADBAND_BINS), mem.ravel())
-    cf = sigma_z_closed_form(tau_z, lambda_z, vel_scale ** 2 * dt, lambda u: 0.0)
+    cf = sigma_z_closed_form(tau_z, lambda_z, dt, lambda u: 0.0)
     return SigmaZEstimate(monte_carlo=mc, closed_form=cf,
                           n_samples=mem.size)
 
@@ -334,7 +333,6 @@ def gradient_samples_closed_loop(tau_z: float, ref: ReferenceSpec,
                                  params: PlantParams, fric: FrictionParams,
                                  window: int = 20, n_samples: int = 2048,
                                  dt: float = 0.01, seed: int = 0,
-                                 horizon: float = 3.0,
                                  gains: ControllerParams | None = None
                                  ) -> np.ndarray:
     """Exact history gradients through the closed-loop plant.
@@ -355,13 +353,15 @@ def gradient_samples_closed_loop(tau_z: float, ref: ReferenceSpec,
     Both joints contribute, so n_samples/2 trajectories are simulated;
     samples of members that blew up, or that are not finite, are
     dropped.  gains are the baseline's (fixed_gain_baseline() if None).
-    A window of round(horizon / dt) steps or more, the rollout's length,
+    Each trajectory runs CLOSED_LOOP_HORIZON from its reset, and the
+    samples are taken at its end.  A window of
+    round(CLOSED_LOOP_HORIZON / dt) steps or more, the rollout's length,
     raises InsufficientHistory before anything is simulated.
     """
     for name, value in (("window", window), ("n_samples", n_samples)):
         if not value >= 1:
             raise ValueError(f"{name} must be at least 1, got {value}")
-    n_end = round(horizon / dt)
+    n_end = round(CLOSED_LOOP_HORIZON / dt)
     if window >= n_end:
         raise InsufficientHistory("horizon shorter than the gradient window")
     fric = fric.with_tau_z(tau_z)

@@ -115,20 +115,19 @@ class SweepSpec:
 
 def evaluate_controller(make_controller, ref: ReferenceSpec,
                         params: PlantParams, fric: FrictionParams,
-                        sweep: SweepSpec | None = None,
-                        architecture: str = "baseline-ct",
-                        param_count: int = 0,
+                        architecture: str, sweep: SweepSpec | None = None,
                         baseline_rmse: float | None = None) -> RunResult:
-    """Payload sweep of a controller factory.
+    """Payload sweep of a controller factory, labelled architecture.
 
-    make_controller(plant, fric) -> rollout controller, where plant
-    holds one payload per rollout as a (n_payloads * rollouts,) array.
+    make_controller(plant) -> rollout controller, where plant holds one
+    payload per rollout as a (n_payloads * rollouts,) array.
     All rollouts run over ref.horizon as the members of one batched
     rollout, each reset from its own SweepSpec.rollout_seed.  Diverged
     rollouts keep their truncated RMSE and are counted in flags rather
     than dropped.  When baseline_rmse is None the controller is treated
     as its own baseline (delta_percent = 0 against itself uses the mean
-    over the sweep); architecture and param_count label the result.
+    over the sweep).  The result's param_count is 0: no controller
+    evaluated here has learned parameters.
     """
     sweep = sweep or SweepSpec()
     n_roll = sweep.rollouts_per_payload
@@ -136,7 +135,7 @@ def evaluate_controller(make_controller, ref: ReferenceSpec,
                                                          dtype=float), n_roll))
     seeds = [sweep.rollout_seed(ip, ir) for ip in range(len(PAYLOAD_GRID))
              for ir in range(n_roll)]
-    trajs = rollout(make_controller(plant, fric), ref, plant, fric, seed=seeds,
+    trajs = rollout(make_controller(plant), ref, plant, fric, seed=seeds,
                     dt=sweep.dt)
     rmses = np.array([tr.rmse() for tr in trajs]).reshape(-1, n_roll)
     n_diverged = sum(tr.diverged for tr in trajs)
@@ -147,7 +146,7 @@ def evaluate_controller(make_controller, ref: ReferenceSpec,
     rmse_mean = float(np.mean([p.rmse for p in points]))
     base = rmse_mean if baseline_rmse is None else float(baseline_rmse)
     delta = 100.0 * (rmse_mean - base) / base
-    return RunResult(architecture=architecture, param_count=param_count,
+    return RunResult(architecture=architecture, param_count=0,
                      tau_z=fric.tau_z, seed=sweep.seed, baseline_rmse=base,
                      payload_rmse=points, delta_percent=delta,
                      flags={"diverged_rollouts": n_diverged,
@@ -158,15 +157,21 @@ def evaluate_baseline(ref: ReferenceSpec, params: PlantParams,
                       fric: FrictionParams, sweep: SweepSpec | None = None,
                       payload_mode: str = "nominal", gains=None) -> RunResult:
     """evaluate_controller of the BaselineController; a 'noisy' payload
-    estimate draws its noise from the sweep's seed."""
-    sweep = sweep or SweepSpec()
+    estimate draws its noise from the sweep's seed.
 
-    def make(plant, fr):
+    The label names the payload mode: 'baseline-ct' for 'nominal' (the
+    paper's baseline), 'baseline-ct-true' and 'baseline-ct-noisy' for the
+    other two, so runs in different modes never share a result file.
+    """
+    sweep = sweep or SweepSpec()
+    label = ("baseline-ct" if payload_mode == "nominal"
+             else f"baseline-ct-{payload_mode}")
+
+    def make(plant):
         return BaselineController(plant, gains=gains, payload_mode=payload_mode,
                                   noise_seed=sweep.seed)
 
-    return evaluate_controller(make, ref, params, fric, sweep,
-                               architecture="baseline-ct", param_count=0)
+    return evaluate_controller(make, ref, params, fric, label, sweep)
 
 
 def failure_mode_flag(result: RunResult) -> str:

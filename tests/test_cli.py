@@ -20,14 +20,14 @@ def run_cli(args):
 
 @pytest.fixture(scope="module")
 def evaluate_files(tmp_path_factory):
-    """Six `evaluate --rollouts 2` result files: seeds 42-44 of arch-a
-    (nominal payload) and arch-b (true payload)."""
+    """Six `evaluate --rollouts 2` result files: seeds 42-44 of
+    baseline-ct (nominal payload) and baseline-ct-true (true payload)."""
     out = tmp_path_factory.mktemp("evaluate")
     for seed in (42, 43, 44):
-        for arch, mode in (("arch-a", "nominal"), ("arch-b", "true")):
+        for mode in ("nominal", "true"):
             assert run_cli(["--out-dir", str(out), "--seed", str(seed),
-                            "evaluate", "--architecture", arch,
-                            "--rollouts", "2", "--payload-mode", mode]) == 0
+                            "evaluate", "--rollouts", "2",
+                            "--payload-mode", mode]) == 0
     return sorted(str(p) for p in out.glob("*.json"))
 
 
@@ -109,16 +109,16 @@ class TestCLI:
         assert len(lines) == 2
 
     def test_evaluate_and_compare(self, tmp_path):
-        for seed, arch in [(42, "arch-a"), (43, "arch-a"), (44, "arch-a"),
-                           (42, "arch-b"), (43, "arch-b"), (44, "arch-b")]:
-            rc = run_cli(["--out-dir", str(tmp_path), "--seed", str(seed),
-                          "evaluate", "--architecture", arch,
-                          "--rollouts", "2",
-                          "--payload-mode",
-                          "nominal" if arch == "arch-a" else "true"])
-            assert rc == 0
+        for seed in (42, 43, 44):
+            for mode in ("nominal", "true"):
+                rc = run_cli(["--out-dir", str(tmp_path), "--seed", str(seed),
+                              "evaluate", "--rollouts", "2",
+                              "--payload-mode", mode])
+                assert rc == 0
         files = sorted(str(p) for p in tmp_path.glob("*.json"))
         assert len(files) == 6
+        assert ({runner.RunResult.read_json(f).architecture for f in files}
+                == {"baseline-ct", "baseline-ct-true"})
         # the baseline's delta against itself is identically zero, so
         # compare on the absolute RMSE, which varies across seeds
         rc = run_cli(["--out-dir", str(tmp_path), "compare",
@@ -135,11 +135,49 @@ class TestCLI:
         assert rc == 0
         with open(tmp_path / "compare.csv", newline="") as fh:
             (row,) = list(csv.DictReader(fh))
-        for group, column in (("arch-a", "mean1"), ("arch-b", "mean2")):
+        for group, column in (("baseline-ct", "mean1"),
+                              ("baseline-ct-true", "mean2")):
             vals = [runner.RunResult.read_json(f).rmse_mean
                     for f in evaluate_files if f"{group}__" in Path(f).name]
             assert len(vals) == 3
             assert row[column] == f"{np.mean(vals):.4f}"
+
+    def test_each_payload_mode_has_its_own_label_and_file(self, tmp_path):
+        modes = {"nominal": "baseline-ct", "true": "baseline-ct-true",
+                 "noisy": "baseline-ct-noisy"}
+
+        def evaluate(seed, mode):
+            assert run_cli(["--out-dir", str(tmp_path), "--seed", str(seed),
+                            "evaluate", "--tau-z", "2", "--rollouts", "2",
+                            "--payload-mode", mode]) == 0
+
+        for mode in modes:
+            evaluate(42, mode)
+        files = sorted(tmp_path.glob("*.json"))
+        assert sorted(runner.RunResult.read_json(f).architecture
+                      for f in files) == sorted(modes.values())
+        assert sorted(f.name for f in files) == sorted(
+            f"{label}__tz2s__seed42.json" for label in modes.values())
+        # a second seed gives compare the two runs per label it needs
+        for mode in modes:
+            evaluate(43, mode)
+        rc = run_cli(["--out-dir", str(tmp_path), "compare",
+                      "--metric", "rmse_mean",
+                      *sorted(str(f) for f in tmp_path.glob("*.json"))])
+        assert rc == 0
+        with open(tmp_path / "compare.csv", newline="") as fh:
+            pairs = {(r["group_a"], r["group_b"]) for r in csv.DictReader(fh)}
+        assert pairs == {("baseline-ct", "baseline-ct-noisy"),
+                         ("baseline-ct", "baseline-ct-true"),
+                         ("baseline-ct-noisy", "baseline-ct-true")}
+
+    def test_evaluate_has_no_architecture_flag(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["--out-dir", str(tmp_path), "evaluate",
+                     "--architecture", "X"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --architecture X" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     def test_compare_rejects_non_numeric_metric(self, tmp_path, capsys,
                                                 evaluate_files):

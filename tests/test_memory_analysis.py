@@ -149,10 +149,8 @@ class TestSigmaZMonteCarlo:
         assert est.monte_carlo == pytest.approx(est.closed_form, rel=0.05)
 
     def test_short_memory_is_tiny(self):
-        lo = ma.sigma_z_broadband(0.01, lambda_z=2.0, n_traj=800,
-                                  horizon=4.0, seed=2)
-        hi = ma.sigma_z_broadband(2.0, lambda_z=2.0, n_traj=800,
-                                  horizon=15.0, seed=2)
+        lo = ma.sigma_z_broadband(0.01, lambda_z=2.0, n_traj=800, seed=2)
+        hi = ma.sigma_z_broadband(2.0, lambda_z=2.0, n_traj=800, seed=2)
         assert lo.monte_carlo < 0.01 * hi.monte_carlo
 
     def test_deterministic_target_gives_bin_noise_only(self, rng):
@@ -177,18 +175,13 @@ class TestSigmaZPinned:
     # exact values of the bincount reducer; recorded before it came in
     # (the masked binning's per-cell np.var) as the last column, which
     # the bincount sums match up to a relative 1e-13
-    @pytest.mark.parametrize("tau_z,vel_scale,n_samples,expected,masked", [
-        (0.5, 1.0, 14000, 0.0406281017058112, 0.0406281017058112),
-        (1.0, 1.0, 12000, 0.08084061229459745, 0.08084061229459744),
-        (2.0, 1.0, 8000, 0.16488035982038968, 0.16488035982038957),
-        (0.5, 0.7, 14000, 0.019912457461931696, 0.019912457461931682),
-        (1.0, 0.7, 12000, 0.03965444135606258, 0.039654441356062595),
-        (2.0, 0.7, 8000, 0.08091353868397423, 0.08091353868397427),
+    @pytest.mark.parametrize("tau_z,n_samples,expected,masked", [
+        (0.5, 14000, 0.0406281017058112, 0.0406281017058112),
+        (1.0, 12000, 0.08084061229459745, 0.08084061229459744),
+        (2.0, 8000, 0.16488035982038968, 0.16488035982038957),
     ])
-    def test_monte_carlo_bitwise(self, tau_z, vel_scale, n_samples, expected,
-                                 masked):
-        est = ma.sigma_z_broadband(tau_z, lambda_z=4.0, n_traj=400,
-                                   vel_scale=vel_scale, seed=42)
+    def test_monte_carlo_bitwise(self, tau_z, n_samples, expected, masked):
+        est = ma.sigma_z_broadband(tau_z, lambda_z=4.0, n_traj=400, seed=42)
         assert est.monte_carlo == expected
         assert est.monte_carlo == pytest.approx(masked, rel=1e-13, abs=0)
         assert est.n_samples == n_samples
@@ -200,7 +193,7 @@ class TestSigmaZPinned:
         assert argsort_sizes == [est.n_samples]
 
     @pytest.mark.parametrize("tau_z,per_traj", [
-        (2.0, 20), (3.0, 10),   # the 20 s horizon, as before
+        (2.0, 20), (3.0, 10),   # the 20 s BROADBAND_HORIZON, as before
         (3.5, 10),              # 5 samples fit in 20 s; the run grows
         (5.0, 10),              # the 25 s burn-in alone overran 20 s
     ])
@@ -360,12 +353,10 @@ class TestClosedLoopSampler:
     def test_shapes_and_determinism(self, cfg):
         g1 = ma.gradient_samples_closed_loop(1.0, cfg.reference, cfg.plant,
                                              cfg.friction, window=10,
-                                             n_samples=32, seed=5,
-                                             horizon=1.5)
+                                             n_samples=32, seed=5)
         g2 = ma.gradient_samples_closed_loop(1.0, cfg.reference, cfg.plant,
                                              cfg.friction, window=10,
-                                             n_samples=32, seed=5,
-                                             horizon=1.5)
+                                             n_samples=32, seed=5)
         assert g1.shape[1] == 10
         assert 0 < g1.shape[0] <= 32
         assert np.array_equal(g1, g2)
@@ -374,29 +365,29 @@ class TestClosedLoopSampler:
     def test_operator_from_sampler_is_psd(self, cfg):
         g = ma.gradient_samples_closed_loop(2.0, cfg.reference, cfg.plant,
                                             cfg.friction, window=8,
-                                            n_samples=24, seed=1, horizon=1.0)
+                                            n_samples=24, seed=1)
         op = ma.build_residual_operator(g, tau_z=2.0)
         assert_symmetric_psd(op)
         assert 1.0 <= ma.effective_rank(op.matrix) <= 8.0
 
     def test_insufficient_history(self, cfg, monkeypatch):
-        # a window of round(horizon / dt) steps or more is rejected from
-        # the step count alone, before the ensemble runs
+        # a window of round(CLOSED_LOOP_HORIZON / dt) = 300 steps or more
+        # is rejected from the step count alone, before the ensemble runs
         def no_rollout(sim, n_steps, dt):
             raise AssertionError("the ensemble ran")
 
         monkeypatch.setattr(BaselineEnsembleSim, "run", no_rollout)
-        for window, horizon in ((10, 0.05), (20, 0.2)):
+        for window in (300, 1000):
             with pytest.raises(ma.InsufficientHistory):
                 ma.gradient_samples_closed_loop(1.0, cfg.reference, cfg.plant,
                                                 cfg.friction, window=window,
-                                                n_samples=4, horizon=horizon)
+                                                n_samples=4)
 
     def test_longest_window_that_fits(self, cfg):
         g = ma.gradient_samples_closed_loop(1.0, cfg.reference, cfg.plant,
-                                            cfg.friction, window=19,
-                                            n_samples=4, horizon=0.2)
-        assert g.shape == (4, 19)
+                                            cfg.friction, window=299,
+                                            n_samples=4)
+        assert g.shape == (4, 299)
 
     def test_matches_central_differences_without_sign_term(self, cfg):
         # with f_c = f_smax = 0 the friction law is smooth, so central
@@ -404,14 +395,14 @@ class TestClosedLoopSampler:
         # exact derivative; eps = 1e-6 leaves truncation and roundoff
         # far below the stated bound
         fric = replace(cfg.friction, f_c=0.0, f_smax=0.0).with_tau_z(2.0)
-        W, n, seed, horizon, dt, eps = 8, 32, 4, 1.0, 0.01, 1e-6
+        W, n, seed, dt, eps = 8, 32, 4, 0.01, 1e-6
         g = ma.gradient_samples_closed_loop(2.0, cfg.reference, cfg.plant,
                                             fric, window=W, n_samples=n,
-                                            dt=dt, seed=seed, horizon=horizon)
+                                            dt=dt, seed=seed)
         assert g.shape == (n, W)
         sim = BaselineEnsembleSim(n // 2, cfg.reference, cfg.plant, fric,
                                   seed, TaskDistribution(friction_log_sd=0.2))
-        n_end = round(horizon / dt)
+        n_end = round(ma.CLOSED_LOOP_HORIZON / dt)
         roll = sim.run(n_end, dt)
         fd = np.empty((n // 2, 2, W))
         for k in range(1, W + 1):
@@ -448,8 +439,7 @@ class TestSigmaZGrid:
         # spec invariant grid {0.1, 0.5, 1, 2, 5} s, default excitation
         vals = []
         for tz in (0.1, 0.5, 1.0, 2.0, 5.0):
-            est = ma.sigma_z_broadband(tz, lambda_z=2.0, n_traj=400,
-                                       horizon=max(20.0, 8.0 * tz), seed=4)
+            est = ma.sigma_z_broadband(tz, lambda_z=2.0, n_traj=400, seed=4)
             vals.append(est.monte_carlo)
         assert np.all(np.diff(vals) > 0.0)
 

@@ -388,7 +388,7 @@ class TestDecayAndActivation:
         ed = traj.qd_ref - traj.qd
         y = np.concatenate([e, ed], axis=1)
         V = 0.5 * np.einsum("ni,ij,nj->n", y, form.P, y)
-        dt = traj.dt
+        dt = cfg.dt
         floor = 0.01 * V[0]
         bound = np.exp(-form.alpha * dt) * (1.0 + 50.0 * dt ** 2)
         mask = V[:-1] > floor
