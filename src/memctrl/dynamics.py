@@ -18,7 +18,8 @@ layout of the controllers, a Trajectory's records and the algebra
 routines, which broadcast over leading axes.  Rollouts and ensembles
 share the one reference evaluator BatchReference, the one reset rule
 reset_state, the one integrator rk4_increment and the one blow-up
-check in closed_loop, which records the selected rows of x time-major.
+check in closed_loop, which records the selected steps and rows of x
+time-major.
 """
 
 from __future__ import annotations
@@ -381,24 +382,34 @@ def step_rk4(state: PlantState, torque: np.ndarray, dt: float,
                                       dt, params, fric))
 
 
-def closed_loop(x: np.ndarray, n: int, step, rows=slice(None)):
-    """Record x[rows] over n steps of step(k, x) -> next packed state.
+def closed_loop(x: np.ndarray, n: int, step, keep=np.s_[:, :]):
+    """Record the states x_0 .. x_n of n steps of step(k, x) -> next
+    packed state, as selected by keep.
 
-    The one divergence check of the simulator: a member whose next state
-    fails within_bound is held at its last state from then on.  The
-    loop stops when no member is left, and the rows after the stop
-    repeat the held states.  Returns the time-major (n + 1, n_rows,
-    *members) record, one copy of x[rows] per step (rows=slice(None)
-    records the whole packed state), and each member's count of
-    recorded states up to its divergence (n + 1 if it never left).
+    keep indexes the record's first two axes, the step number and the
+    packed row: np.s_[a:b] keeps the states of steps a .. b - 1 with
+    every row, np.s_[:, rows] every state's rows.  Its steps are one
+    contiguous run, a slice of unit stride.  The one divergence check of
+    the simulator: a member whose next state fails within_bound is held
+    at its last state from then on.  The loop stops when no member is
+    left, and the kept states after the stop repeat the held states.
+    Returns the time-major (n_kept, n_rows, *members) record, one copy
+    of x[rows] per kept step (the default keeps every state's whole
+    packed state), and each member's count of states up to its
+    divergence (n + 1 if it never left).
     """
+    steps, rows = (*np.index_exp[keep], slice(None))[:2]
+    kept = range(n + 1)[steps]
+    if kept.step != 1:
+        raise ValueError("keep's steps must be one slice of unit stride")
     members = x.shape[1:]   # () for a single state
-    record = np.empty((n + 1, *x[rows].shape))
+    record = np.empty((len(kept), *x[rows].shape))
     alive = np.ones(members, dtype=bool)
     n_states = np.full(members, n + 1)
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n):
-            record[k] = x[rows]
+            if k in kept:
+                record[k - kept.start] = x[rows]
             new = step(k, x)
             ok = alive & within_bound(new)
             if not ok.all():
@@ -410,7 +421,7 @@ def closed_loop(x: np.ndarray, n: int, step, rows=slice(None)):
             x = new
         else:
             k = n
-    record[k:] = x[rows]
+    record[max(k - kept.start, 0):] = x[rows]
     return record, n_states
 
 

@@ -56,10 +56,11 @@ class TaskDistribution:
 @dataclass
 class BatchRollout:
     """State record of a batch of rollouts: closed_loop's time-major
-    (n + 1, n_rows, B) record of the rows it was asked for (all six
-    packed rows, q1 q2 qd1 qd2 z1 z2, by default)."""
+    (n_kept, n_rows, B) record of the steps and rows it was asked for
+    (all n + 1 states' six packed rows, q1 q2 qd1 qd2 z1 z2, by
+    default); alive covers the whole run, kept steps or not."""
 
-    x: np.ndarray       # (n+1, n_rows, B)
+    x: np.ndarray       # (n_kept, n_rows, B)
     alive: np.ndarray   # (B,) bool, False once a member blew up
 
 
@@ -203,10 +204,12 @@ class BaselineEnsembleSim:
         tau = self.controller.torque(x[0:2].T, x[2:4].T, ref)
         return rk4_increment(x, tau.T, dt, self.plant, self.fric)
 
-    def run(self, n_steps: int, dt: float, rows=slice(None)) -> BatchRollout:
+    def run(self, n_steps: int, dt: float, keep=np.s_[:, :]) -> BatchRollout:
         """closed_loop of `step` over n_steps steps of dt from the batch's
-        reset states, recording the packed rows `rows` of each state."""
+        reset states, recording the steps and packed rows that keep
+        selects (closed_loop's selector; every row of every state by
+        default)."""
         x, n_states = closed_loop(
             self.x0, n_steps,
-            lambda k, x: self.step(self.reference.at(k * dt), x, dt), rows)
+            lambda k, x: self.step(self.reference.at(k * dt), x, dt), keep)
         return BatchRollout(x=x, alive=n_states > n_steps)

@@ -109,8 +109,17 @@ def windowed_reconstructor_fit(blocks: Sequence[np.ndarray], z: np.ndarray
     window-sized is built: one pass over the blocks sums the column
     means, a second adds each centred block's H^T H and H^T z_c to the
     W x W Gram and the right-hand side, so only one block is centred at
-    a time and the blocks themselves are left untouched.  The ridge is
-    1e-6 tr(H^T H)/W, numerical conditioning only.
+    a time and the blocks themselves are left untouched.
+
+    H^T H is added to the Gram's upper triangle in column panels as wide
+    as the tallest block, gram[:j1, j0:j1] += H[:, :j1]^T H[:, j0:j1],
+    and the strictly lower panels are mirrored once at the end, so no
+    product is larger than one block; a W x W product per block would
+    add a second Gram-sized array.  One width serves every block, since
+    the mirror copies the same panels for all of them.  The function
+    drops its reference to the blocks before the solve, so windows that
+    the caller holds only through the argument are freed first.  The
+    ridge is 1e-6 tr(H^T H)/W, numerical conditioning only.
     """
     z = np.asarray(z, dtype=float)
     if (any(np.ndim(H) != 2 for H in blocks)
@@ -124,14 +133,21 @@ def windowed_reconstructor_fit(blocks: Sequence[np.ndarray], z: np.ndarray
         raise ValueError("need substantially more rows than window lags")
     mean = sum(H.sum(axis=0) for H in blocks) / n
     zc = z - z.mean()
+    width = max(H.shape[0] for H in blocks)
     gram = np.zeros((W, W))
     rhs = np.zeros(W)
     start = 0
     for H in blocks:
         Hc = H - mean
-        gram += Hc.T @ Hc
+        for j0 in range(0, W, width):
+            j1 = j0 + width
+            gram[:j1, j0:j1] += Hc[:, :j1].T @ Hc[:, j0:j1]
         rhs += Hc.T @ zc[start:start + H.shape[0]]
         start += H.shape[0]
+    del blocks, H, Hc
+    for j0 in range(0, W, width):
+        j1 = j0 + width
+        gram[j1:, j0:j1] = gram[j0:j1, j1:].T
     # a column's Gram diagonal is its sum of centred squares
     if np.any(np.diagonal(gram) <= 0.0):
         raise SingularDesign("a lag column carries no excitation")
@@ -184,12 +200,26 @@ def markov_gap_experiment(tau_z: float, ref: ReferenceSpec, params: PlantParams,
     Markovian policy.
 
     The rollout records only the measured joint's q, qd and z, three of
-    the six packed rows.  Only their sample-time values and one
-    member-major copy of the joint's velocity outlive it; the record is
-    freed before the ridge fit, which reads each sample time's lag
-    windows as reversed-slice views of that copy and holds no more than
-    one centred (n, W) block, the W x W Gram and one block's W x W
-    product at a time.
+    the six packed rows.  Only their sample-time values and two
+    member-major copies of the joint's velocity, one per half, outlive
+    it; the record is freed before the ridge fit, which reads each
+    sample time's lag windows as reversed-slice views of a half's copy
+    and holds one centred (n, W) block, the W x W Gram and one panel
+    product of at most W x n at a time.  The fit half's copy is passed
+    without a name, so it is freed before the solve, whose W x W copy
+    of the Gram meets only the evaluation half's history.
+
+    Memory, at the default tau_z = 2 s (W = 1000, 1250 steps, 512
+    trajectories): the peak of traced memory now sits where the record
+    hands over to the histories, 19.7 MiB, not in the fit (22.4 MiB
+    when each block added a W x W product).  The process's peak RSS
+    follows glibc's reuse of freed pages rather than the array sizes,
+    so each variant was measured with the benchmark (memory-stats
+    peak_rss_mb, one run each): 68.4 MiB with a W x W product per block
+    and one history array; 68.45 with the panel Gram alone, and 68.45
+    with the fit history freed alone; 64.6 with both.  Recording only
+    the velocity row, with q and z captured at the sample steps, read
+    67.8, because the solve's W x W copy then lands on fresh pages.
     """
     fric = fric.with_tau_z(tau_z)
     if window is None:
@@ -213,7 +243,7 @@ def markov_gap_experiment(tau_z: float, ref: ReferenceSpec, params: PlantParams,
     task = TaskDistribution(slow_reference=True)
     # joint JOINT's q, qd and z: rows JOINT, 2 + JOINT and 4 + JOINT
     roll = BaselineEnsembleSim(n_traj, ref, params, fric, seed, task,
-                               gains).run(n_steps, dt, rows=slice(JOINT, 6, 2))
+                               gains).run(n_steps, dt, keep=np.s_[:, JOINT::2])
     ok = np.flatnonzero(roll.alive)
     if ok.size < 8:
         raise InsufficientSamples("too few surviving trajectories")
@@ -225,10 +255,11 @@ def markov_gap_experiment(tau_z: float, ref: ReferenceSpec, params: PlantParams,
             f"n_traj={n_traj} gives {n_fit} fit samples ({half} surviving trajectories"
             f" x {idx.size} sample times); the fit needs {MIN_FIT_SAMPLES}")
 
-    # (T, n_ok) values at the sample times, and (n_ok, n + 1) velocity
-    # histories, so that the record can go before the fit
+    # (T, n_ok) values at the sample times, and the fit and evaluation
+    # halves' (n_half, n + 1) velocity histories, so that the record can
+    # go before the fit
     pos, vel, mem = (roll.x[idx[:, None], r, ok[None, :]] for r in range(3))
-    qd_hist = roll.x[:, 1].T[ok]   # one gather, no time-major copy
+    hist = [roll.x[:, 1].T[ok[:half]], roll.x[:, 1].T[ok[half:]]]
     del roll
 
     pos_f, vel_f, mem_f = (a[:, :half].ravel() for a in (pos, vel, mem))
@@ -240,11 +271,13 @@ def markov_gap_experiment(tau_z: float, ref: ReferenceSpec, params: PlantParams,
     ex_mk = C1 * (policy.predict_z(pos_e, vel_e) - mem_e) ** 2
     # each sample time's (n, W) lag windows, lags 1..W: reversed-slice
     # views of the histories, time-major like mem_f and mem_e
-    def lag_windows(hist):
-        return [hist[:, i - window:i][:, ::-1] for i in idx]
+    def lag_windows(h):
+        return [h[:, i - window:i][:, ::-1] for i in idx]
 
-    recon = windowed_reconstructor_fit(lag_windows(qd_hist[:half]), mem_f)
-    ex_w = C1 * (recon.predict(lag_windows(qd_hist[half:])) - mem_e) ** 2
+    # the fit half's windows are held by the argument alone, so the fit
+    # frees that history before its solve
+    recon = windowed_reconstructor_fit(lag_windows(hist.pop(0)), mem_f)
+    ex_w = C1 * (recon.predict(lag_windows(hist.pop())) - mem_e) ** 2
 
     return MarkovGapResult(
         tau_z=tau_z, sigma2_hat=float(sigma2_hat),

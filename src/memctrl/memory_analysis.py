@@ -349,7 +349,9 @@ def gradient_samples_closed_loop(tau_z: float, ref: ReferenceSpec,
     One reverse (adjoint) sweep per joint over the last `window` steps
     gives every lag: the cotangent of z_j is pulled back through the
     transposed step Jacobians (BaselineEnsembleSim.step_jacobian) along
-    the stored trajectory; the two joints' sweeps run side by side.
+    the stored trajectory; the two joints' sweeps run side by side.  The
+    rollout records only the `window` states that the sweep reads, those
+    of steps n_end - window .. n_end - 1, not all n_end + 1.
     Both joints contribute, so n_samples/2 trajectories are simulated;
     samples of members that blew up, or that are not finite, are
     dropped.  gains are the baseline's (fixed_gain_baseline() if None).
@@ -368,7 +370,7 @@ def gradient_samples_closed_loop(tau_z: float, ref: ReferenceSpec,
     batch = max(1, int(np.ceil(n_samples / 2)))
     sim = BaselineEnsembleSim(batch, ref, params, fric, seed,
                               TaskDistribution(friction_log_sd=0.2), gains)
-    roll = sim.run(n_end, dt)
+    roll = sim.run(n_end, dt, keep=np.s_[n_end - window:n_end])
     grads = np.zeros((batch, 2, window))
     # adjoint[:, :, j]: cotangent of z_j at the endpoint over (q, qd, z)
     adjoint = np.zeros((batch, 6, 2))
@@ -376,7 +378,7 @@ def gradient_samples_closed_loop(tau_z: float, ref: ReferenceSpec,
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, window + 1):
             m = n_end - k
-            J = sim.step_jacobian(m * dt, roll.x[m], dt)
+            J = sim.step_jacobian(m * dt, roll.x[window - k], dt)
             adjoint = np.swapaxes(J, 1, 2) @ adjoint
             grads[:, :, k - 1] = np.diagonal(adjoint[:, 2:4, :], axis1=1,
                                              axis2=2) / dt

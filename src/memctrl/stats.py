@@ -263,7 +263,11 @@ def compare_result_files(paths, metric: str = "delta_percent",
     all group pairs on the numeric attribute metric (rmse_mean included).
 
     Returns {"groups": [...], "pairs": [TestReport...]}, deterministic
-    ordering by group label.
+    ordering by group label.  Two groups whose values are all equal
+    leave Welch's t and Cohen's d undefined for their pair, so the call
+    raises DegenerateVariance naming the metric and every such group:
+    the delta_percent of `memctrl evaluate` files, for one, is 0 in
+    every file, since each run is its own baseline.
     """
     groups: dict[str, list[float]] = {}
     for path in paths:
@@ -282,6 +286,12 @@ def compare_result_files(paths, metric: str = "delta_percent",
     if not groups:
         raise EmptyGroup("no input files matched")
     labels = sorted(groups)
+    flat = [lab for lab in labels
+            if len(groups[lab]) > 1 and min(groups[lab]) == max(groups[lab])]
+    if len(flat) > 1:
+        raise DegenerateVariance(
+            f"metric {metric!r} has zero spread in groups {', '.join(flat)}:"
+            " no pair of them can be tested")
     sets = [SampleSet(label=lab, values=np.array(groups[lab])) for lab in labels]
     summaries = []
     for s in sets:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -30,3 +32,20 @@ def argsort_sizes(monkeypatch):
 
     monkeypatch.setattr(np, "argsort", counted)
     return sizes
+
+
+@pytest.fixture()
+def traced_peak():
+    """measure(fn, *args, **kwargs) calls fn under tracemalloc and returns
+    its result and the peak of the memory traced during the call, in
+    bytes; what the arguments held before the call is not counted."""
+    def measure(fn, *args, **kwargs):
+        tracemalloc.start()
+        try:
+            result = fn(*args, **kwargs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return result, peak
+
+    return measure

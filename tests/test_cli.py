@@ -188,6 +188,18 @@ class TestCLI:
         assert f"{evaluate_files[0]}: metric 'payload_rmse' is not a number" in err
         assert not list(tmp_path.iterdir())
 
+    def test_compare_names_metric_without_spread(self, tmp_path, capsys,
+                                                 evaluate_files):
+        # evaluate makes each run its own baseline, so the default metric,
+        # delta_percent, is 0 in every file and neither label varies
+        files = [f for f in evaluate_files if "seed44" not in f]
+        assert len(files) == 4
+        rc = run_cli(["--out-dir", str(tmp_path), "compare", *files])
+        assert rc == 1
+        assert ("metric 'delta_percent' has zero spread in groups baseline-ct,"
+                " baseline-ct-true" in one_error_line(capsys))
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("drop", ["seed", "architecture", "payload_rmse"])
     def test_compare_names_file_missing_a_key(self, tmp_path, capsys,
                                               evaluate_files, drop):

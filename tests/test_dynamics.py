@@ -288,11 +288,38 @@ class TestPackedDivergenceCheck:
             assert np.array_equal(full[k_bad:], np.broadcast_to(
                 full[k_bad], full[k_bad:].shape))
         calls.clear()
-        part, n_part = dynamics.closed_loop(x0, n, step, rows=rows)
+        part, n_part = dynamics.closed_loop(x0, n, step, keep=np.s_[:, rows])
         assert len(calls) == (k_bad + 1 if bad.all() else n)
         assert np.array_equal(n_part, n_full)
         assert part.shape == full[:, rows].shape
         assert np.array_equal(part, full[:, rows])
+
+    @pytest.mark.parametrize("keep", [np.s_[2:], np.s_[5:], np.s_[8:],
+                                      np.s_[2:6], np.s_[5:7, 2], np.s_[0:0]])
+    @pytest.mark.parametrize("bad", [[False, True, False], [True, True, True]])
+    def test_step_selector_records_the_full_records_steps(self, keep, bad):
+        # member 1 leaves the bound at step k_bad = 3, after the first
+        # kept step (2) or before it (5, 8); with all three gone the loop
+        # stops, and the kept states after the stop repeat the held
+        # ones.  A step-selected record must be the full record's steps.
+        n, k_bad, bad = 8, 3, np.array(bad)
+        x0 = np.linspace(-0.5, 0.5, 18).reshape(6, 3)
+
+        def step(k, x):
+            new = x + 0.01 * (k + 1)
+            if k == k_bad:
+                new[2] = np.where(bad, np.nan, new[2])
+            return new
+
+        full, n_full = dynamics.closed_loop(x0, n, step)
+        part, n_part = dynamics.closed_loop(x0, n, step, keep=keep)
+        assert np.array_equal(n_part, n_full)
+        assert part.shape == full[keep].shape
+        assert np.array_equal(part, full[keep])
+
+    def test_step_selector_needs_unit_stride(self):
+        with pytest.raises(ValueError, match="unit stride"):
+            dynamics.closed_loop(np.zeros(6), 4, lambda k, x: x, keep=np.s_[::2])
 
 
 class TestStepPinned:
@@ -551,19 +578,26 @@ class TestEnsembleConsistency:
             assert np.array_equal(got.qd, want[1])
             assert np.array_equal(got.qdd, want[2])
 
+    @staticmethod
+    def _diverging_sim(cfg, case):
+        """Two members under kd = 200, which drives the RK4 step out of
+        its stability region within a few steps: member 1 alone
+        ("some") or both ("all")."""
+        from memctrl import ensemble
+
+        kd = {"some": [[30.0, 30.0], [200.0, 200.0]], "all": [200.0, 200.0]}[case]
+        gains = ControllerParams(kd=np.array(kd), lam=np.full(2, 5.0),
+                                 eta=np.zeros(6))
+        return ensemble.BaselineEnsembleSim(2, cfg.reference, cfg.plant,
+                                            cfg.friction, seed=0, gains=gains)
+
     @pytest.mark.parametrize("case", ["some", "all"])
     def test_run_holds_diverged_members_pinned(self, cfg, case):
         # kd = 200 drives the RK4 step out of its stability region within
         # a few steps.  "some": member 1 diverges and is held while member
         # 0 runs on; "all": both diverge, the loop stops, and the rows
         # after the stop repeat the held states.
-        from memctrl import ensemble
-
-        kd = {"some": [[30.0, 30.0], [200.0, 200.0]], "all": [200.0, 200.0]}[case]
-        gains = ControllerParams(kd=np.array(kd), lam=np.full(2, 5.0),
-                                 eta=np.zeros(6))
-        sim = ensemble.BaselineEnsembleSim(2, cfg.reference, cfg.plant,
-                                           cfg.friction, seed=0, gains=gains)
+        sim = self._diverging_sim(cfg, case)
         roll = sim.run(10, 0.01)
         pin = HOLD_PINS[case]
         assert np.array_equal(roll.alive, pin["alive"])
@@ -575,17 +609,22 @@ class TestEnsembleConsistency:
     def test_run_row_selector_matches_full_record(self, cfg, case, rows):
         # the diverging batches of the pinned test: a selected record is
         # the full record's rows bit for bit, with the same survivors
-        from memctrl import ensemble
-
-        kd = {"some": [[30.0, 30.0], [200.0, 200.0]], "all": [200.0, 200.0]}[case]
-        gains = ControllerParams(kd=np.array(kd), lam=np.full(2, 5.0),
-                                 eta=np.zeros(6))
-        sim = ensemble.BaselineEnsembleSim(2, cfg.reference, cfg.plant,
-                                           cfg.friction, seed=0, gains=gains)
+        sim = self._diverging_sim(cfg, case)
         full = sim.run(10, 0.01)
-        part = sim.run(10, 0.01, rows=rows)
+        part = sim.run(10, 0.01, keep=np.s_[:, rows])
         assert np.array_equal(part.alive, full.alive)
         assert np.array_equal(part.x, full.x[:, rows])
+
+    @pytest.mark.parametrize("case", ["some", "all"])
+    @pytest.mark.parametrize("keep", [np.s_[1:], np.s_[6:10], np.s_[9:, 4::2]])
+    def test_run_step_selector_matches_full_record(self, cfg, case, keep):
+        # the diverging batches of the pinned test: a step-selected record
+        # is the full record's steps bit for bit, with the same survivors
+        sim = self._diverging_sim(cfg, case)
+        full = sim.run(10, 0.01)
+        part = sim.run(10, 0.01, keep=keep)
+        assert np.array_equal(part.alive, full.alive)
+        assert np.array_equal(part.x, full.x[keep])
 
     def test_step_jacobian_pinned_with_per_joint_gains(self, cfg):
         # the gains are widened to (B, 2); at B = 2 unpacking them by the

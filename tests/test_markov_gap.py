@@ -1,5 +1,5 @@
 import dataclasses
-import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -146,10 +146,21 @@ class TestWindowedReconstructor:
         w = np.linalg.solve(gram + ridge * np.eye(X.shape[1]), Xc.T @ zc)
         return w, float(z.mean() - X.mean(axis=0) @ w)
 
+    @staticmethod
+    def _narrow_splits(X):
+        """Splits of the window matrix X into blocks shorter than the
+        window: equal blocks of 0.4 W rows, so that the Gram is summed
+        in several panels and the last one is ragged, and blocks
+        alternating 0.4 W and about 0.13 W rows, of unequal heights."""
+        n, W = X.shape
+        tall = max(1, 2 * W // 5)
+        ends = np.cumsum(np.resize([tall, tall // 3 + 1], n))
+        return [np.array_split(X, -(-n // tall)), np.split(X, ends[ends < n])]
+
     def test_matches_centred_copy_fit(self, rng):
-        # summing the Gram block by block reorders its sums: held to the
-        # relative 1e-9 of test_outputs_pinned's ridge fields, which move
-        # by ~7e-12 with the BLAS thread count alone
+        # summing the Gram block by block and panel by panel reorders its
+        # sums: held to the relative 1e-9 of test_outputs_pinned's ridge
+        # fields, which move by ~7e-12 with the BLAS thread count alone
         for W, n in ((1, 500), (30, 1500), (120, 4000)):
             wins, z = _linear_memory_samples(rng, 0.3, W, 0.01, 2.0, n)
             X = np.ascontiguousarray(wins)
@@ -161,6 +172,43 @@ class TestWindowedReconstructor:
                 assert rec.intercept == pytest.approx(b, rel=1e-9, abs=0)
                 pred = rec.predict(np.array_split(X, n_blocks))
                 assert np.array_equal(pred, X @ rec.weights + rec.intercept)
+            for blocks in self._narrow_splits(X):
+                rec = mg.windowed_reconstructor_fit(blocks, z)
+                assert np.allclose(rec.weights, w, rtol=1e-9, atol=0)
+                assert rec.intercept == pytest.approx(b, rel=1e-9, abs=0)
+
+    def test_no_window_square_product_per_block(self, rng, traced_peak):
+        # the fit holds the W x W Gram, one centred block, one panel
+        # product of at most W x (block height) and the 128 KiB of ufunc
+        # buffers that adding it into a strided panel of the Gram takes;
+        # a per-block H^T H would add a second W x W array
+        W, height = 400, 100
+        blocks = list(rng.normal(size=(8, height, W)))
+        _, peak = traced_peak(mg.windowed_reconstructor_fit, blocks,
+                              rng.normal(size=8 * height))
+        assert peak <= (W * W + 2 * height * W) * 8 + 2 ** 18
+
+    def test_windows_freed_before_the_solve(self, rng, monkeypatch):
+        # a history that the caller holds only through the windows it
+        # passes is freed before the solve, as markov_gap_experiment's
+        # fit half is; one that the caller keeps a name for stays
+        refs, alive_at_solve = [], []
+        solve = np.linalg.solve
+
+        def traced_solve(a, b):
+            alive_at_solve.append(refs[-1]() is not None)
+            return solve(a, b)
+
+        def windows(hist):
+            refs.append(weakref.ref(hist))
+            return [hist[:, i - 40:i][:, ::-1] for i in (40, 55, 80)]
+
+        monkeypatch.setattr(np.linalg, "solve", traced_solve)
+        z = rng.normal(size=900)
+        kept = rng.normal(size=(300, 80))
+        mg.windowed_reconstructor_fit(windows(kept), z)
+        mg.windowed_reconstructor_fit(windows(rng.normal(size=(300, 80))), z)
+        assert alive_at_solve == [True, False]
 
     @pytest.mark.parametrize("value", [0.0, 0.5, 0.1, 1e-300])
     def test_constant_column_test_matches_variance(self, value):
@@ -268,23 +316,18 @@ class TestExperiment:
         assert res.n_eval == 32 * times.size
         assert 0.0 < res.excess_windowed < res.excess_markov
 
-    def test_traced_peak_within_records_plus_one_fit(self, cfg):
+    def test_traced_peak_within_records_plus_one_fit(self, cfg, traced_peak):
         # the bound adds the rollout's record of the measured joint's
-        # three rows, one member-major (n + 1) x B velocity history and
-        # two W x W matrices (the Gram and one block's H^T H) as if all
-        # were alive at once, plus 1 MiB for the small arrays of either
-        # phase, one centred (n, W) block among them.  Recording all six
-        # packed rows as three (n + 1, B, 2) arrays and fitting on one
-        # window matrix of all sample times peaked at 7.6 MiB here, over
-        # the 5.9 MiB bound; one joint's rows and per-block sums peak at
-        # 4.7 MiB.
-        tracemalloc.start()
-        try:
-            res = mg.markov_gap_experiment(0.5, cfg.reference, cfg.plant,
-                                           cfg.friction, n_traj=256, seed=11)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        # three rows, its (n + 1) x B velocity history (member-major, in
+        # two halves) and two W x W matrices (the Gram, and room for its
+        # panel products) as if all were alive at once, plus 1 MiB for
+        # the small arrays of either phase, one centred (n, W) block
+        # among them.  Recording all six packed rows as three
+        # (n + 1, B, 2) arrays and fitting on one window matrix of all
+        # sample times peaked at 7.6 MiB here, over the 5.9 MiB bound;
+        # one joint's rows and per-block sums peak at 4.7 MiB.
+        res, peak = traced_peak(mg.markov_gap_experiment, 0.5, cfg.reference,
+                                cfg.plant, cfg.friction, n_traj=256, seed=11)
         W, dt = res.window, 0.01
         n_steps = round(max(mg.HORIZON, W * dt + 2.5) / dt)
         record = 3 * (n_steps + 1) * 256 * 8

@@ -389,6 +389,29 @@ class TestClosedLoopSampler:
                                             n_samples=4)
         assert g.shape == (4, 299)
 
+    def test_matches_full_record_sweep(self, cfg):
+        # the sampler records only the window it sweeps; the same adjoint
+        # sweep along the full record gives the same samples bit for bit
+        W, n, seed, dt = 12, 32, 6, 0.01
+        g = ma.gradient_samples_closed_loop(1.0, cfg.reference, cfg.plant,
+                                            cfg.friction, window=W,
+                                            n_samples=n, dt=dt, seed=seed)
+        sim = BaselineEnsembleSim(n // 2, cfg.reference, cfg.plant,
+                                  cfg.friction.with_tau_z(1.0), seed,
+                                  TaskDistribution(friction_log_sd=0.2))
+        n_end = round(ma.CLOSED_LOOP_HORIZON / dt)
+        roll = sim.run(n_end, dt)
+        adjoint = np.zeros((n // 2, 6, 2))
+        adjoint[:, 4, 0] = adjoint[:, 5, 1] = 1.0
+        want = np.empty((n // 2, 2, W))
+        for k in range(1, W + 1):
+            J = sim.step_jacobian((n_end - k) * dt, roll.x[n_end - k], dt)
+            adjoint = np.swapaxes(J, 1, 2) @ adjoint
+            want[:, :, k - 1] = np.diagonal(adjoint[:, 2:4, :], axis1=1,
+                                            axis2=2) / dt
+        assert roll.alive.all()
+        assert np.array_equal(g, want.reshape(n, W))
+
     def test_matches_central_differences_without_sign_term(self, cfg):
         # with f_c = f_smax = 0 the friction law is smooth, so central
         # differences of the re-simulated closed loop converge to the

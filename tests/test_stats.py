@@ -182,6 +182,16 @@ def _write_result(path, architecture, seed, delta):
     path.write_text(json.dumps(rec))
 
 
+def _write_groups(tmp_path, groups):
+    """One result file per value of each {label: [delta_percent, ...]}."""
+    paths = []
+    for label, values in groups.items():
+        for seed, v in enumerate(values):
+            paths.append(tmp_path / f"{label}__{seed}.json")
+            _write_result(paths[-1], label, seed, v)
+    return paths
+
+
 class TestCompareResultFiles:
     def test_two_group_comparison(self, tmp_path, rng):
         a_vals = list(rng.normal(-50.0, 5.0, 10))
@@ -215,6 +225,24 @@ class TestCompareResultFiles:
         _write_result(p3, "duo", 1, -21.0)
         with pytest.raises(DegenerateVariance):
             compare_result_files([p1, p2, p3])
+
+    @pytest.mark.parametrize("deltas, flat", [
+        ({"a": [-5.0, -5.0], "b": [-7.0, -7.0], "c": [1.0, 2.0]}, "a, b"),
+        ({"a": [0.0, 0.0], "b": [0.0, 0.0]}, "a, b"),
+    ])
+    def test_groups_without_spread_named(self, tmp_path, deltas, flat):
+        with pytest.raises(DegenerateVariance, match=(
+                f"metric 'delta_percent' has zero spread in groups {flat}:")):
+            compare_result_files(_write_groups(tmp_path, deltas))
+
+    def test_one_group_without_spread_is_tested(self, tmp_path):
+        # a pair with spread on one side has a nonzero pooled sd:
+        # sqrt((0 + 2) / 2) = 1 between means -5 and 2
+        paths = _write_groups(tmp_path, {"flat": [-5.0, -5.0],
+                                         "wide": [1.0, 3.0]})
+        (rep,) = compare_result_files(paths)["pairs"]
+        assert rep.sd1 == 0.0
+        assert rep.cohens_d == pytest.approx(-7.0, rel=1e-12)
 
     def test_schema_mismatch(self, tmp_path):
         bad = tmp_path / "bad.json"
