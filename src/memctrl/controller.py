@@ -15,11 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from .dynamics import (FrictionParams, PlantParams, PlantState, RefPoint,
-                       inverse_dynamics)
+                       arm_terms, inverse_dynamics)
 
 DIM_ETA = 6
 SIGN_SMOOTHING = 0.02  # rad/s, tanh width of the smoothed sign feature
@@ -139,26 +140,47 @@ def feature_matrix(q, qd, v_s: float) -> np.ndarray:
     return Phi
 
 
-def feedforward(q, qd, eta, fric: FrictionParams) -> np.ndarray:
-    """Affine feed-forward torque Phi(q, qd) eta."""
-    Phi = feature_matrix(q, qd, fric.v_s)
+def feedforward(Phi: np.ndarray, eta) -> np.ndarray:
+    """Affine feed-forward torque Phi eta, Phi = feature_matrix(q, qd, v_s)."""
     return np.einsum("...ij,...j->...i", Phi, np.asarray(eta, dtype=float))
 
 
+class ModelTerms(NamedTuple):
+    """The model's terms at one frozen state: the arm terms
+    (dynamics.arm_terms) at the model's payload and the Stribeck
+    regressor Phi.  A shielded step evaluates them once; its certificate
+    (shield.halfspace_coeffs) and its torque (computed_torque) read them.
+    """
+
+    arm: tuple
+    Phi: np.ndarray
+
+    @staticmethod
+    def at(x: ExtendedState, params: PlantParams,
+           fric: FrictionParams) -> "ModelTerms":
+        return ModelTerms(arm_terms(x.q, params),
+                          feature_matrix(x.q, x.qd, fric.v_s))
+
+
 def computed_torque(x: ExtendedState, gains: ControllerParams,
-                    params: PlantParams, fric: FrictionParams | None = None
-                    ) -> np.ndarray:
+                    params: PlantParams, fric: FrictionParams | None = None,
+                    model: ModelTerms | None = None) -> np.ndarray:
     """Slotine-Li computed torque at the model `params` (payload estimate).
 
     The K_d feedback acts on the sliding surface stored in x, so the
     output is affine in (kd, lam, eta) jointly for a frozen x.  Broadcasts
     over leading axes of x; fric = None leaves out the feed-forward.
+    model, when given, is ModelTerms.at(x, params, fric), evaluated once
+    by the caller.
     """
     qd_r = x.qd_ref + gains.lam * x.e
     qdd_r = x.qdd_ref + gains.lam * x.ed
-    tau = inverse_dynamics(x.q, x.qd, qd_r, qdd_r, params) + gains.kd * x.s
+    arm, Phi = (None, None) if model is None else model
+    tau = inverse_dynamics(x.q, x.qd, qd_r, qdd_r, params, arm) + gains.kd * x.s
     if fric is not None:
-        tau = tau + feedforward(x.q, x.qd, gains.eta, fric)
+        if Phi is None:
+            Phi = feature_matrix(x.q, x.qd, fric.v_s)
+        tau = tau + feedforward(Phi, gains.eta)
     return tau
 
 

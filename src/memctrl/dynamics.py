@@ -202,8 +202,14 @@ class BatchReference:
             self.slow_amp_omega = slow_amp * self.slow_omega
             self.slow_amp_omega2 = slow_amp * self.slow_omega ** 2
 
-    def at(self, t: float) -> RefPoint:
-        """Position, velocity and acceleration at time t: one sin, one cos."""
+    def at(self, t) -> RefPoint:
+        """Position, velocity and acceleration at time t: one sin, one cos.
+
+        t may also be an array of times that broadcasts in front of the
+        phase's shape, such as a column (T, 1) for a (2,) phase: each
+        value then gains that leading axis, (T, 2), and row k equals
+        at(t[k]) bit for bit (rollout's reference table).
+        """
         th = self.omega * t + self.spec_phase + self.phase
         sin = np.sin(th)
         q = self.amp * sin
@@ -249,27 +255,34 @@ def _arm_terms(q1, q2, terms):
             gw1 * np.cos(q1) + G2, G2)
 
 
-def arm_matrices(q: np.ndarray, qd: np.ndarray, params: PlantParams
+def arm_terms(q, params: PlantParams):
+    """The arm terms of _arm_terms at joint angles q (..., 2): one
+    evaluation, which arm_matrices and inverse_dynamics read as arm."""
+    q = np.asarray(q)
+    return _arm_terms(q[..., 0], q[..., 1], params.terms)
+
+
+def arm_matrices(qd: np.ndarray, arm
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """M(q), C(q, qd) and G(q) from one evaluation of the arm terms.
+    """M(q), C(q, qd) and G(q) from arm = arm_terms(q, params).
 
     The one builder of the three matrices: mass_matrix, coriolis_matrix
     and gravity_vector return its entries, and the shield's certificate
-    takes all three from one call.
+    takes all three from one call on the arm terms its step evaluated.
     """
-    q = np.asarray(q, dtype=float)
     qd = np.asarray(qd, dtype=float)
-    M11, M12, M22, h, G1, G2 = _arm_terms(q[..., 0], q[..., 1], params.terms)
-    M = np.empty(q.shape[:-1] + (2, 2))
+    M11, M12, M22, h, G1, G2 = arm
+    shape = np.shape(M11)   # q's leading axes
+    M = np.empty(shape + (2, 2))
     M[..., 0, 0] = M11
     M[..., 0, 1] = M[..., 1, 0] = M12
     M[..., 1, 1] = M22
-    C = np.empty(q.shape[:-1] + (2, 2))
+    C = np.empty(shape + (2, 2))
     C[..., 0, 0] = -h * qd[..., 1]
     C[..., 0, 1] = -h * (qd[..., 0] + qd[..., 1])
     C[..., 1, 0] = h * qd[..., 0]
     C[..., 1, 1] = 0.0
-    G = np.empty(q.shape[:-1] + (2,))
+    G = np.empty(shape + (2,))
     G[..., 0] = G1
     G[..., 1] = G2
     return M, C, G
@@ -277,17 +290,17 @@ def arm_matrices(q: np.ndarray, qd: np.ndarray, params: PlantParams
 
 def mass_matrix(q: np.ndarray, params: PlantParams) -> np.ndarray:
     """Symmetric positive-definite inertia matrix M(q, payload)."""
-    return arm_matrices(q, np.zeros(np.shape(q)), params)[0]
+    return arm_matrices(np.zeros(np.shape(q)), arm_terms(q, params))[0]
 
 
 def coriolis_matrix(q: np.ndarray, qd: np.ndarray, params: PlantParams) -> np.ndarray:
     """Christoffel-form C(q, qd); Mdot - 2C is skew along trajectories."""
-    return arm_matrices(q, qd, params)[1]
+    return arm_matrices(qd, arm_terms(q, params))[1]
 
 
 def gravity_vector(q: np.ndarray, params: PlantParams) -> np.ndarray:
     """Gradient of potential energy wrt q; angles measured from horizontal."""
-    return arm_matrices(q, np.zeros(np.shape(q)), params)[2]
+    return arm_matrices(np.zeros(np.shape(q)), arm_terms(q, params))[2]
 
 
 def potential_energy(q: np.ndarray, params: PlantParams) -> np.ndarray:
@@ -317,13 +330,15 @@ def memory_derivative(qd: np.ndarray, z: np.ndarray, fric: FrictionParams) -> np
     return fric.lambda_z * qd - z / fric.tau_z
 
 
-def inverse_dynamics(q, qd, qd_r, qdd_r, params: PlantParams) -> np.ndarray:
+def inverse_dynamics(q, qd, qd_r, qdd_r, params: PlantParams, arm=None
+                     ) -> np.ndarray:
     """M(q) qdd_r + C(q, qd) qd_r + G(q), written out per entry.
 
     The torque is laid out joint-first (Fortran order), as PlantState's
     views are, so a batch's torque and its later terms share one order.
+    arm, when given, is arm_terms(q, params), evaluated once by the caller.
     """
-    M11, M12, M22, h, G1, G2 = _arm_terms(q[..., 0], q[..., 1], params.terms)
+    M11, M12, M22, h, G1, G2 = arm_terms(q, params) if arm is None else arm
     v1, v2 = qd[..., 0], qd[..., 1]
     tau1 = (M11 * qdd_r[..., 0] + M12 * qdd_r[..., 1]
             - h * v2 * qd_r[..., 0] - h * (v1 + v2) * qd_r[..., 1] + G1)
@@ -490,11 +505,13 @@ def rollout(controller, ref: ReferenceSpec, params: PlantParams,
 
     controller is any callable (t, state, ref_point) -> ControlDecision
     (see memctrl.controller).  Deterministic for a fixed seed: the start
-    state is reset_state's draw from np.random.default_rng(seed).  Each
-    step evaluates the reference once, through one BatchReference, and
-    closed_loop checks the blow-up bound.  On divergence the record is
-    truncated and flagged rather than raised: it keeps the states up to
-    the last one within bound and the torques applied between them.
+    state is reset_state's draw from np.random.default_rng(seed).  The
+    reference is evaluated once, by one BatchReference call over all
+    n + 1 times: step k hands the controller row k of that table, and
+    the record's q_ref and qd_ref are its rows.  closed_loop checks the
+    blow-up bound.  On divergence the record is truncated and flagged
+    rather than raised: it keeps the states up to the last one within
+    bound and the torques applied between them.
 
     seed may also be a sequence of B seeds: the members, each reset
     from its own seed, advance together as a (6, B) packed state, with
@@ -513,15 +530,14 @@ def rollout(controller, ref: ReferenceSpec, params: PlantParams,
     members = x0.shape[1:]   # () for an int seed
 
     t = np.arange(n + 1) * dt
-    q_r = np.empty((n + 1, 2)); qd_r = np.empty((n + 1, 2))
+    table = reference.at(t[:, None])   # (n + 1, 2) values, row k at t[k]
+    points = [RefPoint(*row) for row in zip(table.q, table.qd, table.qdd)]
     tau = np.zeros((n, *members, 2))
     pdist = np.zeros((n, *members))
 
     def step(k, x):
-        ref_point = reference.at(t[k])
-        q_r[k], qd_r[k] = ref_point.q, ref_point.qd
         state = PlantState(x=x)
-        dec = controller(t[k], state, ref_point)
+        dec = controller(t[k], state, points[k])
         tau[k] = dec.tau
         pdist[k] = dec.projection_distance
         return step_rk4(state, dec.tau, dt, params, fric).x
@@ -530,15 +546,13 @@ def rollout(controller, ref: ReferenceSpec, params: PlantParams,
     # (n + 1, *members, 2) views of the record
     q, qd, z = (np.moveaxis(record[:, r], 1, -1)
                 for r in (slice(0, 2), slice(2, 4), slice(4, 6)))
-    end = reference.at(t[n])
-    q_r[n], qd_r[n] = end.q, end.qd
 
     trajs = []
     for i, s in zip(np.ndindex(members), seeds):
         cut = int(n_states[i])
         xs, us = (slice(0, cut), *i), (slice(0, cut - 1), *i)
         trajs.append(Trajectory(
-            t=t[:cut], q=q[xs], qd=qd[xs], z=z[xs], q_ref=q_r[:cut],
-            qd_ref=qd_r[:cut], tau=tau[us], projection_distance=pdist[us],
+            t=t[:cut], q=q[xs], qd=qd[xs], z=z[xs], q_ref=table.q[:cut],
+            qd_ref=table.qd[:cut], tau=tau[us], projection_distance=pdist[us],
             diverged=cut <= n, seed=s))
     return trajs if batched else trajs[0]

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .controller import (ControlDecision, ControllerParams, ExtendedState,
-                         ParamBox, computed_torque, feature_matrix,
+                         ModelTerms, ParamBox, computed_torque,
                          fixed_gain_baseline)
 from .dynamics import (FrictionParams, PlantParams, PlantState, RefPoint,
                        Trajectory, arm_matrices, mass_matrix,
@@ -102,7 +102,7 @@ def _quadratic_value(y: np.ndarray, form: LyapunovForm) -> float:
     return float(0.5 * y @ form.P @ y)
 
 
-def halfspace_coeffs(x: ExtendedState, form: LyapunovForm, params: PlantParams,
+def halfspace_coeffs(x: ExtendedState, form: LyapunovForm, model: ModelTerms,
                      fric: FrictionParams, z: np.ndarray | None = None
                      ) -> tuple[np.ndarray, float]:
     """Exact (a, rhs) with a . theta <= rhs  iff  Vdot(x; theta) + alpha V(x) <= 0.
@@ -111,18 +111,19 @@ def halfspace_coeffs(x: ExtendedState, form: LyapunovForm, params: PlantParams,
     closed loop with the CT torque tau(theta) at the true plant params,
     Vdot = drift - b . tau with b = M^-1 dV/ded and a theta-free drift;
     tau is affine in theta, which gives a.  z defaults to zero memory.
-    M, C and G come from one evaluation of the arm terms, and V from the
-    y built here.
+    model is ModelTerms.at(x, params, fric) at the true plant params:
+    M, C, G come from its arm terms and the regressor Phi is its own.
+    V comes from the y built here.
     """
     z = np.zeros(2) if z is None else np.asarray(z, dtype=float)
+    arm, Phi = model
     y = np.concatenate([x.e, x.ed])
     Py = form.P @ y
     g1, w = Py[:2], Py[2:]
-    M, C, G = arm_matrices(x.q, x.qd, params)
+    M, C, G = arm_matrices(x.qd, arm)
     b_vec = np.linalg.solve(M, w)     # M symmetric
     F = stribeck_force(x.qd, z, fric)
     drift = float(g1 @ x.ed + w @ x.qdd_ref + b_vec @ (C @ x.qd + G + F))
-    Phi = feature_matrix(x.q, x.qd, fric.v_s)
     tau0 = M @ x.qdd_ref + C @ x.qd_ref + G
     a = np.concatenate([-x.s * b_vec,
                         -(x.ed * (M @ b_vec) + x.e * (C.T @ b_vec)),
@@ -171,16 +172,17 @@ def project_halfspace_box(theta_raw: np.ndarray, a: np.ndarray, rhs: float,
 
 
 def project_admissible(x: ExtendedState, theta_raw: ControllerParams,
-                       form: LyapunovForm, box: ParamBox, params: PlantParams,
+                       form: LyapunovForm, box: ParamBox, model: ModelTerms,
                        fric: FrictionParams, z: np.ndarray | None = None
                        ) -> tuple[ControllerParams, bool]:
     """Project a proposal onto box intersect decrease-half-space.
 
     Returns (theta, empty).  theta is theta_raw unchanged when already
     feasible.  empty is True when the state admits no feasible gain
-    choice; theta is then the box point of steepest decrease.
+    choice; theta is then the box point of steepest decrease.  model, fric
+    and z are halfspace_coeffs'.
     """
-    a, rhs = halfspace_coeffs(x, form, params, fric, z)
+    a, rhs = halfspace_coeffs(x, form, model, fric, z)
     v, empty = project_halfspace_box(theta_raw.as_vector(), a, rhs,
                                      box.lower_vector, box.upper_vector)
     return ControllerParams.from_vector(v), empty
@@ -234,7 +236,9 @@ class ShieldedController:
     at small sliding error.  The projection then flags the state and
     returns the box point with the steepest available decrease; the
     controller applies it and counts the violation.  One half-space is
-    built per step.
+    built per step, and each quantity is evaluated once per step: the
+    arm terms at the plant's payload and the Stribeck regressor Phi come
+    from one ModelTerms.at, which the certificate and the torque share.
     """
 
     def __init__(self, source, form: LyapunovForm, box: ParamBox,
@@ -250,12 +254,13 @@ class ShieldedController:
         x = ExtendedState.from_tracking(state.q, state.qd, ref_point,
                                         self.form.lam_nominal)
         proposal = self.source(t, x)
+        model = ModelTerms.at(x, self.params, self.fric)
         theta, empty = project_admissible(x, proposal, self.form, self.box,
-                                          self.params, self.fric, z=state.z)
+                                          model, self.fric, state.z)
         self.assumption_violations += empty
         d = theta.as_vector() - proposal.as_vector()
         dist = math.sqrt(d.dot(d))    # np.linalg.norm of a 1-D vector
-        tau = computed_torque(x, theta, self.params, self.fric)
+        tau = computed_torque(x, theta, self.params, self.fric, model)
         return ControlDecision(tau=tau, params=theta, projection_distance=dist)
 
 

@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 
 import numpy as np
@@ -32,6 +33,26 @@ def argsort_sizes(monkeypatch):
 
     monkeypatch.setattr(np, "argsort", counted)
     return sizes
+
+
+@pytest.fixture()
+def call_counts(monkeypatch):
+    """count(module, name) wraps module.name in every memctrl module that
+    binds it and returns a list that gains one entry per call from then
+    on to the end of the test."""
+    def count(module, name):
+        fn, calls = getattr(module, name), []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return fn(*args, **kwargs)
+
+        for key, mod in list(sys.modules.items()):
+            if key.startswith("memctrl") and getattr(mod, name, None) is fn:
+                monkeypatch.setattr(mod, name, counted)
+        return calls
+
+    return count
 
 
 @pytest.fixture()

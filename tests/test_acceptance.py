@@ -209,12 +209,13 @@ def test_criterion_07_shield_suite(cfg):
 
         def __call__(self, t, state, ref_point):
             dec = pre(t, state, ref_point)
-            from memctrl.controller import ExtendedState
+            from memctrl.controller import ExtendedState, ModelTerms
             x = ExtendedState.from_tracking(state.q, state.qd, ref_point,
                                             form.lam_nominal)
-            theta, empty = shield.project_admissible(x, dec.params, form, box,
-                                                     cfg.plant, cfg.friction,
-                                                     z=state.z)
+            theta, empty = shield.project_admissible(
+                x, dec.params, form, box,
+                ModelTerms.at(x, cfg.plant, cfg.friction), cfg.friction,
+                z=state.z)
             # an empty set re-applies the fallback vertex pre already chose
             self.altered.append(not empty and not np.array_equal(
                 theta.as_vector(), dec.params.as_vector()))

@@ -69,10 +69,14 @@ class TestComputedTorque:
         assert np.allclose(mix, a * tau(v1) + (1 - a) * tau(v2), atol=1e-10)
 
 
+def _feedforward(q, qd, eta, fric):
+    return feedforward(feature_matrix(q, qd, fric.v_s), eta)
+
+
 class TestFeedforward:
     def test_zero_weights(self, cfg, rng):
         qd = rng.uniform(-2, 2, 2)
-        out = feedforward(np.zeros(2), qd, np.zeros(DIM_ETA), cfg.friction)
+        out = _feedforward(np.zeros(2), qd, np.zeros(DIM_ETA), cfg.friction)
         assert np.array_equal(out, np.zeros(2))
 
     def test_affinity_identity(self, cfg, rng):
@@ -80,9 +84,9 @@ class TestFeedforward:
         e1 = rng.uniform(-1, 1, DIM_ETA)
         e2 = rng.uniform(-1, 1, DIM_ETA)
         a = 0.3
-        lhs = feedforward(np.zeros(2), qd, a * e1 + (1 - a) * e2, cfg.friction)
-        rhs = (a * feedforward(np.zeros(2), qd, e1, cfg.friction)
-               + (1 - a) * feedforward(np.zeros(2), qd, e2, cfg.friction))
+        lhs = _feedforward(np.zeros(2), qd, a * e1 + (1 - a) * e2, cfg.friction)
+        rhs = (a * _feedforward(np.zeros(2), qd, e1, cfg.friction)
+               + (1 - a) * _feedforward(np.zeros(2), qd, e2, cfg.friction))
         assert np.allclose(lhs, rhs, atol=1e-12)
 
     def test_stribeck_basis_reproduces_friction(self, cfg):
@@ -96,7 +100,7 @@ class TestFeedforward:
             if abs(v) < 0.25:  # smoothing zone excluded: truncation error lives there
                 continue
             qd = np.array([v, -v])
-            ff = feedforward(np.zeros(2), qd, eta, fric)
+            ff = _feedforward(np.zeros(2), qd, eta, fric)
             truth = stribeck_force(qd, np.zeros(2), fric)
             worst = max(worst, float(np.max(np.abs(ff - truth))))
         assert worst < 1e-6

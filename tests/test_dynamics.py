@@ -484,6 +484,54 @@ class TestRollout:
         assert not all(b.diverged for b in batch)
 
 
+class TestReferenceTable:
+    """rollout evaluates its reference once for the whole horizon; what a
+    controller receives at step k, and the record's q_ref and qd_ref, are
+    the values BatchReference.at gives at t_k."""
+
+    CASES = {
+        "int-seed": ((0.75,), 3, None),
+        "seed-list": ((0.0, 0.75, 1.5), [3, 4, 5], None),
+        # at kd = 100 the light member leaves the bound at step 31 while
+        # the heavy ones track to the end
+        "seed-list-cut": ((0.0, 1.5, 1.5), [0, 2, 3], 100.0),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_controller_and_record_read_at_t_k(self, cfg, case):
+        payloads, seed, kd = self.CASES[case]
+        gains = None if kd is None else ControllerParams(
+            kd=np.full(2, kd), lam=np.full(2, 5.0), eta=np.zeros(6))
+        batched = isinstance(seed, list)
+        plant = (dataclasses.replace(cfg.plant, payload=np.asarray(payloads))
+                 if batched else cfg.plant.with_payload(payloads[0]))
+        inner = BaselineController(plant, gains=gains)
+        seen = []
+
+        def recording(t, state, ref_point):
+            seen.append((t, ref_point))
+            return inner(t, state, ref_point)
+
+        ref = dataclasses.replace(cfg.reference, horizon=2.0)
+        out = rollout(recording, ref, plant, cfg.friction, seed=seed)
+        trajs = out if batched else [out]
+        reference = BatchReference(ref)
+        assert len(seen) == 200
+        for k, (t, ref_point) in enumerate(seen):
+            want = reference.at(k * 0.01)
+            assert t == k * 0.01
+            for field in ("q", "qd", "qdd"):
+                assert np.array_equal(getattr(ref_point, field),
+                                      getattr(want, field)), (k, field)
+        for tr in trajs:
+            for k, tk in enumerate(tr.t):
+                want = reference.at(tk)
+                assert np.array_equal(tr.q_ref[k], want.q), k
+                assert np.array_equal(tr.qd_ref[k], want.qd), k
+        cut = [tr.n_steps for tr in trajs if tr.diverged]
+        assert cut == ([31] if kd is not None else [])
+
+
 class TestEnsembleConsistency:
     @staticmethod
     def _check_members(cfg, batch, seed, task, monkeypatch):

@@ -4,10 +4,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from memctrl import shield
+from memctrl import controller, dynamics, shield
 from memctrl.controller import (DIM_ETA, ControllerParams, ExtendedState,
-                                ParamBox, computed_torque, feature_matrix,
-                                fixed_gain_baseline)
+                                ModelTerms, ParamBox, computed_torque,
+                                feature_matrix, fixed_gain_baseline)
 from memctrl.dynamics import (BatchReference, PlantState, RefPoint, Trajectory,
                               coriolis_matrix, gravity_vector, mass_matrix,
                               rollout, step_rk4, stribeck_force)
@@ -21,6 +21,10 @@ from memctrl.shield import (design_lyapunov_form, halfspace_coeffs,
 def form(cfg):
     return design_lyapunov_form(
         cfg.plant, BatchReference(cfg.reference).at(0.0).q, alpha=0.5)
+
+
+def _halfspace(x, form, params, fric, z=None):
+    return halfspace_coeffs(x, form, ModelTerms.at(x, params, fric), fric, z)
 
 
 def lyapunov_value(x, form):
@@ -144,7 +148,7 @@ class TestHalfspace:
             theta = random_theta(rng, box)
             z = rng.uniform(-2.0, 2.0, 2)
             plant = cfg.plant.with_payload(rng.uniform(0.0, 1.5))
-            a, rhs = halfspace_coeffs(x, form, plant, cfg.friction, z)
+            a, rhs = _halfspace(x, form, plant, cfg.friction, z)
             direct = (lyapunov_rate(x, theta, form, plant, cfg.friction, z)
                       + form.alpha * lyapunov_value(x, form))
             worst = max(worst, abs(direct - (a @ theta.as_vector() - rhs)))
@@ -156,7 +160,7 @@ class TestHalfspace:
             if np.linalg.norm(x.s) < 1e-2:
                 continue
             z = rng.uniform(-1.0, 1.0, 2)
-            a, rhs = halfspace_coeffs(x, form, cfg.plant, cfg.friction, z)
+            a, rhs = _halfspace(x, form, cfg.plant, cfg.friction, z)
             theta = ControllerParams(kd=np.full(2, 1e6), lam=np.full(2, 5.0),
                                      eta=np.zeros(DIM_ETA))
             assert a @ theta.as_vector() - rhs < 0.0
@@ -170,7 +174,7 @@ class TestHalfspace:
                        qdd=rng.uniform(-1, 1, 2))
         x = ExtendedState.from_tracking(q, qd, ref, form.lam_nominal)
         assert np.allclose(x.s, 0.0, atol=1e-14)
-        a, _ = halfspace_coeffs(x, form, cfg.plant, cfg.friction)
+        a, _ = _halfspace(x, form, cfg.plant, cfg.friction)
         assert np.allclose(a[:2], 0.0, atol=1e-14)
 
 
@@ -184,7 +188,7 @@ class TestIsAdmissible:
             z = rng.uniform(-1.0, 1.0, 2)
             rate = lyapunov_rate(x, theta, form, cfg.plant, cfg.friction, z)
             ok = rate + form.alpha * lyapunov_value(x, form) <= 1e-9
-            a, rhs = halfspace_coeffs(x, form, cfg.plant, cfg.friction, z)
+            a, rhs = _halfspace(x, form, cfg.plant, cfg.friction, z)
             slack = a @ theta.as_vector() - rhs
             assert (slack <= 1e-9) == ok
             hits += ok
@@ -199,8 +203,8 @@ class TestIsAdmissible:
             rate = lyapunov_rate(x, theta, form0, cfg.plant, cfg.friction,
                                  np.zeros(2))
             if rate < -1e-9:
-                a, rhs = halfspace_coeffs(x, form0, cfg.plant, cfg.friction,
-                                          np.zeros(2))
+                a, rhs = _halfspace(x, form0, cfg.plant, cfg.friction,
+                                    np.zeros(2))
                 assert a @ theta.as_vector() - rhs <= 1e-9
 
     def test_huge_alpha_empties_box(self, cfg, rng):
@@ -210,13 +214,14 @@ class TestIsAdmissible:
         x = random_extended_state(np.random.default_rng(3), form_hard)
         assert lyapunov_value(x, form_hard) > 1e-4
         lo, hi = box.lower_vector, box.upper_vector
-        a, rhs = halfspace_coeffs(x, form_hard, cfg.plant, cfg.friction)
+        a, rhs = _halfspace(x, form_hard, cfg.plant, cfg.friction)
         corners_rng = np.random.default_rng(11)
         for _ in range(64):
             mask = corners_rng.integers(0, 2, lo.size).astype(bool)
             assert a @ np.where(mask, hi, lo) - rhs > 1e-9
-        theta, empty = project_admissible(x, fixed_gain_baseline(), form_hard,
-                                          box, cfg.plant, cfg.friction)
+        theta, empty = project_admissible(
+            x, fixed_gain_baseline(), form_hard, box,
+            ModelTerms.at(x, cfg.plant, cfg.friction), cfg.friction)
         # the flagged fallback is the vertex of steepest decrease
         assert empty
         assert np.array_equal(theta.as_vector(), np.where(a > 0.0, lo, hi))
@@ -230,11 +235,12 @@ class TestProjection:
             x = random_extended_state(rng, form)
             theta = random_theta(rng, box)
             z = rng.uniform(-1.0, 1.0, 2)
-            a, rhs = halfspace_coeffs(x, form, cfg.plant, cfg.friction, z)
+            a, rhs = _halfspace(x, form, cfg.plant, cfg.friction, z)
             if a @ theta.as_vector() - rhs > 1e-9:
                 continue
-            out, empty = project_admissible(x, theta, form, box, cfg.plant,
-                                            cfg.friction, z)
+            out, empty = project_admissible(
+                x, theta, form, box, ModelTerms.at(x, cfg.plant, cfg.friction),
+                cfg.friction, z)
             assert not empty
             assert np.array_equal(out.as_vector(), theta.as_vector())
             done += 1
@@ -444,9 +450,10 @@ class TestDecayAndActivation:
                 dec = inner(t, state, ref_point)
                 x = ExtendedState.from_tracking(state.q, state.qd, ref_point,
                                                 form.lam_nominal)
-                theta2, empty = project_admissible(x, dec.params, form, box,
-                                                   cfg.plant, cfg.friction,
-                                                   z=state.z)
+                theta2, empty = project_admissible(
+                    x, dec.params, form, box,
+                    ModelTerms.at(x, cfg.plant, cfg.friction), cfg.friction,
+                    z=state.z)
                 # an empty set: inner already applied best effort
                 moved = not empty and not np.array_equal(
                     theta2.as_vector(), dec.params.as_vector())
@@ -565,6 +572,33 @@ class TestFallback:
             assert np.array_equal(getattr(traj, name), pin[name]), name
 
 
+class TestOneEvaluationPerStep:
+    """A shielded step evaluates the Stribeck regressor and the arm terms
+    once; its certificate and its torque read the same values."""
+
+    @pytest.fixture()
+    def step(self, cfg, form):
+        ctrl = shield.ShieldedController(lambda t, x: fixed_gain_baseline(),
+                                         form, ParamBox(), cfg.plant,
+                                         cfg.friction)
+        state = PlantState(q=np.array([0.3, -0.2]), qd=np.array([0.4, -1.1]),
+                           z=np.array([0.5, -0.7]))
+        ref_point = BatchReference(cfg.reference).at(0.37)
+        return lambda: ctrl(0.37, state, ref_point)
+
+    def test_one_regressor_per_call(self, step, call_counts):
+        calls = call_counts(controller, "feature_matrix")
+        step()
+        step()
+        assert len(calls) == 2
+
+    def test_one_arm_terms_evaluation_per_call(self, step, call_counts):
+        calls = call_counts(dynamics, "_arm_terms")
+        step()
+        step()
+        assert len(calls) == 2
+
+
 def halfspace_coeffs_reference(x, form, params, fric, z=None):
     """halfspace_coeffs as first written: M, C, G and V each from its own
     helper, so the arm terms are evaluated three times per state."""
@@ -600,9 +634,9 @@ class TestCertificateOracle:
             alpha=cfg.alpha)
         mismatches, states = [], []
 
-        def compared(x, form, params, fric, z=None):
-            a, rhs = halfspace_coeffs(x, form, params, fric, z)
-            a_ref, rhs_ref = halfspace_coeffs_reference(x, form, params,
+        def compared(x, form, model, fric, z=None):
+            a, rhs = halfspace_coeffs(x, form, model, fric, z)
+            a_ref, rhs_ref = halfspace_coeffs_reference(x, form, cfg.plant,
                                                         fric, z)
             states.append(1)
             if not (np.array_equal(a, a_ref) and rhs == rhs_ref):
