@@ -12,9 +12,11 @@ match line for line.
 
 The pinned commands: `simulate` and `simulate --shielded` for seeds 0-5
 at the default horizon and at `horizon = 2.0`; `evaluate` with
-`--payload-csv` at tau_z 1, 2 and 5 in each payload mode; `phase1` and
-`rank-scan --save-operators` at `--tau-z-list 1,2,3,4,5 --window 20
---n-samples 512`; `markov-gap` and `sigma-scan` at their defaults.
+`--payload-csv` at tau_z 1, 2 and 5 in each payload mode; `compare` of
+those nine result files with `--metric rmse_mean --group-key
+architecture`; `phase1` and `rank-scan --save-operators` at
+`--tau-z-list 1,2,3,4,5 --window 20 --n-samples 512`; `markov-gap` and
+`sigma-scan` at their defaults.
 """
 
 from __future__ import annotations
@@ -42,11 +44,17 @@ def commands():
                    cfg)
             yield (f"shielded{tag}_s{seed}",
                    ["simulate", "--shielded", "--seed", str(seed)], cfg)
+    results = []
     for tz in ("1", "2", "5"):
         for mode in ("nominal", "true", "noisy"):
-            yield (f"evaluate_tz{tz}_{mode}",
-                   ["evaluate", "--tau-z", tz, "--payload-mode", mode,
-                    "--payload-csv"], None)
+            name = f"evaluate_tz{tz}_{mode}"
+            label = "baseline-ct" + ("" if mode == "nominal" else f"-{mode}")
+            results.append(f"../{name}/{label}__tz{tz}s__seed42.json")
+            yield (name, ["evaluate", "--tau-z", tz, "--payload-mode", mode,
+                          "--payload-csv"], None)
+    # the result files of the runs above, read from their directories
+    yield ("compare", ["compare", *results, "--metric", "rmse_mean",
+                       "--group-key", "architecture"], None)
     yield "phase1", ["phase1", *SCAN], None
     yield "rank_scan", ["rank-scan", *SCAN, "--save-operators"], None
     yield "markov_gap", ["markov-gap"], None

@@ -163,25 +163,22 @@ class ModelTerms(NamedTuple):
 
 
 def computed_torque(x: ExtendedState, gains: ControllerParams,
-                    params: PlantParams, fric: FrictionParams | None = None,
-                    model: ModelTerms | None = None) -> np.ndarray:
+                    params: PlantParams, model: ModelTerms | None = None
+                    ) -> np.ndarray:
     """Slotine-Li computed torque at the model `params` (payload estimate).
 
     The K_d feedback acts on the sliding surface stored in x, so the
     output is affine in (kd, lam, eta) jointly for a frozen x.  Broadcasts
-    over leading axes of x; fric = None leaves out the feed-forward.
-    model, when given, is ModelTerms.at(x, params, fric), evaluated once
-    by the caller.
+    over leading axes of x.  model, when given, is ModelTerms.at(x,
+    params, fric), evaluated once by the caller: its arm terms feed the
+    inverse dynamics and its regressor the feed-forward Phi eta.  Without
+    it the torque has no feed-forward.
     """
     qd_r = x.qd_ref + gains.lam * x.e
     qdd_r = x.qdd_ref + gains.lam * x.ed
     arm, Phi = (None, None) if model is None else model
     tau = inverse_dynamics(x.q, x.qd, qd_r, qdd_r, params, arm) + gains.kd * x.s
-    if fric is not None:
-        if Phi is None:
-            Phi = feature_matrix(x.q, x.qd, fric.v_s)
-        tau = tau + feedforward(Phi, gains.eta)
-    return tau
+    return tau if Phi is None else tau + feedforward(Phi, gains.eta)
 
 
 BASELINE_KD = 30.0   # published fixed-gain baseline
@@ -207,19 +204,32 @@ class ControlDecision:
 class BaselineController:
     """Fixed-gain computed torque, optionally with a payload estimate mode.
 
-    No feed-forward: the baseline's eta is 0.  payload_mode: 'nominal'
-    ignores the payload (estimate 0), 'true' uses the plant's value,
-    'noisy' scales it by 1 + PAYLOAD_NOISE_REL n, with n one standard
-    normal draw from noise_seed (runner.evaluate_baseline passes the
-    sweep's seed), and clips it to [0, payload_max].  The payload may
-    be (B,) and the gains (B, 2), one row per member of a batch; 'noisy'
-    draws one noise factor for all members.
+    No feed-forward: the baseline's eta is 0.  gains default to
+    fixed_gain_baseline().  payload_mode: 'nominal' ignores the payload
+    (estimate 0), 'true' uses the plant's value, 'noisy' scales it by
+    1 + PAYLOAD_NOISE_REL n, with n one standard normal draw from
+    noise_seed (runner.evaluate_baseline passes the sweep's seed), and
+    clips it to [0, payload_max]; 'noisy' draws one noise factor for all
+    members of a batch.
+
+    A plant whose payload is (B,), one value per member of a batch (the
+    ensemble's, or evaluate's batched rollout), gets its gains widened
+    to (B, 2) rows in joint-first (Fortran) memory, the order of the
+    (B, 2) views of the packed state that the torque combines them with.
+    Another shape or order makes numpy run short or strided inner loops,
+    several times slower per operation at B = 512.
     """
 
     def __init__(self, params: PlantParams,
                  gains: ControllerParams | None = None,
                  payload_mode: str = "nominal", noise_seed: int = 0):
-        self.gains = gains if gains is not None else fixed_gain_baseline()
+        gains = gains if gains is not None else fixed_gain_baseline()
+        if np.ndim(params.payload) == 1:
+            rows = (np.size(params.payload), 2)
+            gains = replace(gains,
+                            kd=np.asfortranarray(np.full(rows, gains.kd)),
+                            lam=np.asfortranarray(np.full(rows, gains.lam)))
+        self.gains = gains
         if payload_mode not in ("nominal", "true", "noisy"):
             raise ValueError(f"unknown payload_mode {payload_mode!r}")
         if payload_mode == "nominal":

@@ -443,7 +443,8 @@ def closed_loop(x: np.ndarray, n: int, step, keep=np.s_[:, :]):
 @dataclass(frozen=True)
 class Trajectory:
     """Record of one rollout on the control grid (its step is t[1] - t[0]);
-    immutable after creation."""
+    immutable after creation.  The seed that reset it is the caller's:
+    rollout returns a batch's records in the order of its seeds."""
 
     t: np.ndarray            # (n+1,)
     q: np.ndarray            # (n+1, 2)
@@ -454,7 +455,6 @@ class Trajectory:
     tau: np.ndarray          # (n, 2), torque applied over [t_k, t_k+1)
     projection_distance: np.ndarray  # (n,)
     diverged: bool = False
-    seed: int | None = None
 
     @property
     def n_steps(self) -> int:
@@ -516,8 +516,9 @@ def rollout(controller, ref: ReferenceSpec, params: PlantParams,
     seed may also be a sequence of B seeds: the members, each reset
     from its own seed, advance together as a (6, B) packed state, with
     per-member arrays allowed in params and fric and one controller
-    call per step.  One Trajectory per member is returned, each cut at
-    that member's own divergence step as the record of an int seed is.
+    call per step.  One Trajectory per member is returned, in the order
+    of the seeds, each cut at that member's own divergence step as the
+    record of an int seed is.
     """
     n = round(ref.horizon / dt)
     if abs(n * dt - ref.horizon) > 1e-9:
@@ -548,11 +549,11 @@ def rollout(controller, ref: ReferenceSpec, params: PlantParams,
                 for r in (slice(0, 2), slice(2, 4), slice(4, 6)))
 
     trajs = []
-    for i, s in zip(np.ndindex(members), seeds):
+    for i in np.ndindex(members):
         cut = int(n_states[i])
         xs, us = (slice(0, cut), *i), (slice(0, cut - 1), *i)
         trajs.append(Trajectory(
             t=t[:cut], q=q[xs], qd=qd[xs], z=z[xs], q_ref=table.q[:cut],
             qd_ref=table.qd[:cut], tau=tau[us], projection_distance=pdist[us],
-            diverged=cut <= n, seed=s))
+            diverged=cut <= n))
     return trajs if batched else trajs[0]

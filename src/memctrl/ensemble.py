@@ -7,13 +7,12 @@ with per-member payloads and friction constants as arrays in
 PlantParams and FrictionParams; only the task distribution and the
 hand-derived step Jacobian are written here.  Per-member constants are
 stored joint-first, the memory order of the state's rows: friction at
-(2, B), gains and reference as (B, 2) views of (2, B) memory, like the
-q and qd views the controller reads.  Another shape or order makes
-numpy run short or strided inner loops, several times slower per
-operation at B = 512.  Used for the temporal-operator sampler and the
-Markov-gap experiment (sigma-scan runs memory_analysis's synthetic
-broadband sampler, not the ensemble); tests pin each member to a scalar
-rollout.
+(2, B) and the reference as (B, 2) views of (2, B) memory, like the q
+and qd views the controller reads; BaselineController lays out the
+per-member gains the same way, and says why.  Used for the
+temporal-operator sampler and the Markov-gap experiment (sigma-scan
+runs memory_analysis's synthetic broadband sampler, not the ensemble);
+tests pin each member to a scalar rollout.
 """
 
 from __future__ import annotations
@@ -22,8 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .controller import (BaselineController, ControllerParams,
-                         fixed_gain_baseline)
+from .controller import BaselineController, ControllerParams
 from .dynamics import (BatchReference, FrictionParams, PlantParams,
                        ReferenceSpec, RefPoint, _arm_terms, _derivatives,
                        closed_loop, reset_state, rk4_increment)
@@ -67,20 +65,19 @@ class BatchRollout:
 class BaselineEnsembleSim:
     """Batch of plants under the fixed-gain baseline, steppable from any state.
 
-    Per-member payload and (optionally perturbed) friction constants;
-    the torque is a BaselineController whose model is payload-free, as
-    in the evaluation protocol.  step and step_jacobian take the packed
-    (6, B) state of memctrl.dynamics.
+    Per-member payload and (optionally perturbed) friction constants, as
+    task draws them; the torque is BaselineController(self.plant, gains),
+    built as evaluate builds its own: the model is payload-free, as in
+    the evaluation protocol, and the controller lays out the per-member
+    gains.  step and step_jacobian take the packed (6, B) state of
+    memctrl.dynamics.
     """
 
     def __init__(self, batch: int, ref: ReferenceSpec, params: PlantParams,
-                 fric: FrictionParams, seed: int,
-                 task: TaskDistribution | None = None,
+                 fric: FrictionParams, seed: int, task: TaskDistribution,
                  gains: ControllerParams | None = None):
-        task = task or TaskDistribution()
         rng = np.random.default_rng(seed)
         self.batch = batch
-        gains = gains if gains is not None else fixed_gain_baseline()
 
         phase = rng.uniform(0.0, 2.0 * np.pi, (batch, 2))
         self.payload = rng.uniform(0.0, params.payload_max, batch)
@@ -90,14 +87,13 @@ class BaselineEnsembleSim:
             mult = np.ones((batch, 4))
         fr = np.array([fric.f_c, fric.f_smax, fric.v_s, fric.sigma]) * mult
         fr[:, 1] = np.maximum(fr[:, 1], fr[:, 0])  # static peak >= Coulomb
-        # friction at (2, B); gains and phase (B, 2) in joint-first memory
+        # friction at (2, B); phase (B, 2) in joint-first memory
         self.fric = replace(fric, **{k: np.full((2, batch), fr[:, i])
                                      for i, k in enumerate(("f_c", "f_smax",
                                                             "v_s", "sigma"))})
-        self.controller = BaselineController(params, replace(
-            gains, kd=np.asfortranarray(np.full((batch, 2), gains.kd)),
-            lam=np.asfortranarray(np.full((batch, 2), gains.lam))))  # payload-free
         self.plant = replace(params, payload=self.payload)
+        # payload-free, with (B, 2) gains
+        self.controller = BaselineController(self.plant, gains)
         phase = np.asfortranarray(phase)
         self.reference = BatchReference(ref, phase, task.slow_reference, rng)
         # the reset jitters around the start of the fast tones alone

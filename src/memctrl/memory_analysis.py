@@ -190,9 +190,10 @@ class StateBinning:
         return self.vel_edges.shape[0]
 
     @staticmethod
-    def fit(pos: np.ndarray, vel: np.ndarray, n_bins: int = 12
+    def fit(pos: np.ndarray, vel: np.ndarray, n_bins: int
             ) -> tuple["StateBinning", np.ndarray]:
-        """The binning fitted to the samples, and their cell ids.
+        """The n_bins x n_bins binning fitted to the samples, and their
+        cell ids; each caller names its n_bins.
 
         One stable sort groups the velocities by position stratum for
         the per-stratum quantiles.  The strata are sorted as the smallest

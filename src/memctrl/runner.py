@@ -115,7 +115,7 @@ class SweepSpec:
 
 def evaluate_controller(make_controller, ref: ReferenceSpec,
                         params: PlantParams, fric: FrictionParams,
-                        architecture: str, sweep: SweepSpec | None = None,
+                        architecture: str, sweep: SweepSpec,
                         baseline_rmse: float | None = None) -> RunResult:
     """Payload sweep of a controller factory, labelled architecture.
 
@@ -129,7 +129,6 @@ def evaluate_controller(make_controller, ref: ReferenceSpec,
     over the sweep).  The result's param_count is 0: no controller
     evaluated here has learned parameters.
     """
-    sweep = sweep or SweepSpec()
     n_roll = sweep.rollouts_per_payload
     plant = replace(params, payload=np.repeat(np.asarray(PAYLOAD_GRID,
                                                          dtype=float), n_roll))
@@ -154,16 +153,17 @@ def evaluate_controller(make_controller, ref: ReferenceSpec,
 
 
 def evaluate_baseline(ref: ReferenceSpec, params: PlantParams,
-                      fric: FrictionParams, sweep: SweepSpec | None = None,
+                      fric: FrictionParams, sweep: SweepSpec,
                       payload_mode: str = "nominal", gains=None) -> RunResult:
     """evaluate_controller of the BaselineController; a 'noisy' payload
-    estimate draws its noise from the sweep's seed.
+    estimate draws its noise from the sweep's seed.  The controller gets
+    the batched plant and lays out one row of gains per rollout, as the
+    ensemble's does.
 
     The label names the payload mode: 'baseline-ct' for 'nominal' (the
     paper's baseline), 'baseline-ct-true' and 'baseline-ct-noisy' for the
     other two, so runs in different modes never share a result file.
     """
-    sweep = sweep or SweepSpec()
     label = ("baseline-ct" if payload_mode == "nominal"
              else f"baseline-ct-{payload_mode}")
 

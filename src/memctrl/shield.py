@@ -63,10 +63,14 @@ class LyapunovForm:
             raise ValueError("alpha must be non-negative")
 
 
-def design_lyapunov_form(params: PlantParams, ref_q0: np.ndarray | None = None,
-                         baseline: ControllerParams | None = None,
-                         alpha: float = 0.5) -> LyapunovForm:
+def design_lyapunov_form(params: PlantParams, ref_q0: np.ndarray,
+                         baseline: ControllerParams | None = None, *,
+                         alpha: float) -> LyapunovForm:
     """Quadratic certificate from the nominal error dynamics at baseline gains.
+
+    Mbar is the payload-free M at the reference's start ref_q0; alpha is
+    the demanded decay rate (Config.alpha); baseline defaults to
+    fixed_gain_baseline().
 
     e-block: Lam^T P_e + P_e Lam = I  =>  P_e = Lam^-1 / 2.
     s-block: the scalar Lyapunov solution of the slowest sliding mode,
@@ -75,8 +79,8 @@ def design_lyapunov_form(params: PlantParams, ref_q0: np.ndarray | None = None,
     "more K_d always helps" hold globally.
     """
     baseline = baseline if baseline is not None else fixed_gain_baseline()
-    q0 = np.zeros(2) if ref_q0 is None else np.asarray(ref_q0, dtype=float)
-    Mbar = mass_matrix(q0, params.with_payload(0.0))
+    Mbar = mass_matrix(np.asarray(ref_q0, dtype=float),
+                       params.with_payload(0.0))
     # Mbar^-1 diag(kd) is similar to a symmetric PD matrix, so its
     # eigenvalues are real and positive
     rates = np.linalg.eigvals(np.linalg.solve(Mbar, np.diag(baseline.kd)))
@@ -103,19 +107,20 @@ def _quadratic_value(y: np.ndarray, form: LyapunovForm) -> float:
 
 
 def halfspace_coeffs(x: ExtendedState, form: LyapunovForm, model: ModelTerms,
-                     fric: FrictionParams, z: np.ndarray | None = None
+                     fric: FrictionParams, z: np.ndarray
                      ) -> tuple[np.ndarray, float]:
     """Exact (a, rhs) with a . theta <= rhs  iff  Vdot(x; theta) + alpha V(x) <= 0.
 
     theta is ControllerParams.as_vector() = (K_d, Lam, eta).  Along the
     closed loop with the CT torque tau(theta) at the true plant params,
     Vdot = drift - b . tau with b = M^-1 dV/ded and a theta-free drift;
-    tau is affine in theta, which gives a.  z defaults to zero memory.
-    model is ModelTerms.at(x, params, fric) at the true plant params:
-    M, C, G come from its arm terms and the regressor Phi is its own.
-    V comes from the y built here.
+    tau is affine in theta, which gives a.  z is the memory state the
+    friction carries at x (the shield passes the plant's).  model is
+    ModelTerms.at(x, params, fric) at the true plant params: M, C, G
+    come from its arm terms and the regressor Phi is its own.  V comes
+    from the y built here.
     """
-    z = np.zeros(2) if z is None else np.asarray(z, dtype=float)
+    z = np.asarray(z, dtype=float)
     arm, Phi = model
     y = np.concatenate([x.e, x.ed])
     Py = form.P @ y
@@ -173,14 +178,14 @@ def project_halfspace_box(theta_raw: np.ndarray, a: np.ndarray, rhs: float,
 
 def project_admissible(x: ExtendedState, theta_raw: ControllerParams,
                        form: LyapunovForm, box: ParamBox, model: ModelTerms,
-                       fric: FrictionParams, z: np.ndarray | None = None
+                       fric: FrictionParams, z: np.ndarray
                        ) -> tuple[ControllerParams, bool]:
     """Project a proposal onto box intersect decrease-half-space.
 
     Returns (theta, empty).  theta is theta_raw unchanged when already
     feasible.  empty is True when the state admits no feasible gain
     choice; theta is then the box point of steepest decrease.  model, fric
-    and z are halfspace_coeffs'.
+    and z (the memory state at x) are halfspace_coeffs'.
     """
     a, rhs = halfspace_coeffs(x, form, model, fric, z)
     v, empty = project_halfspace_box(theta_raw.as_vector(), a, rhs,
@@ -260,7 +265,7 @@ class ShieldedController:
         self.assumption_violations += empty
         d = theta.as_vector() - proposal.as_vector()
         dist = math.sqrt(d.dot(d))    # np.linalg.norm of a 1-D vector
-        tau = computed_torque(x, theta, self.params, self.fric, model)
+        tau = computed_torque(x, theta, self.params, model)
         return ControlDecision(tau=tau, params=theta, projection_distance=dist)
 
 

@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 
 from memctrl.controller import (DIM_ETA, BaselineController, ControllerParams,
-                                ExtendedState, ParamBox, computed_torque,
-                                feature_matrix, feedforward,
+                                ExtendedState, ModelTerms, ParamBox,
+                                computed_torque, feature_matrix, feedforward,
                                 fixed_gain_baseline)
 from memctrl.dynamics import (RefPoint, coriolis_matrix, gravity_vector,
                               mass_matrix, rollout, stribeck_force)
@@ -63,7 +65,8 @@ class TestComputedTorque:
 
         def tau(v):
             return computed_torque(x, ControllerParams.from_vector(v),
-                                   cfg.plant, cfg.friction)
+                                   cfg.plant,
+                                   ModelTerms.at(x, cfg.plant, cfg.friction))
 
         mix = tau(a * v1 + (1 - a) * v2)
         assert np.allclose(mix, a * tau(v1) + (1 - a) * tau(v2), atol=1e-10)
@@ -147,3 +150,40 @@ class TestBaseline:
         assert Phi.shape == (2, DIM_ETA)
         assert np.all(Phi[0, 3:] == 0.0)
         assert np.all(Phi[1, :3] == 0.0)
+
+
+class TestBatchGains:
+    """BaselineController is the one place the baseline's per-member
+    gains are laid out: (B, 2) rows in joint-first memory for a plant
+    with one payload per member."""
+
+    def test_per_member_plant_widens_gains(self, cfg):
+        plant = dataclasses.replace(cfg.plant,
+                                    payload=np.linspace(0.0, 1.5, 5))
+        gains = ControllerParams(kd=[30.0, 20.0], lam=[5.0, 4.0],
+                                 eta=np.zeros(DIM_ETA))
+        ctrl = BaselineController(plant, gains)
+        for name in ("kd", "lam"):
+            g = getattr(ctrl.gains, name)
+            assert g.shape == (5, 2) and g.flags.f_contiguous, name
+            assert np.array_equal(g, np.tile(getattr(gains, name), (5, 1)))
+
+    def test_scalar_plant_keeps_gains(self, cfg):
+        ctrl = BaselineController(cfg.plant)
+        assert ctrl.gains.kd.shape == ctrl.gains.lam.shape == (2,)
+
+    def test_ensemble_gains_are_the_controllers(self, cfg):
+        from memctrl.ensemble import BaselineEnsembleSim, TaskDistribution
+
+        gains = fixed_gain_baseline(25.0, 4.0)
+        for given in (None, gains):
+            sim = BaselineEnsembleSim(4, cfg.reference, cfg.plant,
+                                      cfg.friction, 0, TaskDistribution(),
+                                      given)
+            want = BaselineController(sim.plant, given).gains
+            for name in ("kd", "lam", "eta"):
+                got = getattr(sim.controller.gains, name)
+                assert got.shape == getattr(want, name).shape, name
+                assert got.flags.f_contiguous == getattr(
+                    want, name).flags.f_contiguous, name
+                assert np.array_equal(got, getattr(want, name)), name

@@ -27,7 +27,7 @@ class TestMarkovianPolicy:
         pos = rng.uniform(-1, 1, 5000)
         vel = rng.uniform(-1, 1, 5000)
         z = rng.normal(0.3, 1.0, 5000)   # independent of the state
-        pol = mg.markovian_policy_fit(StateBinning.fit(pos, vel), z)
+        pol = mg.markovian_policy_fit(StateBinning.fit(pos, vel, 12), z)
         preds = pol.predict_z(rng.uniform(-1, 1, 50), rng.uniform(-1, 1, 50))
         assert np.std(preds) < 0.15          # bin noise only
         assert np.mean(preds) == pytest.approx(0.3, abs=0.1)
@@ -36,7 +36,7 @@ class TestMarkovianPolicy:
         pos = rng.uniform(-1, 1, 8000)
         vel = rng.uniform(-1, 1, 8000)
         z = 0.8 * vel                        # measurable from the state
-        pol = mg.markovian_policy_fit(StateBinning.fit(pos, vel), z)
+        pol = mg.markovian_policy_fit(StateBinning.fit(pos, vel, 12), z)
         excess = np.mean(0.5 * (pol.predict_z(pos, vel) - z) ** 2)
         var_z = float(np.var(z))
         assert excess < 0.02 * var_z
@@ -57,7 +57,7 @@ class TestMarkovianPolicy:
     def test_needs_enough_samples(self, rng):
         with pytest.raises(InsufficientSamples):
             mg.markovian_policy_fit(
-                StateBinning.fit(rng.normal(size=10), rng.normal(size=10)),
+                StateBinning.fit(rng.normal(size=10), rng.normal(size=10), 12),
                 rng.normal(size=10))
 
 

@@ -23,7 +23,7 @@ def form(cfg):
         cfg.plant, BatchReference(cfg.reference).at(0.0).q, alpha=0.5)
 
 
-def _halfspace(x, form, params, fric, z=None):
+def _halfspace(x, form, params, fric, z):
     return halfspace_coeffs(x, form, ModelTerms.at(x, params, fric), fric, z)
 
 
@@ -42,7 +42,7 @@ def lyapunov_rate(x, theta, form, params, fric, z=None):
     true plant, also the controller's model.  z defaults to zero memory.
     """
     z = np.zeros(2) if z is None else np.asarray(z, dtype=float)
-    tau = computed_torque(x, theta, params, fric)
+    tau = computed_torque(x, theta, params, ModelTerms.at(x, params, fric))
     rhs = (tau - coriolis_matrix(x.q, x.qd, params) @ x.qd
            - gravity_vector(x.q, params) - stribeck_force(x.qd, z, fric))
     qdd = np.linalg.solve(mass_matrix(x.q, params), rhs)
@@ -95,7 +95,8 @@ class TestLyapunovRate:
             x = random_extended_state(rng, form, e_scale=0.5, qd_scale=1.5)
             theta = random_theta(rng, box)
             z = rng.uniform(-1.0, 1.0, 2)
-            tau = computed_torque(x, theta, cfg.plant, cfg.friction)
+            tau = computed_torque(x, theta, cfg.plant,
+                                  ModelTerms.at(x, cfg.plant, cfg.friction))
             state = PlantState(q=x.q, qd=x.qd, z=z.copy())
             v0 = lyapunov_value(x, form)
             new = step_rk4(state, tau, dt, cfg.plant, cfg.friction)
@@ -174,7 +175,7 @@ class TestHalfspace:
                        qdd=rng.uniform(-1, 1, 2))
         x = ExtendedState.from_tracking(q, qd, ref, form.lam_nominal)
         assert np.allclose(x.s, 0.0, atol=1e-14)
-        a, _ = _halfspace(x, form, cfg.plant, cfg.friction)
+        a, _ = _halfspace(x, form, cfg.plant, cfg.friction, np.zeros(2))
         assert np.allclose(a[:2], 0.0, atol=1e-14)
 
 
@@ -214,14 +215,16 @@ class TestIsAdmissible:
         x = random_extended_state(np.random.default_rng(3), form_hard)
         assert lyapunov_value(x, form_hard) > 1e-4
         lo, hi = box.lower_vector, box.upper_vector
-        a, rhs = _halfspace(x, form_hard, cfg.plant, cfg.friction)
+        a, rhs = _halfspace(x, form_hard, cfg.plant, cfg.friction,
+                            np.zeros(2))
         corners_rng = np.random.default_rng(11)
         for _ in range(64):
             mask = corners_rng.integers(0, 2, lo.size).astype(bool)
             assert a @ np.where(mask, hi, lo) - rhs > 1e-9
         theta, empty = project_admissible(
             x, fixed_gain_baseline(), form_hard, box,
-            ModelTerms.at(x, cfg.plant, cfg.friction), cfg.friction)
+            ModelTerms.at(x, cfg.plant, cfg.friction), cfg.friction,
+            np.zeros(2))
         # the flagged fallback is the vertex of steepest decrease
         assert empty
         assert np.array_equal(theta.as_vector(), np.where(a > 0.0, lo, hi))
@@ -634,7 +637,7 @@ class TestCertificateOracle:
             alpha=cfg.alpha)
         mismatches, states = [], []
 
-        def compared(x, form, model, fric, z=None):
+        def compared(x, form, model, fric, z):
             a, rhs = halfspace_coeffs(x, form, model, fric, z)
             a_ref, rhs_ref = halfspace_coeffs_reference(x, form, cfg.plant,
                                                         fric, z)
