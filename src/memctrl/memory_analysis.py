@@ -164,13 +164,6 @@ def group_means(ids: np.ndarray, values: np.ndarray, n_groups: int
     return counts, means
 
 
-def _position_stratum(pos_edges: np.ndarray, pos: np.ndarray) -> np.ndarray:
-    """Position stratum of each sample; points outside the edges go to
-    the nearest end stratum."""
-    return np.clip(np.searchsorted(pos_edges, pos, side="right") - 1,
-                   0, pos_edges.size - 2)
-
-
 @dataclass
 class StateBinning:
     """Nested equal-count partition of the (position, velocity) plane.
@@ -195,18 +188,22 @@ class StateBinning:
         """The n_bins x n_bins binning fitted to the samples, and their
         cell ids; each caller names its n_bins.
 
-        One stable sort groups the velocities by position stratum for
-        the per-stratum quantiles.  The strata are sorted as the smallest
-        unsigned type that holds them, for which numpy's stable sort is
-        a radix sort.
+        One float sort of the positions serves both axes.  The position
+        edges are the quantiles of the sorted positions, the same bits as
+        of the unsorted ones; each stratum is then one run of that order,
+        its start the count of positions below its lower edge (the rule
+        of cell_index), and its velocity quantiles come from its slice
+        of the velocities taken in the same order.  The cells come from
+        cell_index, which alone computes the samples' strata.
         """
-        pe = quantile_bins(pos, n_bins)
+        order = np.argsort(pos)
+        pos_sorted = pos[order]
+        pe = quantile_bins(pos_sorted, n_bins)
+        bounds = np.empty(n_bins + 1, dtype=np.intp)
+        bounds[0], bounds[-1] = 0, pos.size
+        bounds[1:-1] = np.searchsorted(pos_sorted, pe[1:-1], side="left")
+        vel_sorted = vel[order]
         ve = np.empty((n_bins, n_bins + 1))
-        stratum = _position_stratum(pe, pos)
-        bounds = np.zeros(n_bins + 1, dtype=np.intp)
-        np.cumsum(np.bincount(stratum, minlength=n_bins), out=bounds[1:])
-        vel_sorted = vel[np.argsort(
-            stratum.astype(np.min_scalar_type(n_bins - 1)), kind="stable")]
         for b in range(n_bins):
             sel = vel_sorted[bounds[b]:bounds[b + 1]]
             if sel.size == 0:
@@ -219,12 +216,15 @@ class StateBinning:
     def cell_index(self, pos: np.ndarray, vel: np.ndarray) -> np.ndarray:
         """Cell ids of the points (pos, vel), with no sort.
 
-        A point's cell is stratum * n_bins plus the count of its
-        stratum's interior velocity edges at or below vel, the same id
-        as clip(searchsorted(edges, vel, 'right') - 1, 0, n_bins - 1).
+        A point's stratum is the last position edge at or below pos;
+        points outside the edges go to the nearest end stratum.  Its cell
+        is stratum * n_bins plus the count of its stratum's interior
+        velocity edges at or below vel, the same id as
+        clip(searchsorted(edges, vel, 'right') - 1, 0, n_bins - 1).
         One pass per interior edge keeps every temporary (N,).
         """
-        stratum = _position_stratum(self.pos_edges, pos)
+        stratum = np.clip(np.searchsorted(self.pos_edges, pos, side="right")
+                          - 1, 0, self.n_bins - 1)
         cell = stratum * self.n_bins
         for edge in self.vel_edges.T[1:-1]:
             cell += edge[stratum] <= vel
@@ -278,10 +278,17 @@ def sigma_z_broadband(tau_z: float, lambda_z: float, n_traj: int = 2000,
     reset the position random walk shares its increments with z and the
     position bins drain genuine conditional variance from the estimate.
 
-    Each step's velocities are drawn into one buffer, the same stream and
-    values as rng.standard_normal(n_traj); z and q are updated in place,
-    and the samples go into preallocated (n_samples, n_traj) arrays.  The
-    loop ends at the last sample step: later draws would never be read.
+    The held steps are drawn a block at a time, one
+    rng.standard_normal(out=...) call filling up to BROADBAND_STRIDE
+    rows; the generator fills in C order, so the velocities are the
+    stream and values of one draw per step.  The burn-in takes whole
+    strides and one block for its remainder; each sample then draws its
+    own stride, whose row 0 is its velocity, and the last sample draws
+    that row alone: later draws would never be read.  An m-row block
+    moves the state as m single steps do, up to roundoff:
+    z <- a^m z + sum_j drive a^(m-1-j) qd_j and q <- q + dt sum_j qd_j.
+    The weighted sum is np.einsum's own loop, not BLAS, so the result
+    does not depend on the BLAS thread count.
     """
     if not 0.0 < tau_z < np.inf:
         raise ValueError(f"tau_z must be finite and positive, got {tau_z}")
@@ -297,16 +304,26 @@ def sigma_z_broadband(tau_z: float, lambda_z: float, n_traj: int = 2000,
     drive = lambda_z * tau_z * (1.0 - decay)   # exact weight for held input
     n_samples = (n - 1 - burn) // BROADBAND_STRIDE + 1
     pos, vel, mem = (np.empty((n_samples, n_traj)) for _ in range(3))
-    qd, tmp = np.empty(n_traj), np.empty(n_traj)
-    for k in range(burn + (n_samples - 1) * BROADBAND_STRIDE + 1):
-        rng.standard_normal(out=qd)
-        i, r = divmod(k - burn, BROADBAND_STRIDE)
-        if k >= burn and r == 0:
-            # z here excludes the current step's drive: independent of qd
-            pos[i], vel[i], mem[i] = q, qd, z
-        z *= decay
-        z += np.multiply(drive, qd, out=tmp)
-        q += np.multiply(dt, qd, out=tmp)
+    n_full, rest = divmod(burn, BROADBAND_STRIDE)
+    blocks = ([BROADBAND_STRIDE] * n_full + [rest] * (rest > 0)
+              + [BROADBAND_STRIDE] * (n_samples - 1) + [1])
+    first_sample = len(blocks) - n_samples
+    # per block length: z's decay over the block and its weight on each row
+    update = {m: (decay ** m, drive * decay ** np.arange(m - 1, -1, -1.0))
+              for m in set(blocks[:-1])}
+    buf = np.empty((BROADBAND_STRIDE, n_traj))
+    for b, m in enumerate(blocks):
+        qd = rng.standard_normal(out=buf[:m])
+        i = b - first_sample
+        if i >= 0:
+            # z here excludes the sample step's drive: independent of qd
+            pos[i], vel[i], mem[i] = q, qd[0], z
+        if i == n_samples - 1:
+            break
+        decay_m, weights = update[m]
+        z *= decay_m
+        z += np.einsum("i,ij->j", weights, qd)
+        q += dt * qd.sum(axis=0)
     mc = binned_conditional_variance(
         StateBinning.fit(pos.ravel(), vel.ravel(), BROADBAND_BINS), mem.ravel())
     cf = sigma_z_closed_form(tau_z, lambda_z, dt, lambda u: 0.0)

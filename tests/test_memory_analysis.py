@@ -187,8 +187,8 @@ class TestSigmaZPinned:
         assert est.n_samples == n_samples
 
     def test_one_stratification_per_call(self, argsort_sizes):
-        # fit sorts its one sample set once, and takes the samples'
-        # cells from the sort-free cell_index
+        # fit sorts its sample positions once, as floats, and takes the
+        # samples' cells from the sort-free cell_index
         est = ma.sigma_z_broadband(1.0, lambda_z=4.0, n_traj=400, seed=42)
         assert argsort_sizes == [est.n_samples]
 
@@ -206,6 +206,85 @@ class TestSigmaZPinned:
     def test_rejects_fewer_than_one_trajectory(self, n_traj):
         with pytest.raises(ValueError, match=f"n_traj must be at least 1, got {n_traj}"):
             ma.sigma_z_broadband(1.0, lambda_z=4.0, n_traj=n_traj)
+
+
+# The per-step sampler that sigma_z_broadband's stride blocks replaced:
+# one draw and one state update per held step.  Kept as the oracle for
+# what the sampler hands to the binning.
+def per_step_samples(tau_z, lambda_z, n_traj, dt=0.01, seed=0):
+    rng = np.random.default_rng(seed)
+    burn = int(np.ceil(ma.BURN_IN_FACTOR * tau_z / dt))
+    n = max(round(ma.BROADBAND_HORIZON / dt),
+            burn + ma.MIN_TRAJ_SAMPLES * ma.BROADBAND_STRIDE)
+    decay = np.exp(-dt / tau_z)
+    z = np.zeros(n_traj)
+    q = rng.uniform(-0.5 * ma.Q_SPAN, 0.5 * ma.Q_SPAN, n_traj)
+    drive = lambda_z * tau_z * (1.0 - decay)
+    n_samples = (n - 1 - burn) // ma.BROADBAND_STRIDE + 1
+    pos, vel, mem = (np.empty((n_samples, n_traj)) for _ in range(3))
+    qd, tmp = np.empty(n_traj), np.empty(n_traj)
+    for k in range(burn + (n_samples - 1) * ma.BROADBAND_STRIDE + 1):
+        rng.standard_normal(out=qd)
+        i, r = divmod(k - burn, ma.BROADBAND_STRIDE)
+        if k >= burn and r == 0:
+            pos[i], vel[i], mem[i] = q, qd, z
+        z *= decay
+        z += np.multiply(drive, qd, out=tmp)
+        q += np.multiply(dt, qd, out=tmp)
+    return pos.ravel(), vel.ravel(), mem.ravel()
+
+
+class TestStrideBlocksMatchPerStepOracle:
+    # 0.37 s: a 186-step burn-in, not a whole number of strides; 3.5 s
+    # and 5 s: runs that grow past BROADBAND_HORIZON
+    @pytest.mark.parametrize("tau_z", [0.37, 1.0, 3.5, 5.0])
+    def test_samples_and_estimate(self, tau_z, monkeypatch):
+        lam, n_traj, seed = 4.0, 400, 42
+        pos, vel, mem = per_step_samples(tau_z, lam, n_traj, seed=seed)
+        want = ma.binned_conditional_variance(
+            ma.StateBinning.fit(pos, vel, ma.BROADBAND_BINS), mem)
+        seen = {}
+        fit, variance = ma.StateBinning.fit, ma.binned_conditional_variance
+
+        def fit_spy(p, v, n_bins):
+            seen["pos"], seen["vel"] = p, v
+            return fit(p, v, n_bins)
+
+        def variance_spy(fitted, target):
+            seen["mem"] = target
+            return variance(fitted, target)
+
+        monkeypatch.setattr(ma.StateBinning, "fit", staticmethod(fit_spy))
+        monkeypatch.setattr(ma, "binned_conditional_variance", variance_spy)
+        est = ma.sigma_z_broadband(tau_z, lambda_z=lam, n_traj=n_traj,
+                                   seed=seed)
+        assert est.n_samples == mem.size
+        assert np.array_equal(seen["vel"], vel)
+        assert np.max(np.abs(seen["pos"] - pos)) <= 1e-12
+        assert np.max(np.abs(seen["mem"] - mem)) <= 1e-12 * np.std(mem)
+        assert est.monte_carlo == pytest.approx(want, rel=1e-13, abs=0)
+
+    def test_one_draw_per_block(self, monkeypatch):
+        # at tau_z = 1 the 500-step burn-in is 10 strides and the 30
+        # samples draw one block each: 40 draw calls, not one per step
+        draws = []
+        default_rng = np.random.default_rng
+
+        class CountingRng:
+            def __init__(self, seed):
+                self._rng = default_rng(seed)
+
+            def __getattr__(self, name):
+                return getattr(self._rng, name)
+
+            def standard_normal(self, *args, **kwargs):
+                draws.append(1)
+                return self._rng.standard_normal(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", CountingRng)
+        est = ma.sigma_z_broadband(1.0, lambda_z=4.0, n_traj=400, seed=42)
+        assert est.n_samples == 30 * 400
+        assert len(draws) == 10 + 30
 
 
 # The masked binning that StateBinning and binned_conditional_variance
