@@ -243,10 +243,39 @@ class BaselineController:
             self.model = replace(params, payload=np.clip(p_hat, 0.0,
                                                          params.payload_max))
 
-    def torque(self, q, qd, ref_point: RefPoint) -> np.ndarray:
-        x = ExtendedState.from_tracking(q, qd, ref_point, self.gains.lam)
-        return computed_torque(x, self.gains, self.model)
-
     def __call__(self, t: float, state: PlantState, ref_point: RefPoint) -> ControlDecision:
-        return ControlDecision(tau=self.torque(state.q, state.qd, ref_point),
+        x = ExtendedState.from_tracking(state.q, state.qd, ref_point,
+                                        self.gains.lam)
+        return ControlDecision(tau=computed_torque(x, self.gains, self.model),
                                params=self.gains)
+
+    def torque_jacobian(self, state: PlantState, ref_point: RefPoint
+                        ) -> np.ndarray:
+        """d tau / d (q, qd, z) of __call__'s torque at state, shape
+        (..., 2, 6); the z columns are 0."""
+        g = self.gains
+        q, qd = state.q, state.qd
+        _, _, b, _, gw1, gw2 = self.model.terms
+        M11, M12, M22, h, _, _ = arm_terms(q, self.model)
+        dh = b * np.cos(q[..., 1])   # dh/dq2
+        e = ref_point.q - q
+        ed = ref_point.qd - qd
+        qd_r = ref_point.qd + g.lam * e
+        qdd_r = ref_point.qdd + g.lam * ed
+        v1, v2 = qd[..., 0], qd[..., 1]
+        gs12 = gw2 * np.sin(q[..., 0] + q[..., 1])
+        gs1 = gw1 * np.sin(q[..., 0])
+        # the gains are (2,) or (B, 2): the joint is the last axis
+        lam1, lam2, kd1, kd2 = g.lam[..., 0], g.lam[..., 1], g.kd[..., 0], g.kd[..., 1]
+        T = np.zeros(q.shape[:-1] + (2, 6))
+        T[..., 0, 0] = h * v2 * lam1 - gs1 - gs12 - kd1 * lam1
+        T[..., 0, 1] = (-h * (2.0 * qdd_r[..., 0] + qdd_r[..., 1])
+                        - dh * (v2 * qd_r[..., 0] + (v1 + v2) * qd_r[..., 1])
+                        + h * (v1 + v2) * lam2 - gs12)
+        T[..., 0, 2] = -M11 * lam1 - h * qd_r[..., 1] - kd1
+        T[..., 0, 3] = -M12 * lam2 - h * (qd_r[..., 0] + qd_r[..., 1])
+        T[..., 1, 0] = -h * v1 * lam1 - gs12
+        T[..., 1, 1] = -h * qdd_r[..., 0] + dh * v1 * qd_r[..., 0] - gs12 - kd2 * lam2
+        T[..., 1, 2] = -M12 * lam1 + h * qd_r[..., 0]
+        T[..., 1, 3] = -M22 * lam2 - kd2
+        return T

@@ -19,7 +19,11 @@ routines, which broadcast over leading axes.  Rollouts and ensembles
 share the one reference evaluator BatchReference, the one reset rule
 reset_state, the one integrator rk4_increment and the one blow-up
 check in closed_loop, which records the selected steps and rows of x
-time-major.
+time-major.  Each law's derivative sits beside it: _rhs_jacobian
+differentiates _derivatives, and rk4_jacobian, the exact derivative of
+rk4_increment by the state with the held torque's derivative passed
+in, chains it through the four stages (the gradient sampler's step
+Jacobian).
 """
 
 from __future__ import annotations
@@ -366,6 +370,51 @@ def _derivatives(x, tau1, tau2, terms, fric: FrictionParams):
     return k
 
 
+def _rhs_jacobian(x, k, terms, fric: FrictionParams):
+    """d (qd, qdd, zd) / d (q, qd, z, tau) of _derivatives, shape
+    (*members, 6, 8), at the packed stage x with derivative k; terms =
+    PlantParams.terms.
+
+    The derivative of sign(qd) is taken as 0: the Coulomb/Stribeck
+    jump at qd = 0 contributes no sensitivity.
+    """
+    _, _, b, _, gw1, gw2 = terms
+    q1, q2, v1, v2 = x[0], x[1], x[2], x[3]
+    M11, M12, M22, h, _, _ = _arm_terms(q1, q2, terms)
+    dh = b * np.cos(q2)   # dh/dq2
+    u = x[2:4] / fric.v_s
+    dF1, dF2 = (fric.f_excess * np.exp(-u * u) * (-2.0 * u / fric.v_s)
+                * np.sign(x[2:4]) + fric.sigma)
+    gs12 = gw2 * np.sin(q1 + q2)
+    gs1 = gw1 * np.sin(q1)
+    # d r / d (q1, q2, qd1, qd2), with the dM/dq2 qdd term folded in
+    members = x.shape[1:]
+    dr = np.empty(members + (2, 4))
+    dr[..., 0, 0] = gs1 + gs12
+    dr[..., 0, 1] = (dh * (2.0 * v1 * v2 + v2 * v2) + gs12
+                     + h * (2.0 * k[2] + k[3]))
+    dr[..., 0, 2] = 2.0 * h * v2 - dF1
+    dr[..., 0, 3] = 2.0 * h * (v1 + v2)
+    dr[..., 1, 0] = gs12
+    dr[..., 1, 1] = -dh * v1 * v1 + gs12 + h * k[2]
+    dr[..., 1, 2] = -2.0 * h * v1
+    dr[..., 1, 3] = -dF2
+    det = M11 * M22 - M12 * M12
+    Minv = np.empty(members + (2, 2))
+    Minv[..., 0, 0] = M22 / det
+    Minv[..., 0, 1] = Minv[..., 1, 0] = -M12 / det
+    Minv[..., 1, 1] = M11 / det
+    eye = np.eye(2)
+    J = np.zeros(members + (6, 8))
+    J[..., 0:2, 2:4] = eye
+    J[..., 2:4, 0:4] = Minv @ dr
+    J[..., 2:4, 4:6] = -Minv
+    J[..., 2:4, 6:8] = Minv
+    J[..., 4:6, 2:4] = fric.lambda_z * eye
+    J[..., 4:6, 4:6] = -eye / fric.tau_z
+    return J
+
+
 def rk4_increment(x, tau, dt: float, params: PlantParams, fric: FrictionParams):
     """One classical RK4 step of the packed state x, with the joint-first
     torque tau of shape (2, *members) held; stages combine on x whole."""
@@ -377,6 +426,28 @@ def rk4_increment(x, tau, dt: float, params: PlantParams, fric: FrictionParams):
     k3 = _derivatives(x + half * k2, tau1, tau2, terms, fric)
     k4 = _derivatives(x + dt * k3, tau1, tau2, terms, fric)
     return x + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def rk4_jacobian(x, tau, dtau_dx, dt: float, params: PlantParams,
+                 fric: FrictionParams):
+    """d rk4_increment / d x at the packed state x, shape (*members, 6, 6).
+
+    tau is rk4_increment's held joint-first torque and dtau_dx, shape
+    (*members, 2, 6), its derivative by the state it is held from; the
+    chain rule runs through the four stages x + c dt k with
+    _rhs_jacobian, so d sign/d qd is taken as 0.
+    """
+    tau1, tau2 = tau
+    terms = params.terms
+    eye = np.eye(6)
+    k, K, acc = 0.0, 0.0, 0.0   # previous stage slope, its Jacobian
+    for c, w in ((0.0, 1.0), (0.5, 2.0), (0.5, 2.0), (1.0, 1.0)):
+        stage = x + c * dt * k
+        k = _derivatives(stage, tau1, tau2, terms, fric)
+        Jf = _rhs_jacobian(stage, k, terms, fric)
+        K = Jf[..., :6] @ (eye + c * dt * K) + Jf[..., 6:] @ dtau_dx
+        acc = acc + w * K
+    return eye + dt / 6.0 * acc
 
 
 def within_bound(x) -> np.ndarray:

@@ -40,11 +40,14 @@ def leading_eigvec(M: np.ndarray) -> tuple[np.ndarray, float]:
     return evecs[:, -1], float(evals[-1])
 
 
-def growth_signal(R: np.ndarray, candidate: np.ndarray) -> float:
+def growth_signal(R: np.ndarray, candidate: np.ndarray, floor: float) -> float:
     """Effective-rank reduction from deflating the candidate's Rayleigh mass.
 
-    A deflation that exhausts the residual to roundoff removes all of
-    its effective rank, so rank-one exhaustion yields a full-unit signal.
+    A deflation that leaves a residual of Frobenius norm at most floor
+    exhausts it, and removes all of its effective rank, so rank-one
+    exhaustion yields a full-unit signal.  floor is the scale on which
+    the caller calls a residual exhausted (run_phase1's 1e-7 ||A||_F):
+    the deflation roundoff stays far below it, so it does not decide.
     R itself must be nonzero (effective_rank raises ZeroMatrix).
     """
     u = np.asarray(candidate, dtype=float)
@@ -53,8 +56,7 @@ def growth_signal(R: np.ndarray, candidate: np.ndarray) -> float:
         raise ValueError("candidate must be a unit vector")
     mass = float(u @ R @ u)
     deflated = R - mass * np.outer(u, u)
-    before = float(np.linalg.norm(R, "fro"))
-    if float(np.linalg.norm(deflated, "fro")) <= 1e-12 * before:
+    if float(np.linalg.norm(deflated, "fro")) <= floor:
         return effective_rank(R)
     return effective_rank(R) - effective_rank(deflated)
 
@@ -162,7 +164,7 @@ def run_phase1(operator: TemporalResidualOperator | np.ndarray,
         if float(np.linalg.norm(R, "fro")) <= floor:
             return np.eye(W)[0], 0.0
         cand, _ = leading_eigvec(R)
-        return cand, growth_signal(R, cand)
+        return cand, growth_signal(R, cand, floor)
 
     # retained (direction, admitted mass, prune score u^T A u / ||A||_F)
     kept: list[tuple[np.ndarray, float, float]] = []

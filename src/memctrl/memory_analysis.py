@@ -366,8 +366,10 @@ def gradient_samples_closed_loop(tau_z: float, ref: ReferenceSpec,
 
     One reverse (adjoint) sweep per joint over the last `window` steps
     gives every lag: the cotangent of z_j is pulled back through the
-    transposed step Jacobians (BaselineEnsembleSim.step_jacobian) along
-    the stored trajectory; the two joints' sweeps run side by side.  The
+    transposed step Jacobians along the stored trajectory; the two
+    joints' sweeps run side by side.  BaselineEnsembleSim.step_jacobian
+    assembles each from the derivatives kept beside their laws,
+    dynamics.rk4_jacobian and BaselineController.torque_jacobian.  The
     rollout records only the `window` states that the sweep reads, those
     of steps n_end - window .. n_end - 1, not all n_end + 1.
     Both joints contribute, so n_samples/2 trajectories are simulated;

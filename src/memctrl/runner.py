@@ -127,8 +127,13 @@ def evaluate_controller(make_controller, ref: ReferenceSpec,
     than dropped.  When baseline_rmse is None the controller is treated
     as its own baseline (delta_percent = 0 against itself uses the mean
     over the sweep).  The result's param_count is 0: no controller
-    evaluated here has learned parameters.
+    evaluated here has learned parameters.  A grid that reaches beyond
+    params.payload_max raises ValueError: its heaviest points would run
+    a plant that PlantParams.validate refuses.
     """
+    if PAYLOAD_GRID[-1] > params.payload_max:
+        raise ValueError(f"payload grid reaches {PAYLOAD_GRID[-1]} kg, beyond "
+                         f"payload_max {params.payload_max} kg")
     n_roll = sweep.rollouts_per_payload
     plant = replace(params, payload=np.repeat(np.asarray(PAYLOAD_GRID,
                                                          dtype=float), n_roll))

@@ -325,6 +325,21 @@ class TestCLI:
         assert err.count("\n") == 1
         assert not list(tmp_path.glob("*.json"))
 
+    def test_evaluate_rejects_grid_beyond_payload_max(self, tmp_path, capsys):
+        # the grid's 1.125 and 1.5 kg points would run a plant heavier
+        # than payload_max, under an estimate clipped to it
+        cfg_file = tmp_path / "light.cfg"
+        cfg_file.write_text("payload_max = 1.0\n")
+        rc = run_cli(["--config", str(cfg_file), "--out-dir", str(tmp_path),
+                      "evaluate", "--rollouts", "2", "--payload-mode", "noisy"])
+        assert rc == 1
+        err = one_error_line(capsys)
+        assert "1.0" in err and "1.5" in err
+        assert not list(tmp_path.glob("*.json"))
+        assert run_cli(["--out-dir", str(tmp_path), "evaluate",
+                        "--rollouts", "2", "--payload-mode", "noisy"]) == 0
+        assert len(list(tmp_path.glob("*.json"))) == 1
+
     @pytest.mark.parametrize("command", ["rank-scan", "phase1"])
     @pytest.mark.parametrize("flag,value,name", [
         ("--window", "0", "window"), ("--window", "-3", "window"),

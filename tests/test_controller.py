@@ -1,13 +1,15 @@
 import dataclasses
 
 import numpy as np
+import pytest
 
 from memctrl.controller import (DIM_ETA, BaselineController, ControllerParams,
                                 ExtendedState, ModelTerms, ParamBox,
                                 computed_torque, feature_matrix, feedforward,
                                 fixed_gain_baseline)
-from memctrl.dynamics import (RefPoint, coriolis_matrix, gravity_vector,
-                              mass_matrix, rollout, stribeck_force)
+from memctrl.dynamics import (BatchReference, PlantState, RefPoint,
+                              coriolis_matrix, gravity_vector, mass_matrix,
+                              rollout, stribeck_force)
 
 
 def _state(q, qd, ref_point, lam):
@@ -171,6 +173,30 @@ class TestBatchGains:
     def test_scalar_plant_keeps_gains(self, cfg):
         ctrl = BaselineController(cfg.plant)
         assert ctrl.gains.kd.shape == ctrl.gains.lam.shape == (2,)
+
+    @pytest.mark.parametrize("members", [(5,), ()], ids=["per_member", "scalar"])
+    def test_torque_jacobian_matches_complex_step(self, cfg, members):
+        # a per-member plant ((B, 2) gains) and a scalar one ((2,) gains):
+        # torque_jacobian against a complex step of __call__ over each
+        # packed state entry; the torque does not read z
+        rng = np.random.default_rng(11)
+        payload = rng.uniform(0.0, 1.5, members) if members else 0.7
+        plant = dataclasses.replace(cfg.plant, payload=payload)
+        gains = ControllerParams(kd=[30.0, 24.0], lam=[5.0, 7.0],
+                                 eta=np.zeros(DIM_ETA))
+        ctrl = BaselineController(plant, gains, payload_mode="true")
+        phase = rng.uniform(0.0, 2.0 * np.pi, members + (2,))
+        ref = BatchReference(cfg.reference, phase).at(0.4)
+        x = rng.uniform(-1.0, 1.0, (6,) + members)
+        h = 1e-30
+        T_cs = np.empty(members + (2, 6))
+        for j in range(6):
+            xc = x + 1j * h * np.eye(6)[j].reshape((6,) + (1,) * len(members))
+            T_cs[..., j] = ctrl(0.4, PlantState(x=xc), ref).tau.imag / h
+        T = ctrl.torque_jacobian(PlantState(x=x), ref)
+        assert T.shape == members + (2, 6)
+        assert np.all(T[..., 4:6] == 0.0)
+        assert np.max(np.abs(T_cs - T)) <= 1e-12 * np.max(np.abs(T))
 
     def test_ensemble_gains_are_the_controllers(self, cfg):
         from memctrl.ensemble import BaselineEnsembleSim, TaskDistribution

@@ -214,6 +214,34 @@ class TestStepRK4:
                        FrictionParams())
         assert not within_bound(new.x)
 
+    def test_rk4_jacobian_matches_complex_step(self, cfg, rng):
+        # rk4_jacobian against a complex step of rk4_increment itself,
+        # with the torque held and its state derivative a seeded random
+        # (B, 2, 6) array; per-member payload and friction, and members
+        # at and near qd = 0, where the Stribeck slope is steepest
+        from memctrl import ensemble
+
+        task = ensemble.TaskDistribution(friction_log_sd=0.2)
+        sim = ensemble.BaselineEnsembleSim(6, cfg.reference, cfg.plant,
+                                           cfg.friction, seed=5, task=task)
+        B, dt, h = sim.batch, 0.01, 1e-30
+        x = np.empty((6, B))
+        x[0:2] = rng.uniform(-1.0, 1.0, (2, B))
+        x[2:4] = rng.uniform(-1.5, 1.5, (2, B))
+        x[2:4, :3] = [[0.0, 1e-3, -0.05], [-2e-4, 0.0, 0.08]]
+        x[4:6] = rng.uniform(-1.0, 1.0, (2, B))
+        tau = rng.uniform(-20.0, 20.0, (2, B))
+        dtau_dx = rng.normal(0.0, 30.0, (B, 2, 6))
+        J_cs = np.empty((B, 6, 6))
+        for j in range(6):
+            xc = x + 1j * h * np.eye(6)[j][:, None]
+            tc = tau + 1j * h * dtau_dx[..., j].T
+            out = dynamics.rk4_increment(xc, tc, dt, sim.plant, sim.fric)
+            J_cs[:, :, j] = out.imag.T / h
+        J = dynamics.rk4_jacobian(x, tau, dtau_dx, dt, sim.plant, sim.fric)
+        assert J.shape == (B, 6, 6)
+        assert np.max(np.abs(J_cs - J)) <= 1e-12 * np.max(np.abs(J))
+
 
 def _fields(record):
     """q, qd and z as (n + 1, *members, 2) views of a full closed_loop
@@ -343,7 +371,7 @@ class TestStepPinned:
         assert np.unique(sim.payload).size == 3
         q, qd, z = (np.array(a) for a in ENSEMBLE_STEP_IN)
         assert np.any(qd > 0) and np.any(qd < 0) and np.all(z != 0)
-        x = sim.step(sim.reference.at(0.3), PlantState(q=q, qd=qd, z=z).x, 0.01)
+        x = sim.step(0.3, PlantState(q=q, qd=qd, z=z).x, 0.01)
         new = PlantState(x=x)
         for got, want in zip((new.q, new.qd, new.z), ENSEMBLE_STEP_OUT):
             assert np.array_equal(got, np.array(want))
@@ -532,6 +560,29 @@ class TestReferenceTable:
         assert cut == ([31] if kd is not None else [])
 
 
+class TestPlantLawHasOneHome:
+    def test_no_module_binds_a_private_dynamics_helper(self):
+        # the plant's private helpers (_arm_terms, _derivatives,
+        # _rhs_jacobian) are read in dynamics alone, so an edit of the
+        # plant law and its derivative stays in one module
+        import importlib
+        import pkgutil
+
+        import memctrl
+
+        bound = []
+        for info in pkgutil.iter_modules(memctrl.__path__):
+            if info.name in ("dynamics", "__main__"):   # __main__ runs the CLI
+                continue
+            module = importlib.import_module(f"memctrl.{info.name}")
+            for name, value in vars(module).items():
+                if (callable(value)
+                        and getattr(value, "__module__", None) == dynamics.__name__
+                        and value.__name__.startswith("_")):
+                    bound.append(f"{info.name}.{name}")
+        assert bound == []
+
+
 class TestEnsembleConsistency:
     @staticmethod
     def _check_members(cfg, batch, seed, task, monkeypatch):
@@ -714,7 +765,7 @@ class TestEnsembleConsistency:
             x = roll.x[k].T
             # (6, B, 6): the leading axis perturbs one state entry each
             xc = x + 1j * h * np.eye(6)[:, None, :]
-            out = np.stack([sim.step(sim.reference.at(k * dt), xi.T, dt).T
+            out = np.stack([sim.step(k * dt, xi.T, dt).T
                             for xi in xc])
             J_cs = np.moveaxis(out.imag / h, 0, -1)
             J = sim.step_jacobian(k * dt, x.T, dt)

@@ -514,8 +514,7 @@ class TestClosedLoopSampler:
                     x = roll.x[n_end - k].copy()
                     x[2 + j] += sign * eps
                     for m in range(n_end - k, n_end):
-                        ref = sim.reference.at(m * dt)
-                        x = sim.step(ref, x, dt)
+                        x = sim.step(m * dt, x, dt)
                     zf.append(x[4 + j])
                 fd[:, j, k - 1] = (zf[0] - zf[1]) / (2.0 * eps * dt)
         fd = fd.reshape(n, W)
