@@ -2,9 +2,15 @@
 
 Subcommands: simulate, evaluate, sigma-scan, rank-scan, phase1,
 markov-gap, compare.  Global flags --config/--seed/--out-dir apply to
-every subcommand and may go before or after it.  Each pipeline reads
-dt and the baseline gains from the config wherever it uses them.  An
-invalid input (a ValueError), a file that cannot be read or written
+every subcommand and may go before or after it.
+
+Each setting has one default.  What the CLI owns (seed, sizes, payload
+mode, tau_z) defaults in its flags; what the config owns (plant,
+friction, reference, dt, baseline gains) defaults in memctrl.config.
+The pipeline functions keep no default for either, so their signatures
+make every pipeline read dt and Config.baseline_gains() from the config.
+
+An invalid input (a ValueError), a file that cannot be read or written
 (an OSError, such as a missing --config or compare input) or one of
 memctrl's own analysis errors ends the run with one line on stderr and
 exit status 1; any other exception keeps its traceback.  A diverged
@@ -95,9 +101,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau-z-list", type=_float_list, default=[1, 2, 3, 4, 5])
     p.add_argument("--window", type=int, default=20)
     p.add_argument("--n-samples", type=int, default=2048)
-    p.add_argument("--gamma-add", type=float, default=0.05)
-    p.add_argument("--gamma-prune", type=float, default=0.01)
-    p.add_argument("--n-stable", type=int, default=20)
+    p.add_argument("--gamma-add", type=float,
+                   default=incrt.Phase1Config.gamma_add)
+    p.add_argument("--gamma-prune", type=float,
+                   default=incrt.Phase1Config.gamma_prune)
+    p.add_argument("--n-stable", type=int,
+                   default=incrt.Phase1Config.n_stable)
     p.add_argument("--verbose-log", action="store_true",
                    help="include the full iteration log in the JSON")
     p.add_argument("--out", default="phase1.json")
@@ -200,14 +209,13 @@ def cmd_rank_scan(args, cfg) -> int:
 
 
 def cmd_phase1(args, cfg) -> int:
-    config = incrt.Phase1Config(window=args.window, n_samples=args.n_samples,
-                                gamma_add=args.gamma_add,
+    config = incrt.Phase1Config(gamma_add=args.gamma_add,
                                 gamma_prune=args.gamma_prune,
                                 n_stable=args.n_stable)
     config.validate()   # before the first tau_z's sampling
     records = []
     for tz in args.tau_z_list:
-        op = _residual_operator(cfg, tz, config.window, config.n_samples,
+        op = _residual_operator(cfg, tz, args.window, args.n_samples,
                                 args.seed)
         res = incrt.run_phase1(op, config)
         rec = {"tau_z": tz, "K_star": res.k_star,

@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .controller import BASELINE_KD, BASELINE_LAM, ParamBox, fixed_gain_baseline
+from .controller import DIM_ETA, ControllerParams, ParamBox
 from .dynamics import FrictionParams, PlantParams, ReferenceSpec
 
 
@@ -29,11 +29,15 @@ class Config:
     box: ParamBox
     dt: float = 0.01
     alpha: float = 0.5
-    baseline_kd: float = BASELINE_KD
-    baseline_lam: float = BASELINE_LAM
+    baseline_kd: float = 30.0   # published fixed-gain baseline
+    baseline_lam: float = 5.0
 
-    def baseline_gains(self):
-        return fixed_gain_baseline(self.baseline_kd, self.baseline_lam)
+    def baseline_gains(self) -> ControllerParams:
+        """The fixed-gain baseline: K_d = baseline_kd and Lam = baseline_lam
+        on both joints, eta = 0.  The only producer of baseline gains."""
+        return ControllerParams(kd=np.full(2, self.baseline_kd),
+                                lam=np.full(2, self.baseline_lam),
+                                eta=np.zeros(DIM_ETA))
 
     def validate(self) -> None:
         self.plant.validate()

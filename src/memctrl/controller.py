@@ -181,17 +181,6 @@ def computed_torque(x: ExtendedState, gains: ControllerParams,
     return tau if Phi is None else tau + feedforward(Phi, gains.eta)
 
 
-BASELINE_KD = 30.0   # published fixed-gain baseline
-BASELINE_LAM = 5.0
-
-
-def fixed_gain_baseline(kd: float = BASELINE_KD,
-                        lam: float = BASELINE_LAM) -> ControllerParams:
-    """The no-meta-controller reference: K_d = 30, Lam = 5 unless given, eta = 0."""
-    return ControllerParams(kd=np.full(2, kd), lam=np.full(2, lam),
-                            eta=np.zeros(DIM_ETA))
-
-
 @dataclass
 class ControlDecision:
     """What the controller hands the simulator for one control period."""
@@ -204,8 +193,8 @@ class ControlDecision:
 class BaselineController:
     """Fixed-gain computed torque, optionally with a payload estimate mode.
 
-    No feed-forward: the baseline's eta is 0.  gains default to
-    fixed_gain_baseline().  payload_mode: 'nominal' ignores the payload
+    No feed-forward: the baseline's eta is 0.  gains are the baseline's,
+    Config.baseline_gains().  payload_mode: 'nominal' ignores the payload
     (estimate 0), 'true' uses the plant's value, 'noisy' scales it by
     1 + PAYLOAD_NOISE_REL n, with n one standard normal draw from
     noise_seed (runner.evaluate_baseline passes the sweep's seed), and
@@ -220,10 +209,8 @@ class BaselineController:
     several times slower per operation at B = 512.
     """
 
-    def __init__(self, params: PlantParams,
-                 gains: ControllerParams | None = None,
+    def __init__(self, params: PlantParams, gains: ControllerParams,
                  payload_mode: str = "nominal", noise_seed: int = 0):
-        gains = gains if gains is not None else fixed_gain_baseline()
         if np.ndim(params.payload) == 1:
             rows = (np.size(params.payload), 2)
             gains = replace(gains,

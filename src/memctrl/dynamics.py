@@ -570,7 +570,7 @@ def reset_state(reference: BatchReference, rng: np.random.Generator
 
 
 def rollout(controller, ref: ReferenceSpec, params: PlantParams,
-            fric: FrictionParams, seed, dt: float = 0.01
+            fric: FrictionParams, seed, dt: float
             ) -> Trajectory | list[Trajectory]:
     """Run the closed loop for ref.horizon/dt steps from a seeded reset.
 

@@ -78,7 +78,7 @@ class BaselineEnsembleSim:
 
     def __init__(self, batch: int, ref: ReferenceSpec, params: PlantParams,
                  fric: FrictionParams, seed: int, task: TaskDistribution,
-                 gains: ControllerParams | None = None):
+                 gains: ControllerParams):
         rng = np.random.default_rng(seed)
         self.batch = batch
 

@@ -99,8 +99,6 @@ def gate_update(raw: str, state: GateState) -> tuple[str, GateState]:
 
 @dataclass(frozen=True)
 class Phase1Config:
-    window: int = 20
-    n_samples: int = 2048
     gamma_add: float = 0.05
     gamma_prune: float = 0.01
     n_stable: int = 20
@@ -139,14 +137,13 @@ class Phase1Result:
 
 
 def run_phase1(operator: TemporalResidualOperator | np.ndarray,
-               config: Phase1Config | None = None) -> Phase1Result:
+               config: Phase1Config) -> Phase1Result:
     """Grow/prune/gate loop until the head count is homeostatically stable.
 
     Deterministic for a fixed operator.  Hits of the iteration cap
     return converged=False rather than raising.  The zero operator (no
     memory signal) raises ZeroMatrix, as effective_rank does.
     """
-    config = config or Phase1Config()
     config.validate()
     if isinstance(operator, TemporalResidualOperator):
         operator = operator.matrix

@@ -183,17 +183,16 @@ def _traj_se(values: np.ndarray) -> float:
 
 
 def markov_gap_experiment(tau_z: float, ref: ReferenceSpec, params: PlantParams,
-                          fric: FrictionParams, n_traj: int = 512, seed: int = 0,
-                          dt: float = 0.01, window: int | None = None,
-                          n_bins: int = 12,
-                          sample_times: np.ndarray | None = None,
-                          gains: ControllerParams | None = None
+                          fric: FrictionParams, n_traj: int, seed: int,
+                          dt: float, gains: ControllerParams,
+                          window: int | None = None, n_bins: int = 12,
+                          sample_times: np.ndarray | None = None
                           ) -> MarkovGapResult:
     """Measure Markovian vs windowed excess on simulated tracking.
 
     Trajectories are split in half: the predictors fit on the first
     half, and the excess C1 (z_hat - z)^2 is averaged on the second.
-    gains are the baseline's (fixed_gain_baseline() if None).  Each
+    gains are the baseline's, Config.baseline_gains().  Each
     sample time's index must lie in [window, n_steps], so its lag
     window starts at t >= 0 inside the rollout of n_steps steps.  The
     fit half is binned once, for both the conditional variance and the
@@ -209,8 +208,8 @@ def markov_gap_experiment(tau_z: float, ref: ReferenceSpec, params: PlantParams,
     without a name, so it is freed before the solve, whose W x W copy
     of the Gram meets only the evaluation half's history.
 
-    Memory, at the default tau_z = 2 s (W = 1000, 1250 steps, 512
-    trajectories): the peak of traced memory now sits where the record
+    Memory, at tau_z = 2 s and the CLI's 512 trajectories (W = 1000,
+    1250 steps): the peak of traced memory now sits where the record
     hands over to the histories, 19.7 MiB, not in the fit (22.4 MiB
     when each block added a W x W product).  The process's peak RSS
     follows glibc's reuse of freed pages rather than the array sizes,

@@ -84,7 +84,7 @@ class TemporalResidualOperator:
         np.savetxt(path, self.matrix, delimiter=",", header=header)
 
 
-def build_residual_operator(samples: np.ndarray, tau_z: float = float("nan")
+def build_residual_operator(samples: np.ndarray, tau_z: float
                             ) -> TemporalResidualOperator:
     """(1/N) sum g g^T over gradient samples; symmetric PSD by construction."""
     g = np.atleast_2d(np.asarray(samples, dtype=float))
@@ -261,8 +261,8 @@ class SigmaZEstimate:
     n_samples: int
 
 
-def sigma_z_broadband(tau_z: float, lambda_z: float, n_traj: int = 2000,
-                      dt: float = 0.01, seed: int = 0) -> SigmaZEstimate:
+def sigma_z_broadband(tau_z: float, lambda_z: float, n_traj: int,
+                      dt: float, seed: int) -> SigmaZEstimate:
     """Monte-Carlo sigma_z^2 under broadband excitation vs the closed form.
 
     The velocity is per-step standard normal white noise (held over dt),
@@ -349,9 +349,8 @@ def gradient_samples_linear(tau_z: float, window: int, dt: float,
 
 def gradient_samples_closed_loop(tau_z: float, ref: ReferenceSpec,
                                  params: PlantParams, fric: FrictionParams,
-                                 window: int = 20, n_samples: int = 2048,
-                                 dt: float = 0.01, seed: int = 0,
-                                 gains: ControllerParams | None = None
+                                 window: int, n_samples: int, dt: float,
+                                 seed: int, gains: ControllerParams
                                  ) -> np.ndarray:
     """Exact history gradients through the closed-loop plant.
 
@@ -374,7 +373,7 @@ def gradient_samples_closed_loop(tau_z: float, ref: ReferenceSpec,
     of steps n_end - window .. n_end - 1, not all n_end + 1.
     Both joints contribute, so n_samples/2 trajectories are simulated;
     samples of members that blew up, or that are not finite, are
-    dropped.  gains are the baseline's (fixed_gain_baseline() if None).
+    dropped.  gains are the baseline's, Config.baseline_gains().
     Each trajectory runs CLOSED_LOOP_HORIZON from its reset, and the
     samples are taken at its end.  A window of
     round(CLOSED_LOOP_HORIZON / dt) steps or more, the rollout's length,

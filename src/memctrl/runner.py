@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .controller import BaselineController
+from .controller import BaselineController, ControllerParams
 from .dynamics import FrictionParams, PlantParams, ReferenceSpec, rollout
 
 PAYLOAD_GRID = (0.0, 0.375, 0.75, 1.125, 1.5)
@@ -92,9 +92,9 @@ class SweepSpec:
     every rollout.
     """
 
-    rollouts_per_payload: int = 20
-    dt: float = 0.01
-    seed: int = 42
+    rollouts_per_payload: int
+    dt: float
+    seed: int
 
     def __post_init__(self):
         # a between-rollout sd needs two rollouts per payload
@@ -159,10 +159,11 @@ def evaluate_controller(make_controller, ref: ReferenceSpec,
 
 def evaluate_baseline(ref: ReferenceSpec, params: PlantParams,
                       fric: FrictionParams, sweep: SweepSpec,
-                      payload_mode: str = "nominal", gains=None) -> RunResult:
-    """evaluate_controller of the BaselineController; a 'noisy' payload
-    estimate draws its noise from the sweep's seed.  The controller gets
-    the batched plant and lays out one row of gains per rollout, as the
+                      payload_mode: str, gains: ControllerParams) -> RunResult:
+    """evaluate_controller of the BaselineController at gains, the
+    baseline's (Config.baseline_gains()); a 'noisy' payload estimate
+    draws its noise from the sweep's seed.  The controller gets the
+    batched plant and lays out one row of gains per rollout, as the
     ensemble's does.
 
     The label names the payload mode: 'baseline-ct' for 'nominal' (the

@@ -22,8 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .controller import (ControlDecision, ControllerParams, ExtendedState,
-                         ModelTerms, ParamBox, computed_torque,
-                         fixed_gain_baseline)
+                         ModelTerms, ParamBox, computed_torque)
 from .dynamics import (FrictionParams, PlantParams, PlantState, RefPoint,
                        Trajectory, arm_matrices, mass_matrix,
                        stribeck_force)
@@ -64,13 +63,13 @@ class LyapunovForm:
 
 
 def design_lyapunov_form(params: PlantParams, ref_q0: np.ndarray,
-                         baseline: ControllerParams | None = None, *,
+                         baseline: ControllerParams, *,
                          alpha: float) -> LyapunovForm:
     """Quadratic certificate from the nominal error dynamics at baseline gains.
 
-    Mbar is the payload-free M at the reference's start ref_q0; alpha is
-    the demanded decay rate (Config.alpha); baseline defaults to
-    fixed_gain_baseline().
+    Mbar is the payload-free M at the reference's start ref_q0; baseline
+    is the baseline's gains (Config.baseline_gains()); alpha is the
+    demanded decay rate (Config.alpha).
 
     e-block: Lam^T P_e + P_e Lam = I  =>  P_e = Lam^-1 / 2.
     s-block: the scalar Lyapunov solution of the slowest sliding mode,
@@ -78,7 +77,6 @@ def design_lyapunov_form(params: PlantParams, ref_q0: np.ndarray,
     s^T M(q)^-1 P_s s > 0 for every configuration, which is what makes
     "more K_d always helps" hold globally.
     """
-    baseline = baseline if baseline is not None else fixed_gain_baseline()
     Mbar = mass_matrix(np.asarray(ref_q0, dtype=float),
                        params.with_payload(0.0))
     # Mbar^-1 diag(kd) is similar to a symmetric PD matrix, so its

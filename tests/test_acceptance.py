@@ -22,7 +22,7 @@ import pytest
 
 from memctrl import incrt, markov_gap, memory_analysis as ma, runner, shield
 from memctrl.config import default_config
-from memctrl.controller import ParamBox, fixed_gain_baseline
+from memctrl.controller import ParamBox
 from memctrl.dynamics import BatchReference, rollout
 from memctrl.stats import cohens_d_pooled, mann_whitney_u, student_t_cdf
 
@@ -62,7 +62,7 @@ def test_criterion_02_window_lower_bounds():
 def test_criterion_03_sigma_z_law(cfg):
     t0 = time.monotonic()
     lam = cfg.friction.lambda_z
-    ests = [ma.sigma_z_broadband(tz, lam, n_traj=2000, seed=42)
+    ests = [ma.sigma_z_broadband(tz, lam, n_traj=2000, dt=cfg.dt, seed=42)
             for tz in (0.5, 1.0, 2.0)]
     rel = [abs(e.monte_carlo - e.closed_form) / e.closed_form for e in ests]
     mono = all(ests[i + 1].monte_carlo > ests[i].monte_carlo
@@ -103,16 +103,16 @@ def test_criterion_04_temporal_operator_structure():
 
 def test_criterion_05_phase1_non_monotonic_peak(cfg):
     t0 = time.monotonic()
-    config = incrt.Phase1Config(window=20, n_samples=2048, gamma_add=0.05,
-                                gamma_prune=0.01, n_stable=20)
+    config = incrt.Phase1Config(gamma_add=0.05, gamma_prune=0.01, n_stable=20)
     grid = (1.0, 2.0, 3.0, 4.0, 5.0)
     k_stars = {}
     r_effs = {}
     converged = {}
     for tz in grid:
         g = ma.gradient_samples_closed_loop(tz, cfg.reference, cfg.plant,
-                                            cfg.friction, window=config.window,
-                                            n_samples=config.n_samples, seed=42)
+                                            cfg.friction, window=20,
+                                            n_samples=2048, dt=cfg.dt, seed=42,
+                                            gains=cfg.baseline_gains())
         op = ma.build_residual_operator(g, tau_z=tz)
         res = incrt.run_phase1(op, config)
         k_stars[tz] = res.k_star
@@ -135,7 +135,9 @@ def test_criterion_05_phase1_non_monotonic_peak(cfg):
 def test_criterion_06_markov_gap(cfg):
     t0 = time.monotonic()
     res = markov_gap.markov_gap_experiment(0.5, cfg.reference, cfg.plant,
-                                           cfg.friction, n_traj=512, seed=42)
+                                           cfg.friction, n_traj=512, seed=42,
+                                           dt=cfg.dt,
+                                           gains=cfg.baseline_gains())
     bound_ok = res.excess_markov >= 0.9 * res.lower_bound
     small_ok = res.excess_windowed <= 0.05 * res.excess_markov
     sep = (res.excess_markov - res.excess_windowed) / np.hypot(
@@ -188,13 +190,14 @@ def test_criterion_07_shield_suite(cfg):
         oracle_ok &= bool(d_out <= d_best + 1e-12)
         oracle_ok &= bool(d_best - d_out <= np.sqrt(4) / 19.0)
 
+    base = cfg.baseline_gains()
     form = shield.design_lyapunov_form(
-        cfg.plant, BatchReference(cfg.reference).at(0.0).q, alpha=0.5)
-    base = fixed_gain_baseline()
+        cfg.plant, BatchReference(cfg.reference).at(0.0).q, base, alpha=0.5)
     box = ParamBox()
     ctrl = shield.ShieldedController(lambda t, x: base, form, box, cfg.plant,
                                      cfg.friction)
-    traj = rollout(ctrl, cfg.reference, cfg.plant, cfg.friction, seed=42)
+    traj = rollout(ctrl, cfg.reference, cfg.plant, cfg.friction, seed=42,
+                   dt=cfg.dt)
     decay = shield.verify_exponential_decay(traj, form, alpha=0.5,
                                             tolerance=0.05)
 
@@ -222,7 +225,8 @@ def test_criterion_07_shield_suite(cfg):
             return dec
 
     refilter = Refiltered()
-    rollout(refilter, cfg.reference, cfg.plant, cfg.friction, seed=42)
+    rollout(refilter, cfg.reference, cfg.plant, cfg.friction, seed=42,
+            dt=cfg.dt)
     activation = float(np.mean(refilter.altered))
 
     ok = (feas and idem and nonexp and oracle_ok and decay.passed
@@ -293,11 +297,13 @@ def test_criterion_08_dynamics_suite(cfg):
 
 def test_criterion_09_baseline_insensitivity(cfg):
     t0 = time.monotonic()
-    sweep = runner.SweepSpec(rollouts_per_payload=20, seed=42)
+    sweep = runner.SweepSpec(rollouts_per_payload=20, dt=cfg.dt, seed=42)
     rmses = {}
     for tz in (1.0, 2.0, 5.0):
         res = runner.evaluate_baseline(cfg.reference, cfg.plant,
-                                       cfg.friction.with_tau_z(tz), sweep)
+                                       cfg.friction.with_tau_z(tz), sweep,
+                                       payload_mode="nominal",
+                                       gains=cfg.baseline_gains())
         rmses[tz] = res.rmse_mean
     spread = (max(rmses.values()) - min(rmses.values())) / min(rmses.values())
     ok = spread < 0.02

@@ -9,10 +9,14 @@ import memctrl.<module>, then look up each part of the qualname.
 A target that resolves but that its workloads stop calling shows only
 in a traced benchmark run ("present but recorded no calls").  So each
 workload also runs here once, at a small size, with every target
-wrapped as a traced run wraps it, return hooks included.
+wrapped as a traced run wraps it, return hooks included.  Each call's
+output check then runs on its captured stdout, so a change to the
+memctrl API that a check reads fails here, not in a benchmark run.
 """
 
+import contextlib
 import importlib
+import io
 import sys
 from pathlib import Path
 
@@ -63,9 +67,14 @@ def test_workload_reaches_its_targets(workload, tmp_path):
     patcher = spans.Patcher()
     patcher.install([tg for tg, _ in layers.TARGETS],
                     lambda orig, tg: tracer.wrap(orig, tg.name, tg.on_return))
+    codes, stdouts = [], []
     try:
-        # looked up at each call: the patcher rebinds module attributes
-        codes = [memctrl.cli.main(call.argv) for call in calls]
+        for call in calls:
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                # looked up at each call: the patcher rebinds module attributes
+                codes.append(memctrl.cli.main(call.argv))
+            stdouts.append(buf.getvalue())
     finally:
         patcher.remove()
     assert codes == [0] * len(calls)
@@ -74,3 +83,9 @@ def test_workload_reaches_its_targets(workload, tmp_path):
     silent = [tg.name for tg, wls in layers.TARGETS
               if workload in wls and not summary.get(tg.name, {}).get("calls")]
     assert silent == []
+    # the output checks read memctrl's API (Phase1Config, RunResult and
+    # default_config among others): each must run to its return, whatever
+    # it finds at this small size
+    for call, stdout in zip(calls, stdouts):
+        errors, _ = call.check(call, stdout, {})
+        assert isinstance(errors, list), call.key

@@ -596,8 +596,7 @@ class TestConfigBaseline:
         direct = ma.build_residual_operator(g, tau_z=1.0)
         assert np.array_equal(op, direct.matrix)
         assert not np.allclose(op, op_d)
-        res = incrt.run_phase1(direct, incrt.Phase1Config(window=8,
-                                                          n_samples=32))
+        res = incrt.run_phase1(direct, incrt.Phase1Config())
         assert (rec["K_star"], rec["r_eff"], rec["iterations"]) == \
             (res.k_star, res.effective_rank_final, res.n_iterations)
         assert rec["r_eff"] != rec_d["r_eff"]
@@ -641,5 +640,47 @@ class TestConfigBaseline:
         ratio = shield.verify_exponential_decay(traj, enforced).max_ratio
         assert report["max_decay_ratio"] == ratio
         # the default-gain certificate reads this trajectory differently
-        other = shield.design_lyapunov_form(cfg.plant, q0, alpha=cfg.alpha)
+        other = shield.design_lyapunov_form(
+            cfg.plant, q0, load_config().baseline_gains(), alpha=cfg.alpha)
         assert shield.verify_exponential_decay(traj, other).max_ratio != ratio
+
+
+# For each function or dataclass the CLI calls to run a pipeline, the
+# parameters whose value the CLI (seed, sizes, payload mode, tau_z) or
+# the config (dt, baseline gains) owns.  Their one default lives with
+# that owner, so none may have a default here.  The two samplers build
+# the ensemble with their seed and gains.
+OWNED_PARAMETERS = [
+    ("dynamics", "rollout", ("seed", "dt")),
+    ("controller", "BaselineController", ("gains",)),
+    ("shield", "design_lyapunov_form", ("baseline",)),
+    ("runner", "SweepSpec", ("rollouts_per_payload", "dt", "seed")),
+    ("runner", "evaluate_baseline", ("payload_mode", "gains")),
+    ("memory_analysis", "sigma_z_broadband", ("n_traj", "dt", "seed")),
+    ("memory_analysis", "gradient_samples_closed_loop",
+     ("window", "n_samples", "dt", "seed", "gains")),
+    ("memory_analysis", "build_residual_operator", ("tau_z",)),
+    ("incrt", "run_phase1", ("config",)),
+    ("markov_gap", "markov_gap_experiment", ("n_traj", "seed", "dt", "gains")),
+    ("ensemble", "BaselineEnsembleSim", ("seed", "gains")),
+]
+
+
+class TestOneDefaultPerSetting:
+    @pytest.mark.parametrize("module, name, owned", OWNED_PARAMETERS,
+                             ids=[f"{m}.{n}" for m, n, _ in OWNED_PARAMETERS])
+    def test_no_pipeline_default_for_an_owned_setting(self, module, name,
+                                                      owned):
+        import importlib
+        import inspect
+
+        obj = getattr(importlib.import_module(f"memctrl.{module}"), name)
+        if dataclasses.is_dataclass(obj):
+            defaults = {f.name: f.default for f in dataclasses.fields(obj)}
+        else:
+            defaults = {p.name: p.default
+                        for p in inspect.signature(obj).parameters.values()}
+        empty = (dataclasses.MISSING, inspect.Parameter.empty)
+        assert set(owned) <= set(defaults)
+        assert {p: defaults[p] for p in owned
+                if defaults[p] not in empty} == {}

@@ -5,8 +5,7 @@ import pytest
 
 from memctrl.controller import (DIM_ETA, BaselineController, ControllerParams,
                                 ExtendedState, ModelTerms, ParamBox,
-                                computed_torque, feature_matrix, feedforward,
-                                fixed_gain_baseline)
+                                computed_torque, feature_matrix, feedforward)
 from memctrl.dynamics import (BatchReference, PlantState, RefPoint,
                               coriolis_matrix, gravity_vector, mass_matrix,
                               rollout, stribeck_force)
@@ -18,7 +17,7 @@ def _state(q, qd, ref_point, lam):
 
 class TestComputedTorque:
     def test_perfect_tracking_is_pure_feedforward(self, cfg):
-        gains = fixed_gain_baseline()
+        gains = cfg.baseline_gains()
         q = np.array([0.2, -0.5])
         qd = np.array([0.9, 0.4])
         ref = RefPoint(q=q.copy(), qd=qd.copy(), qdd=np.array([1.5, -2.0]))
@@ -30,7 +29,7 @@ class TestComputedTorque:
         assert np.allclose(tau, expect, atol=1e-12)
 
     def test_static_regulation_is_gravity_compensation(self, cfg):
-        gains = fixed_gain_baseline()
+        gains = cfg.baseline_gains()
         q = np.array([0.7, -0.2])
         ref = RefPoint(q=q.copy(), qd=np.zeros(2), qdd=np.zeros(2))
         x = _state(q, np.zeros(2), ref, gains.lam)
@@ -112,15 +111,15 @@ class TestFeedforward:
 
 
 class TestBaseline:
-    def test_published_gain_values(self):
-        p = fixed_gain_baseline()
+    def test_published_gain_values(self, cfg):
+        p = cfg.baseline_gains()
         assert np.array_equal(p.kd, [30.0, 30.0])
         assert np.array_equal(p.lam, [5.0, 5.0])
         assert np.array_equal(p.eta, np.zeros(DIM_ETA))
 
-    def test_strictly_inside_default_box(self):
+    def test_strictly_inside_default_box(self, cfg):
         box = ParamBox()
-        p = fixed_gain_baseline()
+        p = cfg.baseline_gains()
         v = p.as_vector()
         assert np.all(v > box.lower_vector)
         assert np.all(v < box.upper_vector)
@@ -130,16 +129,17 @@ class TestBaseline:
         rmses = []
         for tz in (1.0, 5.0):
             fric = cfg.friction.with_tau_z(tz)
-            ctrl = BaselineController(cfg.plant)
+            ctrl = BaselineController(cfg.plant, cfg.baseline_gains())
             rmses.append(rollout(ctrl, cfg.reference, cfg.plant, fric,
-                                 seed=42).rmse())
+                                 seed=42, dt=cfg.dt).rmse())
         assert abs(rmses[0] - rmses[1]) / rmses[0] < 0.02
 
     def test_payload_modes(self, cfg):
         plant = cfg.plant.with_payload(1.0)
-        nom = BaselineController(plant, payload_mode="nominal")
-        tru = BaselineController(plant, payload_mode="true")
-        noisy = BaselineController(plant, payload_mode="noisy",
+        gains = cfg.baseline_gains()
+        nom = BaselineController(plant, gains, payload_mode="nominal")
+        tru = BaselineController(plant, gains, payload_mode="true")
+        noisy = BaselineController(plant, gains, payload_mode="noisy",
                                    noise_seed=5)
         assert nom.model.payload == 0.0
         assert tru.model.payload == 1.0
@@ -171,7 +171,7 @@ class TestBatchGains:
             assert np.array_equal(g, np.tile(getattr(gains, name), (5, 1)))
 
     def test_scalar_plant_keeps_gains(self, cfg):
-        ctrl = BaselineController(cfg.plant)
+        ctrl = BaselineController(cfg.plant, cfg.baseline_gains())
         assert ctrl.gains.kd.shape == ctrl.gains.lam.shape == (2,)
 
     @pytest.mark.parametrize("members", [(5,), ()], ids=["per_member", "scalar"])
@@ -201,8 +201,9 @@ class TestBatchGains:
     def test_ensemble_gains_are_the_controllers(self, cfg):
         from memctrl.ensemble import BaselineEnsembleSim, TaskDistribution
 
-        gains = fixed_gain_baseline(25.0, 4.0)
-        for given in (None, gains):
+        gains = ControllerParams(kd=np.full(2, 25.0), lam=np.full(2, 4.0),
+                                 eta=np.zeros(DIM_ETA))
+        for given in (cfg.baseline_gains(), gains):
             sim = BaselineEnsembleSim(4, cfg.reference, cfg.plant,
                                       cfg.friction, 0, TaskDistribution(),
                                       given)

@@ -223,7 +223,8 @@ class TestStepRK4:
 
         task = ensemble.TaskDistribution(friction_log_sd=0.2)
         sim = ensemble.BaselineEnsembleSim(6, cfg.reference, cfg.plant,
-                                           cfg.friction, seed=5, task=task)
+                                           cfg.friction, seed=5, task=task,
+                                           gains=cfg.baseline_gains())
         B, dt, h = sim.batch, 0.01, 1e-30
         x = np.empty((6, B))
         x[0:2] = rng.uniform(-1.0, 1.0, (2, B))
@@ -367,7 +368,8 @@ class TestStepPinned:
         task = ensemble.TaskDistribution(friction_log_sd=0.2,
                                          slow_reference=True)
         sim = ensemble.BaselineEnsembleSim(3, cfg.reference, cfg.plant,
-                                           cfg.friction, seed=7, task=task)
+                                           cfg.friction, seed=7, task=task,
+                                           gains=cfg.baseline_gains())
         assert np.unique(sim.payload).size == 3
         q, qd, z = (np.array(a) for a in ENSEMBLE_STEP_IN)
         assert np.any(qd > 0) and np.any(qd < 0) and np.all(z != 0)
@@ -416,17 +418,19 @@ def _csv_row_writer(traj) -> str:
 
 class TestRollout:
     def test_bitwise_determinism(self, cfg):
-        ctrl = BaselineController(cfg.plant)
-        a = rollout(ctrl, cfg.reference, cfg.plant, cfg.friction, seed=7)
-        b = rollout(ctrl, cfg.reference, cfg.plant, cfg.friction, seed=7)
+        ctrl = BaselineController(cfg.plant, gains=cfg.baseline_gains())
+        a = rollout(ctrl, cfg.reference, cfg.plant, cfg.friction, seed=7,
+                    dt=cfg.dt)
+        b = rollout(ctrl, cfg.reference, cfg.plant, cfg.friction, seed=7,
+                    dt=cfg.dt)
         assert np.array_equal(a.q, b.q)
         assert np.array_equal(a.tau, b.tau)
         assert np.array_equal(a.z, b.z)
 
     def test_baseline_tracks_finitely(self, cfg):
-        ctrl = BaselineController(cfg.plant)
+        ctrl = BaselineController(cfg.plant, gains=cfg.baseline_gains())
         traj = rollout(ctrl, cfg.reference, cfg.plant,
-                       cfg.friction.with_tau_z(1.0), seed=42)
+                       cfg.friction.with_tau_z(1.0), seed=42, dt=cfg.dt)
         assert not traj.diverged
         assert traj.n_steps == 500
         # regression anchor from the recorded implementation run
@@ -436,14 +440,15 @@ class TestRollout:
         gains = ControllerParams(kd=np.full(2, 4.0e4), lam=np.full(2, 5.0),
                                  eta=np.zeros(6))
         ctrl = BaselineController(cfg.plant, gains=gains)
-        traj = rollout(ctrl, cfg.reference, cfg.plant, cfg.friction, seed=3)
+        traj = rollout(ctrl, cfg.reference, cfg.plant, cfg.friction, seed=3,
+                       dt=cfg.dt)
         assert traj.diverged
         assert traj.n_steps < 500
 
     def test_csv_export_schema(self, cfg, tmp_path):
-        ctrl = BaselineController(cfg.plant)
+        ctrl = BaselineController(cfg.plant, gains=cfg.baseline_gains())
         ref = dataclasses.replace(cfg.reference, horizon=0.5)
-        traj = rollout(ctrl, ref, cfg.plant, cfg.friction, seed=1)
+        traj = rollout(ctrl, ref, cfg.plant, cfg.friction, seed=1, dt=cfg.dt)
         path = tmp_path / "traj.csv"
         traj.write_csv(path)
         header = path.read_text().splitlines()[0]
@@ -455,11 +460,11 @@ class TestRollout:
     def test_csv_bytes_match_row_writer(self, cfg, tmp_path, kd):
         # kd = 4e4 cuts the record at divergence, 4e7 before its first
         # step, leaving one row whose torque is NaN
-        gains = None if kd is None else ControllerParams(
+        gains = cfg.baseline_gains() if kd is None else ControllerParams(
             kd=np.full(2, kd), lam=np.full(2, 5.0), eta=np.zeros(6))
         traj = rollout(BaselineController(cfg.plant, gains=gains),
                        dataclasses.replace(cfg.reference, horizon=0.5),
-                       cfg.plant, cfg.friction, seed=42)
+                       cfg.plant, cfg.friction, seed=42, dt=cfg.dt)
         assert traj.diverged == (kd is not None)
         assert (traj.n_steps == 0) == (kd == 4.0e7)
         if kd is None:
@@ -473,23 +478,25 @@ class TestRollout:
         assert path.read_bytes() == _csv_row_writer(traj).encode()
 
     @staticmethod
-    def _batch_and_scalar(cfg, payloads, seeds, gains=None, horizon=None):
+    def _batch_and_scalar(cfg, payloads, seeds, gains, horizon=None):
         ref = (cfg.reference if horizon is None
                else dataclasses.replace(cfg.reference, horizon=horizon))
         plant = dataclasses.replace(cfg.plant, payload=np.asarray(payloads))
         batch = rollout(BaselineController(plant, gains=gains),
-                        ref, plant, cfg.friction, seed=seeds)
+                        ref, plant, cfg.friction, seed=seeds, dt=cfg.dt)
         scalar = []
         for p, s in zip(payloads, seeds):
             member = cfg.plant.with_payload(p)
             ctrl = BaselineController(member, gains=gains)
-            scalar.append(rollout(ctrl, ref, member, cfg.friction, seed=s))
+            scalar.append(rollout(ctrl, ref, member, cfg.friction, seed=s,
+                                  dt=cfg.dt))
         return batch, scalar
 
     def test_batched_equals_scalar_bitwise(self, cfg):
         payloads = np.repeat(runner.PAYLOAD_GRID, 2)
         seeds = [7, 8] * len(runner.PAYLOAD_GRID)
-        batch, scalar = self._batch_and_scalar(cfg, payloads, seeds)
+        batch, scalar = self._batch_and_scalar(cfg, payloads, seeds,
+                                               cfg.baseline_gains())
         assert len(batch) == len(seeds)
         for b, s in zip(batch, scalar):
             assert not b.diverged
@@ -528,7 +535,7 @@ class TestReferenceTable:
     @pytest.mark.parametrize("case", CASES)
     def test_controller_and_record_read_at_t_k(self, cfg, case):
         payloads, seed, kd = self.CASES[case]
-        gains = None if kd is None else ControllerParams(
+        gains = cfg.baseline_gains() if kd is None else ControllerParams(
             kd=np.full(2, kd), lam=np.full(2, 5.0), eta=np.zeros(6))
         batched = isinstance(seed, list)
         plant = (dataclasses.replace(cfg.plant, payload=np.asarray(payloads))
@@ -541,7 +548,8 @@ class TestReferenceTable:
             return inner(t, state, ref_point)
 
         ref = dataclasses.replace(cfg.reference, horizon=2.0)
-        out = rollout(recording, ref, plant, cfg.friction, seed=seed)
+        out = rollout(recording, ref, plant, cfg.friction, seed=seed,
+                      dt=cfg.dt)
         trajs = out if batched else [out]
         reference = BatchReference(ref)
         assert len(seen) == 200
@@ -595,7 +603,8 @@ class TestEnsembleConsistency:
 
         monkeypatch.setattr(dynamics, "RESET_Q_JITTER", 0.0)
         sim = ensemble.BaselineEnsembleSim(batch, cfg.reference, cfg.plant,
-                                           cfg.friction, seed=seed, task=task)
+                                           cfg.friction, seed=seed, task=task,
+                                           gains=cfg.baseline_gains())
         assert np.all(sim.reference.phase != 0.0)
         assert np.unique(sim.payload).size == batch
         roll = sim.run(150, 0.01)
@@ -607,7 +616,8 @@ class TestEnsembleConsistency:
             fric = dataclasses.replace(
                 cfg.friction, **{k: float(getattr(sim.fric, k)[0, i])
                                  for k in ("f_c", "f_smax", "v_s", "sigma")})
-            tr = rollout(BaselineController(plant), ref, plant, fric, seed=0)
+            tr = rollout(BaselineController(plant, cfg.baseline_gains()), ref,
+                         plant, fric, seed=0, dt=cfg.dt)
             assert not tr.diverged and roll.alive[i]
             for field, rec in _fields(roll.x).items():
                 assert np.array_equal(rec[:, i, :], getattr(tr, field))
@@ -657,7 +667,8 @@ class TestEnsembleConsistency:
         ref = dataclasses.replace(cfg.reference, phase=(0.3, -1.1))
         sim = ensemble.BaselineEnsembleSim(
             5, ref, cfg.plant, cfg.friction, seed=2,
-            task=ensemble.TaskDistribution(slow_reference=slow))
+            task=ensemble.TaskDistribution(slow_reference=slow),
+            gains=cfg.baseline_gains())
         slow_phase = sim.reference.slow_phase if slow else None
         for t in (0.0, 0.01, 0.37, 2.5, 12.49):
             want = self._reference_term_by_term(ref, t, sim.reference.phase,
@@ -758,7 +769,8 @@ class TestEnsembleConsistency:
         task = ensemble.TaskDistribution(friction_log_sd=0.2,
                                          slow_reference=True)
         sim = ensemble.BaselineEnsembleSim(4, cfg.reference, cfg.plant,
-                                           cfg.friction, seed=3, task=task)
+                                           cfg.friction, seed=3, task=task,
+                                           gains=cfg.baseline_gains())
         dt, h = 0.01, 1e-30
         roll = sim.run(100, dt)
         for k in (10, 50, 90):

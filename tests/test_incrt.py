@@ -132,26 +132,28 @@ class TestPruneScores:
         u, _ = leading_eigvec(A)
         R = A - float(u @ A @ u) * np.outer(u, u)
         assert abs(float(u @ R @ u)) < 1e-12
-        res = run_phase1(A)
+        res = run_phase1(A, Phase1Config())
         assert res.k_star == 2
         for rec in res.iterations:
             assert rec.min_prune_score == pytest.approx(1 / np.sqrt(2),
                                                         rel=1e-12)
 
     def test_identity_score(self):
-        res = run_phase1(np.eye(16))
+        res = run_phase1(np.eye(16), Phase1Config())
         assert res.iterations[0].min_prune_score == pytest.approx(0.25,
                                                                   rel=1e-9)
 
     def test_scale_invariance(self, rng):
         A = np.diag(rng.uniform(0.5, 2.0, 8))
-        s1 = [r.min_prune_score for r in run_phase1(A).iterations]
-        s2 = [r.min_prune_score for r in run_phase1(7.3 * A).iterations]
+        config = Phase1Config()
+        s1 = [r.min_prune_score for r in run_phase1(A, config).iterations]
+        s2 = [r.min_prune_score
+              for r in run_phase1(7.3 * A, config).iterations]
         assert s1 == pytest.approx(s2, rel=1e-12)
 
     def test_zero_operator_raises(self):
         with pytest.raises(ZeroMatrix):
-            run_phase1(np.zeros((4, 4)))
+            run_phase1(np.zeros((4, 4)), Phase1Config())
 
 
 class TestGate:
@@ -176,8 +178,8 @@ class TestGate:
 class TestRunPhase1:
     def test_rank_one_operator(self, rng):
         g = np.tile(rng.normal(size=12), (64, 1))
-        op = build_residual_operator(g)
-        res = run_phase1(op, Phase1Config(window=12))
+        op = build_residual_operator(g, tau_z=np.nan)
+        res = run_phase1(op, Phase1Config())
         assert res.k_star == 1
         assert res.converged
 
@@ -195,9 +197,9 @@ class TestRunPhase1:
 
     def test_determinism(self, rng):
         g = rng.normal(size=(200, 10))
-        op = build_residual_operator(g)
-        r1 = run_phase1(op, Phase1Config(window=10))
-        r2 = run_phase1(op, Phase1Config(window=10))
+        op = build_residual_operator(g, tau_z=np.nan)
+        r1 = run_phase1(op, Phase1Config())
+        r2 = run_phase1(op, Phase1Config())
         assert r1.k_star == r2.k_star
         assert [i.enacted for i in r1.iterations] == \
                [i.enacted for i in r2.iterations]
@@ -206,7 +208,8 @@ class TestRunPhase1:
 
     def test_k_changes_at_most_one_per_iteration(self, rng):
         g = rng.normal(size=(100, 8)) * rng.uniform(0.2, 2.0, 8)
-        res = run_phase1(build_residual_operator(g), Phase1Config(window=8))
+        res = run_phase1(build_residual_operator(g, tau_z=np.nan),
+                         Phase1Config())
         ks = [1] + [r.k for r in res.iterations]
         assert np.max(np.abs(np.diff(ks))) <= 1
         assert 1 <= res.k_star <= 8
@@ -237,7 +240,8 @@ class TestRunPhase1:
     @pytest.mark.parametrize("name", sorted(pinned_operators()))
     def test_decisions_match_pin(self, name):
         pin = json.loads(PHASE1_PIN.read_text())[name]
-        got = decision_record(run_phase1(pinned_operators()[name]))
+        got = decision_record(run_phase1(pinned_operators()[name],
+                                         Phase1Config()))
         scores = (got.pop("min_prune_score"), pin.pop("min_prune_score"))
         # growth signals bit for bit; the scores are the same quotient
         # of an operator that was rebuilt from the residual, to roundoff
@@ -265,7 +269,7 @@ class TestPlantedSpectra:
                      marks=pytest.mark.xfail(strict=True, reason=_ITEM1)),
     ])
     def test_planted_rank_recovered(self, name, rank):
-        res = run_phase1(planted_operator(PLANTED[name]))
+        res = run_phase1(planted_operator(PLANTED[name]), Phase1Config())
         assert (res.k_star, res.converged) == (rank, True)
 
 
@@ -295,7 +299,7 @@ class TestExactGrowthSignal:
             A = random_psd_operator(seed)
             eigs = np.linalg.eigvalsh(A)[::-1]
             k = 1
-            for rec in run_phase1(A).iterations:
+            for rec in run_phase1(A, Phase1Config()).iterations:
                 exact = exact_growth_signal(eigs, k) if k < eigs.size else 0.0
                 if (rec.growth_signal > gamma) != (exact > gamma):
                     disagree.append(seed)
@@ -321,6 +325,6 @@ class TestPhase1ReportedRank:
     def test_effective_rank_in_bounds(self, rng):
         for w in (6, 12):
             g = rng.normal(size=(120, w)) * rng.uniform(0.3, 2.0, w)
-            res = run_phase1(build_residual_operator(g),
-                             Phase1Config(window=w))
+            res = run_phase1(build_residual_operator(g, tau_z=np.nan),
+                             Phase1Config())
             assert 1.0 - 1e-9 <= res.effective_rank_final <= w + 1e-9

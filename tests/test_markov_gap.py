@@ -238,7 +238,8 @@ class TestWindowedReconstructor:
 @pytest.fixture(scope="module")
 def result(cfg):
     return mg.markov_gap_experiment(0.5, cfg.reference, cfg.plant,
-                                    cfg.friction, n_traj=256, seed=11)
+                                    cfg.friction, n_traj=256, seed=11,
+                                    dt=cfg.dt, gains=cfg.baseline_gains())
 
 
 class TestExperiment:
@@ -260,7 +261,9 @@ class TestExperiment:
         # from the instantaneous state, so the far grid points are held
         # to the gross memoryless-vs-memoryful ordering only.
         res = {tz: mg.markov_gap_experiment(tz, cfg.reference, cfg.plant,
-                                            cfg.friction, n_traj=256, seed=5)
+                                            cfg.friction, n_traj=256, seed=5,
+                                            dt=cfg.dt,
+                                            gains=cfg.baseline_gains())
                for tz in (0.1, 0.5, 1.0, 5.0)}
         ex = {tz: r.excess_markov for tz, r in res.items()}
         assert ex[0.1] < ex[0.5] < ex[1.0]
@@ -282,7 +285,9 @@ class TestExperiment:
         # per cell at 64 trajectories.
         res = mg.markov_gap_experiment(0.5, cfg.reference, cfg.plant,
                                        cfg.friction, n_traj=64, n_bins=6,
-                                       sample_times=np.arange(2.5, 5.0, 0.05))
+                                       sample_times=np.arange(2.5, 5.0, 0.05),
+                                       seed=0, dt=cfg.dt,
+                                       gains=cfg.baseline_gains())
         ridge = {"excess_windowed": 4.237074992006868e-06,
                  "excess_windowed_se": 5.419759964511063e-07}
         for name, value in ridge.items():
@@ -305,14 +310,16 @@ class TestExperiment:
         with pytest.raises(ValueError, match=message + r" is outside \[2\.5, 5\] s"):
             mg.markov_gap_experiment(0.5, cfg.reference, cfg.plant,
                                      cfg.friction, n_traj=256, seed=11,
-                                     sample_times=times)
+                                     sample_times=times, dt=cfg.dt,
+                                     gains=cfg.baseline_gains())
 
     def test_window_start_and_last_step_accepted(self, cfg):
         # step 250 = window (lags start at t = 0) and step 500 = n
         times = np.arange(2.5, 5.0 + 1e-9, 0.05)
         res = mg.markov_gap_experiment(0.5, cfg.reference, cfg.plant,
                                        cfg.friction, n_traj=64, n_bins=6,
-                                       sample_times=times)
+                                       sample_times=times, seed=0, dt=cfg.dt,
+                                       gains=cfg.baseline_gains())
         assert res.n_eval == 32 * times.size
         assert 0.0 < res.excess_windowed < res.excess_markov
 
@@ -327,7 +334,8 @@ class TestExperiment:
         # sample times peaked at 7.6 MiB here, over the 5.9 MiB bound;
         # one joint's rows and per-block sums peak at 4.7 MiB.
         res, peak = traced_peak(mg.markov_gap_experiment, 0.5, cfg.reference,
-                                cfg.plant, cfg.friction, n_traj=256, seed=11)
+                                cfg.plant, cfg.friction, n_traj=256, seed=11,
+                                dt=cfg.dt, gains=cfg.baseline_gains())
         W, dt = res.window, 0.01
         n_steps = round(max(mg.HORIZON, W * dt + 2.5) / dt)
         record = 3 * (n_steps + 1) * 256 * 8
@@ -337,10 +345,12 @@ class TestExperiment:
 
     def test_partial_window_sits_between(self, cfg):
         full = mg.markov_gap_experiment(0.5, cfg.reference, cfg.plant,
-                                        cfg.friction, n_traj=256, seed=11)
+                                        cfg.friction, n_traj=256, seed=11,
+                                        dt=cfg.dt, gains=cfg.baseline_gains())
         part = mg.markov_gap_experiment(0.5, cfg.reference, cfg.plant,
                                         cfg.friction, n_traj=256, seed=11,
-                                        window=5)
+                                        window=5, dt=cfg.dt,
+                                        gains=cfg.baseline_gains())
         assert full.excess_windowed < part.excess_windowed < full.excess_markov
         gap_hi = full.excess_markov - part.excess_windowed
         gap_lo = part.excess_windowed - full.excess_windowed
@@ -357,6 +367,7 @@ class TestOneBinningPass:
         # the policy's prediction looks its cells up with no sort
         mg.markov_gap_experiment(0.5, cfg.reference, cfg.plant,
                                  cfg.friction, n_traj=64, n_bins=6,
-                                 sample_times=np.arange(2.5, 5.0, 0.05))
+                                 sample_times=np.arange(2.5, 5.0, 0.05),
+                                 seed=0, dt=cfg.dt, gains=cfg.baseline_gains())
         n_times = np.arange(2.5, 5.0, 0.05).size
         assert argsort_sizes == [32 * n_times]

@@ -34,13 +34,13 @@ class TestAnalyticGradient:
 class TestResidualOperator:
     def test_identical_samples_give_rank_one(self, rng):
         v = rng.uniform(-1.0, 1.0, 9)
-        op = ma.build_residual_operator(np.tile(v, (25, 1)))
+        op = ma.build_residual_operator(np.tile(v, (25, 1)), tau_z=np.nan)
         assert np.allclose(op.matrix, np.outer(v, v), atol=1e-12)
         assert ma.effective_rank(op.matrix) == pytest.approx(1.0, abs=1e-10)
 
     def test_orthonormal_samples_give_identity(self):
         eye = np.eye(6)
-        op = ma.build_residual_operator(eye)
+        op = ma.build_residual_operator(eye, tau_z=np.nan)
         assert np.allclose(op.matrix, eye / 6.0)
         assert ma.effective_rank(op.matrix) == pytest.approx(6.0, rel=1e-12)
 
@@ -63,7 +63,7 @@ class TestResidualOperator:
     def test_symmetry_and_psd_on_all_paths(self, rng):
         for _ in range(10):
             g = rng.normal(size=(40, 8))
-            op = ma.build_residual_operator(g)
+            op = ma.build_residual_operator(g, tau_z=np.nan)
             assert_symmetric_psd(op)
 
 
@@ -145,12 +145,15 @@ class TestSigmaZClosedForm:
 
 class TestSigmaZMonteCarlo:
     def test_matches_closed_form_broadband(self):
-        est = ma.sigma_z_broadband(0.5, lambda_z=2.0, n_traj=1500, seed=9)
+        est = ma.sigma_z_broadband(0.5, lambda_z=2.0, n_traj=1500, seed=9,
+                                   dt=0.01)
         assert est.monte_carlo == pytest.approx(est.closed_form, rel=0.05)
 
     def test_short_memory_is_tiny(self):
-        lo = ma.sigma_z_broadband(0.01, lambda_z=2.0, n_traj=800, seed=2)
-        hi = ma.sigma_z_broadband(2.0, lambda_z=2.0, n_traj=800, seed=2)
+        lo = ma.sigma_z_broadband(0.01, lambda_z=2.0, n_traj=800, seed=2,
+                                  dt=0.01)
+        hi = ma.sigma_z_broadband(2.0, lambda_z=2.0, n_traj=800, seed=2,
+                                  dt=0.01)
         assert lo.monte_carlo < 0.01 * hi.monte_carlo
 
     def test_deterministic_target_gives_bin_noise_only(self, rng):
@@ -181,7 +184,8 @@ class TestSigmaZPinned:
         (2.0, 8000, 0.16488035982038968, 0.16488035982038957),
     ])
     def test_monte_carlo_bitwise(self, tau_z, n_samples, expected, masked):
-        est = ma.sigma_z_broadband(tau_z, lambda_z=4.0, n_traj=400, seed=42)
+        est = ma.sigma_z_broadband(tau_z, lambda_z=4.0, n_traj=400, seed=42,
+                                   dt=0.01)
         assert est.monte_carlo == expected
         assert est.monte_carlo == pytest.approx(masked, rel=1e-13, abs=0)
         assert est.n_samples == n_samples
@@ -189,7 +193,8 @@ class TestSigmaZPinned:
     def test_one_stratification_per_call(self, argsort_sizes):
         # fit sorts its sample positions once, as floats, and takes the
         # samples' cells from the sort-free cell_index
-        est = ma.sigma_z_broadband(1.0, lambda_z=4.0, n_traj=400, seed=42)
+        est = ma.sigma_z_broadband(1.0, lambda_z=4.0, n_traj=400, seed=42,
+                                   dt=0.01)
         assert argsort_sizes == [est.n_samples]
 
     @pytest.mark.parametrize("tau_z,per_traj", [
@@ -198,14 +203,16 @@ class TestSigmaZPinned:
         (5.0, 10),              # the 25 s burn-in alone overran 20 s
     ])
     def test_at_least_ten_samples_per_trajectory(self, tau_z, per_traj):
-        est = ma.sigma_z_broadband(tau_z, lambda_z=4.0, n_traj=200, seed=42)
+        est = ma.sigma_z_broadband(tau_z, lambda_z=4.0, n_traj=200, seed=42,
+                                   dt=0.01)
         assert est.n_samples == per_traj * 200
         assert np.isfinite(est.monte_carlo) and est.monte_carlo > 0.0
 
     @pytest.mark.parametrize("n_traj", [0, -5])
     def test_rejects_fewer_than_one_trajectory(self, n_traj):
         with pytest.raises(ValueError, match=f"n_traj must be at least 1, got {n_traj}"):
-            ma.sigma_z_broadband(1.0, lambda_z=4.0, n_traj=n_traj)
+            ma.sigma_z_broadband(1.0, lambda_z=4.0, n_traj=n_traj, dt=0.01,
+                                 seed=0)
 
 
 # The per-step sampler that sigma_z_broadband's stride blocks replaced:
@@ -257,7 +264,7 @@ class TestStrideBlocksMatchPerStepOracle:
         monkeypatch.setattr(ma.StateBinning, "fit", staticmethod(fit_spy))
         monkeypatch.setattr(ma, "binned_conditional_variance", variance_spy)
         est = ma.sigma_z_broadband(tau_z, lambda_z=lam, n_traj=n_traj,
-                                   seed=seed)
+                                   seed=seed, dt=0.01)
         assert est.n_samples == mem.size
         assert np.array_equal(seen["vel"], vel)
         assert np.max(np.abs(seen["pos"] - pos)) <= 1e-12
@@ -282,7 +289,8 @@ class TestStrideBlocksMatchPerStepOracle:
                 return self._rng.standard_normal(*args, **kwargs)
 
         monkeypatch.setattr(np.random, "default_rng", CountingRng)
-        est = ma.sigma_z_broadband(1.0, lambda_z=4.0, n_traj=400, seed=42)
+        est = ma.sigma_z_broadband(1.0, lambda_z=4.0, n_traj=400, seed=42,
+                                   dt=0.01)
         assert est.n_samples == 30 * 400
         assert len(draws) == 10 + 30
 
@@ -432,10 +440,12 @@ class TestClosedLoopSampler:
     def test_shapes_and_determinism(self, cfg):
         g1 = ma.gradient_samples_closed_loop(1.0, cfg.reference, cfg.plant,
                                              cfg.friction, window=10,
-                                             n_samples=32, seed=5)
+                                             n_samples=32, seed=5, dt=cfg.dt,
+                                             gains=cfg.baseline_gains())
         g2 = ma.gradient_samples_closed_loop(1.0, cfg.reference, cfg.plant,
                                              cfg.friction, window=10,
-                                             n_samples=32, seed=5)
+                                             n_samples=32, seed=5, dt=cfg.dt,
+                                             gains=cfg.baseline_gains())
         assert g1.shape[1] == 10
         assert 0 < g1.shape[0] <= 32
         assert np.array_equal(g1, g2)
@@ -444,7 +454,8 @@ class TestClosedLoopSampler:
     def test_operator_from_sampler_is_psd(self, cfg):
         g = ma.gradient_samples_closed_loop(2.0, cfg.reference, cfg.plant,
                                             cfg.friction, window=8,
-                                            n_samples=24, seed=1)
+                                            n_samples=24, seed=1, dt=cfg.dt,
+                                            gains=cfg.baseline_gains())
         op = ma.build_residual_operator(g, tau_z=2.0)
         assert_symmetric_psd(op)
         assert 1.0 <= ma.effective_rank(op.matrix) <= 8.0
@@ -460,12 +471,14 @@ class TestClosedLoopSampler:
             with pytest.raises(ma.InsufficientHistory):
                 ma.gradient_samples_closed_loop(1.0, cfg.reference, cfg.plant,
                                                 cfg.friction, window=window,
-                                                n_samples=4)
+                                                n_samples=4, dt=cfg.dt, seed=0,
+                                                gains=cfg.baseline_gains())
 
     def test_longest_window_that_fits(self, cfg):
         g = ma.gradient_samples_closed_loop(1.0, cfg.reference, cfg.plant,
                                             cfg.friction, window=299,
-                                            n_samples=4)
+                                            n_samples=4, dt=cfg.dt, seed=0,
+                                            gains=cfg.baseline_gains())
         assert g.shape == (4, 299)
 
     def test_matches_full_record_sweep(self, cfg):
@@ -474,10 +487,12 @@ class TestClosedLoopSampler:
         W, n, seed, dt = 12, 32, 6, 0.01
         g = ma.gradient_samples_closed_loop(1.0, cfg.reference, cfg.plant,
                                             cfg.friction, window=W,
-                                            n_samples=n, dt=dt, seed=seed)
+                                            n_samples=n, dt=dt, seed=seed,
+                                            gains=cfg.baseline_gains())
         sim = BaselineEnsembleSim(n // 2, cfg.reference, cfg.plant,
                                   cfg.friction.with_tau_z(1.0), seed,
-                                  TaskDistribution(friction_log_sd=0.2))
+                                  TaskDistribution(friction_log_sd=0.2),
+                                  gains=cfg.baseline_gains())
         n_end = round(ma.CLOSED_LOOP_HORIZON / dt)
         roll = sim.run(n_end, dt)
         adjoint = np.zeros((n // 2, 6, 2))
@@ -500,10 +515,12 @@ class TestClosedLoopSampler:
         W, n, seed, dt, eps = 8, 32, 4, 0.01, 1e-6
         g = ma.gradient_samples_closed_loop(2.0, cfg.reference, cfg.plant,
                                             fric, window=W, n_samples=n,
-                                            dt=dt, seed=seed)
+                                            dt=dt, seed=seed,
+                                            gains=cfg.baseline_gains())
         assert g.shape == (n, W)
         sim = BaselineEnsembleSim(n // 2, cfg.reference, cfg.plant, fric,
-                                  seed, TaskDistribution(friction_log_sd=0.2))
+                                  seed, TaskDistribution(friction_log_sd=0.2),
+                                  gains=cfg.baseline_gains())
         n_end = round(ma.CLOSED_LOOP_HORIZON / dt)
         roll = sim.run(n_end, dt)
         fd = np.empty((n // 2, 2, W))
@@ -528,7 +545,8 @@ class TestClosedLoopSampler:
         # draws); finite differences at eps = 1e-4 reached 6.5x here
         g = ma.gradient_samples_closed_loop(2.0, cfg.reference, cfg.plant,
                                             cfg.friction, window=20,
-                                            n_samples=256, seed=5)
+                                            n_samples=256, seed=5, dt=cfg.dt,
+                                            gains=cfg.baseline_gains())
         assert g.shape == (256, 20)
         assert np.all(np.isfinite(g))
         norms = np.linalg.norm(g, axis=1)
@@ -540,7 +558,8 @@ class TestSigmaZGrid:
         # spec invariant grid {0.1, 0.5, 1, 2, 5} s, default excitation
         vals = []
         for tz in (0.1, 0.5, 1.0, 2.0, 5.0):
-            est = ma.sigma_z_broadband(tz, lambda_z=2.0, n_traj=400, seed=4)
+            est = ma.sigma_z_broadband(tz, lambda_z=2.0, n_traj=400, seed=4,
+                                       dt=0.01)
             vals.append(est.monte_carlo)
         assert np.all(np.diff(vals) > 0.0)
 

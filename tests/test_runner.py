@@ -96,8 +96,8 @@ class TestFailureModeFlag:
 
 
 @pytest.fixture(scope="module")
-def small_sweep():
-    return SweepSpec(rollouts_per_payload=3, seed=42)
+def small_sweep(cfg):
+    return SweepSpec(rollouts_per_payload=3, dt=cfg.dt, seed=42)
 
 
 class TestSweepSpec:
@@ -105,10 +105,10 @@ class TestSweepSpec:
         # with 1010 rollouts, rollout 1009 of one payload and rollout 0
         # of the next would share a reset seed
         with pytest.raises(ValueError, match="at most 1009"):
-            SweepSpec(rollouts_per_payload=1010)
+            SweepSpec(rollouts_per_payload=1010, dt=0.01, seed=42)
 
     def test_reset_seeds_distinct_at_the_limit(self):
-        sweep = SweepSpec(rollouts_per_payload=1009)
+        sweep = SweepSpec(rollouts_per_payload=1009, dt=0.01, seed=42)
         seeds = {sweep.rollout_seed(ip, ir)
                  for ip in range(len(runner.PAYLOAD_GRID))
                  for ir in range(sweep.rollouts_per_payload)}
@@ -118,22 +118,26 @@ class TestSweepSpec:
 class TestEvaluate:
     def test_self_comparison_is_zero(self, cfg, small_sweep):
         res = evaluate_baseline(cfg.reference, cfg.plant, cfg.friction,
-                                small_sweep)
+                                small_sweep, payload_mode="nominal",
+                                gains=cfg.baseline_gains())
         assert res.delta_percent == pytest.approx(0.0, abs=1e-12)
         assert res.check_delta_consistency()
 
     def test_rmse_monotone_in_payload(self, cfg, small_sweep):
         res = evaluate_baseline(cfg.reference, cfg.plant, cfg.friction,
-                                small_sweep)
+                                small_sweep, payload_mode="nominal",
+                                gains=cfg.baseline_gains())
         rmses = [p.rmse for p in res.payload_rmse]
         assert np.all(np.diff(rmses) >= 0.0)
         assert failure_mode_flag(res) == "healthy"
 
     def test_byte_identical_reruns(self, cfg, small_sweep, tmp_path):
         r1 = evaluate_baseline(cfg.reference, cfg.plant, cfg.friction,
-                               small_sweep)
+                               small_sweep, payload_mode="nominal",
+                               gains=cfg.baseline_gains())
         r2 = evaluate_baseline(cfg.reference, cfg.plant, cfg.friction,
-                               small_sweep)
+                               small_sweep, payload_mode="nominal",
+                               gains=cfg.baseline_gains())
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
         r1.write_json(p1)
         r2.write_json(p2)
@@ -145,7 +149,7 @@ class TestEvaluate:
         # reference: one scalar rollout per (payload, rollout) pair, as
         # the sweep ran before it became one batched rollout; kd = 100
         # makes some rollouts diverge
-        sweep = SweepSpec(rollouts_per_payload=3, seed=42)
+        sweep = SweepSpec(rollouts_per_payload=3, dt=cfg.dt, seed=42)
         ref = dataclasses.replace(cfg.reference, horizon=2.0)
         gains = ControllerParams(kd=np.full(2, kd), lam=np.full(2, 5.0),
                                  eta=np.zeros(6))
@@ -183,8 +187,9 @@ class TestEvaluate:
         for seed in (1, 2):
             evaluate_baseline(dataclasses.replace(cfg.reference, horizon=0.1),
                               cfg.plant, cfg.friction,
-                              SweepSpec(rollouts_per_payload=2, seed=seed),
-                              payload_mode="noisy")
+                              SweepSpec(rollouts_per_payload=2, dt=cfg.dt,
+                                        seed=seed),
+                              payload_mode="noisy", gains=cfg.baseline_gains())
         assert len(models) == 2
         assert not np.array_equal(models[0], models[1])
 

@@ -7,7 +7,7 @@ import pytest
 from memctrl import controller, dynamics, shield
 from memctrl.controller import (DIM_ETA, ControllerParams, ExtendedState,
                                 ModelTerms, ParamBox, computed_torque,
-                                feature_matrix, fixed_gain_baseline)
+                                feature_matrix)
 from memctrl.dynamics import (BatchReference, PlantState, RefPoint, Trajectory,
                               coriolis_matrix, gravity_vector, mass_matrix,
                               rollout, step_rk4, stribeck_force)
@@ -20,7 +20,8 @@ from memctrl.shield import (design_lyapunov_form, halfspace_coeffs,
 @pytest.fixture(scope="module")
 def form(cfg):
     return design_lyapunov_form(
-        cfg.plant, BatchReference(cfg.reference).at(0.0).q, alpha=0.5)
+        cfg.plant, BatchReference(cfg.reference).at(0.0).q,
+        cfg.baseline_gains(), alpha=0.5)
 
 
 def _halfspace(x, form, params, fric, z):
@@ -116,7 +117,7 @@ class TestLyapunovRate:
         qd = np.array([0.5, 0.2])
         ref = RefPoint(q=q.copy(), qd=qd.copy(), qdd=np.array([1.0, -1.0]))
         x = ExtendedState.from_tracking(q, qd, ref, form.lam_nominal)
-        theta = fixed_gain_baseline()
+        theta = cfg.baseline_gains()
         # zero disturbance: no friction at all
         from memctrl.dynamics import FrictionParams
         quiet = FrictionParams(f_c=0.0, f_smax=0.0, sigma=0.0,
@@ -197,10 +198,11 @@ class TestIsAdmissible:
 
     def test_alpha_zero_accepts_decreasing(self, cfg, rng):
         form0 = design_lyapunov_form(
-            cfg.plant, BatchReference(cfg.reference).at(0.0).q, alpha=0.0)
+            cfg.plant, BatchReference(cfg.reference).at(0.0).q,
+            cfg.baseline_gains(), alpha=0.0)
         for _ in range(50):
             x = random_extended_state(rng, form0)
-            theta = fixed_gain_baseline()
+            theta = cfg.baseline_gains()
             rate = lyapunov_rate(x, theta, form0, cfg.plant, cfg.friction,
                                  np.zeros(2))
             if rate < -1e-9:
@@ -210,7 +212,8 @@ class TestIsAdmissible:
 
     def test_huge_alpha_empties_box(self, cfg, rng):
         form_hard = design_lyapunov_form(
-            cfg.plant, BatchReference(cfg.reference).at(0.0).q, alpha=1e9)
+            cfg.plant, BatchReference(cfg.reference).at(0.0).q,
+            cfg.baseline_gains(), alpha=1e9)
         box = ParamBox()
         x = random_extended_state(np.random.default_rng(3), form_hard)
         assert lyapunov_value(x, form_hard) > 1e-4
@@ -222,7 +225,7 @@ class TestIsAdmissible:
             mask = corners_rng.integers(0, 2, lo.size).astype(bool)
             assert a @ np.where(mask, hi, lo) - rhs > 1e-9
         theta, empty = project_admissible(
-            x, fixed_gain_baseline(), form_hard, box,
+            x, cfg.baseline_gains(), form_hard, box,
             ModelTerms.at(x, cfg.plant, cfg.friction), cfg.friction,
             np.zeros(2))
         # the flagged fallback is the vertex of steepest decrease
@@ -367,10 +370,11 @@ class TestProjectionExact:
 
 def _shielded_rollout(cfg, form, seed=42, source=None):
     box = ParamBox()
-    base = fixed_gain_baseline()
+    base = cfg.baseline_gains()
     src = source if source is not None else (lambda t, x: base)
     ctrl = shield.ShieldedController(src, form, box, cfg.plant, cfg.friction)
-    traj = rollout(ctrl, cfg.reference, cfg.plant, cfg.friction, seed=seed)
+    traj = rollout(ctrl, cfg.reference, cfg.plant, cfg.friction, seed=seed,
+                   dt=cfg.dt)
     return traj, ctrl
 
 
@@ -389,10 +393,11 @@ class TestDecayAndActivation:
         # uncancellable memory disturbance and floor at 1% of V(0).
         fric = dataclasses.replace(cfg.friction, lambda_z=0.0)
         box = ParamBox()
-        base = fixed_gain_baseline()
+        base = cfg.baseline_gains()
         ctrl = shield.ShieldedController(lambda t, x: base, form, box,
                                          cfg.plant, fric)
-        traj = rollout(ctrl, cfg.reference, cfg.plant, fric, seed=42)
+        traj = rollout(ctrl, cfg.reference, cfg.plant, fric, seed=42,
+                       dt=cfg.dt)
         e = traj.q_ref - traj.q
         ed = traj.qd_ref - traj.qd
         y = np.concatenate([e, ed], axis=1)
@@ -425,13 +430,14 @@ class TestDecayAndActivation:
         weak = ControllerParams(kd=np.full(2, 0.5), lam=np.full(2, 0.3),
                                 eta=np.zeros(DIM_ETA))
         ctrl = BaselineController(cfg.plant, gains=weak)
-        traj = rollout(ctrl, cfg.reference, cfg.plant, cfg.friction, seed=42)
+        traj = rollout(ctrl, cfg.reference, cfg.plant, cfg.friction, seed=42,
+                       dt=cfg.dt)
         rep = verify_exponential_decay(traj, form, alpha=0.5, tolerance=0.05)
         assert not rep.passed
 
     def test_feasible_source_never_fires(self, cfg, form):
         box = ParamBox()
-        base = fixed_gain_baseline()
+        base = cfg.baseline_gains()
 
         def feasible_source(t, x, _cache={}):
             # pre-projected proposals are feasible by construction
@@ -464,7 +470,8 @@ class TestDecayAndActivation:
                 return dec
 
         two = TwoStage()
-        traj = rollout(two, cfg.reference, cfg.plant, cfg.friction, seed=42)
+        traj = rollout(two, cfg.reference, cfg.plant, cfg.friction, seed=42,
+                       dt=cfg.dt)
         assert not traj.diverged
         assert sum(two.outer_altered) == 0
         assert np.mean(two.outer_altered) == 0.0
@@ -478,7 +485,7 @@ class TestDecayAndActivation:
                           z=np.zeros((n + 1, 2)), q_ref=np.zeros((n + 1, 2)),
                           qd_ref=np.zeros((n + 1, 2)), tau=np.zeros((n, 2)),
                           projection_distance=np.zeros(n))
-        ctrl = shield.ShieldedController(lambda t, x: fixed_gain_baseline(),
+        ctrl = shield.ShieldedController(lambda t, x: cfg.baseline_gains(),
                                          form, ParamBox(), cfg.plant,
                                          cfg.friction)
         report = shield_report(traj, form, ctrl)
@@ -562,10 +569,10 @@ class TestFallback:
             monkeypatch.setattr(shield, name, layer)
         ref = dataclasses.replace(cfg.reference, horizon=2.0)
         box = ParamBox()
-        base = fixed_gain_baseline()
+        base = cfg.baseline_gains()
         ctrl = shield.ShieldedController(lambda t, x: base, form, box,
                                          cfg.plant, cfg.friction)
-        traj = rollout(ctrl, ref, cfg.plant, cfg.friction, seed=5)
+        traj = rollout(ctrl, ref, cfg.plant, cfg.friction, seed=5, dt=cfg.dt)
         assert ctrl.assumption_violations == 1
         assert len(calls) == traj.n_steps
         for name, made in layer_calls.items():
@@ -581,7 +588,7 @@ class TestOneEvaluationPerStep:
 
     @pytest.fixture()
     def step(self, cfg, form):
-        ctrl = shield.ShieldedController(lambda t, x: fixed_gain_baseline(),
+        ctrl = shield.ShieldedController(lambda t, x: cfg.baseline_gains(),
                                          form, ParamBox(), cfg.plant,
                                          cfg.friction)
         state = PlantState(q=np.array([0.3, -0.2]), qd=np.array([0.4, -1.1]),
