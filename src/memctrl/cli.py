@@ -25,6 +25,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import incrt, markov_gap, memory_analysis, runner, shield, stats
 from .config import load_config
 from .controller import BaselineController
@@ -56,6 +58,10 @@ _GLOBAL_FLAGS = (
 )
 
 
+_TAU_Z_LIST_HELP = ("comma-separated memory horizons tau_z in s; a config "
+                    "file's tau_z is not read")
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="memctrl",
                                  description=__doc__.splitlines()[0])
@@ -85,12 +91,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also write per-payload rows for plotting")
 
     p = add("sigma-scan", "sigma_z^2 closed form vs Monte Carlo")
-    p.add_argument("--tau-z-list", type=_float_list, default=[0.5, 1.0, 2.0])
+    p.add_argument("--tau-z-list", type=_float_list, default=[0.5, 1.0, 2.0],
+                   help=_TAU_Z_LIST_HELP)
     p.add_argument("--n-traj", type=int, default=2000)
     p.add_argument("--out", default="sigma_scan.csv")
 
     p = add("rank-scan", "effective rank of the temporal operator")
-    p.add_argument("--tau-z-list", type=_float_list, default=[1, 2, 3, 4, 5])
+    p.add_argument("--tau-z-list", type=_float_list, default=[1, 2, 3, 4, 5],
+                   help=_TAU_Z_LIST_HELP)
     p.add_argument("--window", type=int, default=20)
     p.add_argument("--n-samples", type=int, default=2048)
     p.add_argument("--save-operators", action="store_true",
@@ -98,7 +106,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="rank_scan.csv")
 
     p = add("phase1", "head-count search per memory horizon")
-    p.add_argument("--tau-z-list", type=_float_list, default=[1, 2, 3, 4, 5])
+    p.add_argument("--tau-z-list", type=_float_list, default=[1, 2, 3, 4, 5],
+                   help=_TAU_Z_LIST_HELP)
     p.add_argument("--window", type=int, default=20)
     p.add_argument("--n-samples", type=int, default=2048)
     p.add_argument("--gamma-add", type=float,
@@ -112,7 +121,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="phase1.json")
 
     p = add("markov-gap", "Markovian vs windowed excess")
-    p.add_argument("--tau-z-list", type=_float_list, default=[0.5, 1.0, 2.0])
+    p.add_argument("--tau-z-list", type=_float_list, default=[0.5, 1.0, 2.0],
+                   help=_TAU_Z_LIST_HELP)
     p.add_argument("--n-traj", type=int, default=512)
     p.add_argument("--out", default="markov_gap.csv")
 
@@ -184,25 +194,27 @@ def cmd_sigma_scan(args, cfg) -> int:
     return 0
 
 
-def _residual_operator(cfg, tz, window, n_samples, seed):
-    """The temporal residual operator of rank-scan and phase1: closed-loop
-    gradient samples at tau_z over a window of lags."""
-    g = memory_analysis.gradient_samples_closed_loop(
+def _gradient_samples(cfg, tz, window, n_samples, seed):
+    """Closed-loop gradient samples at tau_z over a window of lags, the
+    samples of rank-scan's and phase1's temporal residual operator."""
+    return memory_analysis.gradient_samples_closed_loop(
         tz, cfg.reference, cfg.plant, cfg.friction, window=window,
         n_samples=n_samples, dt=cfg.dt, seed=seed, gains=cfg.baseline_gains())
-    return memory_analysis.build_residual_operator(g, tau_z=tz)
 
 
 def cmd_rank_scan(args, cfg) -> int:
     out = Path(args.out_dir) / args.out
     rows = []
     for tz in args.tau_z_list:
-        op = _residual_operator(cfg, tz, args.window, args.n_samples,
-                                args.seed)
+        g = _gradient_samples(cfg, tz, args.window, args.n_samples, args.seed)
+        op = memory_analysis.build_residual_operator(g)
         if args.save_operators:
-            op.write_csv(Path(args.out_dir) / f"operator_tz{tz:g}s.csv")
-        rows.append((tz, memory_analysis.effective_rank(op.matrix), op.n_samples))
-        print(f"tau_z={tz:g}: r_eff={rows[-1][1]:.3f} (n={op.n_samples})")
+            np.savetxt(Path(args.out_dir) / f"operator_tz{tz:g}s.csv", op,
+                       delimiter=",",
+                       header=f"temporal residual operator, tau_z={tz:g}, "
+                              f"n_samples={len(g)}, mode=closed-loop-gradient")
+        rows.append((tz, memory_analysis.effective_rank(op), len(g)))
+        print(f"tau_z={tz:g}: r_eff={rows[-1][1]:.3f} (n={len(g)})")
     _write_csv(out, ["tau_z", "effective_rank", "n_samples"], rows)
     print(f"wrote {out}")
     return 0
@@ -215,9 +227,9 @@ def cmd_phase1(args, cfg) -> int:
     config.validate()   # before the first tau_z's sampling
     records = []
     for tz in args.tau_z_list:
-        op = _residual_operator(cfg, tz, args.window, args.n_samples,
-                                args.seed)
-        res = incrt.run_phase1(op, config)
+        g = _gradient_samples(cfg, tz, args.window, args.n_samples, args.seed)
+        res = incrt.run_phase1(memory_analysis.build_residual_operator(g),
+                               config)
         rec = {"tau_z": tz, "K_star": res.k_star,
                "r_eff": res.effective_rank_final,
                "iterations": res.n_iterations, "converged": res.converged,

@@ -162,22 +162,20 @@ class ModelTerms(NamedTuple):
                           feature_matrix(x.q, x.qd, fric.v_s))
 
 
-def computed_torque(x: ExtendedState, gains: ControllerParams,
-                    params: PlantParams, model: ModelTerms | None = None
-                    ) -> np.ndarray:
-    """Slotine-Li computed torque at the model `params` (payload estimate).
+def computed_torque(x: ExtendedState, gains: ControllerParams, arm,
+                    Phi: np.ndarray | None = None) -> np.ndarray:
+    """Slotine-Li computed torque from the model's arm terms
+    arm = dynamics.arm_terms(x.q, model) at the model's payload estimate.
 
     The K_d feedback acts on the sliding surface stored in x, so the
     output is affine in (kd, lam, eta) jointly for a frozen x.  Broadcasts
-    over leading axes of x.  model, when given, is ModelTerms.at(x,
-    params, fric), evaluated once by the caller: its arm terms feed the
-    inverse dynamics and its regressor the feed-forward Phi eta.  Without
-    it the torque has no feed-forward.
+    over leading axes of x.  Phi, when given, is the Stribeck regressor
+    at x (feature_matrix), and the torque gains the feed-forward
+    Phi eta; without it the torque has no feed-forward.
     """
     qd_r = x.qd_ref + gains.lam * x.e
     qdd_r = x.qdd_ref + gains.lam * x.ed
-    arm, Phi = (None, None) if model is None else model
-    tau = inverse_dynamics(x.q, x.qd, qd_r, qdd_r, params, arm) + gains.kd * x.s
+    tau = inverse_dynamics(x.qd, qd_r, qdd_r, arm) + gains.kd * x.s
     return tau if Phi is None else tau + feedforward(Phi, gains.eta)
 
 
@@ -233,22 +231,24 @@ class BaselineController:
     def __call__(self, t: float, state: PlantState, ref_point: RefPoint) -> ControlDecision:
         x = ExtendedState.from_tracking(state.q, state.qd, ref_point,
                                         self.gains.lam)
-        return ControlDecision(tau=computed_torque(x, self.gains, self.model),
-                               params=self.gains)
+        tau = computed_torque(x, self.gains, arm_terms(x.q, self.model))
+        return ControlDecision(tau=tau, params=self.gains)
 
-    def torque_jacobian(self, state: PlantState, ref_point: RefPoint
-                        ) -> np.ndarray:
-        """d tau / d (q, qd, z) of __call__'s torque at state, shape
-        (..., 2, 6); the z columns are 0."""
+    def linearize(self, state: PlantState, ref_point: RefPoint
+                  ) -> tuple[np.ndarray, np.ndarray]:
+        """__call__'s torque at state and its derivative by (q, qd, z),
+        shape (..., 2, 6), from one tracking state and one arm_terms
+        evaluation; the z columns are 0."""
         g = self.gains
-        q, qd = state.q, state.qd
+        x = ExtendedState.from_tracking(state.q, state.qd, ref_point, g.lam)
+        q, qd = x.q, x.qd
+        arm = arm_terms(q, self.model)
+        tau = computed_torque(x, g, arm)
         _, _, b, _, gw1, gw2 = self.model.terms
-        M11, M12, M22, h, _, _ = arm_terms(q, self.model)
+        M11, M12, M22, h, _, _ = arm
         dh = b * np.cos(q[..., 1])   # dh/dq2
-        e = ref_point.q - q
-        ed = ref_point.qd - qd
-        qd_r = ref_point.qd + g.lam * e
-        qdd_r = ref_point.qdd + g.lam * ed
+        qd_r = x.qd_ref + g.lam * x.e
+        qdd_r = x.qdd_ref + g.lam * x.ed
         v1, v2 = qd[..., 0], qd[..., 1]
         gs12 = gw2 * np.sin(q[..., 0] + q[..., 1])
         gs1 = gw1 * np.sin(q[..., 0])
@@ -265,4 +265,4 @@ class BaselineController:
         T[..., 1, 1] = -h * qdd_r[..., 0] + dh * v1 * qd_r[..., 0] - gs12 - kd2 * lam2
         T[..., 1, 2] = -M12 * lam1 + h * qd_r[..., 0]
         T[..., 1, 3] = -M22 * lam2 - kd2
-        return T
+        return tau, T

@@ -334,15 +334,15 @@ def memory_derivative(qd: np.ndarray, z: np.ndarray, fric: FrictionParams) -> np
     return fric.lambda_z * qd - z / fric.tau_z
 
 
-def inverse_dynamics(q, qd, qd_r, qdd_r, params: PlantParams, arm=None
-                     ) -> np.ndarray:
-    """M(q) qdd_r + C(q, qd) qd_r + G(q), written out per entry.
+def inverse_dynamics(qd, qd_r, qdd_r, arm) -> np.ndarray:
+    """M(q) qdd_r + C(q, qd) qd_r + G(q), written out per entry, from
+    arm = arm_terms(q, params), evaluated once by the caller: q enters
+    only through arm.
 
     The torque is laid out joint-first (Fortran order), as PlantState's
     views are, so a batch's torque and its later terms share one order.
-    arm, when given, is arm_terms(q, params), evaluated once by the caller.
     """
-    M11, M12, M22, h, G1, G2 = arm_terms(q, params) if arm is None else arm
+    M11, M12, M22, h, G1, G2 = arm
     v1, v2 = qd[..., 0], qd[..., 1]
     tau1 = (M11 * qdd_r[..., 0] + M12 * qdd_r[..., 1]
             - h * v2 * qd_r[..., 0] - h * (v1 + v2) * qd_r[..., 1] + G1)

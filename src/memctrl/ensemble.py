@@ -7,7 +7,8 @@ with per-member payloads and friction constants as arrays in
 PlantParams and FrictionParams; only the task distribution and the
 batch's step and run are written here.  The step Jacobian comes from the
 derivatives that sit beside their laws: dynamics.rk4_jacobian for the
-plant and BaselineController.torque_jacobian for the torque.
+plant and BaselineController.linearize, which gives the torque and its
+derivative from one evaluation, for the torque.
 Per-member constants are stored joint-first, the memory order of the
 state's rows: friction at (2, B) and the reference as (B, 2) views of
 (2, B) memory, like the q and qd views the controller reads;
@@ -111,13 +112,12 @@ class BaselineEnsembleSim:
     def step_jacobian(self, t: float, x: np.ndarray, dt: float) -> np.ndarray:
         """d step / d x at the packed (6, B) state x, shape (B, 6, 6): the
         exact derivative of `step`'s RK4 map (dynamics.rk4_jacobian),
-        including the torque's dependence on the state it is held from
-        (BaselineController.torque_jacobian); d sign/d qd is taken as 0.
+        including the torque's dependence on the state it is held from;
+        one BaselineController.linearize call gives `step`'s torque and
+        that derivative.  d sign/d qd is taken as 0.
         """
-        ref = self.reference.at(t)
-        state = PlantState(x=x)
-        tau = self.controller(t, state, ref).tau
-        T = self.controller.torque_jacobian(state, ref)
+        tau, T = self.controller.linearize(PlantState(x=x),
+                                           self.reference.at(t))
         return rk4_jacobian(x, tau.T, T, dt, self.plant, self.fric)
 
     def run(self, n_steps: int, dt: float, keep=np.s_[:, :]) -> BatchRollout:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .memory_analysis import TemporalResidualOperator, effective_rank
+from .memory_analysis import effective_rank
 
 GATE_THRESHOLD = 0.5   # |EMA| a decision stream must reach to count
 GATE_BETA = 0.5        # EMA weight of the newest raw decision
@@ -136,8 +136,7 @@ class Phase1Result:
         return len(self.iterations)
 
 
-def run_phase1(operator: TemporalResidualOperator | np.ndarray,
-               config: Phase1Config) -> Phase1Result:
+def run_phase1(A: np.ndarray, config: Phase1Config) -> Phase1Result:
     """Grow/prune/gate loop until the head count is homeostatically stable.
 
     Deterministic for a fixed operator.  Hits of the iteration cap
@@ -145,9 +144,7 @@ def run_phase1(operator: TemporalResidualOperator | np.ndarray,
     memory signal) raises ZeroMatrix, as effective_rank does.
     """
     config.validate()
-    if isinstance(operator, TemporalResidualOperator):
-        operator = operator.matrix
-    A = np.asarray(operator, dtype=float)
+    A = np.asarray(A, dtype=float)
     A = 0.5 * (A + A.T)
     W = A.shape[0]
     r_eff = effective_rank(A)

@@ -5,7 +5,8 @@ Three groups of tools:
 * history gradients of z with respect to the lagged velocity window
   (analytic for the linear memory, the exact derivative of the RK4
   closed loop by one adjoint sweep otherwise) and the W x W
-  auto-covariance operator built from them;
+  auto-covariance operator built from them, a plain symmetric array
+  that rank-scan and incrt.run_phase1 read;
 * the effective (stable) rank of that operator and the closed-form
   norm of the exponential-decay gradient vector;
 * the conditional-variance scale sigma_z^2: closed-form law and a
@@ -68,32 +69,14 @@ def history_gradient_analytic(tau_z: float, window: int, dt: float,
     return lambda_z * np.exp(-lags / tau_z)
 
 
-@dataclass(frozen=True)
-class TemporalResidualOperator:
-    """W x W auto-covariance of history-gradient samples."""
-
-    matrix: np.ndarray
-    n_samples: int
-    tau_z: float
-
-    def write_csv(self, path) -> None:
-        """The matrix under one header line, which np.savetxt prefixes with
-        '# '; mode names the sampler of its one writer, rank-scan."""
-        header = (f"temporal residual operator, tau_z={self.tau_z:g}, "
-                  f"n_samples={self.n_samples}, mode=closed-loop-gradient")
-        np.savetxt(path, self.matrix, delimiter=",", header=header)
-
-
-def build_residual_operator(samples: np.ndarray, tau_z: float
-                            ) -> TemporalResidualOperator:
-    """(1/N) sum g g^T over gradient samples; symmetric PSD by construction."""
+def build_residual_operator(samples: np.ndarray) -> np.ndarray:
+    """W x W auto-covariance (1/N) sum g g^T of the N gradient samples;
+    symmetric PSD by construction."""
     g = np.atleast_2d(np.asarray(samples, dtype=float))
     if g.shape[0] < 1:
         raise ValueError("need at least one sample")
     M = g.T @ g / g.shape[0]
-    M = 0.5 * (M + M.T)
-    return TemporalResidualOperator(matrix=M, n_samples=g.shape[0],
-                                    tau_z=tau_z)
+    return 0.5 * (M + M.T)
 
 
 def effective_rank(M: np.ndarray) -> float:
@@ -368,12 +351,14 @@ def gradient_samples_closed_loop(tau_z: float, ref: ReferenceSpec,
     transposed step Jacobians along the stored trajectory; the two
     joints' sweeps run side by side.  BaselineEnsembleSim.step_jacobian
     assembles each from the derivatives kept beside their laws,
-    dynamics.rk4_jacobian and BaselineController.torque_jacobian.  The
+    dynamics.rk4_jacobian and BaselineController.linearize.  The
     rollout records only the `window` states that the sweep reads, those
     of steps n_end - window .. n_end - 1, not all n_end + 1.
     Both joints contribute, so n_samples/2 trajectories are simulated;
     samples of members that blew up, or that are not finite, are
     dropped.  gains are the baseline's, Config.baseline_gains().
+    tau_z replaces fric.tau_z; it stays the leading argument because
+    bench/worker.py keys the samples it captures by that position.
     Each trajectory runs CLOSED_LOOP_HORIZON from its reset, and the
     samples are taken at its end.  A window of
     round(CLOSED_LOOP_HORIZON / dt) steps or more, the rollout's length,

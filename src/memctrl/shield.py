@@ -263,7 +263,7 @@ class ShieldedController:
         self.assumption_violations += empty
         d = theta.as_vector() - proposal.as_vector()
         dist = math.sqrt(d.dot(d))    # np.linalg.norm of a 1-D vector
-        tau = computed_torque(x, theta, self.params, model)
+        tau = computed_torque(x, theta, model.arm, model.Phi)
         return ControlDecision(tau=tau, params=theta, projection_distance=dist)
 
 

@@ -63,13 +63,14 @@ class TestReport:
     cohens_d: float
 
 
-def _midranks(pooled: np.ndarray) -> np.ndarray:
-    """1-based ranks, ties sharing the mean of their ranks."""
+def _midranks(pooled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """1-based ranks, ties sharing the mean of their ranks, and the size
+    of each run of tied values (the distinct values' counts)."""
     _, inverse, counts = np.unique(pooled, return_inverse=True,
                                    return_counts=True)
     # a run of c tied values ending at rank r holds ranks r - c + 1 .. r
     last = np.cumsum(counts)
-    return (last - 0.5 * (counts - 1))[inverse]
+    return (last - 0.5 * (counts - 1))[inverse], counts
 
 
 def _u_from_ranks(ranks: np.ndarray, idx_a, n1: int) -> float:
@@ -94,7 +95,7 @@ def mann_whitney_u(a, b, alternative: str = "less",
         raise ValueError(f"unknown alternative {alternative!r}")
     n1, n2 = a.size, b.size
     pooled = np.concatenate([a, b])
-    ranks = _midranks(pooled)
+    ranks, counts = _midranks(pooled)
     u_obs = _u_from_ranks(ranks, range(n1), n1)
 
     if method == "auto":
@@ -122,7 +123,6 @@ def mann_whitney_u(a, b, alternative: str = "less",
 
     n = n1 + n2
     mu = n1 * n2 / 2.0
-    _, counts = np.unique(pooled, return_counts=True)
     tie_term = float(np.sum(counts ** 3 - counts)) / (n * (n - 1))
     var = n1 * n2 / 12.0 * ((n + 1) - tie_term)
     if var <= 0.0:

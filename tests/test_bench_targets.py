@@ -89,3 +89,40 @@ def test_workload_reaches_its_targets(workload, tmp_path):
     for call, stdout in zip(calls, stdouts):
         errors, _ = call.check(call, stdout, {})
         assert isinstance(errors, list), call.key
+
+
+def test_sampler_arguments_the_benchmark_reads(tmp_path):
+    # bench/worker.py keys the gradient samples it captures by
+    # float(args[0]) of gradient_samples_closed_loop, and
+    # layers._on_gradient_samples counts kwargs["n_samples"]: the CLI
+    # must pass tau_z first and n_samples by keyword
+    import memctrl.cli
+
+    workload = "memory-scan"
+    spec = dict(SMALL_SPECS[workload], tau_z=[1.0, 2.0])
+    cfg = tmp_path / "bench.cfg"
+    cfg.write_text(workloads.config_text(workload, spec))
+    calls = workloads.build_pass(workload, spec, workloads.REFERENCE_SEED,
+                                 str(tmp_path), str(cfg))
+    seen = []
+
+    def make_capture(orig, target):
+        def captured(*args, **kwargs):
+            seen.append((args, kwargs))
+            return orig(*args, **kwargs)
+        return captured
+
+    patcher = spans.Patcher()
+    patcher.install([spans.Target("grad", "memory_analysis",
+                                  "gradient_samples_closed_loop")],
+                    make_capture)
+    try:
+        for call in calls:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert memctrl.cli.main(call.argv) == 0
+    finally:
+        patcher.remove()
+    assert patcher.absent == []
+    assert {float(args[0]) for args, _ in seen} == set(spec["tau_z"])
+    assert all(kwargs.get("n_samples") == spec["n_samples"]
+               for _, kwargs in seen)

@@ -593,8 +593,8 @@ class TestConfigBaseline:
                                             cfg.friction, window=8,
                                             n_samples=32, dt=cfg.dt, seed=42,
                                             gains=gains)
-        direct = ma.build_residual_operator(g, tau_z=1.0)
-        assert np.array_equal(op, direct.matrix)
+        direct = ma.build_residual_operator(g)
+        assert np.array_equal(op, direct)
         assert not np.allclose(op, op_d)
         res = incrt.run_phase1(direct, incrt.Phase1Config())
         assert (rec["K_star"], rec["r_eff"], rec["iterations"]) == \
@@ -645,6 +645,26 @@ class TestConfigBaseline:
         assert shield.verify_exponential_decay(traj, other).max_ratio != ratio
 
 
+class TestOperatorCSV:
+    def test_round_trip(self, tmp_path, cfg):
+        # rank-scan --save-operators writes the operator of the samples it
+        # drew: the header names them, the rows are their auto-covariance
+        rc = run_cli(["--out-dir", str(tmp_path), "rank-scan",
+                      "--tau-z-list", "1.5", "--window", "6",
+                      "--n-samples", "15", "--save-operators"])
+        assert rc == 0
+        g = ma.gradient_samples_closed_loop(1.5, cfg.reference, cfg.plant,
+                                            cfg.friction, window=6,
+                                            n_samples=15, dt=cfg.dt, seed=42,
+                                            gains=cfg.baseline_gains())
+        path = tmp_path / "operator_tz1.5s.csv"
+        assert path.read_text().splitlines()[0] == (
+            f"# temporal residual operator, tau_z=1.5, n_samples={len(g)}, "
+            "mode=closed-loop-gradient")
+        back = np.loadtxt(path, delimiter=",")
+        assert np.allclose(back, ma.build_residual_operator(g), atol=1e-12)
+
+
 # For each function or dataclass the CLI calls to run a pipeline, the
 # parameters whose value the CLI (seed, sizes, payload mode, tau_z) or
 # the config (dt, baseline gains) owns.  Their one default lives with
@@ -659,7 +679,6 @@ OWNED_PARAMETERS = [
     ("memory_analysis", "sigma_z_broadband", ("n_traj", "dt", "seed")),
     ("memory_analysis", "gradient_samples_closed_loop",
      ("window", "n_samples", "dt", "seed", "gains")),
-    ("memory_analysis", "build_residual_operator", ("tau_z",)),
     ("incrt", "run_phase1", ("config",)),
     ("markov_gap", "markov_gap_experiment", ("n_traj", "seed", "dt", "gains")),
     ("ensemble", "BaselineEnsembleSim", ("seed", "gains")),

@@ -7,7 +7,7 @@ from memctrl.controller import (DIM_ETA, BaselineController, ControllerParams,
                                 ExtendedState, ModelTerms, ParamBox,
                                 computed_torque, feature_matrix, feedforward)
 from memctrl.dynamics import (BatchReference, PlantState, RefPoint,
-                              coriolis_matrix, gravity_vector, mass_matrix,
+                              arm_terms, coriolis_matrix, gravity_vector, mass_matrix,
                               rollout, stribeck_force)
 
 
@@ -22,7 +22,7 @@ class TestComputedTorque:
         qd = np.array([0.9, 0.4])
         ref = RefPoint(q=q.copy(), qd=qd.copy(), qdd=np.array([1.5, -2.0]))
         x = _state(q, qd, ref, gains.lam)
-        tau = computed_torque(x, gains, cfg.plant)
+        tau = computed_torque(x, gains, arm_terms(x.q, cfg.plant))
         expect = (mass_matrix(q, cfg.plant) @ ref.qdd
                   + coriolis_matrix(q, qd, cfg.plant) @ ref.qd
                   + gravity_vector(q, cfg.plant))
@@ -33,7 +33,7 @@ class TestComputedTorque:
         q = np.array([0.7, -0.2])
         ref = RefPoint(q=q.copy(), qd=np.zeros(2), qdd=np.zeros(2))
         x = _state(q, np.zeros(2), ref, gains.lam)
-        tau = computed_torque(x, gains, cfg.plant)
+        tau = computed_torque(x, gains, arm_terms(x.q, cfg.plant))
         assert np.allclose(tau, gravity_vector(q, cfg.plant), atol=1e-12)
 
     def test_feedback_linear_in_kd(self, cfg, rng):
@@ -47,7 +47,7 @@ class TestComputedTorque:
         def tau_at(kd_scale):
             g = ControllerParams(kd=np.full(2, kd_scale), lam=lam,
                                  eta=np.zeros(DIM_ETA))
-            return computed_torque(x, g, cfg.plant)
+            return computed_torque(x, g, arm_terms(x.q, cfg.plant))
 
         fb1 = tau_at(10.0) - tau_at(0.0)
         fb2 = tau_at(20.0) - tau_at(0.0)
@@ -66,8 +66,7 @@ class TestComputedTorque:
 
         def tau(v):
             return computed_torque(x, ControllerParams.from_vector(v),
-                                   cfg.plant,
-                                   ModelTerms.at(x, cfg.plant, cfg.friction))
+                                   *ModelTerms.at(x, cfg.plant, cfg.friction))
 
         mix = tau(a * v1 + (1 - a) * v2)
         assert np.allclose(mix, a * tau(v1) + (1 - a) * tau(v2), atol=1e-10)
@@ -177,7 +176,7 @@ class TestBatchGains:
     @pytest.mark.parametrize("members", [(5,), ()], ids=["per_member", "scalar"])
     def test_torque_jacobian_matches_complex_step(self, cfg, members):
         # a per-member plant ((B, 2) gains) and a scalar one ((2,) gains):
-        # torque_jacobian against a complex step of __call__ over each
+        # linearize's Jacobian against a complex step of __call__ over each
         # packed state entry; the torque does not read z
         rng = np.random.default_rng(11)
         payload = rng.uniform(0.0, 1.5, members) if members else 0.7
@@ -193,10 +192,30 @@ class TestBatchGains:
         for j in range(6):
             xc = x + 1j * h * np.eye(6)[j].reshape((6,) + (1,) * len(members))
             T_cs[..., j] = ctrl(0.4, PlantState(x=xc), ref).tau.imag / h
-        T = ctrl.torque_jacobian(PlantState(x=x), ref)
+        T = ctrl.linearize(PlantState(x=x), ref)[1]
         assert T.shape == members + (2, 6)
         assert np.all(T[..., 4:6] == 0.0)
         assert np.max(np.abs(T_cs - T)) <= 1e-12 * np.max(np.abs(T))
+
+    @pytest.mark.parametrize("mode", ["nominal", "true", "noisy"])
+    @pytest.mark.parametrize("members", [(5,), ()], ids=["per_member", "scalar"])
+    def test_linearize_torque_is_the_call_torque(self, cfg, members, mode):
+        # the torque linearize hands the step Jacobian is the one __call__
+        # applies, bit for bit, at (B, 2) and (2,) gains in each payload mode
+        rng = np.random.default_rng(12)
+        payload = rng.uniform(0.0, 1.5, members) if members else 0.7
+        plant = dataclasses.replace(cfg.plant, payload=payload)
+        gains = ControllerParams(kd=[30.0, 24.0], lam=[5.0, 7.0],
+                                 eta=np.zeros(DIM_ETA))
+        ctrl = BaselineController(plant, gains, payload_mode=mode,
+                                  noise_seed=3)
+        phase = rng.uniform(0.0, 2.0 * np.pi, members + (2,))
+        ref = BatchReference(cfg.reference, phase).at(0.4)
+        state = PlantState(x=rng.uniform(-1.0, 1.0, (6,) + members))
+        tau, _ = ctrl.linearize(state, ref)
+        want = ctrl(0.4, state, ref).tau
+        assert tau.shape == want.shape == members + (2,)
+        assert np.array_equal(tau, want)
 
     def test_ensemble_gains_are_the_controllers(self, cfg):
         from memctrl.ensemble import BaselineEnsembleSim, TaskDistribution

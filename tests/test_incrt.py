@@ -178,7 +178,7 @@ class TestGate:
 class TestRunPhase1:
     def test_rank_one_operator(self, rng):
         g = np.tile(rng.normal(size=12), (64, 1))
-        op = build_residual_operator(g, tau_z=np.nan)
+        op = build_residual_operator(g)
         res = run_phase1(op, Phase1Config())
         assert res.k_star == 1
         assert res.converged
@@ -197,7 +197,7 @@ class TestRunPhase1:
 
     def test_determinism(self, rng):
         g = rng.normal(size=(200, 10))
-        op = build_residual_operator(g, tau_z=np.nan)
+        op = build_residual_operator(g)
         r1 = run_phase1(op, Phase1Config())
         r2 = run_phase1(op, Phase1Config())
         assert r1.k_star == r2.k_star
@@ -208,7 +208,7 @@ class TestRunPhase1:
 
     def test_k_changes_at_most_one_per_iteration(self, rng):
         g = rng.normal(size=(100, 8)) * rng.uniform(0.2, 2.0, 8)
-        res = run_phase1(build_residual_operator(g, tau_z=np.nan),
+        res = run_phase1(build_residual_operator(g),
                          Phase1Config())
         ks = [1] + [r.k for r in res.iterations]
         assert np.max(np.abs(np.diff(ks))) <= 1
@@ -325,6 +325,6 @@ class TestPhase1ReportedRank:
     def test_effective_rank_in_bounds(self, rng):
         for w in (6, 12):
             g = rng.normal(size=(120, w)) * rng.uniform(0.3, 2.0, w)
-            res = run_phase1(build_residual_operator(g, tau_z=np.nan),
+            res = run_phase1(build_residual_operator(g),
                              Phase1Config())
             assert 1.0 - 1e-9 <= res.effective_rank_final <= w + 1e-9

@@ -9,9 +9,8 @@ from memctrl import memory_analysis as ma
 from memctrl.ensemble import BaselineEnsembleSim, TaskDistribution
 
 
-def assert_symmetric_psd(op):
+def assert_symmetric_psd(M):
     """The operator is symmetric and positive semidefinite up to roundoff."""
-    M = op.matrix
     assert np.allclose(M, M.T, atol=1e-12 * max(1.0, float(np.abs(M).max())))
     assert np.linalg.eigvalsh(M)[0] >= -1e-10 * max(1.0, float(np.trace(M)))
 
@@ -34,15 +33,15 @@ class TestAnalyticGradient:
 class TestResidualOperator:
     def test_identical_samples_give_rank_one(self, rng):
         v = rng.uniform(-1.0, 1.0, 9)
-        op = ma.build_residual_operator(np.tile(v, (25, 1)), tau_z=np.nan)
-        assert np.allclose(op.matrix, np.outer(v, v), atol=1e-12)
-        assert ma.effective_rank(op.matrix) == pytest.approx(1.0, abs=1e-10)
+        op = ma.build_residual_operator(np.tile(v, (25, 1)))
+        assert np.allclose(op, np.outer(v, v), atol=1e-12)
+        assert ma.effective_rank(op) == pytest.approx(1.0, abs=1e-10)
 
     def test_orthonormal_samples_give_identity(self):
         eye = np.eye(6)
-        op = ma.build_residual_operator(eye, tau_z=np.nan)
-        assert np.allclose(op.matrix, eye / 6.0)
-        assert ma.effective_rank(op.matrix) == pytest.approx(6.0, rel=1e-12)
+        op = ma.build_residual_operator(eye)
+        assert np.allclose(op, eye / 6.0)
+        assert ma.effective_rank(op) == pytest.approx(6.0, rel=1e-12)
 
     def test_linear_memory_alignment(self, rng):
         # jittered linear-memory samples: leading eigenvector stays on the
@@ -50,20 +49,20 @@ class TestResidualOperator:
         tau_z, W, dt, lam = 0.07, 16, 0.01, 2.0
         g = ma.gradient_samples_linear(tau_z, W, dt, lam, n_samples=512,
                                        jitter=0.05, seed=3)
-        op = ma.build_residual_operator(g, tau_z=tau_z)
+        op = ma.build_residual_operator(g)
         assert_symmetric_psd(op)
-        w, V = np.linalg.eigh(op.matrix)
+        w, V = np.linalg.eigh(op)
         lead = V[:, -1]
         v = ma.history_gradient_analytic(tau_z, W, dt, lam)
         v = v / np.linalg.norm(v)
         angle = np.arccos(min(1.0, abs(float(lead @ v))))
         assert angle < 1e-3
-        assert ma.effective_rank(op.matrix) == pytest.approx(1.0, abs=5e-3)
+        assert ma.effective_rank(op) == pytest.approx(1.0, abs=5e-3)
 
     def test_symmetry_and_psd_on_all_paths(self, rng):
         for _ in range(10):
             g = rng.normal(size=(40, 8))
-            op = ma.build_residual_operator(g, tau_z=np.nan)
+            op = ma.build_residual_operator(g)
             assert_symmetric_psd(op)
 
 
@@ -456,9 +455,9 @@ class TestClosedLoopSampler:
                                             cfg.friction, window=8,
                                             n_samples=24, seed=1, dt=cfg.dt,
                                             gains=cfg.baseline_gains())
-        op = ma.build_residual_operator(g, tau_z=2.0)
+        op = ma.build_residual_operator(g)
         assert_symmetric_psd(op)
-        assert 1.0 <= ma.effective_rank(op.matrix) <= 8.0
+        assert 1.0 <= ma.effective_rank(op) <= 8.0
 
     def test_insufficient_history(self, cfg, monkeypatch):
         # a window of round(CLOSED_LOOP_HORIZON / dt) = 300 steps or more
@@ -562,14 +561,3 @@ class TestSigmaZGrid:
                                        dt=0.01)
             vals.append(est.monte_carlo)
         assert np.all(np.diff(vals) > 0.0)
-
-
-class TestOperatorCSV:
-    def test_round_trip(self, tmp_path, rng):
-        g = rng.normal(size=(40, 6))
-        op = ma.build_residual_operator(g, tau_z=1.5)
-        path = tmp_path / "op.csv"
-        op.write_csv(path)
-        back = np.loadtxt(path, delimiter=",")
-        assert np.allclose(back, op.matrix, atol=1e-12)
-

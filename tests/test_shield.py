@@ -43,7 +43,7 @@ def lyapunov_rate(x, theta, form, params, fric, z=None):
     true plant, also the controller's model.  z defaults to zero memory.
     """
     z = np.zeros(2) if z is None else np.asarray(z, dtype=float)
-    tau = computed_torque(x, theta, params, ModelTerms.at(x, params, fric))
+    tau = computed_torque(x, theta, *ModelTerms.at(x, params, fric))
     rhs = (tau - coriolis_matrix(x.q, x.qd, params) @ x.qd
            - gravity_vector(x.q, params) - stribeck_force(x.qd, z, fric))
     qdd = np.linalg.solve(mass_matrix(x.q, params), rhs)
@@ -96,8 +96,8 @@ class TestLyapunovRate:
             x = random_extended_state(rng, form, e_scale=0.5, qd_scale=1.5)
             theta = random_theta(rng, box)
             z = rng.uniform(-1.0, 1.0, 2)
-            tau = computed_torque(x, theta, cfg.plant,
-                                  ModelTerms.at(x, cfg.plant, cfg.friction))
+            tau = computed_torque(x, theta,
+                                  *ModelTerms.at(x, cfg.plant, cfg.friction))
             state = PlantState(q=x.q, qd=x.qd, z=z.copy())
             v0 = lyapunov_value(x, form)
             new = step_rk4(state, tau, dt, cfg.plant, cfg.friction)

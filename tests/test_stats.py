@@ -74,7 +74,7 @@ class TestMidranks:
                 x = rng.integers(-2, 3, size=n).astype(float)
             else:             # signed zeros among ties
                 x = rng.choice([-0.0, 0.0, 1.0, -1.5], size=n)
-            assert np.array_equal(_midranks(x), _midranks_loop(x))
+            assert np.array_equal(_midranks(x)[0], _midranks_loop(x))
 
 
 def _t_cdf_quadrature(t, dof, n=200000):
