@@ -5,10 +5,11 @@ ensemble), the parameterised controller and its admissibility shield
 (controller, shield), temporal-memory analysis (memory_analysis,
 incrt), the memoryless-policy gap (markov_gap), evaluation statistics
 (stats) and sweep orchestration (runner, cli).
-"""
 
-from . import (config, controller, dynamics, ensemble, incrt, markov_gap,
-               memory_analysis, runner, shield, stats)
+Importing the package loads none of them; each loads on its first
+import (`from memctrl import shield`, `import memctrl.shield`), so a
+CLI command pays only for the pipeline it runs.
+"""
 
 __all__ = ["config", "controller", "dynamics", "ensemble", "incrt",
            "markov_gap", "memory_analysis", "runner", "shield", "stats"]

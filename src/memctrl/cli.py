@@ -15,6 +15,13 @@ An invalid input (a ValueError), a file that cannot be read or written
 memctrl's own analysis errors ends the run with one line on stderr and
 exit status 1; any other exception keeps its traceback.  A diverged
 rollout is no error: simulate and evaluate report it.
+
+Each command runs in a fresh interpreter, so start-up counts in every
+pipeline's time.  Importing this module loads only the config and the
+modules it is built from (controller, dynamics); each command imports
+its pipeline when it runs, and calls it through the module attribute
+(memory_analysis.gradient_samples_closed_loop), so a wrapper or a test
+double set on the module sees the call.
 """
 
 from __future__ import annotations
@@ -27,20 +34,30 @@ from pathlib import Path
 
 import numpy as np
 
-from . import incrt, markov_gap, memory_analysis, runner, shield, stats
 from .config import load_config
 from .controller import BaselineController
 from .dynamics import BatchReference
 
+
 # errors a run reports in one line: ValueError, which memctrl's input
 # errors subclass, OSError from reading or writing a file, and
-# memctrl's own RuntimeErrors
-_RUN_ERRORS = (ValueError, OSError, memory_analysis.InsufficientSamples,
-               markov_gap.SingularDesign)
+# memctrl's own RuntimeErrors (_is_own_error)
+_RUN_ERRORS = (ValueError, OSError, RuntimeError)
+
+
+def _is_own_error(exc: RuntimeError) -> bool:
+    """Whether `exc` is one of memctrl's own RuntimeErrors.  Their modules
+    are imported here, on the error path, so start-up does not load them."""
+    from . import markov_gap, memory_analysis
+    return isinstance(exc, (memory_analysis.InsufficientSamples,
+                            markov_gap.SingularDesign))
 
 
 def _float_list(text: str) -> list[float]:
-    return [float(x) for x in text.split(",") if x.strip()]
+    values = [float(x) for x in text.split(",") if x.strip()]
+    if not values:
+        raise argparse.ArgumentTypeError("expected at least one value")
+    return values
 
 
 def _write_csv(path, header, rows) -> None:
@@ -57,6 +74,11 @@ _GLOBAL_FLAGS = (
     ("--out-dir", {"default": ".", "help": "output directory"}),
 )
 
+
+# phase1's thresholds by field name; only a flag that is given reaches
+# incrt.Phase1Config, which holds their one default
+_PHASE1_FIELDS = (("gamma_add", float), ("gamma_prune", float),
+                  ("n_stable", int))
 
 _TAU_Z_LIST_HELP = ("comma-separated memory horizons tau_z in s; a config "
                     "file's tau_z is not read")
@@ -110,12 +132,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help=_TAU_Z_LIST_HELP)
     p.add_argument("--window", type=int, default=20)
     p.add_argument("--n-samples", type=int, default=2048)
-    p.add_argument("--gamma-add", type=float,
-                   default=incrt.Phase1Config.gamma_add)
-    p.add_argument("--gamma-prune", type=float,
-                   default=incrt.Phase1Config.gamma_prune)
-    p.add_argument("--n-stable", type=int,
-                   default=incrt.Phase1Config.n_stable)
+    for name, kind in _PHASE1_FIELDS:
+        p.add_argument("--" + name.replace("_", "-"), type=kind,
+                       default=argparse.SUPPRESS,
+                       help="default: incrt.Phase1Config's")
     p.add_argument("--verbose-log", action="store_true",
                    help="include the full iteration log in the JSON")
     p.add_argument("--out", default="phase1.json")
@@ -145,6 +165,8 @@ def cmd_simulate(args, cfg) -> int:
     plant = cfg.plant
     base = cfg.baseline_gains()
     if args.shielded:
+        from . import shield
+
         form = shield.design_lyapunov_form(
             plant, BatchReference(cfg.reference).at(0.0).q, baseline=base,
             alpha=cfg.alpha)
@@ -164,6 +186,8 @@ def cmd_simulate(args, cfg) -> int:
 
 
 def cmd_evaluate(args, cfg) -> int:
+    from . import runner
+
     fric = cfg.friction if args.tau_z is None else cfg.friction.with_tau_z(args.tau_z)
     sweep = runner.SweepSpec(rollouts_per_payload=args.rollouts, dt=cfg.dt,
                              seed=args.seed)
@@ -180,6 +204,8 @@ def cmd_evaluate(args, cfg) -> int:
 
 
 def cmd_sigma_scan(args, cfg) -> int:
+    from . import memory_analysis
+
     out = Path(args.out_dir) / args.out
     rows = []
     for tz in args.tau_z_list:
@@ -197,12 +223,16 @@ def cmd_sigma_scan(args, cfg) -> int:
 def _gradient_samples(cfg, tz, window, n_samples, seed):
     """Closed-loop gradient samples at tau_z over a window of lags, the
     samples of rank-scan's and phase1's temporal residual operator."""
+    from . import memory_analysis
+
     return memory_analysis.gradient_samples_closed_loop(
         tz, cfg.reference, cfg.plant, cfg.friction, window=window,
         n_samples=n_samples, dt=cfg.dt, seed=seed, gains=cfg.baseline_gains())
 
 
 def cmd_rank_scan(args, cfg) -> int:
+    from . import memory_analysis
+
     out = Path(args.out_dir) / args.out
     rows = []
     for tz in args.tau_z_list:
@@ -221,9 +251,11 @@ def cmd_rank_scan(args, cfg) -> int:
 
 
 def cmd_phase1(args, cfg) -> int:
-    config = incrt.Phase1Config(gamma_add=args.gamma_add,
-                                gamma_prune=args.gamma_prune,
-                                n_stable=args.n_stable)
+    from . import incrt, memory_analysis
+
+    config = incrt.Phase1Config(**{name: getattr(args, name)
+                                   for name, _ in _PHASE1_FIELDS
+                                   if hasattr(args, name)})
     config.validate()   # before the first tau_z's sampling
     records = []
     for tz in args.tau_z_list:
@@ -247,6 +279,8 @@ def cmd_phase1(args, cfg) -> int:
 
 
 def cmd_markov_gap(args, cfg) -> int:
+    from . import markov_gap, memory_analysis
+
     out = Path(args.out_dir) / args.out
     rows = []
     for tz in args.tau_z_list:
@@ -268,6 +302,8 @@ def cmd_markov_gap(args, cfg) -> int:
 
 
 def cmd_compare(args, cfg) -> int:
+    from . import stats
+
     table = stats.compare_result_files(args.files, metric=args.metric,
                                        group_key=args.group_key,
                                        alternative=args.alternative)
@@ -318,6 +354,8 @@ def main(argv=None) -> int:
         Path(args.out_dir).mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command](args, cfg)
     except _RUN_ERRORS as exc:
+        if isinstance(exc, RuntimeError) and not _is_own_error(exc):
+            raise
         print(f"memctrl: error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,8 +1,9 @@
 """Plain-text key = value configuration.
 
 One flat namespace covering the plant, friction, reference, controller
-box and shield; '#' starts a comment.  Unknown keys are rejected so
-typos fail loudly, and every value must be a finite number.  Example:
+box and shield; '#' starts a comment.  Unknown keys and a key given
+twice are rejected so typos fail loudly, and every value must be a
+finite number.  Example:
 
     # plant
     m1 = 3.5
@@ -71,6 +72,7 @@ def default_config() -> Config:
 
 def parse_key_values(text: str) -> dict[str, float]:
     out: dict[str, float] = {}
+    first_line: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -79,6 +81,10 @@ def parse_key_values(text: str) -> dict[str, float]:
             raise ValueError(f"line {lineno}: expected 'key = value'")
         key, _, val = line.partition("=")
         key = key.strip()
+        if key in first_line:
+            raise ValueError(f"line {lineno}: {key} given twice, first on "
+                             f"line {first_line[key]}")
+        first_line[key] = lineno
         try:
             value = float(val.strip())
         except ValueError as exc:

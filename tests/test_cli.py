@@ -271,6 +271,30 @@ class TestCLI:
         assert "not_a_key" in errors[0]
         assert errors[0].count("\n") == 1
 
+    def test_config_key_given_twice_rejected(self, tmp_path, capsys):
+        # the second value used to win, silently
+        cfg_file = tmp_path / "twice.cfg"
+        cfg_file.write_text("tau_z = 1.0\n# again\ntau_z = 3.0\n")
+        out = tmp_path / "out"
+        assert run_cli(["--config", str(cfg_file), "--out-dir", str(out),
+                        "simulate"]) == 1
+        err = one_error_line(capsys)
+        assert err == ("memctrl: error: line 3: tau_z given twice, first on "
+                       "line 1\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["sigma-scan", "rank-scan", "phase1",
+                                         "markov-gap"])
+    @pytest.mark.parametrize("text", [",", ""])
+    def test_empty_tau_z_list_rejected(self, tmp_path, capsys, command, text):
+        # sigma-scan wrote a header-only CSV and phase1 wrote [], exit 0
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["--out-dir", str(tmp_path), command, "--tau-z-list", text])
+        assert exc.value.code == 2
+        assert ("argument --tau-z-list: expected at least one value"
+                in capsys.readouterr().err)
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("line", ["period1 = 0", "period2 = 0",
                                       "period1 = -0.0", "period2 = -1"])
     def test_nonpositive_period_rejected(self, tmp_path, capsys, line):
@@ -501,6 +525,122 @@ class TestCLI:
         assert key in err
         assert err.count("\n") == 1
         assert not out.exists()
+
+
+class TestErrorContract:
+    # memctrl's own RuntimeErrors end a run in one line, like a ValueError,
+    # even where the command has not loaded their modules; any other
+    # exception keeps its traceback
+    @pytest.mark.parametrize("error", [
+        ma.InsufficientSamples("too few samples"),
+        markov_gap.SingularDesign("singular design")],
+        ids=lambda e: type(e).__name__)
+    def test_run_error_is_one_line(self, tmp_path, capsys, monkeypatch, error):
+        def failing(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(ma, "sigma_z_broadband", failing)
+        assert run_cli(["--out-dir", str(tmp_path), "sigma-scan"]) == 1
+        assert one_error_line(capsys) == f"memctrl: error: {error}\n"
+
+    @pytest.mark.parametrize("error", [RuntimeError("not memctrl's"),
+                                       KeyError("k")],
+                             ids=lambda e: type(e).__name__)
+    def test_other_error_keeps_traceback(self, tmp_path, capsys, monkeypatch,
+                                         error):
+        def failing(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(ma, "sigma_z_broadband", failing)
+        with pytest.raises(type(error)) as exc:
+            run_cli(["--out-dir", str(tmp_path), "sigma-scan"])
+        assert exc.value is error
+        assert capsys.readouterr().err == ""
+
+
+class TestPhase1Flags:
+    def test_parser_keeps_no_copy_of_the_thresholds(self):
+        # an absent flag leaves incrt.Phase1Config's default in force
+        from memctrl.cli import build_parser
+
+        args = build_parser().parse_args(["phase1"])
+        assert not {"gamma_add", "gamma_prune", "n_stable"} & set(vars(args))
+        args = build_parser().parse_args(["phase1", "--gamma-add", "0.2",
+                                          "--n-stable", "3"])
+        assert (args.gamma_add, args.n_stable) == (0.2, 3)
+        assert not hasattr(args, "gamma_prune")
+
+    def test_given_flag_reaches_phase1_config(self, tmp_path, monkeypatch):
+        seen = []
+        run_phase1 = incrt.run_phase1
+
+        def recording(op, config):
+            seen.append(config)
+            return run_phase1(op, config)
+
+        monkeypatch.setattr(incrt, "run_phase1", recording)
+        small = ["phase1", "--tau-z-list", "1", "--window", "4",
+                 "--n-samples", "16"]
+        assert run_cli(["--out-dir", str(tmp_path)] + small) == 0
+        assert run_cli(["--out-dir", str(tmp_path)] + small
+                       + ["--gamma-prune", "0.02"]) == 0
+        assert seen == [incrt.Phase1Config(),
+                        incrt.Phase1Config(gamma_prune=0.02)]
+
+
+# Run in a fresh interpreter: import memctrl.cli, load the default
+# config, build the parser, then run the command in argv (if any); print
+# the memctrl modules loaded.
+_IMPORT_PROBE = """import contextlib, io, json, sys
+import memctrl.cli as cli
+from memctrl.config import load_config
+load_config(None)
+cli.build_parser()
+argv = json.loads(sys.argv[1])
+if argv:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+print(json.dumps(sorted(m for m in sys.modules
+                        if m == "memctrl" or m.startswith("memctrl."))))
+"""
+
+
+def _loaded_modules(argv) -> set[str]:
+    import os
+    import subprocess
+    import sys
+
+    import memctrl
+
+    src = str(Path(memctrl.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=src + (os.pathsep + path if path else ""))
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE,
+                           json.dumps(argv)], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return {m.removeprefix("memctrl.") for m in json.loads(proc.stdout)}
+
+
+class TestImportGraph:
+    # each command runs in a fresh interpreter, so what start-up loads
+    # counts in every pipeline's time; a command loads only its pipeline
+    def test_start_up_loads_config_and_its_modules_only(self):
+        assert _loaded_modules([]) == {"memctrl", "cli", "config",
+                                       "controller", "dynamics"}
+
+    def test_compare_loads_no_simulator(self, tmp_path, evaluate_files):
+        loaded = _loaded_modules(["--out-dir", str(tmp_path), "compare",
+                                  "--metric", "rmse_mean", *evaluate_files])
+        assert {"stats", "runner"} <= loaded
+        assert not {"shield", "ensemble"} & loaded
+
+    def test_evaluate_loads_no_memory_analysis(self, tmp_path):
+        loaded = _loaded_modules(["--out-dir", str(tmp_path), "evaluate",
+                                  "--rollouts", "2"])
+        assert "runner" in loaded
+        assert not {"incrt", "markov_gap", "memory_analysis"} & loaded
 
 
 def _config_fields():
