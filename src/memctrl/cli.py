@@ -10,11 +10,12 @@ friction, reference, dt, baseline gains) defaults in memctrl.config.
 The pipeline functions keep no default for either, so their signatures
 make every pipeline read dt and Config.baseline_gains() from the config.
 
-An invalid input (a ValueError), a file that cannot be read or written
-(an OSError, such as a missing --config or compare input) or one of
-memctrl's own analysis errors ends the run with one line on stderr and
-exit status 1; any other exception keeps its traceback.  A diverged
-rollout is no error: simulate and evaluate report it.
+A ValueError or an OSError ends the run with one line on stderr and
+exit status 1; any other exception keeps its traceback.  Every error
+memctrl defines is a ValueError, numpy's LinAlgError is one too, and an
+OSError is a file that cannot be read or written, such as a missing
+--config or compare input.  A diverged rollout is no error: simulate
+and evaluate report it.
 
 Each command runs in a fresh interpreter, so start-up counts in every
 pipeline's time.  Importing this module loads only the config and the
@@ -37,20 +38,6 @@ import numpy as np
 from .config import load_config
 from .controller import BaselineController
 from .dynamics import BatchReference
-
-
-# errors a run reports in one line: ValueError, which memctrl's input
-# errors subclass, OSError from reading or writing a file, and
-# memctrl's own RuntimeErrors (_is_own_error)
-_RUN_ERRORS = (ValueError, OSError, RuntimeError)
-
-
-def _is_own_error(exc: RuntimeError) -> bool:
-    """Whether `exc` is one of memctrl's own RuntimeErrors.  Their modules
-    are imported here, on the error path, so start-up does not load them."""
-    from . import markov_gap, memory_analysis
-    return isinstance(exc, (memory_analysis.InsufficientSamples,
-                            markov_gap.SingularDesign))
 
 
 def _float_list(text: str) -> list[float]:
@@ -353,9 +340,7 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         Path(args.out_dir).mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command](args, cfg)
-    except _RUN_ERRORS as exc:
-        if isinstance(exc, RuntimeError) and not _is_own_error(exc):
-            raise
+    except (ValueError, OSError) as exc:
         print(f"memctrl: error: {exc}", file=sys.stderr)
         return 1
 

@@ -47,6 +47,8 @@ class Config:
         self.box.validate()
         if not self.dt > 0.0:
             raise ValueError("dt must be positive")
+        if not self.alpha >= 0.0:
+            raise ValueError(f"alpha must be non-negative, got {self.alpha}")
         for key in ("baseline_kd", "baseline_lam"):
             val = getattr(self, key)
             if not 0.0 < val < float("inf"):

@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dynamics import (FrictionParams, PlantParams, PlantState, RefPoint,
-                       arm_terms, inverse_dynamics)
+                       arm_partials, arm_terms, inverse_dynamics)
 
 DIM_ETA = 6
 SIGN_SMOOTHING = 0.02  # rad/s, tanh width of the smoothed sign feature
@@ -237,21 +237,18 @@ class BaselineController:
     def linearize(self, state: PlantState, ref_point: RefPoint
                   ) -> tuple[np.ndarray, np.ndarray]:
         """__call__'s torque at state and its derivative by (q, qd, z),
-        shape (..., 2, 6), from one tracking state and one arm_terms
-        evaluation; the z columns are 0."""
+        shape (..., 2, 6), from one tracking state and one evaluation
+        each of arm_terms and arm_partials; the z columns are 0."""
         g = self.gains
         x = ExtendedState.from_tracking(state.q, state.qd, ref_point, g.lam)
         q, qd = x.q, x.qd
         arm = arm_terms(q, self.model)
         tau = computed_torque(x, g, arm)
-        _, _, b, _, gw1, gw2 = self.model.terms
         M11, M12, M22, h, _, _ = arm
-        dh = b * np.cos(q[..., 1])   # dh/dq2
+        dh, gs1, gs12 = arm_partials(q, self.model)
         qd_r = x.qd_ref + g.lam * x.e
         qdd_r = x.qdd_ref + g.lam * x.ed
         v1, v2 = qd[..., 0], qd[..., 1]
-        gs12 = gw2 * np.sin(q[..., 0] + q[..., 1])
-        gs1 = gw1 * np.sin(q[..., 0])
         # the gains are (2,) or (B, 2): the joint is the last axis
         lam1, lam2, kd1, kd2 = g.lam[..., 0], g.lam[..., 1], g.kd[..., 0], g.kd[..., 1]
         T = np.zeros(q.shape[:-1] + (2, 6))

@@ -19,11 +19,11 @@ routines, which broadcast over leading axes.  Rollouts and ensembles
 share the one reference evaluator BatchReference, the one reset rule
 reset_state, the one integrator rk4_increment and the one blow-up
 check in closed_loop, which records the selected steps and rows of x
-time-major.  Each law's derivative sits beside it: _rhs_jacobian
-differentiates _derivatives, and rk4_jacobian, the exact derivative of
-rk4_increment by the state with the held torque's derivative passed
-in, chains it through the four stages (the gradient sampler's step
-Jacobian).
+time-major.  Each law's derivative sits beside it: arm_partials
+differentiates arm_terms, _rhs_jacobian differentiates _derivatives,
+and rk4_jacobian, the exact derivative of rk4_increment by the state
+with the held torque's derivative passed in, chains it through the four
+stages (the gradient sampler's step Jacobian).
 """
 
 from __future__ import annotations
@@ -266,6 +266,17 @@ def arm_terms(q, params: PlantParams):
     return _arm_terms(q[..., 0], q[..., 1], params.terms)
 
 
+def arm_partials(q, params: PlantParams):
+    """The partials of arm_terms' h, G1 and G2 at joint angles q (..., 2):
+    dh = dh/dq2 = b cos q2, gs1 = gw1 sin q1 and gs12 = gw2 sin(q1 + q2),
+    so dG1/dq1 = -(gs1 + gs12) and dG1/dq2 = dG2/dq1 = dG2/dq2 = -gs12.
+    The plant's and the baseline torque's Jacobians read them."""
+    q = np.asarray(q)
+    _, _, b, _, gw1, gw2 = params.terms
+    q1, q2 = q[..., 0], q[..., 1]
+    return b * np.cos(q2), gw1 * np.sin(q1), gw2 * np.sin(q1 + q2)
+
+
 def arm_matrices(qd: np.ndarray, arm
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """M(q), C(q, qd) and G(q) from arm = arm_terms(q, params).
@@ -370,23 +381,19 @@ def _derivatives(x, tau1, tau2, terms, fric: FrictionParams):
     return k
 
 
-def _rhs_jacobian(x, k, terms, fric: FrictionParams):
+def _rhs_jacobian(x, k, params: PlantParams, fric: FrictionParams):
     """d (qd, qdd, zd) / d (q, qd, z, tau) of _derivatives, shape
-    (*members, 6, 8), at the packed stage x with derivative k; terms =
-    PlantParams.terms.
+    (*members, 6, 8), at the packed stage x with derivative k.
 
     The derivative of sign(qd) is taken as 0: the Coulomb/Stribeck
     jump at qd = 0 contributes no sensitivity.
     """
-    _, _, b, _, gw1, gw2 = terms
-    q1, q2, v1, v2 = x[0], x[1], x[2], x[3]
-    M11, M12, M22, h, _, _ = _arm_terms(q1, q2, terms)
-    dh = b * np.cos(q2)   # dh/dq2
+    v1, v2 = x[2], x[3]
+    M11, M12, M22, h, _, _ = _arm_terms(x[0], x[1], params.terms)
+    dh, gs1, gs12 = arm_partials(x[0:2].T, params)
     u = x[2:4] / fric.v_s
     dF1, dF2 = (fric.f_excess * np.exp(-u * u) * (-2.0 * u / fric.v_s)
                 * np.sign(x[2:4]) + fric.sigma)
-    gs12 = gw2 * np.sin(q1 + q2)
-    gs1 = gw1 * np.sin(q1)
     # d r / d (q1, q2, qd1, qd2), with the dM/dq2 qdd term folded in
     members = x.shape[1:]
     dr = np.empty(members + (2, 4))
@@ -444,7 +451,7 @@ def rk4_jacobian(x, tau, dtau_dx, dt: float, params: PlantParams,
     for c, w in ((0.0, 1.0), (0.5, 2.0), (0.5, 2.0), (1.0, 1.0)):
         stage = x + c * dt * k
         k = _derivatives(stage, tau1, tau2, terms, fric)
-        Jf = _rhs_jacobian(stage, k, terms, fric)
+        Jf = _rhs_jacobian(stage, k, params, fric)
         K = Jf[..., :6] @ (eye + c * dt * K) + Jf[..., 6:] @ dtau_dx
         acc = acc + w * K
     return eye + dt / 6.0 * acc

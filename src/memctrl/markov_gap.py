@@ -43,7 +43,7 @@ HORIZON = 5.0            # s, shortest rollout of markov_gap_experiment
 JOINT = 0                # the joint whose memory is measured
 
 
-class SingularDesign(RuntimeError):
+class SingularDesign(ValueError):
     """Regression design without enough excitation to identify weights."""
 
 

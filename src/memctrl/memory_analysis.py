@@ -48,7 +48,7 @@ class InsufficientHistory(ValueError):
     pass
 
 
-class InsufficientSamples(RuntimeError):
+class InsufficientSamples(ValueError):
     pass
 
 

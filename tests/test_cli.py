@@ -307,6 +307,18 @@ class TestCLI:
         assert line.split()[0] in err
         assert err.count("\n") == 1
 
+    def test_common_period_inside_horizon_rejected(self, tmp_path, capsys):
+        # periods of 1 s and 2 s repeat together every 2 s, inside the
+        # default 5 s horizon
+        out = tmp_path / "out"
+        cfg_file = tmp_path / "period.cfg"
+        cfg_file.write_text("period1 = 1\nperiod2 = 2\n")
+        assert run_cli(["--config", str(cfg_file), "--out-dir", str(out),
+                        "evaluate"]) == 1
+        assert one_error_line(capsys) == ("memctrl: error: joint periods share "
+                                          "a common period inside the horizon\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["config", "compare"])
     def test_missing_input_file_rejected(self, tmp_path, capsys, command):
         missing = tmp_path / ("nope.cfg" if command == "config"
@@ -512,6 +524,8 @@ class TestCLI:
         ("evaluate", "baseline_kd", "0"),
         ("evaluate", "baseline_lam", "inf"),
         ("evaluate", "baseline_lam", "-1"),
+        ("evaluate", "alpha", "-1"),
+        ("simulate", "alpha", "-1"),
     ])
     def test_invalid_memory_gain_and_baseline_gains_rejected(
             self, tmp_path, capsys, cmd, key, value):
@@ -528,9 +542,28 @@ class TestCLI:
 
 
 class TestErrorContract:
-    # memctrl's own RuntimeErrors end a run in one line, like a ValueError,
-    # even where the command has not loaded their modules; any other
-    # exception keeps its traceback
+    # a ValueError or an OSError ends a run in one line with exit status 1,
+    # and every error memctrl defines is a ValueError; any other exception
+    # keeps its traceback
+    def test_every_memctrl_error_is_a_value_error(self):
+        import importlib
+        import pkgutil
+
+        import memctrl
+
+        defined = []
+        for info in pkgutil.iter_modules(memctrl.__path__):
+            if info.name == "__main__":   # runs the CLI
+                continue
+            module = importlib.import_module(f"memctrl.{info.name}")
+            defined += [value for value in vars(module).values()
+                        if isinstance(value, type)
+                        and issubclass(value, BaseException)
+                        and value.__module__ == module.__name__]
+        assert {"InsufficientSamples", "SingularDesign"} <= {
+            cls.__name__ for cls in defined}
+        assert [cls for cls in defined if not issubclass(cls, ValueError)] == []
+
     @pytest.mark.parametrize("error", [
         ma.InsufficientSamples("too few samples"),
         markov_gap.SingularDesign("singular design")],
@@ -589,23 +622,33 @@ class TestPhase1Flags:
 
 
 # Run in a fresh interpreter: import memctrl.cli, load the default
-# config, build the parser, then run the command in argv (if any); print
-# the memctrl modules loaded.
+# config, build the parser, run the code in argv[2], then run the command
+# in argv[1] (if any); print its exit status and the memctrl modules loaded.
 _IMPORT_PROBE = """import contextlib, io, json, sys
 import memctrl.cli as cli
 from memctrl.config import load_config
 load_config(None)
 cli.build_parser()
-argv = json.loads(sys.argv[1])
+exec(sys.argv[2])
+argv, rc = json.loads(sys.argv[1]), None
 if argv:
     with contextlib.redirect_stdout(io.StringIO()):
-        assert cli.main(argv) == 0
-print(json.dumps(sorted(m for m in sys.modules
-                        if m == "memctrl" or m.startswith("memctrl."))))
+        rc = cli.main(argv)
+print(json.dumps([rc, sorted(m for m in sys.modules
+                             if m == "memctrl" or m.startswith("memctrl."))]))
+"""
+
+# the probe's argv[2] for a sigma-scan whose sampler refuses its samples
+_SAMPLER_FAILS = """import memctrl.memory_analysis as ma
+def failing(*args, **kwargs):
+    raise ma.InsufficientSamples("too few samples")
+ma.sigma_z_broadband = failing
 """
 
 
-def _loaded_modules(argv) -> set[str]:
+def _probe(argv, prelude=""):
+    """The import probe's (exit status of argv, memctrl modules loaded,
+    stderr)."""
     import os
     import subprocess
     import sys
@@ -617,10 +660,17 @@ def _loaded_modules(argv) -> set[str]:
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=src + (os.pathsep + path if path else ""))
     proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE,
-                           json.dumps(argv)], env=env, capture_output=True,
-                          text=True, timeout=120)
+                           json.dumps(argv), prelude], env=env,
+                          capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    return {m.removeprefix("memctrl.") for m in json.loads(proc.stdout)}
+    rc, loaded = json.loads(proc.stdout)
+    return rc, {m.removeprefix("memctrl.") for m in loaded}, proc.stderr
+
+
+def _loaded_modules(argv) -> set[str]:
+    rc, loaded, _ = _probe(argv)
+    assert rc in (None, 0)
+    return loaded
 
 
 class TestImportGraph:
@@ -641,6 +691,37 @@ class TestImportGraph:
                                   "--rollouts", "2"])
         assert "runner" in loaded
         assert not {"incrt", "markov_gap", "memory_analysis"} & loaded
+
+    def test_error_path_loads_nothing_the_command_did_not_run(self, tmp_path):
+        # main tells an error it reports from one it re-raises by base
+        # class alone, so reporting sigma-scan's own error loads no
+        # module of another pipeline
+        rc, loaded, err = _probe(["--out-dir", str(tmp_path), "sigma-scan"],
+                                 _SAMPLER_FAILS)
+        assert (rc, err) == (1, "memctrl: error: too few samples\n")
+        assert "markov_gap" not in loaded
+
+
+class TestPinnedOutputsScript:
+    def test_every_pinned_command_parses(self, monkeypatch):
+        # a parse only, nothing runs: a renamed flag fails here rather
+        # than in the next comparison of two trees' outputs
+        import importlib.util
+
+        from memctrl.cli import build_parser
+
+        script = Path(__file__).resolve().parents[1] / "scripts"
+        spec = importlib.util.spec_from_file_location(
+            "pinned_outputs", script / "pinned_outputs.py")
+        module = importlib.util.module_from_spec(spec)
+        # the script sets OPENBLAS_NUM_THREADS=1 on import; undone after
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        spec.loader.exec_module(module)
+        parser = build_parser()
+        for name, argv, cfg in module.commands():
+            extra = [] if cfg is None else ["--config", f"{name}.cfg"]
+            args = parser.parse_args([*extra, "--out-dir", ".", *argv])
+            assert args.command == argv[0]
 
 
 def _config_fields():
