@@ -14,8 +14,9 @@ A ValueError or an OSError ends the run with one line on stderr and
 exit status 1; any other exception keeps its traceback.  Every error
 memctrl defines is a ValueError, numpy's LinAlgError is one too, and an
 OSError is a file that cannot be read or written, such as a missing
---config or compare input.  A diverged rollout is no error: simulate
-and evaluate report it.
+--config or compare input.  A closed stdout (memctrl simulate | head)
+exits 1 with nothing on stderr.  A diverged rollout is no error:
+simulate and evaluate report it, and compare refuses its result file.
 
 Each command runs in a fresh interpreter, so start-up counts in every
 pipeline's time.  Importing this module loads only the config and the
@@ -30,6 +31,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -145,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def cmd_simulate(args, cfg) -> int:
+def cmd_simulate(args, cfg) -> None:
     from .dynamics import rollout
 
     fric = cfg.friction if args.tau_z is None else cfg.friction.with_tau_z(args.tau_z)
@@ -169,10 +171,9 @@ def cmd_simulate(args, cfg) -> int:
         report.update(shield.shield_report(traj, form, ctrl))
     print(json.dumps(report))
     print(f"wrote {out}")
-    return 0
 
 
-def cmd_evaluate(args, cfg) -> int:
+def cmd_evaluate(args, cfg) -> None:
     from . import runner
 
     fric = cfg.friction if args.tau_z is None else cfg.friction.with_tau_z(args.tau_z)
@@ -187,10 +188,9 @@ def cmd_evaluate(args, cfg) -> int:
         res.write_payload_csv(out.with_suffix(".payload.csv"))
     print(f"wrote {out} (rmse_mean={res.rmse_mean:.4f}, "
           f"class={runner.failure_mode_flag(res)})")
-    return 0
 
 
-def cmd_sigma_scan(args, cfg) -> int:
+def cmd_sigma_scan(args, cfg) -> None:
     from . import memory_analysis
 
     out = Path(args.out_dir) / args.out
@@ -204,7 +204,6 @@ def cmd_sigma_scan(args, cfg) -> int:
               f"monte_carlo={est.monte_carlo:.6g}")
     _write_csv(out, ["tau_z", "closed_form", "monte_carlo"], rows)
     print(f"wrote {out}")
-    return 0
 
 
 def _gradient_samples(cfg, tz, window, n_samples, seed):
@@ -217,7 +216,7 @@ def _gradient_samples(cfg, tz, window, n_samples, seed):
         n_samples=n_samples, dt=cfg.dt, seed=seed, gains=cfg.baseline_gains())
 
 
-def cmd_rank_scan(args, cfg) -> int:
+def cmd_rank_scan(args, cfg) -> None:
     from . import memory_analysis
 
     out = Path(args.out_dir) / args.out
@@ -234,10 +233,9 @@ def cmd_rank_scan(args, cfg) -> int:
         print(f"tau_z={tz:g}: r_eff={rows[-1][1]:.3f} (n={len(g)})")
     _write_csv(out, ["tau_z", "effective_rank", "n_samples"], rows)
     print(f"wrote {out}")
-    return 0
 
 
-def cmd_phase1(args, cfg) -> int:
+def cmd_phase1(args, cfg) -> None:
     from . import incrt, memory_analysis
 
     config = incrt.Phase1Config(**{name: getattr(args, name)
@@ -262,10 +260,9 @@ def cmd_phase1(args, cfg) -> int:
     with open(out, "w") as fh:
         json.dump(records, fh, indent=1)
     print(f"wrote {out}")
-    return 0
 
 
-def cmd_markov_gap(args, cfg) -> int:
+def cmd_markov_gap(args, cfg) -> None:
     from . import markov_gap, memory_analysis
 
     out = Path(args.out_dir) / args.out
@@ -285,10 +282,9 @@ def cmd_markov_gap(args, cfg) -> int:
     _write_csv(out, ["tau_z", "sigma_z2_mc", "sigma_z2_cf", "excess_markov",
                      "excess_windowed_W", "bound_c1_sigma2"], rows)
     print(f"wrote {out}")
-    return 0
 
 
-def cmd_compare(args, cfg) -> int:
+def cmd_compare(args, cfg) -> None:
     from . import stats
 
     table = stats.compare_result_files(args.files, metric=args.metric,
@@ -320,7 +316,6 @@ def cmd_compare(args, cfg) -> int:
         fh.write(md)
     print(md)
     print(f"wrote {base}.csv and {base}.md")
-    return 0
 
 
 _COMMANDS = {
@@ -339,10 +334,16 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         Path(args.out_dir).mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[args.command](args, cfg)
+        _COMMANDS[args.command](args, cfg)
+        sys.stdout.flush()      # a closed stdout raises here, not at exit
+    except BrokenPipeError:
+        # files written, reader gone: devnull keeps the exit flush quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, OSError) as exc:
         print(f"memctrl: error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

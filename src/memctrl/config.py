@@ -3,7 +3,9 @@
 One flat namespace covering the plant, friction, reference, controller
 box and shield; '#' starts a comment.  Unknown keys and a key given
 twice are rejected so typos fail loudly, and every value must be a
-finite number.  Example:
+finite number.  Each key is a field of PlantParams, FrictionParams,
+ReferenceSpec (amp1 ... horizon), ParamBox or Config itself, set by
+dataclasses.replace and checked by its block's validate.  Example:
 
     # plant
     m1 = 3.5
@@ -61,9 +63,8 @@ def _field_names(cls) -> set[str]:
 
 _PLANT_KEYS = _field_names(PlantParams)
 _FRICTION_KEYS = _field_names(FrictionParams)
+_REF_KEYS = _field_names(ReferenceSpec)
 _BOX_KEYS = _field_names(ParamBox)
-# the reference is set by per-joint amplitude, period and phase
-_REF_KEYS = {"amp1", "amp2", "period1", "period2", "phase1", "phase2", "horizon"}
 _MISC_KEYS = _field_names(Config) - {"plant", "friction", "reference", "box"}
 
 
@@ -104,7 +105,7 @@ def load_config(path=None) -> Config:
         return cfg
     with open(path) as fh:
         kv = parse_key_values(fh.read())
-    known = _PLANT_KEYS | _FRICTION_KEYS | _BOX_KEYS | _REF_KEYS | _MISC_KEYS
+    known = _PLANT_KEYS | _FRICTION_KEYS | _REF_KEYS | _BOX_KEYS | _MISC_KEYS
     unknown = set(kv) - known
     if unknown:
         raise ValueError(f"unknown configuration keys: {sorted(unknown)}")
@@ -112,22 +113,10 @@ def load_config(path=None) -> Config:
     def given(keys):
         return {k: kv[k] for k in keys if k in kv}
 
-    ref = cfg.reference
-    amp = (kv.get("amp1", ref.amplitude[0]), kv.get("amp2", ref.amplitude[1]))
-    periods = (kv.get("period1", 2 * np.pi / ref.omega[0]),
-               kv.get("period2", 2 * np.pi / ref.omega[1]))
-    for key, period in zip(("period1", "period2"), periods):
-        if not period > 0.0:
-            raise ValueError(f"{key} must be positive, got {period}")
-    phase = (kv.get("phase1", ref.phase[0]), kv.get("phase2", ref.phase[1]))
-    horizon = kv.get("horizon", ref.horizon)
-    ref = ReferenceSpec(amplitude=amp,
-                        omega=(2 * np.pi / periods[0], 2 * np.pi / periods[1]),
-                        phase=phase, horizon=horizon)
-
     out = replace(cfg, plant=replace(cfg.plant, **given(_PLANT_KEYS)),
                   friction=replace(cfg.friction, **given(_FRICTION_KEYS)),
-                  reference=ref, box=replace(cfg.box, **given(_BOX_KEYS)),
+                  reference=replace(cfg.reference, **given(_REF_KEYS)),
+                  box=replace(cfg.box, **given(_BOX_KEYS)),
                   **given(_MISC_KEYS))
     out.validate()
     return out

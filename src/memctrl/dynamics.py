@@ -130,28 +130,32 @@ class FrictionParams:
 
 @dataclass(frozen=True)
 class ReferenceSpec:
-    """Per-joint sinusoidal reference q_d(t) = A sin(w t + phase).
-
-    The data only; BatchReference evaluates it.
+    """Per-joint reference q_j(t) = amp_j sin(2 pi t / period_j + phase_j),
+    held as the config file writes it; BatchReference evaluates it.
     """
 
-    amplitude: tuple[float, float] = (0.5, 0.3)     # rad
-    omega: tuple[float, float] = (2.0 * np.pi / 1.7, 2.0 * np.pi / 2.3)
-    phase: tuple[float, float] = (0.0, 0.0)         # rad
-    horizon: float = 5.0                            # s
+    amp1: float = 0.5       # rad
+    amp2: float = 0.3       # rad
+    period1: float = 1.7    # s
+    period2: float = 2.3    # s
+    phase1: float = 0.0     # rad
+    phase2: float = 0.0     # rad
+    horizon: float = 5.0    # s
 
     def validate(self) -> None:
+        for key in ("period1", "period2"):
+            period = getattr(self, key)
+            if not period > 0.0:
+                raise ValueError(f"{key} must be positive, got {period}")
         if not self.horizon > 0.0:
             raise ValueError("horizon must be positive")
-        if not min(self.omega) > 0.0:
-            raise ValueError("omega must be positive")
         if self.common_period() <= self.horizon:
             raise ValueError(
                 "joint periods share a common period inside the horizon")
 
     def common_period(self) -> float:
         """Smallest common multiple of the two periods (inf if none)."""
-        t1, t2 = 2.0 * np.pi / self.omega[0], 2.0 * np.pi / self.omega[1]
+        t1, t2 = self.period1, self.period2
         # search small integer multiples; irrational ratios never match
         for k in range(1, 1000):
             m = k * t1 / t2
@@ -179,18 +183,20 @@ class BatchReference:
 
     q_d(t) = A sin(w t + spec phase + phase) per joint, plus, when slow,
     two tones of SLOW_PERIODS and SLOW_AMPLITUDE at random phases drawn
-    from rng.  phase sets the shape: (2,) by default for a rollout, or
-    (B, 2) for a batch.  Every constant is held at that shape and in
-    phase's memory order (the ensemble's is joint-first, as PlantState's
-    views are), so no operation of `at` mixes shapes or orders.
+    from rng; each w = 2 pi / period is formed here alone.  phase sets
+    the shape: (2,) by default for a rollout, or (B, 2) for a batch.
+    Every constant is held at that shape and in phase's memory order
+    (the ensemble's is joint-first, as PlantState's views are), so no
+    operation of `at` mixes shapes or orders.
     """
 
     def __init__(self, ref: ReferenceSpec, phase: np.ndarray | None = None,
                  slow: bool = False, rng: np.random.Generator | None = None):
         phase = np.zeros(2) if phase is None else phase
-        self.amp = amp = np.full_like(phase, ref.amplitude)
-        self.omega = omega = np.full_like(phase, ref.omega)
-        self.spec_phase = np.full_like(phase, ref.phase)
+        self.amp = amp = np.full_like(phase, (ref.amp1, ref.amp2))
+        self.omega = omega = np.full_like(
+            phase, 2.0 * np.pi / np.array((ref.period1, ref.period2)))
+        self.spec_phase = np.full_like(phase, (ref.phase1, ref.phase2))
         self.phase = phase
         self.amp_omega = amp * omega
         self.neg_amp_omega2 = -amp * omega * omega

@@ -277,6 +277,9 @@ def compare_result_files(paths, metric: str = "delta_percent",
             raise SchemaMismatch(f"{path}: missing {exc}") from None
         except (TypeError, ValueError) as exc:   # not JSON, or not a record
             raise SchemaMismatch(f"{path}: not a result file: {exc}") from None
+        if (n := res.flags.get("diverged_rollouts", 0)) > 0:  # RMSE cut short
+            total = res.flags.get("total_rollouts")
+            raise ValueError(f"{path}: {n} of {total} rollouts diverged")
         value, label = (getattr(res, name, None) for name in (metric, group_key))
         if value is None or label is None:
             raise SchemaMismatch(f"{path}: missing {metric!r} or {group_key!r}")

@@ -200,6 +200,24 @@ class TestCLI:
                 " baseline-ct-true" in one_error_line(capsys))
         assert not list(tmp_path.iterdir())
 
+    def test_compare_refuses_diverged_run(self, tmp_path, capsys,
+                                          evaluate_files):
+        # every rollout blows up at once, so its RMSE covers a step or
+        # two and would rank best on rmse_mean
+        cfg_file = tmp_path / "huge.cfg"
+        cfg_file.write_text("amp1 = 1e6\n")
+        div, out = tmp_path / "div", tmp_path / "cmp"
+        assert run_cli(["--config", str(cfg_file), "--out-dir", str(div),
+                        "--seed", "45", "evaluate", "--rollouts", "2"]) == 0
+        (bad,) = div.glob("*.json")
+        capsys.readouterr()
+        rc = run_cli(["--out-dir", str(out), "compare", "--metric",
+                      "rmse_mean", *evaluate_files, str(bad)])
+        assert rc == 1
+        assert one_error_line(capsys).startswith(
+            f"memctrl: error: {bad}: 10 of 10 rollouts diverged")
+        assert not list(out.iterdir())
+
     @pytest.mark.parametrize("drop", ["seed", "architecture", "payload_rmse"])
     def test_compare_names_file_missing_a_key(self, tmp_path, capsys,
                                               evaluate_files, drop):
@@ -590,6 +608,34 @@ class TestErrorContract:
         assert exc.value is error
         assert capsys.readouterr().err == ""
 
+    @pytest.mark.parametrize("buffered", [True, False],
+                             ids=["buffered", "unbuffered"])
+    def test_closed_stdout_ends_quietly(self, tmp_path, buffered):
+        # the reader is gone before the command prints: buffered, the
+        # write fails at the last flush; unbuffered, at the first print
+        import os
+        import subprocess
+        import sys
+
+        import memctrl
+
+        src = str(Path(memctrl.__file__).resolve().parents[1])
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=src)
+        env.pop("PYTHONUNBUFFERED", None)
+        if not buffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "memctrl", "--out-dir", str(tmp_path),
+                 "simulate"], stdout=write_end, stderr=subprocess.PIPE,
+                env=env, text=True, timeout=120)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (1, "")
+        assert (tmp_path / "trajectory.csv").stat().st_size > 0
+
 
 class TestPhase1Flags:
     def test_parser_keeps_no_copy_of_the_thresholds(self):
@@ -728,10 +774,11 @@ def _config_fields():
     """(owner attribute or None, field name) of every field load_config reads."""
     from memctrl.config import Config
     from memctrl.controller import ParamBox
-    from memctrl.dynamics import FrictionParams, PlantParams
+    from memctrl.dynamics import FrictionParams, PlantParams, ReferenceSpec
 
     out = [(owner, f.name) for owner, cls in (("plant", PlantParams),
                                                ("friction", FrictionParams),
+                                               ("reference", ReferenceSpec),
                                                ("box", ParamBox))
            for f in dataclasses.fields(cls)]
     nested = {"plant", "friction", "reference", "box"}
@@ -750,6 +797,30 @@ class TestConfigFields:
         cfg = load_config(cfg_file)
         target = cfg if owner is None else getattr(cfg, owner)
         assert getattr(target, key) == value
+
+    def test_each_key_has_one_dataclass(self, tmp_path):
+        # the five key sets split the accepted keys: every field of a
+        # block, and Config's own settings, with no key in two sets
+        from memctrl import config
+
+        sets = (config._PLANT_KEYS, config._FRICTION_KEYS, config._REF_KEYS,
+                config._BOX_KEYS, config._MISC_KEYS)
+        keys = [key for _, key in _config_fields()]
+        assert sum(len(s) for s in sets) == len(keys) == len(set(keys))
+        assert set().union(*sets) == set(keys)
+        cfg_file = tmp_path / "block.cfg"
+        cfg_file.write_text("reference = 1\n")
+        with pytest.raises(ValueError, match="unknown configuration keys"):
+            load_config(cfg_file)
+
+    def test_period_is_read_as_written(self, tmp_path):
+        cfg_file = tmp_path / "period.cfg"
+        cfg_file.write_text("period1 = 1.9\n")
+        cfg = load_config(cfg_file)
+        assert cfg.reference.period1 == 1.9
+        omega = BatchReference(cfg.reference).omega
+        assert omega[0] == 2 * np.pi / 1.9
+        assert omega[1] == 2 * np.pi / 2.3
 
 
 class TestConfigBaseline:

@@ -383,9 +383,20 @@ class TestReferenceSpec:
     def test_default_is_incommensurate(self):
         ReferenceSpec().validate()
 
+    def test_default_frequencies_are_the_published_ones(self):
+        # BatchReference forms 2 pi / period, the one conversion
+        omega = BatchReference(ReferenceSpec()).omega
+        assert omega[0] == 2.0 * np.pi / 1.7
+        assert omega[1] == 2.0 * np.pi / 2.3
+
+    @pytest.mark.parametrize("key", ["period1", "period2"])
+    def test_nonpositive_period_named(self, key):
+        with pytest.raises(ValueError, match=f"^{key} must be positive, "
+                                             "got 0.0$"):
+            ReferenceSpec(**{key: 0.0}).validate()
+
     def test_commensurate_rejected(self):
-        bad = ReferenceSpec(omega=(2 * np.pi / 1.0, 2 * np.pi / 2.0),
-                            horizon=5.0)
+        bad = ReferenceSpec(period1=1.0, period2=2.0, horizon=5.0)
         with pytest.raises(ValueError):
             bad.validate()
 
@@ -610,8 +621,9 @@ class TestEnsembleConsistency:
         roll = sim.run(150, 0.01)
         frics = []
         for i in range(batch):
+            phase1, phase2 = sim.reference.phase[i]
             ref = dataclasses.replace(cfg.reference, horizon=1.5,
-                                      phase=tuple(sim.reference.phase[i]))
+                                      phase1=phase1, phase2=phase2)
             plant = cfg.plant.with_payload(sim.payload[i])
             fric = dataclasses.replace(
                 cfg.friction, **{k: float(getattr(sim.fric, k)[0, i])
@@ -643,8 +655,9 @@ class TestEnsembleConsistency:
     @staticmethod
     def _reference_term_by_term(ref, t, phase, slow_phase=None):
         # q_d = A sin(w t + spec phase + phase), plus the slow tones
-        amp, om = np.array(ref.amplitude), np.array(ref.omega)
-        th = om * t + np.array(ref.phase) + phase
+        amp = np.array((ref.amp1, ref.amp2))
+        om = 2.0 * np.pi / np.array((ref.period1, ref.period2))
+        th = om * t + np.array((ref.phase1, ref.phase2)) + phase
         q = amp * np.sin(th)
         qd = amp * om * np.cos(th)
         qdd = -amp * om * om * np.sin(th)
@@ -664,7 +677,7 @@ class TestEnsembleConsistency:
         # those of the formula written term by term
         from memctrl import ensemble
 
-        ref = dataclasses.replace(cfg.reference, phase=(0.3, -1.1))
+        ref = dataclasses.replace(cfg.reference, phase1=0.3, phase2=-1.1)
         sim = ensemble.BaselineEnsembleSim(
             5, ref, cfg.plant, cfg.friction, seed=2,
             task=ensemble.TaskDistribution(slow_reference=slow),

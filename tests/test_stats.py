@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -174,11 +175,11 @@ class TestCohensD:
             cohens_d_pooled(1.0, 0.0, 5, 2.0, 0.0, 5)
 
 
-def _write_result(path, architecture, seed, delta):
+def _write_result(path, architecture, seed, delta, flags=None):
     rec = {"architecture": architecture, "param_count": 1000, "tau_z": 1.0,
            "seed": seed, "baseline_rmse": 0.13,
            "payload_rmse": [{"payload": 0.0, "rmse": 0.1, "sd": 0.01}],
-           "delta_percent": delta, "flags": {}}
+           "delta_percent": delta, "flags": flags or {}}
     path.write_text(json.dumps(rec))
 
 
@@ -243,6 +244,16 @@ class TestCompareResultFiles:
         (rep,) = compare_result_files(paths)["pairs"]
         assert rep.sd1 == 0.0
         assert rep.cohens_d == pytest.approx(-7.0, rel=1e-12)
+
+    def test_diverged_run_refused(self, tmp_path):
+        # a diverged rollout's RMSE stops at its blow-up, so the file
+        # would rank best on rmse_mean; compare names it instead
+        paths = _write_groups(tmp_path, {"a": [-5.0, -4.0], "b": [1.0, 3.0]})
+        _write_result(paths[2], "b", 0, 1.0,
+                      flags={"diverged_rollouts": 3, "total_rollouts": 10})
+        with pytest.raises(ValueError, match=(
+                f"^{re.escape(str(paths[2]))}: 3 of 10 rollouts diverged")):
+            compare_result_files(paths, metric="rmse_mean")
 
     def test_schema_mismatch(self, tmp_path):
         bad = tmp_path / "bad.json"
